@@ -1,6 +1,8 @@
 // Micro-benchmark: the IncrementalApsp kernel.
 // Complements exp_agdp_complexity with steady-state per-operation numbers.
-#include <deque>
+#include <array>
+#include <span>
+#include <vector>
 
 #include "bench/harness.h"
 #include "common/rng.h"
@@ -9,42 +11,74 @@
 namespace driftsync::graph {
 namespace {
 
-void window_step(IncrementalApsp& apsp,
-                 std::deque<IncrementalApsp::Handle>& live, Rng& rng) {
-  std::vector<IncrementalApsp::HalfEdge> ins, outs;
+using Handle = IncrementalApsp::Handle;
+
+/// Inserts a node with up to three edges to random members of `live`.
+/// The edges sit in stack arrays, as SyncEngine::ingest builds them, so the
+/// allocs/op column shows the kernel's own allocations.
+Handle window_step(IncrementalApsp& apsp, std::span<const Handle> live,
+                   Rng& rng) {
+  std::array<IncrementalApsp::HalfEdge, 3> ins;
+  std::array<IncrementalApsp::HalfEdge, 3> outs;
+  std::size_t n_in = 0;
+  std::size_t n_out = 0;
   for (int d = 0; d < 3 && !live.empty(); ++d) {
-    const auto other = live[rng.uniform_index(live.size())];
+    const Handle other = live[rng.uniform_index(live.size())];
     if (rng.flip(0.5)) {
-      ins.push_back({other, rng.uniform(0.0, 1.0)});
+      ins[n_in++] = {other, rng.uniform(0.0, 1.0)};
     } else {
-      outs.push_back({other, rng.uniform(0.0, 1.0)});
+      outs[n_out++] = {other, rng.uniform(0.0, 1.0)};
     }
   }
-  live.push_back(apsp.insert_node(ins, outs));
+  return apsp.insert_node(std::span(ins.data(), n_in),
+                          std::span(outs.data(), n_out));
 }
 
+std::vector<Handle> fill_window(IncrementalApsp& apsp, std::size_t window,
+                                Rng& rng) {
+  std::vector<Handle> live;
+  while (live.size() < window) live.push_back(window_step(apsp, live, rng));
+  return live;
+}
+
+// Sliding window: insert a node, then drop the oldest.  `live` is a ring
+// whose slot `oldest` holds the oldest handle.
 void BM_InsertNodeAtWindow(bench::State& state) {
   const auto window = static_cast<std::size_t>(state.range(0));
   Rng rng(99);
   IncrementalApsp apsp;
-  std::deque<IncrementalApsp::Handle> live;
-  live.push_back(apsp.insert_node({}, {}));
-  while (live.size() < window) window_step(apsp, live, rng);
+  std::vector<Handle> live = fill_window(apsp, window, rng);
+  std::size_t oldest = 0;
   for (auto _ : state) {
-    window_step(apsp, live, rng);
-    apsp.remove_node(live.front());
-    live.pop_front();
+    const Handle h = window_step(apsp, live, rng);
+    apsp.remove_node(live[oldest]);
+    live[oldest] = h;
+    oldest = (oldest + 1) % window;
   }
 }
 DS_BENCHMARK(apsp, BM_InsertNodeAtWindow)->arg(8)->arg(32)->arg(128)->arg(512);
+
+// Removing a random live node: with dense slots that moves the last slot's
+// row and column into the hole, O(L).  An edge-free node re-fills the
+// window; its insert relaxes nothing and is O(L) too.
+void BM_RemoveNodeAtWindow(bench::State& state) {
+  const auto window = static_cast<std::size_t>(state.range(0));
+  Rng rng(5);
+  IncrementalApsp apsp;
+  std::vector<Handle> live = fill_window(apsp, window, rng);
+  for (auto _ : state) {
+    const std::size_t k = rng.uniform_index(live.size());
+    apsp.remove_node(live[k]);
+    live[k] = apsp.insert_node({}, {});
+  }
+}
+DS_BENCHMARK(apsp, BM_RemoveNodeAtWindow)->arg(8)->arg(32)->arg(128);
 
 void BM_InsertEdge(bench::State& state) {
   const auto window = static_cast<std::size_t>(state.range(0));
   Rng rng(7);
   IncrementalApsp apsp;
-  std::deque<IncrementalApsp::Handle> live;
-  live.push_back(apsp.insert_node({}, {}));
-  while (live.size() < window) window_step(apsp, live, rng);
+  const std::vector<Handle> live = fill_window(apsp, window, rng);
   for (auto _ : state) {
     const auto u = live[rng.uniform_index(live.size())];
     const auto v = live[rng.uniform_index(live.size())];
@@ -58,9 +92,7 @@ DS_BENCHMARK(apsp, BM_InsertEdge)->arg(32)->arg(128)->arg(512);
 void BM_DistanceQuery(bench::State& state) {
   Rng rng(11);
   IncrementalApsp apsp;
-  std::deque<IncrementalApsp::Handle> live;
-  live.push_back(apsp.insert_node({}, {}));
-  while (live.size() < 256) window_step(apsp, live, rng);
+  const std::vector<Handle> live = fill_window(apsp, 256, rng);
   for (auto _ : state) {
     const auto u = live[rng.uniform_index(live.size())];
     const auto v = live[rng.uniform_index(live.size())];

@@ -1,6 +1,7 @@
 #include "core/sync_engine.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -17,7 +18,23 @@ using HalfEdge = graph::IncrementalApsp::HalfEdge;
 SyncEngine::SyncEngine(const SystemSpec& spec, ProcId self, Options opts)
     : spec_(&spec), self_(self), opts_(opts) {
   DS_CHECK(self < spec.num_procs());
+  live_.resize(spec.num_procs());
   last_id_.assign(spec.num_procs(), kInvalidEvent);
+}
+
+const SyncEngine::LiveNode* SyncEngine::find(EventId id) const {
+  if (id.proc >= live_.size()) return nullptr;
+  const std::vector<LiveNode>& nodes = live_[id.proc];
+  const auto it = std::lower_bound(
+      nodes.begin(), nodes.end(), id.seq,
+      [](const LiveNode& n, std::uint32_t seq) { return n.rec.id.seq < seq; });
+  return it != nodes.end() && it->rec.id.seq == id.seq ? &*it : nullptr;
+}
+
+const SyncEngine::LiveNode& SyncEngine::live_at(EventId id) const {
+  const LiveNode* node = find(id);
+  DS_CHECK_MSG(node != nullptr, "not a live point");
+  return *node;
 }
 
 void SyncEngine::ingest(const EventRecord& record) {
@@ -27,19 +44,23 @@ void SyncEngine::ingest(const EventRecord& record) {
   DS_CHECK_MSG(record.id.seq == (prev_id.valid() ? prev_id.seq + 1 : 0),
                "events of a processor must be ingested in sequence order");
 
-  std::vector<HalfEdge> in_edges;
-  std::vector<HalfEdge> out_edges;
+  // At most two edges each way: built on the stack, so ingest allocates
+  // nothing once the live lists and the distance matrix stop growing.
+  std::array<HalfEdge, 2> in_edges;
+  std::array<HalfEdge, 2> out_edges;
+  std::size_t n_in = 0;
+  std::size_t n_out = 0;
 
   // Drift edges to the processor-predecessor (Section 2, clock drift
   // bounds).  The predecessor is live: the last known event of every
   // processor always is (Definition 3.1).
   if (prev_id.valid()) {
-    const LiveNode& prev = live_.at(prev_id);
+    const LiveNode& prev = live_at(prev_id);
     const Duration dl = record.lt - prev.rec.lt;
     DS_CHECK_MSG(dl >= 0.0, "local clock went backwards");
     const ProcEdgeWeights pw = proc_edge_weights(spec_->clock(w), dl);
-    in_edges.push_back(HalfEdge{prev.handle, pw.forward});
-    out_edges.push_back(HalfEdge{prev.handle, pw.backward});
+    in_edges[n_in++] = HalfEdge{prev.handle, pw.forward};
+    out_edges[n_out++] = HalfEdge{prev.handle, pw.backward};
   }
 
   // Transit edges to the matching send (Section 2, message transit bounds).
@@ -48,77 +69,78 @@ void SyncEngine::ingest(const EventRecord& record) {
                    (record.slack == 0.0 || record.kind == EventKind::kReceive),
                "processing slack must be a non-negative receive-only value");
   if (record.kind == EventKind::kReceive) {
-    const auto it = live_.find(record.match);
-    DS_CHECK_MSG(it != live_.end(),
+    const LiveNode* const match = find(record.match);
+    DS_CHECK_MSG(match != nullptr,
                  "receive ingested before its matching send is live");
-    const LiveNode& send = it->second;
+    const LiveNode& send = *match;
     DS_CHECK(send.rec.kind == EventKind::kSend && !send.recv_seen &&
              !send.lost);
     const LinkSpec* link = spec_->link_between(w, record.peer);
     DS_CHECK_MSG(link != nullptr, "receive over a non-existent link");
     const MsgEdgeWeights mw =
         msg_edge_weights(*link, record.peer, send.rec.lt, record.lt);
-    in_edges.push_back(HalfEdge{send.handle, mw.send_to_recv});
+    in_edges[n_in++] = HalfEdge{send.handle, mw.send_to_recv};
     if (mw.recv_to_send != kNoBound) {
       // The spec's max transit bounds the *wire*; the record's local time
       // was read up to `slack` local seconds after the datagram arrived
       // (handler queueing — see EventRecord::slack).  Widen the upper
       // bound by that gap mapped through the receiver's drift envelope,
       // else honest processing delay masquerades as a spec violation.
-      out_edges.push_back(HalfEdge{
+      out_edges[n_out++] = HalfEdge{
           send.handle,
-          mw.recv_to_send + spec_->clock(w).rt_upper(record.slack)});
+          mw.recv_to_send + spec_->clock(w).rt_upper(record.slack)};
     }
   }
 
-  const Handle h = apsp_.insert_node(in_edges, out_edges);
+  const Handle h = apsp_.insert_node(std::span(in_edges.data(), n_in),
+                                     std::span(out_edges.data(), n_out));
   DS_CHECK_MSG(h != graph::IncrementalApsp::kNoHandle,
                "negative cycle: the real-time specification is inconsistent "
                "with the observed local times");
 
-  LiveNode node;
-  node.rec = record;
-  node.handle = h;
-  live_.emplace(record.id, std::move(node));
+  // The new event has the highest seq of its processor: appending keeps
+  // the list sorted.
+  live_[w].push_back(LiveNode{record, h});
+  ++live_count_;
   last_id_[w] = record.id;
 
   // Death processing (Definition 3.1): the predecessor is no longer the last
   // point of its processor, and a matched/lost send is no longer pending.
   if (prev_id.valid()) drop_if_dead(prev_id);
   if (record.kind == EventKind::kReceive) {
-    live_.at(record.match).recv_seen = true;
+    find(record.match)->recv_seen = true;
     drop_if_dead(record.match);
   } else if (record.kind == EventKind::kLossDecl) {
-    const auto it = live_.find(record.match);
-    DS_CHECK_MSG(it != live_.end() && it->second.rec.kind == EventKind::kSend,
+    LiveNode* const send = find(record.match);
+    DS_CHECK_MSG(send != nullptr && send->rec.kind == EventKind::kSend,
                  "loss declaration must reference a pending send");
     DS_CHECK_MSG(record.match.proc == w,
                  "only the sender declares a message lost");
-    it->second.lost = true;
+    send->lost = true;
     drop_if_dead(record.match);
   }
 
-  max_live_ = std::max(max_live_, live_.size());
+  max_live_ = std::max(max_live_, live_count_);
 }
 
 void SyncEngine::drop_if_dead(EventId id) {
   if (opts_.keep_dead_nodes) return;  // ablation mode: no garbage collection
-  const auto it = live_.find(id);
-  DS_CHECK(it != live_.end());
-  const LiveNode& node = it->second;
+  const LiveNode& node = live_at(id);
   if (last_id_[id.proc] == id) return;  // still the last point at its proc
   if (node.rec.kind == EventKind::kSend && !node.recv_seen && !node.lost) {
     return;  // pending send
   }
   apsp_.remove_node(node.handle);
-  live_.erase(it);
+  std::vector<LiveNode>& nodes = live_[id.proc];
+  nodes.erase(nodes.begin() + (&node - nodes.data()));
+  --live_count_;
 }
 
 Interval SyncEngine::estimate(LocalTime now) const {
   const EventId p_id = last_id_[self_];
   if (!p_id.valid() || !knows_source()) return Interval::everything();
-  const LiveNode& p = live_.at(p_id);
-  const LiveNode& sp = live_.at(last_id_[spec_->source()]);
+  const LiveNode& p = live_at(p_id);
+  const LiveNode& sp = live_at(last_id_[spec_->source()]);
   DS_CHECK_MSG(now >= p.rec.lt - 1e-12,
                "estimate() queried before the last ingested event");
 
@@ -140,8 +162,8 @@ Interval SyncEngine::peer_clock_estimate(ProcId w, LocalTime now) const {
   const EventId p_id = last_id_[self_];
   const EventId q_id = last_id_[w];
   if (!p_id.valid() || !q_id.valid()) return Interval::everything();
-  const LiveNode& p = live_.at(p_id);
-  const LiveNode& q = live_.at(q_id);
+  const LiveNode& p = live_at(p_id);
+  const LiveNode& q = live_at(q_id);
 
   // Real time elapsed since my last event (my own drift envelope) ...
   const ClockSpec& my_clock = spec_->clock(self_);
@@ -163,29 +185,27 @@ Interval SyncEngine::peer_clock_estimate(ProcId w, LocalTime now) const {
 }
 
 Interval SyncEngine::rt_difference_bounds(EventId p, EventId q) const {
-  const auto ip = live_.find(p);
-  const auto iq = live_.find(q);
-  DS_CHECK_MSG(ip != live_.end() && iq != live_.end(),
+  const LiveNode* const np = find(p);
+  const LiveNode* const nq = find(q);
+  DS_CHECK_MSG(np != nullptr && nq != nullptr,
                "rt_difference_bounds requires live points");
-  const double vd = ip->second.rec.lt - iq->second.rec.lt;
-  const double d_pq = apsp_.distance(ip->second.handle, iq->second.handle);
-  const double d_qp = apsp_.distance(iq->second.handle, ip->second.handle);
+  const double vd = np->rec.lt - nq->rec.lt;
+  const double d_pq = apsp_.distance(np->handle, nq->handle);
+  const double d_qp = apsp_.distance(nq->handle, np->handle);
   return Interval{d_qp == kNoBound ? kNegInf : vd - d_qp,
                   d_pq == kNoBound ? kNoBound : vd + d_pq};
 }
 
 double SyncEngine::distance(EventId from, EventId to) const {
-  const auto f = live_.find(from);
-  const auto t = live_.find(to);
-  DS_CHECK(f != live_.end() && t != live_.end());
-  return apsp_.distance(f->second.handle, t->second.handle);
+  return apsp_.distance(live_at(from).handle, live_at(to).handle);
 }
 
 std::vector<EventId> SyncEngine::live_points() const {
   std::vector<EventId> out;
-  out.reserve(live_.size());
-  for (const auto& [id, node] : live_) out.push_back(id);
-  std::sort(out.begin(), out.end());
+  out.reserve(live_count_);
+  for (const std::vector<LiveNode>& nodes : live_) {
+    for (const LiveNode& node : nodes) out.push_back(node.rec.id);
+  }
   return out;
 }
 
@@ -205,15 +225,17 @@ void SyncEngine::save(std::vector<std::uint8_t>& out) const {
   }
   // Live nodes in canonical (EventId) order, with flags and the exact
   // pairwise distance matrix in that order.
-  const std::vector<EventId> order = live_points();
   EventBatch records;
-  records.reserve(order.size());
+  records.reserve(live_count_);
   std::vector<std::uint8_t> flags;
-  for (const EventId& id : order) {
-    const LiveNode& node = live_.at(id);
-    records.push_back(node.rec);
-    flags.push_back(static_cast<std::uint8_t>((node.recv_seen ? 1 : 0) |
-                                              (node.lost ? 2 : 0)));
+  std::vector<Handle> handles;
+  for (const std::vector<LiveNode>& nodes : live_) {
+    for (const LiveNode& node : nodes) {
+      records.push_back(node.rec);
+      flags.push_back(static_cast<std::uint8_t>((node.recv_seen ? 1 : 0) |
+                                                (node.lost ? 2 : 0)));
+      handles.push_back(node.handle);
+    }
   }
   // The canonical order is NOT causally consistent; serialize records
   // individually (encode_batch is order-preserving, so this is fine — the
@@ -222,17 +244,15 @@ void SyncEngine::save(std::vector<std::uint8_t>& out) const {
   wire::put_varint(out, batch.size());
   out.insert(out.end(), batch.begin(), batch.end());
   out.insert(out.end(), flags.begin(), flags.end());
-  for (const EventId& a : order) {
-    for (const EventId& b : order) {
-      wire::put_double(out, distance(a, b));
-    }
+  for (const Handle a : handles) {
+    for (const Handle b : handles) wire::put_double(out, apsp_.distance(a, b));
   }
   wire::put_varint(out, max_live_);
 }
 
 void SyncEngine::load(std::span<const std::uint8_t> bytes,
                       std::size_t& offset) {
-  DS_CHECK_MSG(live_.empty(), "load into a fresh engine");
+  DS_CHECK_MSG(live_count_ == 0, "load into a fresh engine");
   // A checkpoint image is untrusted input: parse and cross-check everything
   // into locals first, then commit in one shot at the end — a throw on any
   // path below leaves this engine exactly as it was.
@@ -345,20 +365,17 @@ void SyncEngine::load(std::span<const std::uint8_t> bytes,
   if (!apsp.load_matrix(dist)) {
     throw CheckpointError("inconsistent distance matrix");
   }
-  std::unordered_map<EventId, LiveNode> live;
-  live.reserve(n);
+  // Canonical order is (proc, seq): appending keeps every list sorted.
+  std::vector<std::vector<LiveNode>> live(num_procs);
   for (std::size_t i = 0; i < n; ++i) {
-    LiveNode node;
-    node.rec = records[i];
-    node.handle = static_cast<graph::IncrementalApsp::Handle>(i);
-    node.recv_seen = (flags[i] & 1) != 0;
-    node.lost = (flags[i] & 2) != 0;
-    live.emplace(records[i].id, std::move(node));
+    live[records[i].id.proc].push_back(
+        LiveNode{records[i], i, (flags[i] & 1) != 0, (flags[i] & 2) != 0});
   }
 
   // Everything validated: commit.
   apsp_ = std::move(apsp);
   live_ = std::move(live);
+  live_count_ = n;
   for (std::size_t w = 0; w < num_procs; ++w) {
     last_id_[w] = last_seq[w] == 0
                       ? kInvalidEvent

@@ -22,7 +22,7 @@
 #include <cstddef>
 #include <optional>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/interval.h"
@@ -73,7 +73,7 @@ class SyncEngine {
   [[nodiscard]] double distance(EventId from, EventId to) const;
 
   [[nodiscard]] bool is_live(EventId id) const {
-    return live_.contains(id);
+    return find(id) != nullptr;
   }
 
   /// The retained record of a live point, or nullptr once it left the live
@@ -81,8 +81,8 @@ class SyncEngine {
   /// against what the view already holds for the same event id
   /// (equivocation detection) without exposing the live map itself.
   [[nodiscard]] const EventRecord* live_record(EventId id) const {
-    const auto it = live_.find(id);
-    return it == live_.end() ? nullptr : &it->second.rec;
+    const LiveNode* node = find(id);
+    return node == nullptr ? nullptr : &node->rec;
   }
 
   /// True while `id` is a live own/foreign send whose fate is open: no
@@ -90,12 +90,13 @@ class SyncEngine {
   /// transports to decide whether a timed-out message may still be declared
   /// lost (Section 3.3) or must be treated as delivered.
   [[nodiscard]] bool send_pending(EventId id) const {
-    const auto it = live_.find(id);
-    return it != live_.end() && it->second.rec.kind == EventKind::kSend &&
-           !it->second.recv_seen && !it->second.lost;
+    const LiveNode* node = find(id);
+    return node != nullptr && node->rec.kind == EventKind::kSend &&
+           !node->recv_seen && !node->lost;
   }
+  /// Live points in canonical (EventId) order.
   [[nodiscard]] std::vector<EventId> live_points() const;
-  [[nodiscard]] std::size_t live_count() const { return live_.size(); }
+  [[nodiscard]] std::size_t live_count() const { return live_count_; }
   [[nodiscard]] std::size_t max_live_count() const { return max_live_; }
   [[nodiscard]] std::size_t matrix_bytes() const {
     return apsp_.matrix_bytes();
@@ -137,6 +138,13 @@ class SyncEngine {
     bool lost = false;       ///< For sends: loss declaration ingested.
   };
 
+  /// The live node `id`, or nullptr.
+  [[nodiscard]] const LiveNode* find(EventId id) const;
+  [[nodiscard]] LiveNode* find(EventId id) {
+    return const_cast<LiveNode*>(std::as_const(*this).find(id));
+  }
+  [[nodiscard]] const LiveNode& live_at(EventId id) const;
+
   /// Removes a node if it is no longer live per Definition 3.1.
   void drop_if_dead(EventId id);
 
@@ -144,7 +152,12 @@ class SyncEngine {
   ProcId self_;
   Options opts_;
   graph::IncrementalApsp apsp_;
-  std::unordered_map<EventId, LiveNode> live_;
+  /// Live nodes per processor, sorted by seq: the processor's last event
+  /// plus its pending sends (every ingested event in the keep_dead_nodes
+  /// ablation).  Lists only ever append at the back and erase in place, so
+  /// their capacity is reused once the live set stops growing.
+  std::vector<std::vector<LiveNode>> live_;
+  std::size_t live_count_ = 0;
   std::vector<EventId> last_id_;  ///< Per processor; invalid when none.
   std::size_t max_live_ = 0;
 };

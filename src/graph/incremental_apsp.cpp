@@ -1,152 +1,171 @@
 #include "graph/incremental_apsp.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 namespace driftsync::graph {
+
+namespace {
+
+using Pair = double __attribute__((vector_size(16)));
+
+/// row[y] = min(row[y], head + via[y]) for y in [0, n), n even.  The one
+/// relaxation loop of insert_node and insert_edge.  It takes two doubles a
+/// step, written out because -O2 leaves the plain loop scalar.  There is no
+/// unreachable-entry branch: +inf absorbs the addition, and `t < r ? t : r`
+/// then keeps r, exactly as skipping would.  row may alias via.
+void relax_row(double* row, const double* via, double head, std::size_t n) {
+  const Pair h = {head, head};
+  for (std::size_t y = 0; y < n; y += 2) {
+    Pair r;
+    Pair v;
+    std::memcpy(&r, row + y, sizeof r);
+    std::memcpy(&v, via + y, sizeof v);
+    const Pair t = h + v;
+    r = t < r ? t : r;
+    std::memcpy(row + y, &r, sizeof r);
+  }
+}
+
+/// The relaxation trip count over n live slots, padded to even.  capacity_
+/// is an even power of two, so the padding column exists; it is a dead
+/// column (or, in insert_node, the new node's still-unset diagonal), which
+/// holds kNoBound in the via row and therefore never changes.
+std::size_t padded(std::size_t n) { return (n + 1) & ~std::size_t{1}; }
+
+}  // namespace
 
 void IncrementalApsp::grow(std::size_t min_capacity) {
   std::size_t new_capacity = std::max<std::size_t>(8, capacity_ * 2);
   while (new_capacity < min_capacity) new_capacity *= 2;
   std::vector<double> fresh(new_capacity * new_capacity, kNoBound);
-  for (const std::uint32_t sx : live_slots_) {
-    for (const std::uint32_t sy : live_slots_) {
-      fresh[static_cast<std::size_t>(sx) * new_capacity + sy] = at(sx, sy);
-    }
+  const std::size_t n = size();
+  for (std::size_t x = 0; x < n; ++x) {
+    std::copy_n(&matrix_[x * capacity_], n, &fresh[x * new_capacity]);
   }
   matrix_ = std::move(fresh);
   capacity_ = new_capacity;
 }
 
+void IncrementalApsp::rebuild_index(std::size_t index_size) {
+  slot_index_.assign(index_size, kNoSlot);
+  for (std::uint32_t s = 0; s < handle_of_.size(); ++s) {
+    slot_index_[handle_of_[s] & (index_size - 1)] = s;
+  }
+}
+
+void IncrementalApsp::index_handle(Handle h, std::uint32_t slot) {
+  if (!slot_index_.empty()) {
+    const std::size_t mask = slot_index_.size() - 1;
+    const std::uint32_t s = slot_index_[h & mask];
+    const bool taken = s < handle_of_.size() && handle_of_[s] != h &&
+                       ((handle_of_[s] ^ h) & mask) == 0;
+    if (!taken) {
+      slot_index_[h & mask] = slot;
+      return;
+    }
+  }
+  // Live handles lie in [oldest, h]; an index larger than that spread
+  // gives each of them its own entry.
+  Handle oldest = h;
+  for (const Handle g : handle_of_) oldest = std::min(oldest, g);
+  std::size_t index_size = std::max<std::size_t>(8, slot_index_.size());
+  while (index_size <= h - oldest) index_size *= 2;
+  rebuild_index(index_size);
+}
+
+void IncrementalApsp::wipe_slot(std::uint32_t slot) {
+  for (std::uint32_t s = 0; s < size(); ++s) {
+    at(slot, s) = kNoBound;
+    at(s, slot) = kNoBound;
+  }
+}
+
 IncrementalApsp::Handle IncrementalApsp::insert_node(
-    const std::vector<HalfEdge>& in_edges,
-    const std::vector<HalfEdge>& out_edges) {
+    std::span<const HalfEdge> in_edges, std::span<const HalfEdge> out_edges) {
   for (const HalfEdge& e : in_edges) DS_CHECK(is_live(e.node));
   for (const HalfEdge& e : out_edges) DS_CHECK(is_live(e.node));
 
-  if (free_slots_.empty() && slot_to_handle_.size() >= capacity_) {
-    grow(slot_to_handle_.size() + 1);
-  }
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slot_to_handle_.size());
-  }
-
-  // Resolve edge endpoints to slots once; the per-x loop below would
-  // otherwise chase handle -> slot for every (x, edge) pair.  Thread-local
-  // scratch keeps this allocation-free in steady state.
-  thread_local std::vector<std::pair<std::uint32_t, double>> in_slots;
-  thread_local std::vector<std::pair<std::uint32_t, double>> out_slots;
-  in_slots.clear();
-  out_slots.clear();
-  for (const HalfEdge& e : in_edges) {
-    in_slots.push_back({slot_of_[e.node], e.weight});
-  }
-  for (const HalfEdge& e : out_edges) {
-    out_slots.push_back({slot_of_[e.node], e.weight});
-  }
+  const auto n = static_cast<std::uint32_t>(size());
+  if (n == capacity_) grow(n + 1);
+  const std::uint32_t slot = n;
 
   // Distances from each live node x to the new node: every path ends with an
   // in-edge (a, new); its prefix cannot revisit the new node, so it is an
-  // old distance.  Symmetrically for distances from the new node.
-  for (const std::uint32_t sx : live_slots_) {
-    const double* const row_x = &matrix_[static_cast<std::size_t>(sx) *
-                                         capacity_];
-    double to_new = kNoBound;
-    for (const auto& [es, weight] : in_slots) {
-      const double via = (es == sx ? 0.0 : row_x[es]);
-      if (via != kNoBound && via + weight < to_new) to_new = via + weight;
-    }
-    double from_new = kNoBound;
-    for (const auto& [es, weight] : out_slots) {
-      const double via =
-          (es == sx ? 0.0
-                    : matrix_[static_cast<std::size_t>(es) * capacity_ + sx]);
-      if (via != kNoBound && weight + via < from_new) {
-        from_new = weight + via;
+  // old distance.  Symmetrically for distances from the new node.  The new
+  // column and row start at kNoBound and take a running minimum, edge by
+  // edge in the given order.
+  for (const HalfEdge& e : in_edges) {
+    const std::uint32_t es = slot_of(e.node);
+    for (std::uint32_t sx = 0; sx < n; ++sx) {
+      const double via = (es == sx ? 0.0 : at(sx, es));
+      if (via != kNoBound && via + e.weight < at(sx, slot)) {
+        at(sx, slot) = via + e.weight;
       }
     }
-    at(sx, slot) = to_new;
-    at(slot, sx) = from_new;
+  }
+  for (const HalfEdge& e : out_edges) {
+    const std::uint32_t es = slot_of(e.node);
+    for (std::uint32_t sx = 0; sx < n; ++sx) {
+      const double via = (es == sx ? 0.0 : at(es, sx));
+      if (via != kNoBound && e.weight + via < at(slot, sx)) {
+        at(slot, sx) = e.weight + via;
+      }
+    }
   }
 
   // A negative cycle through the new node shows up as a negative round trip.
-  for (const std::uint32_t sx : live_slots_) {
+  for (std::uint32_t sx = 0; sx < n; ++sx) {
     const double out = at(slot, sx);
     const double back = at(sx, slot);
     if (out != kNoBound && back != kNoBound && out + back < 0.0) {
-      // Same hygiene as remove_node: the tentative to/from distances were
-      // already written into the slot's row and column above, so wipe them
-      // before recycling — otherwise the next occupant of this slot starts
-      // life with a previous candidate's finite distances in its row.
-      for (std::uint32_t s = 0; s < capacity_; ++s) {
-        at(slot, s) = kNoBound;
-        at(s, slot) = kNoBound;
-      }
-      free_slots_.push_back(slot);
+      // The tentative distances were already written; wipe them so the
+      // slot's next occupant starts from kNoBound.
+      wipe_slot(slot);
       return kNoHandle;
     }
   }
 
   // Relax every existing pair through the new node (Ausiello et al. [2]).
-  // Row pointers hoist the slot*capacity index math out of the inner loop.
-  const double* const row_new =
-      &matrix_[static_cast<std::size_t>(slot) * capacity_];
-  for (const std::uint32_t sx : live_slots_) {
+  const double* const row_new = row(slot);
+  for (std::uint32_t sx = 0; sx < n; ++sx) {
     const double xs = at(sx, slot);
     if (xs == kNoBound) continue;
-    double* const row_x = &matrix_[static_cast<std::size_t>(sx) * capacity_];
-    for (const std::uint32_t sy : live_slots_) {
-      const double sy_dist = row_new[sy];
-      if (sy_dist == kNoBound) continue;
-      const double through = xs + sy_dist;
-      if (through < row_x[sy]) row_x[sy] = through;
-    }
-    relaxations_ += live_slots_.size();
+    relax_row(row(sx), row_new, xs, padded(n));
+    relaxations_ += n;
   }
   at(slot, slot) = 0.0;
 
-  const Handle handle = static_cast<Handle>(slot_of_.size());
-  slot_of_.push_back(slot);
-  dense_pos_.push_back(static_cast<std::uint32_t>(slot_to_handle_.size()));
-  slot_to_handle_.push_back(handle);
-  live_slots_.push_back(slot);
+  const Handle handle = next_handle_++;
+  handle_of_.push_back(handle);
+  index_handle(handle, slot);
   return handle;
 }
 
 bool IncrementalApsp::insert_edge(Handle from, Handle to, double weight) {
   DS_CHECK(is_live(from) && is_live(to));
-  const std::uint32_t su = slot_of_[from];
-  const std::uint32_t sv = slot_of_[to];
+  const std::uint32_t su = slot_of(from);
+  const std::uint32_t sv = slot_of(to);
   const double back = at(sv, su);
   if (back != kNoBound && back + weight < 0.0) return false;
 
   // In-place relaxation is safe: entries (x,from) and (to,y) cannot improve
   // through the new edge absent a negative cycle, so stale reads are
   // impossible.
-  const double* const row_v =
-      &matrix_[static_cast<std::size_t>(sv) * capacity_];
-  for (const std::uint32_t sx : live_slots_) {
+  const auto n = static_cast<std::uint32_t>(size());
+  const double* const row_v = row(sv);
+  for (std::uint32_t sx = 0; sx < n; ++sx) {
     const double xu = at(sx, su);
     if (xu == kNoBound) continue;
-    const double head = xu + weight;
-    double* const row_x = &matrix_[static_cast<std::size_t>(sx) * capacity_];
-    for (const std::uint32_t sy : live_slots_) {
-      const double vy = row_v[sy];
-      if (vy == kNoBound) continue;
-      if (head + vy < row_x[sy]) row_x[sy] = head + vy;
-    }
-    relaxations_ += live_slots_.size();
+    relax_row(row(sx), row_v, xu + weight, padded(n));
+    relaxations_ += n;
   }
   return true;
 }
 
 bool IncrementalApsp::load_matrix(const std::vector<std::vector<double>>& dist) {
-  DS_CHECK_MSG(slot_to_handle_.empty() && slot_of_.empty(),
-               "load into a fresh structure");
+  DS_CHECK_MSG(next_handle_ == 0, "load into a fresh structure");
   const std::size_t n = dist.size();
   for (std::size_t i = 0; i < n; ++i) {
     DS_CHECK(dist[i].size() == n);
@@ -160,65 +179,53 @@ bool IncrementalApsp::load_matrix(const std::vector<std::vector<double>>& dist) 
     }
   }
   if (n > capacity_) grow(n);
-  slot_of_.resize(n);
-  dense_pos_.resize(n);
-  slot_to_handle_.resize(n);
-  live_slots_.resize(n);
+  handle_of_.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    slot_of_[i] = i;
-    dense_pos_[i] = i;
-    slot_to_handle_[i] = i;
-    live_slots_[i] = i;
-    for (std::uint32_t j = 0; j < n; ++j) at(i, j) = dist[i][j];
+    handle_of_[i] = i;
+    std::copy(dist[i].begin(), dist[i].end(), row(i));
   }
+  next_handle_ = n;
+  std::size_t index_size = 8;
+  while (index_size < n) index_size *= 2;
+  rebuild_index(index_size);
   return true;
 }
 
 void IncrementalApsp::remove_node(Handle h) {
   DS_CHECK(is_live(h));
-  const std::uint32_t slot = slot_of_[h];
-  const std::uint32_t pos = dense_pos_[h];
-  const Handle moved = slot_to_handle_.back();
-  slot_to_handle_[pos] = moved;
-  dense_pos_[moved] = pos;
-  slot_to_handle_.pop_back();
-  live_slots_[pos] = live_slots_.back();
-  live_slots_.pop_back();
-  slot_of_[h] = kNoHandle;
-  free_slots_.push_back(slot);
-  // Hygiene: wipe the slot so stale distances can never leak into a future
-  // occupant (the insert path overwrites, but kNoBound is a safer resting
-  // state and makes bugs loud).
-  for (std::uint32_t s = 0; s < capacity_; ++s) {
-    at(slot, s) = kNoBound;
-    at(s, slot) = kNoBound;
+  const std::uint32_t slot = slot_of(h);
+  const auto last = static_cast<std::uint32_t>(size() - 1);
+  if (slot != last) {
+    // Move the last live node into the hole: its row, then its column.  The
+    // row copy lands its zero diagonal at (slot, last), which the column
+    // copy then carries to (slot, slot).
+    std::copy_n(row(last), last + 1, row(slot));
+    for (std::uint32_t sx = 0; sx <= last; ++sx) at(sx, slot) = at(sx, last);
+    const Handle moved = handle_of_[last];
+    handle_of_[slot] = moved;
+    slot_index_[moved & (slot_index_.size() - 1)] = slot;
   }
+  wipe_slot(last);
+  handle_of_.pop_back();
 }
 
 bool IncrementalApsp::audit_storage() const {
-  // Structural consistency between the four index vectors.
-  if (slot_to_handle_.size() != live_slots_.size()) return false;
-  if (slot_of_.size() != dense_pos_.size()) return false;
-  std::vector<bool> slot_live(capacity_, false);
-  for (std::size_t pos = 0; pos < slot_to_handle_.size(); ++pos) {
-    const Handle h = slot_to_handle_[pos];
-    if (h >= slot_of_.size() || slot_of_[h] == kNoHandle) return false;
-    if (slot_of_[h] != live_slots_[pos]) return false;
-    if (dense_pos_[h] != pos) return false;
-    if (live_slots_[pos] >= capacity_) return false;
-    if (slot_live[live_slots_[pos]]) return false;  // duplicate live slot
-    slot_live[live_slots_[pos]] = true;
+  const std::size_t n = size();
+  if (n > capacity_) return false;
+  if ((slot_index_.size() & (slot_index_.size() - 1)) != 0) return false;
+  // Every live handle resolves to the slot that holds it; together with
+  // handle_of_ being indexed by slot, that is a bijection onto 0..L-1.
+  for (std::uint32_t s = 0; s < n; ++s) {
+    const Handle h = handle_of_[s];
+    if (h >= next_handle_ || slot_of(h) != s) return false;
   }
-  for (const std::uint32_t s : free_slots_) {
-    if (s >= capacity_ || slot_live[s]) return false;
-  }
-  // Dead rows and columns must rest at kNoBound: a finite entry there is a
-  // stale distance waiting to leak into the slot's next occupant.  Live
-  // diagonal entries must be exactly zero.
+  // Rows and columns >= L must rest at kNoBound: a finite entry there is a
+  // stale distance waiting to leak into the slot's next occupant or into a
+  // padded relaxation.  Live diagonal entries must be exactly zero.
   for (std::uint32_t a = 0; a < capacity_; ++a) {
     for (std::uint32_t b = 0; b < capacity_; ++b) {
       const double d = at(a, b);
-      if (!slot_live[a] || !slot_live[b]) {
+      if (a >= n || b >= n) {
         if (d != kNoBound) return false;
       } else if (a == b && d != 0.0) {
         return false;

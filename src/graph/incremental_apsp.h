@@ -15,13 +15,18 @@
 //    dropped: Lemma 3.4 shows the distances between the remaining live nodes
 //    are preserved.
 //
-// Handles are stable across removals (slot free-list); the matrix grows
-// geometrically.  Negative edges are fine; a negative *cycle* is reported by
-// insert_* returning false, leaving the structure unchanged logically
-// (callers treat this as an inconsistent specification).
+// Storage is dense: the L live nodes occupy matrix slots 0..L-1, so every
+// relaxation runs over contiguous row prefixes.  remove_node moves the last
+// slot into the hole (one O(L) row and column copy).  Handles are stable
+// across those moves and never reused; the matrix grows geometrically.
+// Negative edges are fine; a negative *cycle* is reported by insert_*
+// returning false, leaving the structure unchanged logically (callers treat
+// this as an inconsistent specification).
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -31,8 +36,8 @@ namespace driftsync::graph {
 
 class IncrementalApsp {
  public:
-  using Handle = std::uint32_t;
-  static constexpr Handle kNoHandle = 0xffffffffu;
+  using Handle = std::uint64_t;
+  static constexpr Handle kNoHandle = ~Handle{0};
 
   struct HalfEdge {
     Handle node = kNoHandle;  ///< The existing endpoint.
@@ -45,8 +50,14 @@ class IncrementalApsp {
   /// out_edges: new->existing).  Returns the new node's handle.  Throws if
   /// any referenced handle is not live.  If the insertion would create a
   /// negative cycle, returns kNoHandle and leaves the structure unchanged.
-  Handle insert_node(const std::vector<HalfEdge>& in_edges,
-                     const std::vector<HalfEdge>& out_edges);
+  Handle insert_node(std::span<const HalfEdge> in_edges,
+                     std::span<const HalfEdge> out_edges);
+  /// The same, for literal edge lists: insert_node({{a, 1.0}}, {}).
+  Handle insert_node(std::initializer_list<HalfEdge> in_edges,
+                     std::initializer_list<HalfEdge> out_edges) {
+    return insert_node(std::span(in_edges.begin(), in_edges.size()),
+                       std::span(out_edges.begin(), out_edges.size()));
+  }
 
   /// Adds an edge between two live nodes, updating all pairwise distances
   /// (O(L^2)).  Returns false (no change) on a negative cycle.
@@ -62,25 +73,25 @@ class IncrementalApsp {
   /// round trip between any pair (a negative cycle).
   bool load_matrix(const std::vector<std::vector<double>>& dist);
 
-  /// Drops a live node.  O(L); its slot is recycled.
+  /// Drops a live node.  O(L): the last slot moves into its place.
   void remove_node(Handle h);
 
   /// Shortest-path distance between live nodes (kNoBound if unreachable).
   [[nodiscard]] double distance(Handle from, Handle to) const {
     DS_CHECK(is_live(from) && is_live(to));
-    return at(slot_of_[from], slot_of_[to]);
+    return at(slot_of(from), slot_of(to));
   }
 
   [[nodiscard]] bool is_live(Handle h) const {
-    return h < slot_of_.size() && slot_of_[h] != kNoHandle;
+    return h < next_handle_ && slot_of(h) != kNoSlot;
   }
 
   /// Number of live nodes.
-  [[nodiscard]] std::size_t size() const { return slot_to_handle_.size(); }
+  [[nodiscard]] std::size_t size() const { return handle_of_.size(); }
 
-  /// Currently live handles (unordered).
+  /// Currently live handles, indexed by slot (unordered).
   [[nodiscard]] const std::vector<Handle>& live_handles() const {
-    return slot_to_handle_;
+    return handle_of_;
   }
 
   /// Bytes of distance-matrix storage currently held (for the space
@@ -95,13 +106,16 @@ class IncrementalApsp {
   [[nodiscard]] std::uint64_t relaxations() const { return relaxations_; }
 
   /// Storage-hygiene invariant, O(capacity^2) — for tests.  Verifies the
-  /// slot bookkeeping (slot_of_/dense_pos_/slot_to_handle_/live_slots_/
-  /// free_slots_) is mutually consistent and that every dead slot's row and
-  /// column rest at kNoBound, so a recycled slot can never observe a
-  /// previous occupant's (or rejected candidate's) distances.
+  /// dense layout: the live handles map one-to-one onto slots 0..L-1, every
+  /// live diagonal entry is exactly zero, and every row and column >= L
+  /// rests at kNoBound, so a slot's next occupant (or the padding column a
+  /// relaxation sweeps) can never observe a previous occupant's or a
+  /// rejected candidate's distances.
   [[nodiscard]] bool audit_storage() const;
 
  private:
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
   [[nodiscard]] double& at(std::uint32_t slot_from, std::uint32_t slot_to) {
     return matrix_[static_cast<std::size_t>(slot_from) * capacity_ + slot_to];
   }
@@ -109,23 +123,37 @@ class IncrementalApsp {
                           std::uint32_t slot_to) const {
     return matrix_[static_cast<std::size_t>(slot_from) * capacity_ + slot_to];
   }
+  [[nodiscard]] double* row(std::uint32_t slot) {
+    return &matrix_[static_cast<std::size_t>(slot) * capacity_];
+  }
+
+  /// The live slot of `h`, or kNoSlot.  An index entry is trusted only
+  /// when the slot it names still holds `h`.
+  [[nodiscard]] std::uint32_t slot_of(Handle h) const {
+    if (slot_index_.empty()) return kNoSlot;
+    const std::uint32_t s = slot_index_[h & (slot_index_.size() - 1)];
+    return s < handle_of_.size() && handle_of_[s] == h ? s : kNoSlot;
+  }
 
   void grow(std::size_t min_capacity);
+  /// Gives `h` its own slot_index_ entry, resizing the index if a live
+  /// handle already owns that entry.
+  void index_handle(Handle h, std::uint32_t slot);
+  void rebuild_index(std::size_t size);
+  /// Wipes row and column `slot` over the live prefix 0..size()-1.
+  void wipe_slot(std::uint32_t slot);
 
-  // matrix_ is capacity_^2 doubles; only slots occupied by live nodes are
-  // meaningful.  slot_of_[handle] -> slot (kNoHandle when dead);
-  // slot_to_handle_ is the dense list of live handles, indexed by "dense
-  // position" which is NOT the slot — slots are looked up via slot_of_.
-  // live_slots_ mirrors slot_to_handle_ entry-for-entry with the handles'
-  // slots, so the O(L^2) relaxation loops iterate slots directly instead
-  // of chasing handle -> slot per matrix access.
+  // matrix_ is capacity_^2 doubles; rows and columns 0..L-1 belong to the
+  // live nodes and everything else rests at kNoBound.  handle_of_[slot] is
+  // the handle living there.  slot_index_ maps a handle to its slot by the
+  // handle's low bits: its size is a power of two kept larger than the
+  // spread of live handles, so it stops growing once the live set's age
+  // span does, and ingest allocates nothing in steady state.
   std::vector<double> matrix_;
   std::size_t capacity_ = 0;
-  std::vector<std::uint32_t> slot_of_;        // handle -> slot
-  std::vector<std::uint32_t> dense_pos_;      // handle -> index in dense list
-  std::vector<Handle> slot_to_handle_;        // dense list of live handles
-  std::vector<std::uint32_t> live_slots_;     // dense list of live slots
-  std::vector<std::uint32_t> free_slots_;
+  std::vector<Handle> handle_of_;           // slot -> handle, dense
+  std::vector<std::uint32_t> slot_index_;  // handle low bits -> slot
+  Handle next_handle_ = 0;
   std::uint64_t relaxations_ = 0;
 };
 

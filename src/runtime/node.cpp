@@ -1173,7 +1173,9 @@ std::vector<std::uint8_t> Node::encode_checkpoint() const {
   wire::put_varint(out, cfg_.self);
   wire::put_varint(out, cfg_.spec.num_procs());
   wire::put_varint(out, next_event_seq_);
-  wire::put_double(out, last_event_lt_);
+  // Before the first event the field is a placeholder (load ignores it),
+  // kept finite so the image format is unchanged.
+  wire::put_double(out, next_event_seq_ == 0 ? 0.0 : last_event_lt_);
   wire::put_varint(out, membership_.size());
   // Every entry — journaled ones included: a departed peer's wire frontier
   // must survive a restart or its rejoin would see restarted sequence
@@ -1225,6 +1227,10 @@ void Node::load_checkpoint(std::span<const std::uint8_t> bytes) {
     last_event_lt = wire::get_double(bytes, offset);
     if (!std::isfinite(last_event_lt)) {
       throw CheckpointError("non-finite last event time");
+    }
+    // An image written before any event carries no local-time floor.
+    if (next_event_seq == 0) {
+      last_event_lt = -std::numeric_limits<double>::infinity();
     }
     const std::uint64_t num_peers = wire::get_varint(bytes, offset);
     ProcId prev_peer = 0;

@@ -44,6 +44,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -349,7 +350,9 @@ class Node {
   /// Active members + journaled former members (runtime/membership.h).
   MembershipTable membership_;
   std::uint32_t next_event_seq_ = 0;
-  LocalTime last_event_lt_ = 0.0;
+  /// Local time of the last minted event; -inf until the first one, so a
+  /// clock reading below zero mints at its own reading.
+  LocalTime last_event_lt_ = -std::numeric_limits<double>::infinity();
   NodeStats stats_;
   /// Estimate-width distribution over externalizations (seconds); mutable
   /// because estimate()/sample() are logically const reads.  Guarded by mu_.

@@ -5,7 +5,10 @@
 // accumulated graph restricted to live nodes (the Lemma 3.4 invariant).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -345,6 +348,235 @@ TEST_P(IncrementalApspPropertyTest, MatchesBatchRecomputation) {
 
 INSTANTIATE_TEST_SUITE_P(RandomWorkloads, IncrementalApspPropertyTest,
                          ::testing::Range(0, 15));
+
+// --------------------------------------------------------------- bit-exact
+
+// The sparse-slot kernel the dense layout replaced: slots come from a free
+// list, the loops gather live slots through an index vector and skip
+// unreachable entries with a branch.  Kept here only as the differential
+// reference — the dense kernel must reproduce its distances to the bit.
+class GatheredApsp {
+ public:
+  Handle insert_node(const std::vector<HalfEdge>& in_edges,
+                     const std::vector<HalfEdge>& out_edges) {
+    if (free_slots_.empty() && live_slots_.size() >= capacity_) {
+      grow(live_slots_.size() + 1);
+    }
+    std::uint32_t slot;
+    if (!free_slots_.empty()) {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+    } else {
+      slot = static_cast<std::uint32_t>(live_slots_.size());
+    }
+    for (const std::uint32_t sx : live_slots_) {
+      double to_new = kNoBound;
+      for (const HalfEdge& e : in_edges) {
+        const std::uint32_t es = slot_of_.at(e.node);
+        const double via = (es == sx ? 0.0 : at(sx, es));
+        if (via != kNoBound && via + e.weight < to_new) to_new = via + e.weight;
+      }
+      double from_new = kNoBound;
+      for (const HalfEdge& e : out_edges) {
+        const std::uint32_t es = slot_of_.at(e.node);
+        const double via = (es == sx ? 0.0 : at(es, sx));
+        if (via != kNoBound && e.weight + via < from_new) {
+          from_new = e.weight + via;
+        }
+      }
+      at(sx, slot) = to_new;
+      at(slot, sx) = from_new;
+    }
+    for (const std::uint32_t sx : live_slots_) {
+      const double out = at(slot, sx);
+      const double back = at(sx, slot);
+      if (out != kNoBound && back != kNoBound && out + back < 0.0) {
+        wipe(slot);
+        free_slots_.push_back(slot);
+        return IncrementalApsp::kNoHandle;
+      }
+    }
+    for (const std::uint32_t sx : live_slots_) {
+      const double xs = at(sx, slot);
+      if (xs == kNoBound) continue;
+      for (const std::uint32_t sy : live_slots_) {
+        const double sy_dist = at(slot, sy);
+        if (sy_dist == kNoBound) continue;
+        if (xs + sy_dist < at(sx, sy)) at(sx, sy) = xs + sy_dist;
+      }
+      relaxations_ += live_slots_.size();
+    }
+    at(slot, slot) = 0.0;
+    const Handle handle = next_handle_++;
+    slot_of_[handle] = slot;
+    live_slots_.push_back(slot);
+    return handle;
+  }
+
+  bool insert_edge(Handle from, Handle to, double weight) {
+    const std::uint32_t su = slot_of_.at(from);
+    const std::uint32_t sv = slot_of_.at(to);
+    const double back = at(sv, su);
+    if (back != kNoBound && back + weight < 0.0) return false;
+    for (const std::uint32_t sx : live_slots_) {
+      const double xu = at(sx, su);
+      if (xu == kNoBound) continue;
+      const double head = xu + weight;
+      for (const std::uint32_t sy : live_slots_) {
+        const double vy = at(sv, sy);
+        if (vy == kNoBound) continue;
+        if (head + vy < at(sx, sy)) at(sx, sy) = head + vy;
+      }
+      relaxations_ += live_slots_.size();
+    }
+    return true;
+  }
+
+  void remove_node(Handle h) {
+    const std::uint32_t slot = slot_of_.at(h);
+    slot_of_.erase(h);
+    live_slots_.erase(std::find(live_slots_.begin(), live_slots_.end(), slot));
+    free_slots_.push_back(slot);
+    wipe(slot);
+  }
+
+  [[nodiscard]] double distance(Handle from, Handle to) const {
+    return at(slot_of_.at(from), slot_of_.at(to));
+  }
+  [[nodiscard]] std::uint64_t relaxations() const { return relaxations_; }
+  [[nodiscard]] std::size_t matrix_bytes() const {
+    return matrix_.capacity() * sizeof(double);
+  }
+
+ private:
+  [[nodiscard]] double& at(std::uint32_t a, std::uint32_t b) {
+    return matrix_[static_cast<std::size_t>(a) * capacity_ + b];
+  }
+  [[nodiscard]] double at(std::uint32_t a, std::uint32_t b) const {
+    return matrix_[static_cast<std::size_t>(a) * capacity_ + b];
+  }
+  void grow(std::size_t min_capacity) {
+    std::size_t cap = std::max<std::size_t>(8, capacity_ * 2);
+    while (cap < min_capacity) cap *= 2;
+    std::vector<double> fresh(cap * cap, kNoBound);
+    for (const std::uint32_t sx : live_slots_) {
+      for (const std::uint32_t sy : live_slots_) {
+        fresh[static_cast<std::size_t>(sx) * cap + sy] = at(sx, sy);
+      }
+    }
+    matrix_ = std::move(fresh);
+    capacity_ = cap;
+  }
+  void wipe(std::uint32_t slot) {
+    for (std::uint32_t s = 0; s < capacity_; ++s) {
+      at(slot, s) = kNoBound;
+      at(s, slot) = kNoBound;
+    }
+  }
+
+  std::vector<double> matrix_;
+  std::size_t capacity_ = 0;
+  std::unordered_map<Handle, std::uint32_t> slot_of_;
+  std::vector<std::uint32_t> live_slots_;
+  std::vector<std::uint32_t> free_slots_;
+  Handle next_handle_ = 0;
+  std::uint64_t relaxations_ = 0;
+};
+
+void expect_bit_identical(const IncrementalApsp& dense,
+                          const GatheredApsp& ref, int step) {
+  ASSERT_TRUE(dense.audit_storage()) << "step " << step;
+  EXPECT_EQ(dense.relaxations(), ref.relaxations()) << "step " << step;
+  EXPECT_EQ(dense.matrix_bytes(), ref.matrix_bytes()) << "step " << step;
+  for (const Handle u : dense.live_handles()) {
+    for (const Handle v : dense.live_handles()) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(dense.distance(u, v)),
+                std::bit_cast<std::uint64_t>(ref.distance(u, v)))
+          << "d(" << u << "," << v << ") dense=" << dense.distance(u, v)
+          << " reference=" << ref.distance(u, v) << " step " << step;
+    }
+  }
+}
+
+class DenseKernelDifferentialTest : public ::testing::TestWithParam<int> {};
+
+// Seeded churn through the live-count schedule below: odd L exercises the
+// padded trip count, the climbs cross the 8/16/32/64 growth steps, and the
+// descents remove the last slot (no move) as well as middle slots (a row
+// and column move).  Every live distance must match the reference bit for
+// bit, as must the relaxation count and the matrix footprint.
+TEST_P(DenseKernelDifferentialTest, MatchesGatheredKernelBitForBit) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 17);
+  IncrementalApsp dense;
+  GatheredApsp ref;
+  std::vector<Handle> live;
+  std::unordered_map<Handle, double> phi;
+  int step = 0;
+
+  const auto insert = [&](std::vector<HalfEdge> ins,
+                          std::vector<HalfEdge> outs) {
+    const Handle h = dense.insert_node(ins, outs);
+    ASSERT_EQ(h, ref.insert_node(ins, outs)) << "step " << step;
+    if (h != IncrementalApsp::kNoHandle) live.push_back(h);
+  };
+
+  for (const std::size_t target : {5u, 9u, 17u, 33u, 70u, 3u, 41u, 7u, 66u}) {
+    while (live.size() != target) {
+      ++step;
+      const double action = rng.next_double();
+      if (live.size() < target) {
+        // A feasible node (edges of both signs around potentials), or
+        // now and then one whose round trip through an anchor is negative.
+        if (!live.empty() && action < 0.1) {
+          const Handle anchor = live[rng.uniform_index(live.size())];
+          const double leg = rng.uniform(0.0, 2.0);
+          const std::size_t before = live.size();
+          insert({{anchor, leg}}, {{anchor, -leg - 1e-3}});
+          ASSERT_EQ(live.size(), before) << "infeasible insert accepted";
+          continue;
+        }
+        const double new_phi = rng.uniform(-5.0, 5.0);
+        std::vector<HalfEdge> ins;
+        std::vector<HalfEdge> outs;
+        const std::size_t degree = live.empty() ? 0 : 1 + rng.uniform_index(3);
+        for (std::size_t d = 0; d < degree; ++d) {
+          const Handle other = live[rng.uniform_index(live.size())];
+          const double base = rng.uniform(0.0, 4.0);
+          if (rng.flip(0.5)) {
+            ins.push_back({other, base - phi.at(other) + new_phi});
+          } else {
+            outs.push_back({other, base - new_phi + phi.at(other)});
+          }
+        }
+        const std::size_t before = live.size();
+        insert(ins, outs);
+        ASSERT_EQ(live.size(), before + 1) << "feasible insert rejected";
+        phi[live.back()] = new_phi;
+      } else {
+        // Last slot or a random one (usually a middle slot).
+        const auto& slots = dense.live_handles();
+        const Handle victim =
+            action < 0.3 ? slots.back() : slots[rng.uniform_index(slots.size())];
+        dense.remove_node(victim);
+        ref.remove_node(victim);
+        live.erase(std::find(live.begin(), live.end(), victim));
+      }
+      if (live.size() >= 2 && rng.flip(0.2)) {
+        const Handle u = live[rng.uniform_index(live.size())];
+        const Handle v = live[rng.uniform_index(live.size())];
+        if (u != v) {
+          const double w = rng.uniform(0.0, 4.0) - phi.at(u) + phi.at(v);
+          ASSERT_EQ(dense.insert_edge(u, v, w), ref.insert_edge(u, v, w));
+        }
+      }
+      if (step % 7 == 0) expect_bit_identical(dense, ref, step);
+    }
+    expect_bit_identical(dense, ref, step);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SeededChurn, DenseKernelDifferentialTest,
+                         ::testing::Range(0, 6));
 
 }  // namespace
 }  // namespace driftsync::graph

@@ -106,7 +106,7 @@ TEST(MembershipTable, RejoinKeepsWireFrontierResetsHealth) {
 
 TEST(MembershipTable, IterationIsSortedByProcId) {
   MembershipTable t;
-  for (const ProcId p : {7, 1, 9, 3, 5}) t.admit(static_cast<ProcId>(p));
+  for (const ProcId p : {7u, 1u, 9u, 3u, 5u}) t.admit(p);
   EXPECT_EQ(all_ids(t), (std::vector<ProcId>{1, 3, 5, 7, 9}));
   ASSERT_TRUE(t.retire(3));
   ASSERT_TRUE(t.retire(9));

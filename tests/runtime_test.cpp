@@ -447,6 +447,96 @@ TEST(NodeCheckpoint, ClockRegressionIsRejected) {
   EXPECT_THROW(reborn->start(), CheckpointError);
 }
 
+/// A local clock the test sets by hand (atomic: the Node's parked timer
+/// thread may read it too).
+class ManualTimeSource final : public TimeSource {
+ public:
+  explicit ManualTimeSource(std::shared_ptr<std::atomic<double>> now)
+      : now_(std::move(now)) {}
+  [[nodiscard]] LocalTime now() const override { return now_->load(); }
+
+ private:
+  std::shared_ptr<std::atomic<double>> now_;
+};
+
+/// Keeps the Node's datagram handler so the test can call it directly;
+/// whatever the Node sends is dropped.
+class DirectTransport final : public Transport {
+ public:
+  explicit DirectTransport(DatagramHandler* handler) : handler_(handler) {}
+  void start(DatagramHandler handler) override {
+    *handler_ = std::move(handler);
+  }
+  void stop() override {}
+  void send(ProcId /*to*/, std::vector<std::uint8_t> /*bytes*/) override {}
+
+ private:
+  DatagramHandler* handler_;
+};
+
+// A local clock that reads below zero mints its events at its own
+// readings: the first receive lands at -5 with no processing slack, so the
+// estimate is as tight as the link allows and contains true time.  This
+// holds on a fresh node and on one restored from an image written before
+// its first event.
+TEST(NodeLocalTime, NegativeClockMintsAtItsOwnReading) {
+  const CheckpointFile ckpt("runtime_test_negative_clock.ckpt");
+  const SystemSpec spec = driftsync::testing::two_node_spec();
+  const auto clock = std::make_shared<std::atomic<double>>(-5.0);
+  DatagramHandler handler;
+  auto make = [&] {
+    NodeConfig cfg = driftsync::testing::node_config(1, spec, 1e9, 1e9, 1e9);
+    cfg.checkpoint_path = ckpt.path;
+    return std::make_unique<Node>(std::move(cfg),
+                                  driftsync::testing::loss_tolerant_csa(),
+                                  std::make_unique<ManualTimeSource>(clock),
+                                  std::make_unique<DirectTransport>(&handler));
+  };
+  const auto deliver = [&handler](const Datagram& dgram) {
+    const std::vector<std::uint8_t> bytes = encode_datagram(dgram);
+    handler(bytes);
+  };
+
+  // A skip commit persists an image before node 1 has minted any event.
+  auto node = make();
+  node->start();
+  deliver(SkipMsg{0, 1});
+  ASSERT_GE(node->stats().checkpoints_written, 1u);
+  node->stop();
+  node = make();
+  ASSERT_NO_THROW(node->start());
+
+  // The source's clock is real time; node 1 reads real time - 15.01.
+  OptimalCsa source;
+  source.init(spec, 0);
+  for (std::uint32_t k = 0; k < 2; ++k) {
+    const double send_rt = 10.0 + k;
+    EventRecord send;
+    send.id = EventId{0, k};
+    send.lt = send_rt;
+    send.kind = EventKind::kSend;
+    send.peer = 1;
+    DataMsg msg;
+    msg.from = 0;
+    msg.dgram_seq = 2 + k;
+    msg.send_seq = k;
+    msg.send_lt = send_rt;
+    msg.payload = source.on_send(SendContext{0, 1, send, 0});
+    const double recv_rt = send_rt + 0.01;
+    clock->store(recv_rt - 15.01);
+    deliver(msg);
+
+    SCOPED_TRACE("message " + std::to_string(k));
+    const NodeSample s = node->sample();
+    EXPECT_DOUBLE_EQ(s.lt, -5.0 + k);  // Minted at the reading, not above 0.
+    EXPECT_TRUE(s.est.contains(recv_rt)) << s.est.lo << " " << s.est.hi;
+    // Zero slack: no wider than the link's transit bounds [0, 0.05].
+    EXPECT_LE(s.est.width(), 0.05 + 1e-9);
+  }
+  EXPECT_EQ(node->stats().infeasible_rejected, 0u);
+  node->stop();
+}
+
 TEST(NodeCheckpoint, StatsJsonIsWellShaped) {
   TestNet net;
   net.hub.set_link(0, 1, 0.0005, 0.002);

@@ -1,6 +1,7 @@
 // Micro-benchmark: checkpoint/restore of the optimal CSA at varying state
 // sizes (the restore path rebuilds the APSP matrix in O(L^3), which is
-// where the cost lives).
+// where the cost lives), and the receive-then-checkpoint step of a durable
+// node's write path at varying history sizes.
 #include <memory>
 
 #include "bench/harness.h"
@@ -82,6 +83,78 @@ void BM_Restore(bench::State& state) {
   }
 }
 DS_BENCHMARK(checkpoint, BM_Restore)->arg(4)->arg(16)->arg(64);
+
+// The durable node's write path: one receive, then one checkpoint, on a
+// history buffer of H records.  Node 0 hears from neighbors 1 and 2 in
+// turn; each message echoes what the other neighbor said last, so GC
+// removes the churn near the tail (as on a real mesh), while H events of
+// processor 3 (behind 2) stay owed to 1 and hold the buffer at ~H.  The
+// encoded buffer is kept between checkpoints, so the cost is flat in H.
+void BM_CheckpointAfterReceive(bench::State& state) {
+  const auto h = static_cast<std::uint32_t>(state.range(0));
+  const SystemSpec spec(std::vector<ClockSpec>{{0.0}, {1e-4}, {1e-4}, {1e-4}},
+                        std::vector<LinkSpec>{{0, 1, 0.001, 0.02},
+                                              {0, 2, 0.001, 0.02},
+                                              {2, 3, 0.001, 0.02}},
+                        0);
+  OptimalCsa center;
+  center.init(spec, 0);
+  std::vector<std::uint32_t> seq(4, 0);
+  std::vector<EventRecord> last(4);  // Each processor's newest event.
+  double t = 1.0;
+  const auto mint = [&](ProcId p, double lt, EventKind kind, ProcId peer) {
+    EventRecord r;
+    r.id = EventId{p, seq[p]++};
+    r.lt = lt;
+    r.kind = kind;
+    r.peer = peer;
+    last[p] = r;
+    return r;
+  };
+  // One message from `from`: its new send, echoing the other leaf's last
+  // send and the center's last event, received 5 ms later.
+  const auto deliver = [&](ProcId from, CsaPayload payload) {
+    const EventRecord s = mint(from, 500.0 * from + t, EventKind::kSend, 0);
+    payload.reports.push_back(s);
+    EventRecord recv = mint(0, t + 0.005, EventKind::kReceive, from);
+    recv.match = s.id;
+    last[0] = recv;
+    center.on_receive(RecvContext{0, from, recv, s, 1}, payload);
+    t += 0.01;
+  };
+  CsaPayload relayed;
+  for (std::uint32_t i = 0; i < h; ++i) {
+    relayed.reports.push_back(
+        mint(3, 3000.0 + 1e-3 * i, EventKind::kInternal, kInvalidProc));
+  }
+  deliver(2, relayed);
+  ProcId from = 1;
+  const auto step = [&] {
+    const ProcId other = from == 1 ? 2 : 1;
+    CsaPayload echo;
+    if (seq[other] > 0 && last[other].kind == EventKind::kSend) {
+      echo.reports.push_back(last[other]);
+    }
+    echo.reports.push_back(last[0]);
+    deliver(from, std::move(echo));
+    from = other;
+  };
+  for (int i = 0; i < 8; ++i) step();  // Reach the steady buffer size.
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    step();
+    const auto snapshot = center.checkpoint();
+    bytes = snapshot.size();
+    bench::do_not_optimize(snapshot);
+  }
+  state.counters["bytes"] = static_cast<double>(bytes);
+  state.counters["H"] =
+      static_cast<double>(center.history().history_size());
+}
+DS_BENCHMARK(checkpoint, BM_CheckpointAfterReceive)
+    ->arg(256)
+    ->arg(1024)
+    ->arg(4096);
 
 }  // namespace
 }  // namespace driftsync

@@ -72,6 +72,9 @@ struct CsaStats {
   std::size_t payload_bytes_received = 0;
   std::size_t reports_sent = 0;      ///< Event records attached, total.
   std::size_t state_bytes = 0;       ///< Approximate resident state size.
+  /// Resident bytes of caches kept only to make checkpoint() cheap (the
+  /// encoded history buffer); not in state_bytes, which is protocol state.
+  std::size_t checkpoint_cache_bytes = 0;
   /// Pair-relaxation attempts in the AGDP distance structure (the O(L^2)
   /// inner loops of Lemma 3.5) — the algorithm's dominant per-message work.
   std::uint64_t apsp_relaxations = 0;

@@ -145,13 +145,22 @@ void HistoryProtocol::garbage_collect() {
   }
   // Keep p while some neighbor may not (confirmably) know it yet.  With a
   // single neighbor and no loss this empties the buffer after every send.
-  std::erase_if(history_, [&](const EventRecord& p) {
+  const auto known_to_all = [&](const EventRecord& p) {
     const auto seq = static_cast<std::int64_t>(p.id.seq);
     for (const NeighborState& ns : neighbors_) {
       if (seq > confirmed_c(ns, p.id.proc)) return false;
     }
     return true;
-  });
+  };
+  const auto first =
+      std::find_if(history_.begin(), history_.end(), known_to_all);
+  // Every record from the first removed one on shifts and may change its
+  // delta encoding, so the checkpoint image is valid only before it.
+  history_image_.truncate(std::min(
+      history_image_.size(),
+      static_cast<std::size_t>(first - history_.begin())));
+  history_.erase(std::remove_if(first, history_.end(), known_to_all),
+                 history_.end());
   ++gc_passes_;
   gc_floor_ = history_.size();
 }
@@ -207,9 +216,11 @@ void HistoryProtocol::save(std::vector<std::uint8_t>& out) const {
       }
     }
   }
-  const auto batch = wire::encode_batch(history_);
-  wire::put_varint(out, batch.size());
-  out.insert(out.end(), batch.begin(), batch.end());
+  for (std::size_t i = history_image_.size(); i < history_.size(); ++i) {
+    history_image_.append(history_[i]);
+  }
+  wire::put_varint(out, history_image_.encoded_size());
+  history_image_.write(out);
   wire::put_varint(out, max_history_size_);
   wire::put_varint(out, reports_sent_);
   wire::put_varint(out, duplicate_reports_received_);
@@ -312,6 +323,7 @@ void HistoryProtocol::load(std::span<const std::uint8_t> bytes,
     neighbors_[i].n_pending = loaded[i].n_pending;
   }
   history_ = std::move(history);
+  history_image_.clear();
   max_history_size_ = max_history;
   reports_sent_ = reports;
   duplicate_reports_received_ = duplicates;

@@ -47,6 +47,7 @@
 
 #include "core/event.h"
 #include "core/spec.h"
+#include "core/wire.h"
 
 namespace driftsync {
 
@@ -103,6 +104,10 @@ class HistoryProtocol {
 
   /// Current number of events buffered in H_v.
   [[nodiscard]] std::size_t history_size() const { return history_.size(); }
+  /// H_v itself, in arrival order.
+  [[nodiscard]] std::span<const EventRecord> buffer() const {
+    return history_;
+  }
   [[nodiscard]] std::size_t max_history_size() const {
     return max_history_size_;
   }
@@ -137,6 +142,11 @@ class HistoryProtocol {
 
   /// Approximate resident bytes (H_v + C arrays), for EXP-10.
   [[nodiscard]] std::size_t state_bytes() const;
+  /// Resident bytes of the encoded-H_v cache save() keeps (0 until the
+  /// first save).  Not protocol state, so not part of state_bytes().
+  [[nodiscard]] std::size_t checkpoint_cache_bytes() const {
+    return history_image_.memory_bytes();
+  }
 
   /// Checkpointing: appends the full protocol state (buffer, C arrays,
   /// pending snapshots, counters) to `out`; load() restores it into a
@@ -145,6 +155,12 @@ class HistoryProtocol {
   /// primitives; load() treats the image as untrusted input, throws
   /// driftsync::CheckpointError on malformed or inconsistent bytes, and
   /// leaves the instance unmodified when it throws.
+  ///
+  /// save() encodes each H_v record once: it keeps the encoding of the
+  /// buffer between calls and re-encodes only the records appended since,
+  /// or moved by GC removals (see garbage_collect).  The image is the same
+  /// as a full re-encode.  That cache makes save() a writer, so it must not
+  /// run concurrently with any other call on the same instance.
   void save(std::vector<std::uint8_t>& out) const;
   void load(std::span<const std::uint8_t> bytes, std::size_t& offset);
 
@@ -178,6 +194,8 @@ class HistoryProtocol {
   std::size_t gap_dropped_ = 0;
   std::size_t gc_passes_ = 0;
   std::size_t gc_floor_ = 0;  ///< |H_v| right after the last sweep.
+  /// Encoding of history_[0, history_image_.size()) as save() writes it.
+  mutable wire::IncrementalBatch history_image_;
 };
 
 }  // namespace driftsync

@@ -285,6 +285,7 @@ CsaStats OptimalCsa::stats() const {
     s.max_history_events = history_->max_history_size();
     s.reports_sent = history_->reports_sent();
     s.state_bytes += history_->state_bytes();
+    s.checkpoint_cache_bytes = history_->checkpoint_cache_bytes();
     s.gc_passes = history_->gc_passes();
   }
   return s;

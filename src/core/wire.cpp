@@ -57,38 +57,8 @@ ProcId get_proc(std::span<const std::uint8_t> bytes, std::size_t& offset,
   return p;
 }
 
-/// Per-processor next-sequence-number tracker for the delta flags.  A flat
-/// array with linear scan: a batch touches at most a handful of distinct
-/// processors (the history protocol emits contiguous per-processor runs),
-/// so this beats a hash map — and, held in a thread_local reused across
-/// calls, it costs the encode/decode hot path zero heap allocations, where
-/// the unordered_map it replaced paid several per message.
-class SeqTracker {
- public:
-  void clear() { entries_.clear(); }
-
-  [[nodiscard]] const std::uint32_t* find(ProcId p) const {
-    for (const auto& [proc, next] : entries_) {
-      if (proc == p) return &next;
-    }
-    return nullptr;
-  }
-
-  void set(ProcId p, std::uint32_t next) {
-    for (auto& [proc, n] : entries_) {
-      if (proc == p) {
-        n = next;
-        return;
-      }
-    }
-    entries_.push_back({p, next});
-  }
-
- private:
-  std::vector<std::pair<ProcId, std::uint32_t>> entries_;
-};
-
-/// Cleared-on-entry scratch reused by every encode/decode on this thread.
+/// Cleared-on-entry scratch reused by every decode/size pass on this
+/// thread.
 SeqTracker& seq_scratch() {
   thread_local SeqTracker tracker;
   tracker.clear();
@@ -148,36 +118,88 @@ std::uint64_t get_varint(std::span<const std::uint8_t> bytes,
   throw WireError("varint longer than 10 bytes");
 }
 
+void RecordEncoder::put(std::vector<std::uint8_t>& out, const EventRecord& r) {
+  std::uint8_t flags = static_cast<std::uint8_t>(r.kind) & kKindMask;
+  const bool same_proc = r.id.proc == prev_proc_;
+  const std::uint32_t* expected = next_seq_.find(r.id.proc);
+  const bool next = expected != nullptr && *expected == r.id.seq;
+  if (same_proc) flags |= kSameProc;
+  if (next) flags |= kNextSeq;
+  const bool has_slack = r.kind == EventKind::kReceive && r.slack != 0.0;
+  if (has_slack) flags |= kHasSlack;
+  out.push_back(flags);
+  if (!same_proc) put_varint(out, r.id.proc);
+  if (!next) put_varint(out, r.id.seq);
+  put_double(out, r.lt);
+  if (r.kind == EventKind::kSend || r.kind == EventKind::kReceive ||
+      r.kind == EventKind::kLossDecl) {
+    put_varint(out, r.peer);
+  }
+  if (r.kind == EventKind::kReceive || r.kind == EventKind::kLossDecl) {
+    put_varint(out, r.match.proc);
+    put_varint(out, r.match.seq);
+  }
+  if (has_slack) put_double(out, r.slack);
+  prev_proc_ = r.id.proc;
+  next_seq_.set(r.id.proc, r.id.seq + 1);
+}
+
 void encode_batch_into(std::vector<std::uint8_t>& out,
                        const EventBatch& batch) {
   put_varint(out, batch.size());
-  ProcId prev_proc = kInvalidProc;
-  SeqTracker& next_seq = seq_scratch();
-  for (const EventRecord& r : batch) {
-    std::uint8_t flags = static_cast<std::uint8_t>(r.kind) & kKindMask;
-    const bool same_proc = r.id.proc == prev_proc;
-    const std::uint32_t* expected = next_seq.find(r.id.proc);
-    const bool next = expected != nullptr && *expected == r.id.seq;
-    if (same_proc) flags |= kSameProc;
-    if (next) flags |= kNextSeq;
-    const bool has_slack = r.kind == EventKind::kReceive && r.slack != 0.0;
-    if (has_slack) flags |= kHasSlack;
-    out.push_back(flags);
-    if (!same_proc) put_varint(out, r.id.proc);
-    if (!next) put_varint(out, r.id.seq);
-    put_double(out, r.lt);
-    if (r.kind == EventKind::kSend || r.kind == EventKind::kReceive ||
-        r.kind == EventKind::kLossDecl) {
-      put_varint(out, r.peer);
-    }
-    if (r.kind == EventKind::kReceive || r.kind == EventKind::kLossDecl) {
-      put_varint(out, r.match.proc);
-      put_varint(out, r.match.seq);
-    }
-    if (has_slack) put_double(out, r.slack);
-    prev_proc = r.id.proc;
-    next_seq.set(r.id.proc, r.id.seq + 1);
+  thread_local RecordEncoder encoder;
+  encoder.clear();
+  for (const EventRecord& r : batch) encoder.put(out, r);
+}
+
+void IncrementalBatch::append(const EventRecord& r) {
+  DS_CHECK(bytes_.size() <= std::numeric_limits<std::uint32_t>::max());
+  Entry e;
+  e.offset = static_cast<std::uint32_t>(bytes_.size());
+  e.proc = r.id.proc;
+  if (const std::uint32_t* next = encoder_.next_seq_.find(r.id.proc)) {
+    e.prior_next = *next;
+    e.had_prior = true;
   }
+  records_.push_back(e);
+  encoder_.put(bytes_, r);
+}
+
+void IncrementalBatch::truncate(std::size_t k) {
+  DS_CHECK(k <= records_.size());
+  if (k == records_.size()) return;
+  // Undo newest first, so each processor ends at its value before record k.
+  for (std::size_t i = records_.size(); i-- > k;) {
+    const Entry& e = records_[i];
+    if (e.had_prior) {
+      encoder_.next_seq_.set(e.proc, e.prior_next);
+    } else {
+      encoder_.next_seq_.erase(e.proc);
+    }
+  }
+  encoder_.prev_proc_ = k == 0 ? kInvalidProc : records_[k - 1].proc;
+  bytes_.resize(records_[k].offset);
+  records_.resize(k);
+}
+
+void IncrementalBatch::clear() {
+  encoder_.clear();
+  bytes_.clear();
+  records_.clear();
+}
+
+std::size_t IncrementalBatch::encoded_size() const {
+  return varint_size(records_.size()) + bytes_.size();
+}
+
+void IncrementalBatch::write(std::vector<std::uint8_t>& out) const {
+  put_varint(out, records_.size());
+  out.insert(out.end(), bytes_.begin(), bytes_.end());
+}
+
+std::size_t IncrementalBatch::memory_bytes() const {
+  return bytes_.capacity() + records_.capacity() * sizeof(Entry) +
+         encoder_.next_seq_.memory_bytes();
 }
 
 std::vector<std::uint8_t> encode_batch(const EventBatch& batch) {

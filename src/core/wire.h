@@ -32,8 +32,10 @@
 //     size).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/errors.h"
@@ -41,6 +43,123 @@
 #include "core/event.h"
 
 namespace driftsync::wire {
+
+/// Per-processor next-sequence-number table for the delta flags.  A flat
+/// array with linear scan: a batch touches at most a handful of distinct
+/// processors (the history protocol emits contiguous per-processor runs),
+/// so this beats a hash map, and reused across calls it costs the hot
+/// paths zero heap allocations.
+class SeqTracker {
+ public:
+  void clear() { entries_.clear(); }
+
+  [[nodiscard]] const std::uint32_t* find(ProcId p) const {
+    for (const auto& [proc, next] : entries_) {
+      if (proc == p) return &next;
+    }
+    return nullptr;
+  }
+
+  void set(ProcId p, std::uint32_t next) {
+    for (auto& [proc, n] : entries_) {
+      if (proc == p) {
+        n = next;
+        return;
+      }
+    }
+    entries_.push_back({p, next});
+  }
+
+  void erase(ProcId p) {
+    for (auto& entry : entries_) {
+      if (entry.first == p) {
+        entry = entries_.back();
+        entries_.pop_back();
+        return;
+      }
+    }
+  }
+
+  [[nodiscard]] std::size_t memory_bytes() const {
+    return entries_.capacity() * sizeof(entries_[0]);
+  }
+
+ private:
+  std::vector<std::pair<ProcId, std::uint32_t>> entries_;
+};
+
+/// The canonical record encoder, one record at a time.  Its state is that
+/// of a batch encoding in progress: the previous record's processor and,
+/// per processor, the sequence number after its last record (in uint32
+/// arithmetic: the successor of 0xFFFFFFFF is 0).  Every batch image is
+/// written by one of these, so the format has a single implementation.
+class RecordEncoder {
+ public:
+  /// Forgets all state: the next record encodes as a batch's first.
+  void clear() {
+    prev_proc_ = kInvalidProc;
+    next_seq_.clear();
+  }
+
+  /// Appends `r`'s encoding to `out` and advances the state past it.
+  void put(std::vector<std::uint8_t>& out, const EventRecord& r);
+
+ private:
+  friend class IncrementalBatch;
+  ProcId prev_proc_ = kInvalidProc;
+  SeqTracker next_seq_;
+};
+
+/// A batch image kept current as records are appended and the tail is cut
+/// back, so each record is encoded once however often the image is
+/// written.  write() emits exactly encode_batch() of the cached records.
+///
+/// A copy starts empty, as a cache may: its owner re-appends the records
+/// before the next write.  Owners are copied mostly as rollback points that
+/// are then discarded, so copying the bytes would be wasted work.
+class IncrementalBatch {
+ public:
+  IncrementalBatch() = default;
+  IncrementalBatch(const IncrementalBatch& /*other*/) {}
+  IncrementalBatch& operator=(const IncrementalBatch& other) {
+    if (this != &other) clear();
+    return *this;
+  }
+  IncrementalBatch(IncrementalBatch&&) = default;
+  IncrementalBatch& operator=(IncrementalBatch&&) = default;
+
+  /// Number of records encoded so far.
+  [[nodiscard]] std::size_t size() const { return records_.size(); }
+
+  void append(const EventRecord& r);
+
+  /// Drops records [k, size()) and rewinds the encoder state to k.
+  void truncate(std::size_t k);
+
+  void clear();
+
+  /// Size of the image write() appends.
+  [[nodiscard]] std::size_t encoded_size() const;
+
+  /// Appends the image: varint(size()) then the cached record bytes.
+  void write(std::vector<std::uint8_t>& out) const;
+
+  /// Resident bytes of the cache (buffers at capacity).
+  [[nodiscard]] std::size_t memory_bytes() const;
+
+ private:
+  /// What truncate() needs to undo one record's encoding.
+  struct Entry {
+    std::uint32_t offset = 0;  ///< Start of its bytes in bytes_.
+    ProcId proc = kInvalidProc;
+    std::uint32_t prior_next = 0;  ///< next_seq_[proc] before the record.
+    bool had_prior = false;        ///< Whether next_seq_ had proc then.
+  };
+
+  RecordEncoder encoder_;
+  std::vector<std::uint8_t> bytes_;
+  std::vector<Entry> records_;
+};
 
 /// Serializes a batch (any record order; the encoder keeps it).
 std::vector<std::uint8_t> encode_batch(const EventBatch& batch);

@@ -411,6 +411,7 @@ std::string Node::stats_json_locked() const {
   append_json_u64(out, "apsp_relaxations", cs.apsp_relaxations);
   append_json_u64(out, "gc_passes", cs.gc_passes);
   append_json_u64(out, "state_bytes", cs.state_bytes);
+  append_json_u64(out, "checkpoint_cache_bytes", cs.checkpoint_cache_bytes);
   // Per-peer health: seconds since last heard (null = never), plus the
   // quarantine roster.
   const double steady_now = steady_seconds();
@@ -537,6 +538,8 @@ std::string Node::metrics_text_locked() const {
   counter("driftsync_live_points", cs.live_points);
   counter("driftsync_apsp_relaxations", cs.apsp_relaxations);
   counter("driftsync_gc_passes", cs.gc_passes);
+  gauge("driftsync_checkpoint_cache_bytes",
+        static_cast<double>(cs.checkpoint_cache_bytes));
   const LocalTime now = query_time_locked();
   const Interval est = csa_->estimate(now);
   gauge("driftsync_local_time_seconds", now);

@@ -19,6 +19,7 @@
 
 #include "common/errors.h"
 #include "common/interval.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "core/csa.h"
 #include "core/optimal_csa.h"
@@ -387,6 +388,17 @@ TEST(NodeCheckpoint, KillAndRestartReconverges) {
   std::this_thread::sleep_for(std::chrono::milliseconds(700));
   EXPECT_TRUE(contains_truth(*nodes[1]));
   EXPECT_GT(nodes[1]->stats().checkpoints_written, 0u);
+  // The encoded-history cache exists only where checkpoints are written,
+  // and is reported on its own, outside state_bytes.
+  const auto cache_bytes = [](const Node& node) {
+    return json::parse(node.stats_json())
+        .at("checkpoint_cache_bytes")
+        .as_number();
+  };
+  EXPECT_GT(cache_bytes(*nodes[1]), 0.0);
+  EXPECT_EQ(cache_bytes(*nodes[0]), 0.0);
+  EXPECT_NE(nodes[1]->metrics_text().find("driftsync_checkpoint_cache_bytes"),
+            std::string::npos);
 
   // "Kill" the middle node: tear it down (its endpoint unregisters) while
   // its neighbors keep running — their fate timers fire into the void.

@@ -12,6 +12,12 @@
 //      state: queryable, and whose own re-checkpoint loads back to the
 //      identical image (save/load closure).  It must never crash, leak a
 //      DS_CHECK std::logic_error, or allocate beyond what the image holds.
+//   3. Every accepted image (pristine or mutant) then ingests a few seeded
+//      own events — sends to random neighbors, which run history GC, and
+//      internal events — re-checkpointing after each, so the encoded
+//      history the instance keeps stays warm across GC removals.  A twin
+//      restored cold from the same image ingests the same events and
+//      checkpoints once at the end: the two images must be identical.
 //
 //   $ ./fuzz_checkpoint [--iterations=N] [--seconds=S] [--seed0=K]
 //
@@ -21,6 +27,7 @@
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "common/errors.h"
@@ -37,6 +44,10 @@ using namespace driftsync;
 namespace {
 
 constexpr std::size_t kMutationsPerScenario = 64;
+constexpr std::size_t kWarmSteps = 6;
+
+/// Own events ingested by contract 3, over all states (for the summary).
+std::uint64_t warm_events = 0;
 
 [[noreturn]] void die(std::uint64_t seed, const char* what) {
   std::fprintf(stderr, "fuzz_checkpoint FAILURE at seed=%llu: %s\n",
@@ -97,6 +108,66 @@ std::vector<std::uint8_t> random_state(std::uint64_t seed,
   return csa.checkpoint();
 }
 
+/// Applies one own event to `csa`; false when a DS_CHECK rejected it (a
+/// mutant may hold a history and an engine that disagree on this
+/// processor's frontier — restore() checks each part, not the pair).
+bool apply_own_event(OptimalCsa& csa, const EventRecord& event) {
+  try {
+    if (event.kind == EventKind::kSend) {
+      (void)csa.on_send(SendContext{event.id.proc, event.peer, event, 0});
+    } else {
+      csa.on_internal(event);
+    }
+    return true;
+  } catch (const std::logic_error&) {
+    return false;
+  }
+}
+
+/// Contract 3: `warm` (whose current image is `image`) and a cold twin
+/// restored from `image` ingest the same seeded own events; the warm
+/// instance re-checkpoints after each, the twin only at the end.
+void check_warm_equals_cold(std::uint64_t seed, const SystemSpec& spec,
+                            ProcId self, const OptimalCsa::Options& opts,
+                            OptimalCsa& warm,
+                            const std::vector<std::uint8_t>& image, Rng& rng) {
+  OptimalCsa cold(opts);
+  cold.init(spec, self);
+  cold.restore(image);
+  const std::vector<ProcId>& neighbors = spec.neighbors(self);
+  for (std::size_t step = 0; step < kWarmSteps; ++step) {
+    // The next own event must extend both the history's and the engine's
+    // frontier; a mutant where they disagree ingests nothing further.
+    const std::int64_t known = warm.history().known_seq(self);
+    const EventId last = warm.engine().last_event_of(self);
+    const std::int64_t engine_known =
+        last.valid() ? static_cast<std::int64_t>(last.seq) : -1;
+    if (known != engine_known ||
+        known >= std::numeric_limits<std::uint32_t>::max()) {
+      break;
+    }
+    const EventRecord* last_rec = warm.engine().live_record(last);
+    EventRecord event;
+    event.id = EventId{self, static_cast<std::uint32_t>(known + 1)};
+    event.lt = (last_rec != nullptr ? last_rec->lt : 0.0) +
+               rng.uniform(0.001, 0.1);
+    if (!neighbors.empty() && rng.flip(0.75)) {
+      event.kind = EventKind::kSend;
+      event.peer = neighbors[rng.uniform_index(neighbors.size())];
+    }
+    const bool warm_ok = apply_own_event(warm, event);
+    if (apply_own_event(cold, event) != warm_ok) {
+      die(seed, "warm and cold instances diverged on the same event");
+    }
+    if (!warm_ok) break;
+    ++warm_events;
+    (void)warm.checkpoint();
+  }
+  if (warm.checkpoint() != cold.checkpoint()) {
+    die(seed, "warm re-checkpoint differs from the cold instance's");
+  }
+}
+
 std::size_t fuzz_once(std::uint64_t seed) {
   workloads::Network net;
   ProcId self = 0;
@@ -113,6 +184,9 @@ std::size_t fuzz_once(std::uint64_t seed) {
     die(seed, "pristine restore does not re-checkpoint identically");
   }
   (void)reference.estimate(query_time);
+  Rng warm_rng(seed ^ 0x3a7dULL);
+  check_warm_equals_cold(seed, net.spec, self, opts, reference, bytes,
+                         warm_rng);
 
   // 2. Mutated images: typed rejection (instance untouched) or a
   //    self-consistent accepted state.
@@ -133,6 +207,8 @@ std::size_t fuzz_once(std::uint64_t seed) {
       if (again.checkpoint() != resaved) {
         die(seed, "accepted mutant state is not closed under save/load");
       }
+      check_warm_equals_cold(seed, net.spec, self, opts, target, resaved,
+                             warm_rng);
     } catch (const CheckpointError&) {
       // Typed rejection: the failed restore must have left the instance in
       // its pre-call state — fresh, and still able to load the pristine
@@ -180,10 +256,11 @@ int main(int argc, char** argv) try {
     done += fuzz_once(seed0 + scenario++);
   }
   std::printf(
-      "fuzz_checkpoint: %llu mutations over %llu states, "
-      "0 contract violations\n",
+      "fuzz_checkpoint: %llu mutations over %llu states, %llu warm-cache "
+      "events, 0 contract violations\n",
       static_cast<unsigned long long>(done),
-      static_cast<unsigned long long>(scenario));
+      static_cast<unsigned long long>(scenario),
+      static_cast<unsigned long long>(warm_events));
   return 0;
 } catch (const driftsync::FlagError& e) {
   std::fprintf(stderr, "%s\n", e.what());

@@ -7,18 +7,16 @@
 #include "bench/harness.h"
 #include "core/optimal_csa.h"
 #include "core/spec.h"
+#include "workloads/topology.h"
 
 namespace driftsync {
 namespace {
 
 SystemSpec star_spec(std::size_t n) {
-  std::vector<ClockSpec> clocks(n, ClockSpec{1e-4});
-  clocks[0].rho = 0.0;
-  std::vector<LinkSpec> links;
-  for (ProcId i = 1; i < n; ++i) {
-    links.push_back(LinkSpec{0, i, 0.001, 0.02});
-  }
-  return SystemSpec(std::move(clocks), std::move(links), 0);
+  return workloads::make_star(
+             n, {.rho = 1e-4,
+                 .latency = sim::LatencyModel::uniform(0.001, 0.02)})
+      .spec;
 }
 
 /// Builds a center-node CSA that knows `rounds` of exchanges with every

@@ -5,18 +5,15 @@
 #include "bench/harness.h"
 #include "core/history.h"
 #include "core/spec.h"
+#include "workloads/topology.h"
 
 namespace driftsync {
 namespace {
 
 SystemSpec path_spec(std::size_t n) {
-  std::vector<ClockSpec> clocks(n, ClockSpec{1e-4});
-  clocks[0].rho = 0.0;
-  std::vector<LinkSpec> links;
-  for (ProcId i = 0; i + 1 < n; ++i) {
-    links.push_back(LinkSpec{i, static_cast<ProcId>(i + 1), 0.0, 1.0});
-  }
-  return SystemSpec(std::move(clocks), std::move(links), 0);
+  return workloads::make_path(
+             n, {.rho = 1e-4, .latency = sim::LatencyModel::uniform(0.0, 1.0)})
+      .spec;
 }
 
 EventRecord mk(ProcId p, std::uint32_t seq, LocalTime lt, EventKind kind,

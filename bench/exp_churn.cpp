@@ -2,8 +2,8 @@
 //
 // How much join/leave churn does the mesh absorb while staying correct —
 // and what does churn cost in gradient sharpness and reconvergence time?
-// The experiment runs the real runtime stack (ThreadHub mesh, Node
-// threads, dynamic membership on) and has one seeded non-source seat
+// The experiment runs the real runtime stack (a runtime::Mesh: ThreadHub,
+// Node threads, dynamic membership on) and has one seeded non-source seat
 // cycle through leave/rejoin at a fixed rate, sweeping
 //
 //   topology  x  churn rate (cycles/second)  x  seed
@@ -23,11 +23,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 #include "common/errors.h"
 #include "common/flags.h"
@@ -35,78 +32,32 @@
 #include "common/rng.h"
 #include "core/optimal_csa.h"
 #include "core/spec.h"
-#include "runtime/node.h"
-#include "runtime/oracle.h"
-#include "runtime/thread_transport.h"
+#include "runtime/mesh.h"
 #include "runtime/time_source.h"
+#include "workloads/topology.h"
 
 using namespace driftsync;
 using namespace driftsync::runtime;
 
 namespace {
 
+constexpr const char* kUsage =
+    "usage: exp_churn [--seed=N] [--seeds=N] [--duration=S] "
+    "[--topos=ring,grid,random]";
+
 constexpr double kRho = 5e-4;
 constexpr double kSpecMaxTransit = 0.05;
 constexpr double kConvergedWidth = 0.5;
 
-struct Topology {
-  std::string name;
-  std::size_t n = 0;
-  std::vector<std::pair<ProcId, ProcId>> edges;
-};
-
-Topology make_ring(std::size_t n) {
-  Topology t{"ring", n, {}};
-  for (ProcId i = 0; i < n; ++i) {
-    t.edges.emplace_back(i, static_cast<ProcId>((i + 1) % n));
-  }
-  return t;
-}
-
-Topology make_grid(std::size_t side) {
-  Topology t{"grid", side * side, {}};
-  for (std::size_t r = 0; r < side; ++r) {
-    for (std::size_t c = 0; c < side; ++c) {
-      const auto p = static_cast<ProcId>(r * side + c);
-      if (c + 1 < side) t.edges.emplace_back(p, static_cast<ProcId>(p + 1));
-      if (r + 1 < side) {
-        t.edges.emplace_back(p, static_cast<ProcId>(p + side));
-      }
-    }
-  }
-  return t;
-}
-
-/// Seeded dense Erdős–Rényi graph, re-drawn until connected, so the
-/// churned seat's neighbors still reach the source while it is away.
-Topology make_random(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed * 7919 + 11);
-  Topology t{"random", n, {}};
-  for (;;) {
-    t.edges.clear();
-    for (ProcId a = 0; a < n; ++a) {
-      for (ProcId b = a + 1; b < n; ++b) {
-        if (rng.uniform(0.0, 1.0) < 0.55) t.edges.emplace_back(a, b);
-      }
-    }
-    std::vector<bool> seen(n, false);
-    std::vector<ProcId> queue{0};
-    seen[0] = true;
-    while (!queue.empty()) {
-      const ProcId u = queue.back();
-      queue.pop_back();
-      for (const auto& [a, b] : t.edges) {
-        const ProcId v = a == u ? b : (b == u ? a : kInvalidProc);
-        if (v != kInvalidProc && !seen[v]) {
-          seen[v] = true;
-          queue.push_back(v);
-        }
-      }
-    }
-    if (std::all_of(seen.begin(), seen.end(), [](bool s) { return s; })) {
-      return t;
-    }
-  }
+/// The swept meshes: ring-6, grid-3x3, and a dense random-7 (G(7, 0.55),
+/// re-drawn until connected, so the churned seat's neighbors still reach
+/// the source while it is away).  Source 0; every link specced [0, 50 ms].
+SystemSpec make_topology(const std::string& name, std::uint64_t seed) {
+  const workloads::TopoParams params{
+      .rho = kRho, .latency = sim::LatencyModel::uniform(0.0, kSpecMaxTransit)};
+  if (name == "ring") return workloads::make_ring(6, params).spec;
+  if (name == "grid") return workloads::make_grid(3, 3, params).spec;
+  return workloads::make_erdos_renyi(7, 0.55, seed, params).spec;
 }
 
 struct CellResult {
@@ -119,35 +70,15 @@ struct CellResult {
   double reconverge_time = -1.0;  ///< Seconds after final rejoin; -1 = never.
 };
 
-void nap_ms(long ms) {
-  const timespec ts{ms / 1000, (ms % 1000) * 1'000'000L};
-  nanosleep(&ts, nullptr);
-}
-
-CellResult run_cell(const Topology& topo, double rate, std::uint64_t seed,
+CellResult run_cell(const SystemSpec& spec, double rate, std::uint64_t seed,
                     double duration) {
-  const std::size_t n = topo.n;
-  std::vector<ClockSpec> clocks(n, ClockSpec{kRho});
-  clocks[0].rho = 0.0;  // Source keeps real time.
-  std::vector<LinkSpec> links;
-  links.reserve(topo.edges.size());
-  for (const auto& [a, b] : topo.edges) {
-    links.emplace_back(a, b, 0.0, kSpecMaxTransit);
-  }
-  const SystemSpec spec(clocks, links, 0);
-
-  ThreadHub hub(seed ^ 0xC0FFEEULL);
-  for (const auto& [a, b] : topo.edges) hub.set_link(a, b, 0.0005, 0.004);
-
-  InvariantOracle::Options oopts;
-  oopts.out = nullptr;  // Counts only; one sweep prints many cells.
-  InvariantOracle oracle(oopts);
-  std::vector<std::unique_ptr<Node>> nodes;
+  const std::size_t n = spec.num_procs();
+  // The oracle counts only; one sweep prints many cells.
+  Mesh mesh(spec, seed ^ 0xC0FFEEULL, {.out = nullptr});
   Rng clock_rng(seed * 31 + 7);
   for (ProcId p = 0; p < n; ++p) {
     NodeConfig cfg;
     cfg.self = p;
-    cfg.spec = spec;
     cfg.poll_period = 0.04;
     cfg.fate_timeout = 0.25;
     cfg.skip_retry = 0.08;
@@ -157,22 +88,14 @@ CellResult run_cell(const Topology& topo, double rate, std::uint64_t seed,
     const double offset = p == 0 ? 0.0 : clock_rng.uniform(-50.0, 50.0);
     const double clock_rate =
         p == 0 ? 1.0 : 1.0 + clock_rng.uniform(-0.6 * kRho, 0.6 * kRho);
-    nodes.push_back(std::make_unique<Node>(
-        cfg, std::make_unique<OptimalCsa>(opts),
-        std::make_unique<ScaledTimeSource>(offset, clock_rate),
-        hub.endpoint(p)));
-    // A leave aborts the in-flight fate on both ends; those resolve as
-    // losses, so loss soundness is waived (loss_tolerant mesh).
-    oracle.track("node" + std::to_string(p), nodes.back().get(),
-                 spec.clock(p).rho);
-    oracle.mark_lossish("node" + std::to_string(p));
+    mesh.add(cfg, opts, offset, clock_rate);
   }
   // Gradient envelope (oracle invariant 5) on every spec edge, both ways.
-  for (const auto& [a, b] : topo.edges) {
-    oracle.track_gradient_pair("node" + std::to_string(a),
-                               "node" + std::to_string(b));
+  for (const LinkSpec& link : spec.links()) {
+    mesh.oracle().track_gradient_pair(Mesh::name(link.a),
+                                      Mesh::name(link.b));
   }
-  for (auto& node : nodes) node->start();
+  mesh.start();
 
   // One seeded non-source seat churns; everyone else holds still, so the
   // measured reconvergence is the churned seat's and the gradient samples
@@ -182,11 +105,7 @@ CellResult run_cell(const Topology& topo, double rate, std::uint64_t seed,
       1 + static_cast<std::size_t>(churn_rng.uniform(0.0, 1.0) *
                                    static_cast<double>(n - 1)) %
               (n - 1));
-  std::vector<ProcId> neighbors;
-  for (const auto& [a, b] : topo.edges) {
-    if (a == churner) neighbors.push_back(b);
-    if (b == churner) neighbors.push_back(a);
-  }
+  const std::vector<ProcId>& neighbors = spec.neighbors(churner);
 
   // Churn runs in the first 60% of the cell; the rest is the measured
   // reconvergence tail.  At rate r each cycle is 1/r seconds, 30% away.
@@ -207,47 +126,42 @@ CellResult run_cell(const Topology& topo, double rate, std::uint64_t seed,
     const double now = wall.now();
     if (now - started >= duration) break;
     const bool in_window = now - started < churn_window;
-    if (rate > 0.0 && in_window && now >= next_flip) {
-      if (!away) {
-        for (const ProcId q : neighbors) nodes[churner]->remove_peer(q);
-        away = true;
-        next_flip = now + period * 0.3;
-      } else {
-        for (const ProcId q : neighbors) nodes[churner]->admit_peer(q);
-        away = false;
-        ++r.cycles;
-        last_rejoin = now;
-        next_flip = now + period * 0.7;
-      }
-    }
-    if (!in_window && away) {  // Window closed mid-cycle: rejoin now.
-      for (const ProcId q : neighbors) nodes[churner]->admit_peer(q);
+    // In the window the churner flips on schedule; once the window has
+    // closed, a churner caught away rejoins at once.
+    const bool flip = in_window ? rate > 0.0 && now >= next_flip : away;
+    if (flip && !away) {
+      for (const ProcId q : neighbors) mesh.node(churner).remove_peer(q);
+      away = true;
+      next_flip = now + period * 0.3;
+    } else if (flip) {
+      for (const ProcId q : neighbors) mesh.node(churner).admit_peer(q);
       away = false;
       ++r.cycles;
       last_rejoin = now;
+      next_flip = now + period * 0.7;
     }
     if (!away && r.reconverge_time < 0.0 && !in_window) {
-      if (nodes[churner]->estimate().width() < kConvergedWidth) {
+      if (mesh.node(churner).estimate().width() < kConvergedWidth) {
         r.reconverge_time = now - last_rejoin;
       }
     }
-    for (const auto& [a, b] : topo.edges) {
-      const Interval ab = nodes[a]->peer_clock_bounds(b);
+    for (const LinkSpec& link : spec.links()) {
+      const Interval ab = mesh.node(link.a).peer_clock_bounds(link.b);
       if (std::isfinite(ab.width())) gradient_widths.push_back(ab.width());
-      const Interval ba = nodes[b]->peer_clock_bounds(a);
+      const Interval ba = mesh.node(link.b).peer_clock_bounds(link.a);
       if (std::isfinite(ba.width())) gradient_widths.push_back(ba.width());
     }
     if (now >= next_observe) {
-      oracle.observe();
+      mesh.oracle().observe();
       next_observe = now + 0.1;
     }
-    nap_ms(20);
+    nap(0.02);
   }
-  oracle.observe();
+  mesh.oracle().observe();
 
-  r.violations = oracle.violations();
+  r.violations = mesh.oracle().violations();
   for (ProcId p = 0; p < n; ++p) {
-    const NodeStats s = nodes[p]->stats();
+    const NodeStats s = mesh.node(p).stats();
     r.mean_width += s.width;
     if (s.width < kConvergedWidth) ++r.converged;
   }
@@ -258,7 +172,6 @@ CellResult run_cell(const Topology& topo, double rate, std::uint64_t seed,
     r.gradient_p99 =
         gradient_widths[(gradient_widths.size() - 1) * 99 / 100];
   }
-  for (auto& node : nodes) node->stop();
   return r;
 }
 
@@ -270,10 +183,10 @@ int main(int argc, char** argv) try {
   const auto seeds =
       static_cast<std::uint64_t>(flags.get_uint_range("seeds", 1, 1, 64));
   const double duration = flags.get_double("duration", 2.0);
-  const std::string topos = flags.get_string("topos", "ring,grid,random");
-  flags.reject_unknown(
-      "usage: exp_churn [--seed=N] [--seeds=N] [--duration=S] "
-      "[--topos=ring,grid,random]");
+  const std::vector<std::string> topos =
+      flags.get_subset("topos", {"ring", "grid", "random"});
+  flags.reject_unknown(kUsage);
+  if (duration <= 0.0) throw FlagError("--duration must be > 0");
 
   const std::vector<double> rates{0.0, 0.5, 1.0, 2.0};
   std::printf("EXP: membership churn envelope — containment, gradient p99 "
@@ -282,14 +195,10 @@ int main(int argc, char** argv) try {
   std::uint64_t total_violations = 0;
   for (std::uint64_t s = 0; s < seeds; ++s) {
     const std::uint64_t seed = seed0 + s;
-    for (const std::string& name :
-         {std::string("ring"), std::string("grid"), std::string("random")}) {
-      if (topos.find(name) == std::string::npos) continue;
-      const Topology topo = name == "ring"   ? make_ring(6)
-                            : name == "grid" ? make_grid(3)
-                                             : make_random(7, seed);
+    for (const std::string& name : topos) {
+      const SystemSpec spec = make_topology(name, seed);
       for (const double rate : rates) {
-        const CellResult r = run_cell(topo, rate, seed, duration);
+        const CellResult r = run_cell(spec, rate, seed, duration);
         total_violations += r.violations;
         std::printf(
             "{\"exp\":\"churn\",\"topo\":\"%s\",\"n\":%zu,\"rate\":%.2f,"
@@ -297,7 +206,7 @@ int main(int argc, char** argv) try {
             "\"containment_violations\":%llu,\"converged\":%zu,"
             "\"mean_width\":%.6f,\"gradient_p99\":%.6f,"
             "\"gradient_samples\":%zu,\"reconverge_time\":%.3f}\n",
-            topo.name.c_str(), topo.n, rate,
+            name.c_str(), spec.num_procs(), rate,
             static_cast<unsigned long long>(seed),
             static_cast<unsigned long long>(r.cycles),
             static_cast<unsigned long long>(r.violations), r.converged,
@@ -319,6 +228,6 @@ int main(int argc, char** argv) try {
   }
   return 0;
 } catch (const driftsync::FlagError& e) {
-  std::fprintf(stderr, "%s\n", e.what());
+  std::fprintf(stderr, "%s\n%s\n", e.what(), kUsage);
   return 2;
 }

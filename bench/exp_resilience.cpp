@@ -2,9 +2,9 @@
 //
 // How many colluding liars does the mesh absorb before honest nodes stop
 // converging — and does containment survive even past that point?  The
-// experiment runs the real runtime stack (ThreadHub mesh, Node threads,
-// cross-path validation on) with f of the non-source seats wrapped in
-// ByzantinePeer, sweeping
+// experiment runs the real runtime stack (a runtime::Mesh: ThreadHub,
+// Node threads, cross-path validation on) with f of the non-source seats
+// wrapped in ByzantinePeer, sweeping
 //
 //   topology  x  f (number of Byzantine seats)  x  strategy  x  seed
 //
@@ -14,8 +14,8 @@
 //
 // The gate encodes the classic connectivity bound: interval-based sync with
 // renounce-only defense tolerates f < conn/2 Byzantine processors, i.e.
-// f_tol = ceil(conn/2) - 1 for vertex connectivity `conn` (computed here by
-// max-flow over the split graph, not assumed from the topology's name).  At
+// f_tol = ceil(conn/2) - 1 for vertex connectivity `conn` (computed from
+// the graph by trying every vertex cut, not assumed from its name).  At
 // or below f_tol the run FAILS on any honest containment violation or any
 // honest node left unconverged; above it the same numbers are reported as
 // the measured breakdown — the point of the experiment is the envelope, so
@@ -26,161 +26,44 @@
 // expected to hold at EVERY f; what degrades past the bound is liveness —
 // isolated honest nodes keep drifting wider.  The summary separates the two
 // so a regression in either direction is visible.
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "common/errors.h"
 #include "common/flags.h"
-#include "common/interval.h"
 #include "common/rng.h"
 #include "core/optimal_csa.h"
 #include "core/spec.h"
 #include "runtime/byzantine.h"
-#include "runtime/node.h"
-#include "runtime/oracle.h"
-#include "runtime/thread_transport.h"
-#include "runtime/time_source.h"
+#include "runtime/mesh.h"
+#include "workloads/topology.h"
 
 using namespace driftsync;
 using namespace driftsync::runtime;
 
 namespace {
 
+constexpr const char* kUsage =
+    "usage: exp_resilience [--seed=N] [--seeds=N] [--max-f=N] "
+    "[--duration=S] [--topos=ring,grid,star,random]";
+
 constexpr double kRho = 5e-4;
 constexpr double kSpecMaxTransit = 0.05;
 constexpr double kConvergedWidth = 0.5;
 
-struct Topology {
-  std::string name;
-  std::size_t n = 0;
-  std::vector<std::pair<ProcId, ProcId>> edges;
-};
-
-Topology make_ring(std::size_t n) {
-  Topology t{"ring", n, {}};
-  for (ProcId i = 0; i < n; ++i) {
-    t.edges.emplace_back(i, static_cast<ProcId>((i + 1) % n));
-  }
-  return t;
-}
-
-Topology make_grid(std::size_t side) {
-  Topology t{"grid", side * side, {}};
-  for (std::size_t r = 0; r < side; ++r) {
-    for (std::size_t c = 0; c < side; ++c) {
-      const auto p = static_cast<ProcId>(r * side + c);
-      if (c + 1 < side) t.edges.emplace_back(p, static_cast<ProcId>(p + 1));
-      if (r + 1 < side) {
-        t.edges.emplace_back(p, static_cast<ProcId>(p + side));
-      }
-    }
-  }
-  return t;
-}
-
-Topology make_star(std::size_t n) {
-  Topology t{"star", n, {}};
-  for (ProcId i = 1; i < n; ++i) t.edges.emplace_back(0, i);
-  return t;
-}
-
-/// Seeded dense Erdős–Rényi graph, re-drawn until connected (dense enough
-/// that its vertex connectivity usually clears 2, making f = 1 a gated
-/// point rather than report-only).
-Topology make_random(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed * 7919 + 11);
-  Topology t{"random", n, {}};
-  for (;;) {
-    t.edges.clear();
-    for (ProcId a = 0; a < n; ++a) {
-      for (ProcId b = a + 1; b < n; ++b) {
-        if (rng.uniform(0.0, 1.0) < 0.55) t.edges.emplace_back(a, b);
-      }
-    }
-    // Connectivity check by BFS.
-    std::vector<bool> seen(n, false);
-    std::vector<ProcId> queue{0};
-    seen[0] = true;
-    while (!queue.empty()) {
-      const ProcId u = queue.back();
-      queue.pop_back();
-      for (const auto& [a, b] : t.edges) {
-        const ProcId v = a == u ? b : (b == u ? a : kInvalidProc);
-        if (v != kInvalidProc && !seen[v]) {
-          seen[v] = true;
-          queue.push_back(v);
-        }
-      }
-    }
-    if (std::all_of(seen.begin(), seen.end(), [](bool s) { return s; })) {
-      return t;
-    }
-  }
-}
-
-/// Vertex connectivity by Menger's theorem: split every vertex into
-/// in/out halves with unit capacity and take the minimum s-t max-flow over
-/// non-adjacent pairs (n - 1 for complete graphs).  n <= 9, so the O(n^2)
-/// flow computations are trivial.
-std::size_t vertex_connectivity(const Topology& t) {
-  const std::size_t n = t.n;
-  std::vector<std::vector<ProcId>> adj(n);
-  for (const auto& [a, b] : t.edges) {
-    adj[a].push_back(b);
-    adj[b].push_back(a);
-  }
-  // Node ids in the flow graph: 2v = v_in, 2v+1 = v_out.
-  const std::size_t fn = 2 * n;
-  auto max_flow = [&](ProcId s, ProcId d) {
-    std::vector<std::vector<int>> cap(fn, std::vector<int>(fn, 0));
-    for (std::size_t v = 0; v < n; ++v) {
-      cap[2 * v][2 * v + 1] = (v == s || v == d) ? static_cast<int>(n) : 1;
-    }
-    for (const auto& [a, b] : t.edges) {
-      cap[2 * a + 1][2 * b] = static_cast<int>(n);
-      cap[2 * b + 1][2 * a] = static_cast<int>(n);
-    }
-    int flow = 0;
-    for (;;) {  // Edmonds–Karp.
-      std::vector<int> prev(fn, -1);
-      std::vector<std::size_t> queue{2 * s};
-      prev[2 * s] = static_cast<int>(2 * s);
-      for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-        const std::size_t u = queue[qi];
-        for (std::size_t v = 0; v < fn; ++v) {
-          if (prev[v] < 0 && cap[u][v] > 0) {
-            prev[v] = static_cast<int>(u);
-            queue.push_back(v);
-          }
-        }
-      }
-      if (prev[2 * d + 1] < 0) return flow;
-      for (std::size_t v = 2 * d + 1; v != 2 * s;) {
-        const auto u = static_cast<std::size_t>(prev[v]);
-        --cap[u][v];
-        ++cap[v][u];
-        v = u;
-      }
-      ++flow;
-    }
-  };
-  std::size_t conn = n - 1;
-  for (ProcId s = 0; s < n; ++s) {
-    for (ProcId d = s + 1; d < n; ++d) {
-      const bool adjacent =
-          std::find(adj[s].begin(), adj[s].end(), d) != adj[s].end();
-      if (adjacent) continue;
-      conn = std::min(conn, static_cast<std::size_t>(max_flow(s, d)));
-    }
-  }
-  return conn;
+/// The swept meshes: ring-6, grid-3x3, star-6, and a dense random-7
+/// (G(7, 0.55), re-drawn until connected, dense enough that its vertex
+/// connectivity usually clears 2, making f = 1 a gated point rather than
+/// report-only).  Source 0; every link specced [0, 50 ms].
+SystemSpec make_topology(const std::string& name, std::uint64_t seed) {
+  const workloads::TopoParams params{
+      .rho = kRho, .latency = sim::LatencyModel::uniform(0.0, kSpecMaxTransit)};
+  if (name == "ring") return workloads::make_ring(6, params).spec;
+  if (name == "grid") return workloads::make_grid(3, 3, params).spec;
+  if (name == "star") return workloads::make_star(6, params).spec;
+  return workloads::make_erdos_renyi(7, 0.55, seed, params).spec;
 }
 
 ByzantineStrategy make_strategy(const std::string& name) {
@@ -211,24 +94,10 @@ struct CellResult {
   std::uint64_t quarantines = 0;
 };
 
-void nap_ms(long ms) {
-  const timespec ts{ms / 1000, (ms % 1000) * 1'000'000L};
-  nanosleep(&ts, nullptr);
-}
-
-CellResult run_cell(const Topology& topo, std::size_t f,
+CellResult run_cell(const SystemSpec& spec, std::size_t f,
                     const std::string& strategy, std::uint64_t seed,
                     double duration) {
-  const std::size_t n = topo.n;
-  std::vector<ClockSpec> clocks(n, ClockSpec{kRho});
-  clocks[0].rho = 0.0;  // Source keeps real time.
-  std::vector<LinkSpec> links;
-  links.reserve(topo.edges.size());
-  for (const auto& [a, b] : topo.edges) {
-    links.emplace_back(a, b, 0.0, kSpecMaxTransit);
-  }
-  const SystemSpec spec(clocks, links, 0);
-
+  const std::size_t n = spec.num_procs();
   // Pick the f Byzantine seats among the non-source nodes, seeded.
   Rng rng(seed ^ 0xBADC0DEULL);
   std::vector<ProcId> pool;
@@ -244,18 +113,12 @@ CellResult run_cell(const Topology& topo, std::size_t f,
   }
   const ByzantineStrategy attack = make_strategy(strategy);
 
-  ThreadHub hub(seed ^ 0xC0FFEEULL);
-  for (const auto& [a, b] : topo.edges) hub.set_link(a, b, 0.0005, 0.004);
-
-  InvariantOracle::Options oopts;
-  oopts.out = nullptr;  // Counts only; one sweep prints many cells.
-  InvariantOracle oracle(oopts);
-  std::vector<std::unique_ptr<Node>> nodes;
+  // The oracle counts only; one sweep prints many cells.
+  Mesh mesh(spec, seed ^ 0xC0FFEEULL, {.out = nullptr});
   Rng clock_rng(seed * 31 + 7);
   for (ProcId p = 0; p < n; ++p) {
     NodeConfig cfg;
     cfg.self = p;
-    cfg.spec = spec;
     cfg.poll_period = 0.04;
     cfg.fate_timeout = 0.25;
     cfg.skip_retry = 0.08;
@@ -266,36 +129,23 @@ CellResult run_cell(const Topology& topo, std::size_t f,
     const double offset = p == 0 ? 0.0 : clock_rng.uniform(-50.0, 50.0);
     const double rate =
         p == 0 ? 1.0 : 1.0 + clock_rng.uniform(-0.6 * kRho, 0.6 * kRho);
-    std::unique_ptr<Transport> transport = hub.endpoint(p);
-    if (byzantine[p]) {
-      transport = std::make_unique<ByzantinePeer>(
-          std::move(transport), p, attack, seed ^ (0xB52B52ULL + p));
-    }
-    nodes.push_back(std::make_unique<Node>(
-        cfg, std::make_unique<OptimalCsa>(opts),
-        std::make_unique<ScaledTimeSource>(offset, rate),
-        std::move(transport)));
-    if (!byzantine[p]) {
-      // The gate is about the honest mesh; a liar's own estimate is
-      // forfeit by assumption.  Renounced datagrams resolve as losses on
-      // honest nodes, so loss soundness is waived everywhere.
-      oracle.track("node" + std::to_string(p), nodes.back().get(),
-                   spec.clock(p).rho);
-      oracle.mark_lossish("node" + std::to_string(p));
-    }
+    // The gate is about the honest mesh; a liar's own estimate is forfeit
+    // by assumption, so the oracle skips it as it skips a clock that broke
+    // its spec.  (Loss soundness is never checked: renounced datagrams
+    // resolve as losses on honest nodes.)
+    if (byzantine[p]) mesh.set_byzantine(p, attack, seed ^ (0xB52B52ULL + p));
+    mesh.add(cfg, opts, offset, rate);
+    if (byzantine[p]) mesh.oracle().mark_clock_violated(Mesh::name(p));
   }
-  for (auto& node : nodes) node->start();
-  for (double t = 0.0; t < duration; t += 0.1) {
-    nap_ms(100);
-    oracle.observe();
-  }
-  oracle.observe();
+  mesh.start();
+  mesh.observe_for(duration);
+  mesh.oracle().observe();
 
   CellResult r;
-  r.violations = oracle.violations();
+  r.violations = mesh.oracle().violations();
   for (ProcId p = 0; p < n; ++p) {
     if (byzantine[p]) continue;
-    const NodeStats s = nodes[p]->stats();
+    const NodeStats s = mesh.node(p).stats();
     ++r.honest;
     r.mean_width += s.width;
     if (s.width < kConvergedWidth) ++r.converged;
@@ -304,7 +154,6 @@ CellResult run_cell(const Topology& topo, std::size_t f,
     r.quarantines += s.peer_quarantines;
   }
   r.mean_width /= static_cast<double>(r.honest);
-  for (auto& node : nodes) node->stop();
   return r;
 }
 
@@ -318,10 +167,10 @@ int main(int argc, char** argv) try {
   const auto max_f =
       static_cast<std::size_t>(flags.get_uint_range("max-f", 2, 0, 8));
   const double duration = flags.get_double("duration", 2.0);
-  const std::string topos = flags.get_string("topos", "ring,grid,star,random");
-  flags.reject_unknown(
-      "usage: exp_resilience [--seed=N] [--seeds=N] [--max-f=N] "
-      "[--duration=S] [--topos=ring,grid,star,random]");
+  const std::vector<std::string> topos =
+      flags.get_subset("topos", {"ring", "grid", "star", "random"});
+  flags.reject_unknown(kUsage);
+  if (duration <= 0.0) throw FlagError("--duration must be > 0");
 
   const std::vector<std::string> strategies{"skew", "equivocate", "replay"};
   std::printf("EXP: Byzantine resilience envelope — honest containment and "
@@ -332,21 +181,15 @@ int main(int argc, char** argv) try {
   std::uint64_t total_violations = 0;
   for (std::uint64_t s = 0; s < seeds; ++s) {
     const std::uint64_t seed = seed0 + s;
-    for (const std::string& name :
-         {std::string("ring"), std::string("grid"), std::string("star"),
-          std::string("random")}) {
-      if (topos.find(name) == std::string::npos) continue;
-      const Topology topo = name == "ring"   ? make_ring(6)
-                            : name == "grid" ? make_grid(3)
-                            : name == "star" ? make_star(6)
-                                             : make_random(7, seed);
-      const std::size_t conn = vertex_connectivity(topo);
+    for (const std::string& name : topos) {
+      const SystemSpec spec = make_topology(name, seed);
+      const std::size_t conn = workloads::vertex_connectivity(spec);
       const std::size_t f_tol = (conn + 1) / 2 == 0 ? 0 : (conn + 1) / 2 - 1;
       // Baseline width per (topo, seed), for the inflation column.
       double base_width = 0.0;
       for (std::size_t f = 0; f <= max_f; ++f) {
         for (const std::string& strategy : strategies) {
-          const CellResult r = run_cell(topo, f, strategy, seed, duration);
+          const CellResult r = run_cell(spec, f, strategy, seed, duration);
           if (f == 0) base_width = r.mean_width;
           const bool gated = f <= f_tol;
           total_violations += r.violations;
@@ -361,7 +204,7 @@ int main(int argc, char** argv) try {
               "\"containment_violations\":%llu,\"mean_width\":%.6f,"
               "\"width_inflation\":%.3f,\"renounced\":%llu,"
               "\"quarantines\":%llu,\"gated\":%s}\n",
-              topo.name.c_str(), topo.n, conn, f_tol, f,
+              name.c_str(), spec.num_procs(), conn, f_tol, f,
               f == 0 ? "none" : strategy.c_str(),
               static_cast<unsigned long long>(seed), r.honest, r.converged,
               static_cast<unsigned long long>(r.violations), r.mean_width,
@@ -392,6 +235,6 @@ int main(int argc, char** argv) try {
   }
   return 0;
 } catch (const driftsync::FlagError& e) {
-  std::fprintf(stderr, "%s\n", e.what());
+  std::fprintf(stderr, "%s\n%s\n", e.what(), kUsage);
   return 2;
 }

@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
@@ -161,6 +162,26 @@ bool Flags::get_bool(const std::string& key, bool fallback) const {
   if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
   if (v == "0" || v == "false" || v == "no" || v == "off") return false;
   throw FlagError("flag --" + key + " is not a boolean: " + v);
+}
+
+std::vector<std::string> Flags::get_subset(
+    const std::string& key, const std::vector<std::string>& allowed) const {
+  const Entry* e = find(key);
+  if (e == nullptr) return allowed;
+  const std::string& list = e->value;
+  std::vector<std::string> subset;
+  for (const std::string& name : allowed) {
+    if (("," + list + ",").find("," + name + ",") != std::string::npos) {
+      subset.push_back(name);
+    }
+  }
+  // Every entry must have matched a distinct allowed name.
+  const auto entries = std::count(list.begin(), list.end(), ',') + 1;
+  if (static_cast<std::ptrdiff_t>(subset.size()) != entries) {
+    throw FlagError("flag --" + key + " is not a list of distinct names "
+                    "from the usage text: " + list);
+  }
+  return subset;
 }
 
 std::vector<std::string> Flags::unknown_keys() const {

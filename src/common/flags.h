@@ -61,6 +61,12 @@ class Flags {
   [[nodiscard]] std::uint64_t get_seed(const std::string& key,
                                        std::uint64_t fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
+  /// Comma list of distinct names drawn from `allowed`, matched exactly;
+  /// returns them in `allowed` order (all of them when the flag is absent).
+  /// Anything else — a typo, an empty entry, a repeat — throws FlagError:
+  /// a mistyped list must not shrink a sweep to nothing.
+  [[nodiscard]] std::vector<std::string> get_subset(
+      const std::string& key, const std::vector<std::string>& allowed) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;

@@ -29,11 +29,12 @@
 //    cannot.  The Node tracks per-peer liveness (last-heard watermarks),
 //    backs its poll/skip cadences off exponentially (with jitter) while a
 //    peer keeps timing out, and screens every inbound data message through
-//    csa->observation_feasible: a message no spec-conforming execution
-//    could have produced is RENOUNCED (durably, via the skip-commit path,
-//    so the sender soundly resolves it as a loss) instead of processed,
-//    and a peer producing a streak of them is quarantined — excluded from
-//    the view, probed at low rate, readmitted after a feasible streak.
+//    csa->screen_message (header timestamp and payload, judged at arrival):
+//    a message no spec-conforming execution could have produced is
+//    RENOUNCED (durably, via the skip-commit path, so the sender soundly
+//    resolves it as a loss) instead of processed, and a peer producing a
+//    streak of them is quarantined — excluded from the view, probed at low
+//    rate, readmitted after a feasible streak.
 //    One insane clock therefore costs its own link's accuracy, not the
 //    containment of every estimate downstream.  See NodeConfig.
 //

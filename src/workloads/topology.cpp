@@ -1,6 +1,7 @@
 #include "workloads/topology.h"
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 #include <unordered_set>
 
@@ -35,6 +36,25 @@ Network assemble(std::vector<ClockSpec> clocks, std::vector<LinkSpec> links,
   net.links.assign(net.spec.links().size(), runtime);
   compute_levels(net);
   return net;
+}
+
+/// True iff the processors outside `cut` (a bit set; n < 64) are connected
+/// by the links that avoid it.
+bool connected_without(std::size_t n, const std::vector<LinkSpec>& links,
+                       std::uint64_t cut) {
+  std::uint64_t reached = std::uint64_t{1} << std::countr_one(cut);
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const LinkSpec& l : links) {
+      const std::uint64_t ends =
+          (std::uint64_t{1} << l.a) | (std::uint64_t{1} << l.b);
+      if ((ends & cut) != 0 || (ends & reached) == 0) continue;
+      if ((ends & reached) == ends) continue;
+      reached |= ends;
+      grew = true;
+    }
+  }
+  return (reached | cut) == (std::uint64_t{1} << n) - 1;
 }
 
 }  // namespace
@@ -132,6 +152,38 @@ Network make_random(std::size_t n, std::size_t extra_edges,
     ++added;
   }
   return assemble(make_clocks(n, params), std::move(links), params);
+}
+
+Network make_erdos_renyi(std::size_t n, double edge_prob, std::uint64_t seed,
+                         const TopoParams& params) {
+  DS_CHECK(n >= 2 && n < 64 && edge_prob > 0.0 && params.source == 0);
+  Rng rng(seed * 7919 + 11);
+  for (;;) {
+    std::vector<LinkSpec> links;
+    for (ProcId a = 0; a < n; ++a) {
+      for (ProcId b = a + 1; b < n; ++b) {
+        if (rng.uniform(0.0, 1.0) < edge_prob) {
+          links.push_back(make_link(a, b, params));
+        }
+      }
+    }
+    if (connected_without(n, links, 0)) {
+      return assemble(make_clocks(n, params), std::move(links), params);
+    }
+  }
+}
+
+std::size_t vertex_connectivity(const SystemSpec& spec) {
+  const std::size_t n = spec.num_procs();
+  DS_CHECK(n <= 20);
+  std::size_t conn = n - 1;
+  for (std::uint64_t cut = 0; cut < (std::uint64_t{1} << n); ++cut) {
+    const auto k = static_cast<std::size_t>(std::popcount(cut));
+    if (k < conn && k + 2 <= n && !connected_without(n, spec.links(), cut)) {
+      conn = k;
+    }
+  }
+  return conn;
 }
 
 Network make_tree(std::size_t depth, std::size_t branching,

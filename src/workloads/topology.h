@@ -51,6 +51,16 @@ Network make_grid(std::size_t w, std::size_t h, const TopoParams& params);
 Network make_random(std::size_t n, std::size_t extra_edges,
                     std::uint64_t seed, const TopoParams& params);
 
+/// Erdős–Rényi G(n, edge_prob) over pairs a < b in lexicographic order,
+/// re-drawn until connected.  The draw is Rng(seed * 7919 + 11), which is
+/// what the runtime experiments (EXP-16/17) have always swept.
+Network make_erdos_renyi(std::size_t n, double edge_prob, std::uint64_t seed,
+                         const TopoParams& params);
+
+/// Vertex connectivity: the fewest processors whose removal disconnects the
+/// rest (n - 1 for a complete graph).  Tries every cut, so n <= 20.
+std::size_t vertex_connectivity(const SystemSpec& spec);
+
 /// Complete `branching`-ary tree of the given depth, source at the root
 /// (depth 0 = just the source).
 Network make_tree(std::size_t depth, std::size_t branching,

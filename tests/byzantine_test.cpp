@@ -32,15 +32,14 @@
 #include "core/spec.h"
 #include "runtime/byzantine.h"
 #include "runtime/chaos.h"
+#include "runtime/mesh.h"
 #include "runtime/node.h"
-#include "runtime/thread_transport.h"
-#include "runtime/time_source.h"
 #include "test_util.h"
 
 namespace driftsync::runtime {
 namespace {
 
-using driftsync::testing::contains_truth;
+using driftsync::testing::brackets_truth;
 using driftsync::testing::node_config;
 using driftsync::testing::two_node_spec;
 
@@ -256,11 +255,11 @@ TEST_F(CrossValidation, RollbackLeavesViewIntactAndRecovers) {
 // ---------------------------------------------------------------------------
 // Runtime: ByzantinePeer vs the Node's suspicion machine
 
-std::unique_ptr<Csa> defended_csa() {
+OptimalCsa::Options defended() {
   OptimalCsa::Options opts;
   opts.loss_tolerant = true;
   opts.cross_validation = true;
-  return std::make_unique<OptimalCsa>(opts);
+  return opts;
 }
 
 /// Polls `pred` every 5 ms for up to `timeout_ms`.
@@ -278,25 +277,18 @@ TEST(ByzantineRuntime, MutatedReplayRejectedHonestDuplicateIgnored) {
   // honest duplicates count duplicate_dgrams and stay benign; a replay of
   // the same dgram_seq with different bytes counts replay_rejected and
   // raises suspicion.
-  const SystemSpec spec = two_node_spec();
-  ThreadHub hub(29);
-  hub.set_link(0, 1, 0.0005, 0.003);
-  Node victim(node_config(0, spec), defended_csa(),
-              std::make_unique<ScaledTimeSource>(0.0, 1.0), hub.endpoint(0));
-
+  Mesh mesh(two_node_spec(), 29);
+  mesh.hub().set_link(0, 1, 0.0005, 0.003);
   ChaosFaults faults;
   faults.duplicate = 0.4;
-  auto chaos = std::make_unique<ChaosTransport>(hub.endpoint(1), 1, faults,
-                                                /*seed=*/43);
   ByzantineStrategy strat;
   strat.replay = 0.5;
-  auto byz = std::make_unique<ByzantinePeer>(std::move(chaos), 1, strat,
-                                             /*seed=*/44);
-  Node attacker(node_config(1, spec), defended_csa(),
-                std::make_unique<ScaledTimeSource>(0.0, 1.0), std::move(byz));
-
-  victim.start();
-  attacker.start();
+  mesh.set_byzantine(1, strat, /*seed=*/44);
+  const Node& victim =
+      mesh.add(node_config(0, mesh.spec()), defended(), 0.0, 1.0);
+  const Node& attacker = mesh.add(node_config(1, mesh.spec()), defended(),
+                                  0.0, 1.0, faults, /*fault_seed=*/43);
+  mesh.start();
   EXPECT_TRUE(wait_until(
       [&] {
         const NodeStats s = victim.stats();
@@ -308,10 +300,8 @@ TEST(ByzantineRuntime, MutatedReplayRejectedHonestDuplicateIgnored) {
   EXPECT_GE(s.duplicate_dgrams, 1u);
   // The attacker's replayed timestamps never entered the view; the honest
   // direction keeps both nodes containing true source time.
-  EXPECT_TRUE(contains_truth(victim));
-  EXPECT_TRUE(contains_truth(attacker));
-  attacker.stop();
-  victim.stop();
+  EXPECT_TRUE(brackets_truth(victim));
+  EXPECT_TRUE(brackets_truth(attacker));
 }
 
 TEST(ByzantineRuntime, FlappingAttackerIsQuarantined) {
@@ -319,31 +309,23 @@ TEST(ByzantineRuntime, FlappingAttackerIsQuarantined) {
   // honest.  The old consecutive-infeasible streak reset on each honest
   // message and never fired; the decaying score converges to its fixed
   // point (s + 1) * decay above the threshold and quarantines the peer.
-  const SystemSpec spec = two_node_spec();
-  ThreadHub hub(31);
-  hub.set_link(0, 1, 0.0005, 0.003);
-  Node victim(node_config(0, spec), defended_csa(),
-              std::make_unique<ScaledTimeSource>(0.0, 1.0), hub.endpoint(0));
-
+  Mesh mesh(two_node_spec(), 31);
+  mesh.hub().set_link(0, 1, 0.0005, 0.003);
   ByzantineStrategy strat;
   strat.flip_every = 2;
   strat.flip_offset = 0.5;
-  auto byz = std::make_unique<ByzantinePeer>(hub.endpoint(1), 1, strat,
-                                             /*seed=*/45);
-  Node attacker(node_config(1, spec), defended_csa(),
-                std::make_unique<ScaledTimeSource>(0.0, 1.0), std::move(byz));
-
-  victim.start();
-  attacker.start();
+  mesh.set_byzantine(1, strat, /*seed=*/45);
+  const Node& victim =
+      mesh.add(node_config(0, mesh.spec()), defended(), 0.0, 1.0);
+  mesh.add(node_config(1, mesh.spec()), defended(), 0.0, 1.0);
+  mesh.start();
   EXPECT_TRUE(wait_until(
       [&] { return victim.stats().peer_quarantines >= 1; }, 4000));
   const NodeStats s = victim.stats();
   EXPECT_GE(s.infeasible_rejected, 2u);
   ASSERT_EQ(s.quarantined.size(), 1u);
   EXPECT_EQ(s.quarantined[0], 1u);
-  EXPECT_TRUE(contains_truth(victim));
-  attacker.stop();
-  victim.stop();
+  EXPECT_TRUE(brackets_truth(victim));
 }
 
 TEST(ByzantineRuntime, ReadmissionEscalatesAgainstRepeatOffender) {
@@ -352,13 +334,11 @@ TEST(ByzantineRuntime, ReadmissionEscalatesAgainstRepeatOffender) {
   // it is readmitted — and the NEXT readmission now costs double.
   // Phase 3: it resumes lying; residual suspicion re-quarantines it after
   // FEWER lies than the first time.
-  const SystemSpec spec = two_node_spec();
-  ThreadHub hub(37);
-  hub.set_link(0, 1, 0.0005, 0.003);
-  NodeConfig victim_cfg = node_config(0, spec);
+  Mesh mesh(two_node_spec(), 37);
+  mesh.hub().set_link(0, 1, 0.0005, 0.003);
+  NodeConfig victim_cfg = node_config(0, mesh.spec());
   victim_cfg.quarantine_threshold = 4;
-  Node victim(victim_cfg, defended_csa(),
-              std::make_unique<ScaledTimeSource>(0.0, 1.0), hub.endpoint(0));
+  const Node& victim = mesh.add(victim_cfg, defended(), 0.0, 1.0);
 
   // A steep skew ramp: a CONSTANT offset would be a perfectly legal clock
   // (the spec constrains rate, not phase) and a slow ramp ratchets inside
@@ -368,17 +348,13 @@ TEST(ByzantineRuntime, ReadmissionEscalatesAgainstRepeatOffender) {
   ByzantineStrategy strat;
   strat.skew_rate = 0.5;
   strat.skew_max = 100.0;
-  auto byz = std::make_unique<ByzantinePeer>(hub.endpoint(1), 1, strat,
-                                             /*seed=*/47);
-  ByzantinePeer* attacker_hand = byz.get();
+  mesh.set_byzantine(1, strat, /*seed=*/47);
   // Slow attacker cadence: the test reacts between messages, so at most
   // one honest message decays the residual suspicion before phase 3.
-  NodeConfig attacker_cfg = node_config(1, spec, /*poll_period=*/0.15);
-  Node attacker(attacker_cfg, defended_csa(),
-                std::make_unique<ScaledTimeSource>(0.0, 1.0), std::move(byz));
-
-  victim.start();
-  attacker.start();
+  mesh.add(node_config(1, mesh.spec(), /*poll_period=*/0.15), defended(),
+           0.0, 1.0);
+  ByzantinePeer& attacker_hand = mesh.byzantine(1);
+  mesh.start();
 
   // Phase 1: quarantine at the configured threshold.
   ASSERT_TRUE(wait_until(
@@ -390,7 +366,7 @@ TEST(ByzantineRuntime, ReadmissionEscalatesAgainstRepeatOffender) {
   }
 
   // Phase 2: honesty buys readmission, at escalating cost.
-  attacker_hand->set_active(false);
+  attacker_hand.set_active(false);
   ASSERT_TRUE(wait_until(
       [&] { return victim.stats().peer_readmissions >= 1; }, 8000));
   const NodeStats readmitted = victim.stats();
@@ -399,16 +375,14 @@ TEST(ByzantineRuntime, ReadmissionEscalatesAgainstRepeatOffender) {
   EXPECT_GT(readmitted.suspicion.at(1), 0.0);  // Residual suspicion.
 
   // Phase 3: resumed lying is caught faster than the first offense.
-  attacker_hand->set_active(true);
+  attacker_hand.set_active(true);
   ASSERT_TRUE(wait_until(
       [&] { return victim.stats().peer_quarantines >= 2; }, 8000));
   const NodeStats again = victim.stats();
   const std::uint64_t lies_this_round =
       again.infeasible_rejected - readmitted.infeasible_rejected;
   EXPECT_LE(lies_this_round, 3u);  // < threshold (4) thanks to residual.
-  EXPECT_TRUE(contains_truth(victim));
-  attacker.stop();
-  victim.stop();
+  EXPECT_TRUE(brackets_truth(victim));
 }
 
 TEST(ByzantineRuntime, LeaveAndRejoinDoesNotInheritOldSuspicion) {
@@ -419,27 +393,20 @@ TEST(ByzantineRuntime, LeaveAndRejoinDoesNotInheritOldSuspicion) {
   // incarnation at a recycled ProcId started life half-convicted.
   // Retirement must drop the health state with the seat: a rejoin gets a
   // clean score, the threshold-priced readmission, and flowing traffic.
-  const SystemSpec spec = two_node_spec();
-  ThreadHub hub(41);
-  hub.set_link(0, 1, 0.0005, 0.003);
-  NodeConfig victim_cfg = node_config(0, spec);
+  Mesh mesh(two_node_spec(), 41);
+  mesh.hub().set_link(0, 1, 0.0005, 0.003);
+  NodeConfig victim_cfg = node_config(0, mesh.spec());
   victim_cfg.quarantine_threshold = 4;
-  Node victim(victim_cfg, defended_csa(),
-              std::make_unique<ScaledTimeSource>(0.0, 1.0), hub.endpoint(0));
+  Node& victim = mesh.add(victim_cfg, defended(), 0.0, 1.0);
 
   // Constant steep skew: every message renounced, so the quarantine holds
   // (no feasible probes, no racing readmission) until the test acts.
   ByzantineStrategy strat;
   strat.skew_rate = 0.5;
   strat.skew_max = 100.0;
-  auto byz = std::make_unique<ByzantinePeer>(hub.endpoint(1), 1, strat,
-                                             /*seed=*/49);
-  ByzantinePeer* attacker_hand = byz.get();
-  Node attacker(node_config(1, spec), defended_csa(),
-                std::make_unique<ScaledTimeSource>(0.0, 1.0), std::move(byz));
-
-  victim.start();
-  attacker.start();
+  mesh.set_byzantine(1, strat, /*seed=*/49);
+  mesh.add(node_config(1, mesh.spec()), defended(), 0.0, 1.0);
+  mesh.start();
   ASSERT_TRUE(wait_until(
       [&] { return victim.stats().peer_quarantines >= 1; }, 8000));
   {
@@ -450,7 +417,7 @@ TEST(ByzantineRuntime, LeaveAndRejoinDoesNotInheritOldSuspicion) {
   }
 
   // The convict leaves (and turns honest for its next incarnation).
-  attacker_hand->set_active(false);
+  mesh.byzantine(1).set_active(false);
   victim.remove_peer(1);
   {
     const NodeStats s = victim.stats();
@@ -481,9 +448,7 @@ TEST(ByzantineRuntime, LeaveAndRejoinDoesNotInheritOldSuspicion) {
         return it != s.last_heard.end() && it->second >= 0.0;
       },
       4000));
-  EXPECT_TRUE(contains_truth(victim));
-  attacker.stop();
-  victim.stop();
+  EXPECT_TRUE(brackets_truth(victim));
 }
 
 }  // namespace

@@ -137,6 +137,20 @@ TEST(FlagsTest, NumericGettersRejectWhitespaceAndEmpty) {
   EXPECT_THROW((void)f.get_double("e", 0.0), FlagError);
 }
 
+TEST(FlagsTest, GetSubsetMatchesExactNamesInAllowedOrder) {
+  const std::vector<std::string> topos{"ring", "grid", "star", "random"};
+  EXPECT_EQ(make({}).get_subset("topos", topos), topos);
+  EXPECT_EQ(make({"--topos=random,ring"}).get_subset("topos", topos),
+            (std::vector<std::string>{"ring", "random"}));
+  // Substrings, typos, empty entries, repeats and empty lists all fail.
+  for (const char* bad :
+       {"--topos=rin", "--topos=rign", "--topos=ring,", "--topos=",
+        "--topos=ring,grid,stars", "--topos=ring,ring", "--topos=ring grid"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW((void)make({bad}).get_subset("topos", topos), FlagError);
+  }
+}
+
 TEST(FlagsTest, RejectUnknownPassesWhenAllRead) {
   const Flags f = make({"--a=1", "--b=2"});
   (void)f.get_int("a", 0);

@@ -26,6 +26,7 @@
 #include "core/spec.h"
 #include "runtime/chaos.h"
 #include "runtime/datagram.h"
+#include "runtime/mesh.h"
 #include "runtime/node.h"
 #include "runtime/thread_transport.h"
 #include "runtime/time_source.h"
@@ -35,8 +36,10 @@
 namespace driftsync::runtime {
 namespace {
 
-using driftsync::testing::contains_truth;
-using TestNet = driftsync::testing::ThreeNodeNet;
+using driftsync::testing::brackets_truth;
+using driftsync::testing::loss_tolerant;
+using driftsync::testing::node_config;
+using driftsync::testing::three_node_path;
 
 // ---------------------------------------------------------------------------
 // Datagram codec
@@ -266,95 +269,89 @@ TEST(ThreadHub, UnlinkedDirectionDropsEverything) {
 }
 
 // ---------------------------------------------------------------------------
-// Node integration over ThreadHub (fixtures: tests/test_util.h)
+// Node integration over a runtime::Mesh (fixtures: tests/test_util.h)
 
 TEST(NodeIntegration, ThreeNodePathConvergesUnderLatencyAndLoss) {
-  TestNet net;
+  Mesh mesh = three_node_path();
   // Asymmetric per-direction latencies, 10% loss on both links.
-  net.hub.set_directed(0, 1, 0.0005, 0.003, 0.10);
-  net.hub.set_directed(1, 0, 0.001, 0.006, 0.10);
-  net.hub.set_directed(1, 2, 0.0005, 0.008, 0.10);
-  net.hub.set_directed(2, 1, 0.002, 0.004, 0.10);
+  mesh.hub().set_directed(0, 1, 0.0005, 0.003, 0.10);
+  mesh.hub().set_directed(1, 0, 0.001, 0.006, 0.10);
+  mesh.hub().set_directed(1, 2, 0.0005, 0.008, 0.10);
+  mesh.hub().set_directed(2, 1, 0.002, 0.004, 0.10);
 
   const double offsets[3] = {0.0, 17.0, -8.5};
   const double rates[3] = {1.0, 1.0 + 4e-4, 1.0 - 3e-4};
-  std::vector<std::unique_ptr<Node>> nodes;
   for (ProcId p = 0; p < 3; ++p) {
-    nodes.push_back(net.make_node(net.config(p), offsets[p], rates[p]));
+    mesh.add(node_config(p, mesh.spec()), loss_tolerant(), offsets[p],
+             rates[p]);
   }
-  for (auto& node : nodes) node->start();
+  mesh.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(1500));
 
   for (ProcId p = 0; p < 3; ++p) {
     SCOPED_TRACE("node " + std::to_string(p));
-    EXPECT_TRUE(contains_truth(*nodes[p]));
+    EXPECT_TRUE(brackets_truth(mesh.node(p)));
   }
   // The source knows its own time exactly; the others converge to a width
   // bounded by accumulated link uncertainty + drift, far below the 50 ms
   // spec bound per hop that they start from.
-  EXPECT_EQ(nodes[0]->estimate().width(), 0.0);
-  EXPECT_LT(nodes[1]->estimate().width(), 0.05);
-  EXPECT_LT(nodes[2]->estimate().width(), 0.10);
+  EXPECT_EQ(mesh.node(0).estimate().width(), 0.0);
+  EXPECT_LT(mesh.node(1).estimate().width(), 0.05);
+  EXPECT_LT(mesh.node(2).estimate().width(), 0.10);
   // Loss actually happened and the protocol processed real traffic.
-  EXPECT_GT(net.hub.dropped(), 0u);
-  const NodeStats s1 = nodes[1]->stats();
+  EXPECT_GT(mesh.hub().dropped(), 0u);
+  const NodeStats s1 = mesh.node(1).stats();
   EXPECT_GT(s1.deliveries_confirmed, 0u);
   EXPECT_EQ(s1.decode_drops, 0u);
-  for (auto& node : nodes) node->stop();
 }
 
 TEST(NodeIntegration, DeterministicLossYieldsLossDeclaration) {
-  TestNet net;
-  net.hub.set_link(0, 1, 0.0005, 0.002);
+  Mesh mesh = three_node_path();
+  mesh.hub().set_link(0, 1, 0.0005, 0.002);
   // Drop exactly one data datagram 0 -> 1; the fate timeout must resolve
   // it as lost (receiver renounces it via the skip commit), never as
   // delivered, and node 0 keeps serving a correct estimate.
-  net.hub.drop_next(0, 1, 1);
+  mesh.hub().drop_next(0, 1, 1);
 
-  NodeConfig cfg0 = net.config(0);
+  NodeConfig cfg0 = node_config(0, mesh.spec());
   cfg0.peers = {1};
-  NodeConfig cfg1 = net.config(1);
+  NodeConfig cfg1 = node_config(1, mesh.spec());
   cfg1.peers = {0};
-  auto n0 = net.make_node(std::move(cfg0), 0.0, 1.0);
-  auto n1 = net.make_node(std::move(cfg1), 3.0, 1.0 + 1e-4);
-  n0->start();
-  n1->start();
+  const Node& n0 = mesh.add(std::move(cfg0), loss_tolerant(), 0.0, 1.0);
+  const Node& n1 =
+      mesh.add(std::move(cfg1), loss_tolerant(), 3.0, 1.0 + 1e-4);
+  mesh.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(1200));
 
-  const NodeStats s0 = n0->stats();
+  const NodeStats s0 = n0.stats();
   EXPECT_GE(s0.loss_declarations, 1u);
   EXPECT_GE(s0.skips_sent, 1u);
   EXPECT_GT(s0.deliveries_confirmed, 0u);  // Later datagrams get through.
-  EXPECT_TRUE(contains_truth(*n0));
-  EXPECT_TRUE(contains_truth(*n1));
-  n0->stop();
-  n1->stop();
+  EXPECT_TRUE(brackets_truth(n0));
+  EXPECT_TRUE(brackets_truth(n1));
 }
 
 TEST(NodeIntegration, LostAckNeverBecomesFalseLossDeclaration) {
-  TestNet net;
-  net.hub.set_link(0, 1, 0.0005, 0.002);
+  Mesh mesh = three_node_path();
+  mesh.hub().set_link(0, 1, 0.0005, 0.002);
   // Node 1 sends no data of its own (no peers), so all 1 -> 0 traffic is
   // acks.  Dropping one forces node 0 through the skip path, where the
   // receiver's processed_hw proves delivery: the outcome must be a
   // (late) delivery confirmation, never a loss declaration.
-  net.hub.drop_next(1, 0, 1);
+  mesh.hub().drop_next(1, 0, 1);
 
-  NodeConfig cfg0 = net.config(0);
+  NodeConfig cfg0 = node_config(0, mesh.spec());
   cfg0.peers = {1};
-  NodeConfig cfg1 = net.config(1);
+  NodeConfig cfg1 = node_config(1, mesh.spec());
   cfg1.peers = {};
-  auto n0 = net.make_node(std::move(cfg0), 0.0, 1.0);
-  auto n1 = net.make_node(std::move(cfg1), -2.0, 1.0 - 1e-4);
-  n0->start();
-  n1->start();
+  const Node& n0 = mesh.add(std::move(cfg0), loss_tolerant(), 0.0, 1.0);
+  mesh.add(std::move(cfg1), loss_tolerant(), -2.0, 1.0 - 1e-4);
+  mesh.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(1200));
 
-  const NodeStats s0 = n0->stats();
+  const NodeStats s0 = n0.stats();
   EXPECT_EQ(s0.loss_declarations, 0u);
   EXPECT_GE(s0.deliveries_confirmed, 1u);
-  n0->stop();
-  n1->stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -371,23 +368,21 @@ struct CheckpointFile {
 };
 
 TEST(NodeCheckpoint, KillAndRestartReconverges) {
-  const CheckpointFile ckpt("runtime_test_restart.ckpt");
-  TestNet net;
-  net.hub.set_link(0, 1, 0.0005, 0.003);
-  net.hub.set_link(1, 2, 0.0005, 0.003);
+  Mesh mesh = three_node_path();
+  mesh.hub().set_link(0, 1, 0.0005, 0.003);
+  mesh.hub().set_link(1, 2, 0.0005, 0.003);
 
   const double offsets[3] = {0.0, 9.0, -4.0};
   const double rates[3] = {1.0, 1.0 + 2e-4, 1.0 - 2e-4};
-  std::vector<std::unique_ptr<Node>> nodes;
   for (ProcId p = 0; p < 3; ++p) {
-    NodeConfig cfg = net.config(p);
-    if (p == 1) cfg.checkpoint_path = ckpt.path;
-    nodes.push_back(net.make_node(std::move(cfg), offsets[p], rates[p]));
+    NodeConfig cfg = node_config(p, mesh.spec());
+    if (p == 1) cfg.checkpoint_path = mesh.checkpoint_path(1);
+    mesh.add(std::move(cfg), loss_tolerant(), offsets[p], rates[p]);
   }
-  for (auto& node : nodes) node->start();
+  mesh.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(700));
-  EXPECT_TRUE(contains_truth(*nodes[1]));
-  EXPECT_GT(nodes[1]->stats().checkpoints_written, 0u);
+  EXPECT_TRUE(brackets_truth(mesh.node(1)));
+  EXPECT_GT(mesh.node(1).stats().checkpoints_written, 0u);
   // The encoded-history cache exists only where checkpoints are written,
   // and is reported on its own, outside state_bytes.
   const auto cache_bytes = [](const Node& node) {
@@ -395,34 +390,28 @@ TEST(NodeCheckpoint, KillAndRestartReconverges) {
         .at("checkpoint_cache_bytes")
         .as_number();
   };
-  EXPECT_GT(cache_bytes(*nodes[1]), 0.0);
-  EXPECT_EQ(cache_bytes(*nodes[0]), 0.0);
-  EXPECT_NE(nodes[1]->metrics_text().find("driftsync_checkpoint_cache_bytes"),
-            std::string::npos);
+  EXPECT_GT(cache_bytes(mesh.node(1)), 0.0);
+  EXPECT_EQ(cache_bytes(mesh.node(0)), 0.0);
+  EXPECT_NE(
+      mesh.node(1).metrics_text().find("driftsync_checkpoint_cache_bytes"),
+      std::string::npos);
 
   // "Kill" the middle node: tear it down (its endpoint unregisters) while
   // its neighbors keep running — their fate timers fire into the void.
-  nodes[1]->stop();
-  nodes[1].reset();
+  mesh.kill(1);
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
 
   // Restart from the checkpoint with the same clock (CLOCK_MONOTONIC kept
   // running) and re-converge next to peers that remember the old history.
-  {
-    NodeConfig cfg = net.config(1);
-    cfg.checkpoint_path = ckpt.path;
-    nodes[1] = net.make_node(std::move(cfg), offsets[1], rates[1]);
-  }
-  nodes[1]->start();
+  mesh.restart(1);
   std::this_thread::sleep_for(std::chrono::milliseconds(1500));
 
   for (ProcId p = 0; p < 3; ++p) {
     SCOPED_TRACE("node " + std::to_string(p));
-    EXPECT_TRUE(contains_truth(*nodes[p]));
+    EXPECT_TRUE(brackets_truth(mesh.node(p)));
   }
-  EXPECT_LT(nodes[1]->estimate().width(), 0.05);
-  EXPECT_LT(nodes[2]->estimate().width(), 0.10);
-  for (auto& node : nodes) node->stop();
+  EXPECT_LT(mesh.node(1).estimate().width(), 0.05);
+  EXPECT_LT(mesh.node(2).estimate().width(), 0.10);
 }
 
 TEST(NodeCheckpoint, ClockRegressionIsRejected) {
@@ -550,13 +539,13 @@ TEST(NodeLocalTime, NegativeClockMintsAtItsOwnReading) {
 }
 
 TEST(NodeCheckpoint, StatsJsonIsWellShaped) {
-  TestNet net;
-  net.hub.set_link(0, 1, 0.0005, 0.002);
-  auto n0 = net.make_node(net.config(0), 0.0, 1.0);
-  n0->start();
+  Mesh mesh = three_node_path();
+  mesh.hub().set_link(0, 1, 0.0005, 0.002);
+  Node& n0 = mesh.add(node_config(0, mesh.spec()), loss_tolerant(), 0.0, 1.0);
+  mesh.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  const std::string json = n0->stats_json();
-  n0->stop();
+  const std::string json = n0.stats_json();
+  mesh.stop();
 
   ASSERT_FALSE(json.empty());
   EXPECT_EQ(json.front(), '{');
@@ -632,108 +621,84 @@ TEST(FaultyTimeSourceTest, StepsScaleAndNeverRunBackwards) {
 }
 
 TEST(NodeIntegration, DuplicateDeliveryIsIdempotent) {
-  TestNet net;
-  net.hub.set_link(0, 1, 0.0005, 0.002);
-  NodeConfig cfg0 = net.config(0);
+  Mesh mesh = three_node_path();
+  mesh.hub().set_link(0, 1, 0.0005, 0.002);
+  NodeConfig cfg0 = node_config(0, mesh.spec());
   cfg0.peers = {1};
-  NodeConfig cfg1 = net.config(1);
+  NodeConfig cfg1 = node_config(1, mesh.spec());
   cfg1.peers = {0};
   // Every datagram node 0 sends is delivered twice; the receiver must
   // process each exactly once (counting the echoes) and the duplicated
   // acks must never confuse node 0's fate machine into a loss.
   ChaosFaults faults;
   faults.duplicate = 1.0;
-  OptimalCsa::Options opts;
-  opts.loss_tolerant = true;
-  auto n0 = std::make_unique<Node>(
-      std::move(cfg0), std::make_unique<OptimalCsa>(opts),
-      std::make_unique<ScaledTimeSource>(0.0, 1.0),
-      std::make_unique<ChaosTransport>(net.hub.endpoint(0), 0, faults, 9));
-  auto n1 = net.make_node(std::move(cfg1), 7.5, 1.0 + 2e-4);
-  n0->start();
-  n1->start();
+  const Node& n0 =
+      mesh.add(std::move(cfg0), loss_tolerant(), 0.0, 1.0, faults, 9);
+  const Node& n1 =
+      mesh.add(std::move(cfg1), loss_tolerant(), 7.5, 1.0 + 2e-4);
+  mesh.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(900));
 
-  EXPECT_GE(n1->stats().duplicate_dgrams, 1u);
-  EXPECT_EQ(n0->stats().loss_declarations, 0u);
-  EXPECT_TRUE(contains_truth(*n0));
-  EXPECT_TRUE(contains_truth(*n1));
-  n0->stop();
-  n1->stop();
+  EXPECT_GE(n1.stats().duplicate_dgrams, 1u);
+  EXPECT_EQ(n0.stats().loss_declarations, 0u);
+  EXPECT_TRUE(brackets_truth(n0));
+  EXPECT_TRUE(brackets_truth(n1));
 }
 
 TEST(NodeIntegration, PartitionHealReconvergesUnderChaosTransport) {
-  TestNet net;
-  net.hub.set_link(0, 1, 0.0005, 0.003);
-  net.hub.set_link(1, 2, 0.001, 0.004);
+  Mesh mesh = three_node_path();
+  mesh.hub().set_link(0, 1, 0.0005, 0.003);
+  mesh.hub().set_link(1, 2, 0.001, 0.004);
   const double offsets[3] = {0.0, 11.0, -4.5};
   const double rates[3] = {1.0, 1.0 + 3e-4, 1.0 - 2e-4};
-  OptimalCsa::Options opts;
-  opts.loss_tolerant = true;
-  std::vector<std::unique_ptr<Node>> nodes;
-  std::vector<ChaosTransport*> chaos(3, nullptr);
   for (ProcId p = 0; p < 3; ++p) {
-    auto transport = std::make_unique<ChaosTransport>(
-        net.hub.endpoint(p), p, ChaosFaults{}, 100 + p);
-    chaos[p] = transport.get();
-    nodes.push_back(std::make_unique<Node>(
-        net.config(p), std::make_unique<OptimalCsa>(opts),
-        std::make_unique<ScaledTimeSource>(offsets[p], rates[p]),
-        std::move(transport)));
+    mesh.add(node_config(p, mesh.spec()), loss_tolerant(), offsets[p],
+             rates[p], ChaosFaults{}, 100 + p);
   }
-  for (auto& n : nodes) n->start();
+  mesh.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(600));
-  EXPECT_TRUE(contains_truth(*nodes[1]));
+  EXPECT_TRUE(brackets_truth(mesh.node(1)));
 
   // Sever 0 <-> 1: the whole 1-2 side loses the source.  Containment
   // cannot break while partitioned — estimates only widen with drift.
-  chaos[0]->set_partitioned(1, true);
-  chaos[1]->set_partitioned(0, true);
+  mesh.chaos(0).set_partitioned(1, true);
+  mesh.chaos(1).set_partitioned(0, true);
   std::this_thread::sleep_for(std::chrono::milliseconds(600));
-  EXPECT_TRUE(contains_truth(*nodes[1]));
-  EXPECT_TRUE(contains_truth(*nodes[2]));
-  EXPECT_GT(chaos[0]->injected() + chaos[1]->injected(), 0u);
+  EXPECT_TRUE(brackets_truth(mesh.node(1)));
+  EXPECT_TRUE(brackets_truth(mesh.node(2)));
+  EXPECT_GT(mesh.chaos(0).injected() + mesh.chaos(1).injected(), 0u);
 
-  chaos[0]->set_partitioned(1, false);
-  chaos[1]->set_partitioned(0, false);
+  mesh.chaos(0).set_partitioned(1, false);
+  mesh.chaos(1).set_partitioned(0, false);
   std::this_thread::sleep_for(std::chrono::milliseconds(900));
   for (ProcId p = 0; p < 3; ++p) {
     SCOPED_TRACE("node " + std::to_string(p));
-    EXPECT_TRUE(contains_truth(*nodes[p]));
+    EXPECT_TRUE(brackets_truth(mesh.node(p)));
   }
-  EXPECT_LT(nodes[1]->estimate().width(), 0.05);
-  EXPECT_LT(nodes[2]->estimate().width(), 0.10);
-  for (auto& n : nodes) n->stop();
+  EXPECT_LT(mesh.node(1).estimate().width(), 0.05);
+  EXPECT_LT(mesh.node(2).estimate().width(), 0.10);
 }
 
 TEST(NodeIntegration, SpecViolatingClockIsQuarantinedExactly) {
-  TestNet net;
-  net.hub.set_link(0, 1, 0.0005, 0.003);
-  net.hub.set_link(1, 2, 0.001, 0.004);
+  Mesh mesh = three_node_path();
+  mesh.hub().set_link(0, 1, 0.0005, 0.003);
+  mesh.hub().set_link(1, 2, 0.001, 0.004);
   const double offsets[3] = {0.0, 11.0, -4.5};
   const double rates[3] = {1.0, 1.0 + 3e-4, 1.0 - 2e-4};
-  OptimalCsa::Options opts;
-  opts.loss_tolerant = true;
-  std::vector<std::unique_ptr<Node>> nodes;
-  FaultyTimeSource* bad_clock = nullptr;
   for (ProcId p = 0; p < 3; ++p) {
-    auto clock = std::make_unique<FaultyTimeSource>(
-        std::make_unique<ScaledTimeSource>(offsets[p], rates[p]));
-    if (p == 2) bad_clock = clock.get();
-    nodes.push_back(std::make_unique<Node>(
-        net.config(p), std::make_unique<OptimalCsa>(opts),
-        std::move(clock), net.hub.endpoint(p)));
+    mesh.add(node_config(p, mesh.spec()), loss_tolerant(), offsets[p],
+             rates[p]);
   }
-  for (auto& n : nodes) n->start();
+  mesh.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(600));
 
   // +0.5 s is far outside the rho = 5e-4 drift spec: node 2's subsequent
   // timestamps are infeasible, so node 1 must renounce them (no estimate
   // poisoning) and quarantine node 2 — and ONLY node 2.
-  bad_clock->inject_step(0.5);
+  mesh.clock(2).inject_step(0.5);
   std::this_thread::sleep_for(std::chrono::milliseconds(900));
 
-  const NodeStats s1 = nodes[1]->stats();
+  const NodeStats s1 = mesh.node(1).stats();
   EXPECT_GE(s1.infeasible_rejected, 1u);
   EXPECT_GE(s1.peer_quarantines, 1u);
   ASSERT_EQ(s1.quarantined.size(), 1u);
@@ -742,10 +707,9 @@ TEST(NodeIntegration, SpecViolatingClockIsQuarantinedExactly) {
   for (const auto& [peer, age] : s1.last_heard) EXPECT_GE(age, 0.0);
   // The survivors keep containing true source time at tight width; the
   // faulty node's output is forfeit (its own clock broke the spec).
-  EXPECT_TRUE(contains_truth(*nodes[0]));
-  EXPECT_TRUE(contains_truth(*nodes[1]));
-  EXPECT_LT(nodes[1]->estimate().width(), 0.05);
-  for (auto& n : nodes) n->stop();
+  EXPECT_TRUE(brackets_truth(mesh.node(0)));
+  EXPECT_TRUE(brackets_truth(mesh.node(1)));
+  EXPECT_LT(mesh.node(1).estimate().width(), 0.05);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Serving-tier tests (DESIGN.md decision 17): SessionTable slab/LRU/cap
 // semantics, the Server request path, ClientEstimator interval math and its
 // feasibility screen, and an end-to-end exchange against a serving node in
-// the 3-node ThreadHub fixture — the client's interval must bracket true
+// the 3-node path mesh — the client's interval must bracket true
 // source time without the client ever joining the peer mesh.
 #include <gtest/gtest.h>
 
@@ -14,8 +14,8 @@
 #include "common/errors.h"
 #include "common/interval.h"
 #include "runtime/datagram.h"
+#include "runtime/mesh.h"
 #include "runtime/node.h"
-#include "runtime/thread_transport.h"
 #include "runtime/time_source.h"
 #include "serve/client_session.h"
 #include "serve/server.h"
@@ -25,7 +25,9 @@
 namespace driftsync {
 namespace {
 
-using driftsync::testing::ThreeNodeNet;
+using driftsync::testing::loss_tolerant;
+using driftsync::testing::node_config;
+using driftsync::testing::three_node_path;
 using serve::ClientEstimator;
 using serve::ClientSession;
 using serve::Server;
@@ -330,30 +332,28 @@ TEST(ClientEstimatorTest, ExtrapolationWidensThroughDriftEnvelope) {
 }
 
 // End-to-end: a client exchanging datagrams with a serving source node in
-// the 3-node fixture obtains a bounded interval bracketing true source
+// the 3-node path mesh obtains a bounded interval bracketing true source
 // time.  The client's clock is SystemTimeSource — identical to the ground
 // truth the fixture's source node runs on — so the bracket is checkable
 // directly.
 TEST(ServeIntegrationTest, ClientBracketsTruthThroughServingNode) {
-  ThreeNodeNet net;
-  net.hub.set_link(0, 1, 0.0005, 0.004);
-  net.hub.set_link(1, 2, 0.001, 0.008);
+  runtime::Mesh mesh = three_node_path();
+  mesh.hub().set_link(1, 2, 0.001, 0.008);
   constexpr ProcId kClientProc = 77;
-  net.hub.set_link(0, kClientProc, 0.0005, 0.004);
+  mesh.hub().set_link(0, kClientProc, 0.0005, 0.004);
 
-  runtime::NodeConfig cfg0 = net.config(0);
+  runtime::NodeConfig cfg0 = node_config(0, mesh.spec());
   cfg0.serve_max_clients = 8;
-  std::vector<std::unique_ptr<runtime::Node>> nodes;
-  nodes.push_back(net.make_node(std::move(cfg0), 0.0, 1.0));
-  nodes.push_back(net.make_node(net.config(1), 3.25, 1.0 + 2e-4));
-  nodes.push_back(net.make_node(net.config(2), -7.5, 1.0 - 1e-4));
-  for (auto& node : nodes) node->start();
+  mesh.add(std::move(cfg0), loss_tolerant(), 0.0, 1.0);
+  mesh.add(node_config(1, mesh.spec()), loss_tolerant(), 3.25, 1.0 + 2e-4);
+  mesh.add(node_config(2, mesh.spec()), loss_tolerant(), -7.5, 1.0 - 1e-4);
+  mesh.start();
 
   ClientEstimator est(estimator_opts(4242, 5e-4));
   const runtime::SystemTimeSource clock;
   std::mutex mu;
   std::unique_ptr<runtime::Transport> endpoint =
-      net.hub.endpoint(kClientProc);
+      mesh.hub().endpoint(kClientProc);
   endpoint->start([&est, &clock, &mu](std::span<const std::uint8_t> bytes) {
     runtime::Datagram dgram;
     try {
@@ -387,82 +387,78 @@ TEST(ServeIntegrationTest, ClientBracketsTruthThroughServingNode) {
     EXPECT_GE(e.hi, truth);
   }
 
-  const runtime::NodeStats stats = nodes[0]->stats();
+  const runtime::NodeStats stats = mesh.node(0).stats();
   EXPECT_GT(stats.serve_requests, 0u);
   EXPECT_EQ(stats.serve_active, 1u);
   EXPECT_EQ(stats.serve_rejected, 0u);
 
   endpoint->stop();
-  for (auto& node : nodes) node->stop();
 }
 
 // The serving node's stats and Prometheus expositions carry the session
 // counters (the CI smoke greps driftsync_serve_active off a live daemon).
 TEST(ServeIntegrationTest, ServeCountersSurfaceInStatsAndMetrics) {
-  ThreeNodeNet net;
-  net.hub.set_link(0, 1, 0.0005, 0.004);
-  net.hub.set_link(1, 2, 0.001, 0.008);
+  runtime::Mesh mesh = three_node_path();
   constexpr ProcId kClientProc = 88;
-  net.hub.set_link(0, kClientProc, 0.0005, 0.004);
+  mesh.hub().set_link(0, kClientProc, 0.0005, 0.004);
 
-  runtime::NodeConfig cfg0 = net.config(0);
+  runtime::NodeConfig cfg0 = node_config(0, mesh.spec());
   cfg0.serve_max_clients = 4;
-  auto node0 = net.make_node(std::move(cfg0), 0.0, 1.0);
-  node0->start();
+  runtime::Node& node0 = mesh.add(std::move(cfg0), loss_tolerant(), 0.0, 1.0);
+  mesh.start();
 
   ClientEstimator est(estimator_opts(99));
   const runtime::SystemTimeSource clock;
   std::unique_ptr<runtime::Transport> endpoint =
-      net.hub.endpoint(kClientProc);
+      mesh.hub().endpoint(kClientProc);
   endpoint->start([](std::span<const std::uint8_t>) {});
   for (int round = 0; round < 50; ++round) {
     endpoint->send(0, runtime::encode_datagram(runtime::Datagram{
                           est.make_request(clock.now())}));
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    if (node0->stats().serve_requests > 0) break;
+    if (node0.stats().serve_requests > 0) break;
   }
-  EXPECT_GT(node0->stats().serve_requests, 0u);
+  EXPECT_GT(node0.stats().serve_requests, 0u);
 
-  const std::string json = node0->stats_json();
+  const std::string json = node0.stats_json();
   EXPECT_NE(json.find("\"serve_requests\":"), std::string::npos) << json;
   EXPECT_NE(json.find("\"serve_active\":1"), std::string::npos) << json;
 
-  const std::string metrics = node0->metrics_text();
+  const std::string metrics = node0.metrics_text();
   EXPECT_NE(metrics.find("driftsync_serve_requests"), std::string::npos);
   EXPECT_NE(metrics.find("driftsync_serve_active"), std::string::npos);
   EXPECT_NE(metrics.find("driftsync_serve_width_seconds"), std::string::npos);
 
   endpoint->stop();
-  node0->stop();
 }
 
 // A node with serving disabled counts client requests as ignored and emits
 // zeroed serve counters (the stats keys are unconditional).
 TEST(ServeIntegrationTest, DisabledNodeIgnoresClientRequests) {
-  ThreeNodeNet net;
-  net.hub.set_link(0, 1, 0.0005, 0.004);
+  runtime::Mesh mesh = three_node_path();
   constexpr ProcId kClientProc = 66;
-  net.hub.set_link(0, kClientProc, 0.0005, 0.004);
+  mesh.hub().set_link(0, kClientProc, 0.0005, 0.004);
 
-  auto node0 = net.make_node(net.config(0), 0.0, 1.0);  // No serve config.
-  node0->start();
+  // No serve config.
+  runtime::Node& node0 =
+      mesh.add(node_config(0, mesh.spec()), loss_tolerant(), 0.0, 1.0);
+  mesh.start();
 
   ClientEstimator est(estimator_opts(5));
   std::unique_ptr<runtime::Transport> endpoint =
-      net.hub.endpoint(kClientProc);
+      mesh.hub().endpoint(kClientProc);
   endpoint->start([](std::span<const std::uint8_t>) {});
   endpoint->send(0, runtime::encode_datagram(
                         runtime::Datagram{est.make_request(1.0)}));
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
-  const runtime::NodeStats stats = node0->stats();
+  const runtime::NodeStats stats = node0.stats();
   EXPECT_EQ(stats.serve_requests, 0u);
   EXPECT_EQ(stats.serve_active, 0u);
-  const std::string json = node0->stats_json();
+  const std::string json = node0.stats_json();
   EXPECT_NE(json.find("\"serve_requests\":0"), std::string::npos) << json;
 
   endpoint->stop();
-  node0->stop();
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Shared helpers for the driftsync test suites: compact builders for
 // specifications and hand-crafted event sequences, plus the runtime-layer
-// fixtures (specs, NodeConfigs, the 3-node ThreadHub net, and the bracketed
-// ground-truth containment check) shared by runtime_test, udp_test and the
+// fixtures (specs, NodeConfigs, the 3-node path mesh, and the ground-truth
+// containment assertion) shared by runtime_test, udp_test and the
 // observability suites.
 #pragma once
 
@@ -15,9 +15,9 @@
 #include "core/event.h"
 #include "core/optimal_csa.h"
 #include "core/spec.h"
+#include "runtime/mesh.h"
 #include "runtime/node.h"
-#include "runtime/thread_transport.h"
-#include "runtime/time_source.h"
+#include "workloads/topology.h"
 
 namespace driftsync::testing {
 
@@ -93,10 +93,13 @@ class EventFactory {
 
 /// The CSA every runtime test hosts: optimal, loss-tolerant (real
 /// transports lose messages).
-inline std::unique_ptr<Csa> loss_tolerant_csa() {
+inline OptimalCsa::Options loss_tolerant() {
   OptimalCsa::Options opts;
   opts.loss_tolerant = true;
-  return std::make_unique<OptimalCsa>(opts);
+  return opts;
+}
+inline std::unique_ptr<Csa> loss_tolerant_csa() {
+  return std::make_unique<OptimalCsa>(loss_tolerant());
 }
 
 /// Source (rho 0) and one drifting peer over a single 50 ms link.
@@ -120,44 +123,25 @@ inline runtime::NodeConfig node_config(ProcId self, const SystemSpec& spec,
   return cfg;
 }
 
-/// Bracketed containment check: the estimate queried between two readings
-/// of the ground-truth clock must overlap [t0, t1].  The source node runs
-/// ScaledTimeSource(0, 1), so true source time == SystemTimeSource::now().
-inline ::testing::AssertionResult contains_truth(const runtime::Node& node) {
-  const runtime::SystemTimeSource truth;
-  const double t0 = truth.now();
-  const Interval est = node.estimate();
-  const double t1 = truth.now();
-  if (est.lo <= t1 && est.hi >= t0) return ::testing::AssertionSuccess();
+/// runtime::contains_truth as a gtest assertion: the estimate, read
+/// between two readings of true source time, must overlap them.
+inline ::testing::AssertionResult brackets_truth(const runtime::Node& node) {
+  const runtime::TruthBracket b = runtime::contains_truth(node);
+  if (b) return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure()
-         << "estimate [" << est.lo << ", " << est.hi
-         << "] misses true source time in [" << t0 << ", " << t1 << "]";
+         << "estimate [" << b.est.lo << ", " << b.est.hi
+         << "] misses true source time in [" << b.t0 << ", " << b.t1 << "]";
 }
 
-/// The canonical 3-node path (source - relay - leaf) over an in-process
-/// ThreadHub: spec rho 5e-4, 50 ms link bounds, hub seed 11.  Tests
-/// configure per-direction latency/loss on the hub themselves.
-struct ThreeNodeNet {
-  SystemSpec spec;
-  runtime::ThreadHub hub;
-
-  ThreeNodeNet()
-      : spec(std::vector<ClockSpec>{{0.0}, {5e-4}, {5e-4}},
-             std::vector<LinkSpec>{{0, 1, 0.0, 0.05}, {1, 2, 0.0, 0.05}}, 0),
-        hub(11) {}
-
-  [[nodiscard]] runtime::NodeConfig config(ProcId self) const {
-    return node_config(self, spec);
-  }
-
-  std::unique_ptr<runtime::Node> make_node(runtime::NodeConfig cfg,
-                                           double offset, double rate) {
-    const ProcId self = cfg.self;
-    return std::make_unique<runtime::Node>(
-        std::move(cfg), loss_tolerant_csa(),
-        std::make_unique<runtime::ScaledTimeSource>(offset, rate),
-        hub.endpoint(self));
-  }
-};
+/// The canonical 3-node path (source - relay - leaf) as a runtime mesh:
+/// spec rho 5e-4, 50 ms link bounds, hub seed 11.  Tests re-shape the
+/// hub's per-direction latency/loss themselves.
+inline runtime::Mesh three_node_path() {
+  return runtime::Mesh(
+      workloads::make_path(
+          3, {.rho = 5e-4, .latency = sim::LatencyModel::uniform(0.0, 0.05)})
+          .spec,
+      11);
+}
 
 }  // namespace driftsync::testing

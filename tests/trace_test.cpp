@@ -1,7 +1,7 @@
 // Tracer tests (DESIGN.md §8): ring-buffer semantics (wraparound, ordering,
 // torn-read discipline under concurrent writers), deterministic trace-id
 // minting, the byte-stable Chrome/Perfetto export, and end-to-end causal
-// propagation across a 3-node ThreadHub network — the same id must appear
+// propagation across a 3-node runtime::Mesh — the same id must appear
 // on the sender's and the receiver's event streams.
 #include <gtest/gtest.h>
 
@@ -14,14 +14,16 @@
 #include <vector>
 
 #include "common/trace.h"
+#include "runtime/mesh.h"
 #include "runtime/node.h"
-#include "runtime/thread_transport.h"
 #include "test_util.h"
 
 namespace driftsync {
 namespace {
 
-using driftsync::testing::ThreeNodeNet;
+using driftsync::testing::loss_tolerant;
+using driftsync::testing::node_config;
+using driftsync::testing::three_node_path;
 
 /// Deterministic test clock: 1, 2, 3, ... seconds.
 std::function<double()> counter_clock() {
@@ -189,28 +191,27 @@ TEST(ChromeExport, KindNamesAreStable) {
 // End-to-end propagation: a minted id must cross the wire.
 
 TEST(TraceIntegration, IdPropagatesAcrossThreeNodeNetwork) {
-  // The tracer must outlive the net: the hub's worker thread records drops
-  // until ~ThreeNodeNet joins it (TSan catches the reverse order as a
+  // The tracer must outlive the mesh: the hub's worker thread records drops
+  // until ~Mesh joins it (TSan catches the reverse order as a
   // use-after-scope race).
   Tracer tracer(8192);
-  ThreeNodeNet net;
-  net.hub.set_tracer(&tracer);
-  net.hub.set_link(0, 1, 0.0005, 0.003);
-  net.hub.set_link(1, 2, 0.0005, 0.003);
+  runtime::Mesh mesh = three_node_path();
+  mesh.hub().set_tracer(&tracer);
+  mesh.hub().set_link(0, 1, 0.0005, 0.003);
+  mesh.hub().set_link(1, 2, 0.0005, 0.003);
 
   const double offsets[3] = {0.0, 17.0, -8.5};
   const double rates[3] = {1.0, 1.0 + 4e-4, 1.0 - 3e-4};
-  std::vector<std::unique_ptr<runtime::Node>> nodes;
   for (ProcId p = 0; p < 3; ++p) {
-    runtime::NodeConfig cfg = net.config(p);
+    runtime::NodeConfig cfg = node_config(p, mesh.spec());
     cfg.tracer = &tracer;
-    nodes.push_back(net.make_node(std::move(cfg), offsets[p], rates[p]));
+    mesh.add(std::move(cfg), loss_tolerant(), offsets[p], rates[p]);
   }
-  for (auto& node : nodes) node->start();
+  mesh.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(800));
   // Externalize an estimate on each node so the lifecycle event is traced.
-  for (auto& node : nodes) (void)node->estimate();
-  for (auto& node : nodes) node->stop();
+  for (ProcId p = 0; p < 3; ++p) (void)mesh.node(p).estimate();
+  mesh.stop();
 
   // Every delivered id was previously sent by a *different* node, and at
   // least one send/deliver pair exists for every link direction's sender.

@@ -41,7 +41,7 @@
 namespace driftsync::runtime {
 namespace {
 
-using driftsync::testing::contains_truth;
+using driftsync::testing::brackets_truth;
 using driftsync::testing::loss_tolerant_csa;
 using driftsync::testing::two_node_spec;
 
@@ -154,8 +154,8 @@ TEST(UdpNode, TwoNodeLoopbackSmoke) {
   n1.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(1200));
 
-  EXPECT_TRUE(contains_truth(n0));
-  EXPECT_TRUE(contains_truth(n1));
+  EXPECT_TRUE(brackets_truth(n0));
+  EXPECT_TRUE(brackets_truth(n1));
   EXPECT_EQ(n0.estimate().width(), 0.0);
   // Loopback latency is microseconds; anything near the 50 ms spec bound
   // would mean the protocol never exchanged fresh information.
@@ -226,8 +226,8 @@ TEST(UdpNode, MalformedDatagramStormLeavesNodeServing) {
   std::this_thread::sleep_for(std::chrono::milliseconds(800));
   const NodeStats s1 = n1.stats();
   EXPECT_GT(s1.decode_drops, 0u);  // The storm was actually seen.
-  EXPECT_TRUE(contains_truth(n0));
-  EXPECT_TRUE(contains_truth(n1));
+  EXPECT_TRUE(brackets_truth(n0));
+  EXPECT_TRUE(brackets_truth(n1));
   EXPECT_LT(n1.estimate().width(), 0.05);
   n1.stop();
   n0.stop();
@@ -668,9 +668,9 @@ TEST(UdpNode, ShardedThreeNodeConverges) {
   n2.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(1500));
 
-  EXPECT_TRUE(contains_truth(n0));
-  EXPECT_TRUE(contains_truth(n1));
-  EXPECT_TRUE(contains_truth(n2));
+  EXPECT_TRUE(brackets_truth(n0));
+  EXPECT_TRUE(brackets_truth(n1));
+  EXPECT_TRUE(brackets_truth(n2));
   EXPECT_LT(n1.estimate().width(), 0.05);
   EXPECT_LT(n2.estimate().width(), 0.10);  // Two hops from the source.
   const NodeStats s1 = n1.stats();

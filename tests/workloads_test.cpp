@@ -62,6 +62,57 @@ TEST(TopologyTest, RandomConnectedWithExtraEdges) {
   }
 }
 
+std::vector<std::pair<ProcId, ProcId>> edges(const Network& net) {
+  std::vector<std::pair<ProcId, ProcId>> out;
+  for (const LinkSpec& l : net.spec.links()) out.emplace_back(l.a, l.b);
+  return out;
+}
+
+// The runtime experiments (EXP-16 resilience, EXP-17 churn) sweep these
+// meshes.  The lists are the ones the experiments drew from their own
+// builders before they took their graphs from this library; a changed
+// builder would silently change what those sweeps measure.
+TEST(TopologyTest, RuntimeExperimentGraphsArePinned) {
+  using Edges = std::vector<std::pair<ProcId, ProcId>>;
+  const TopoParams params = fast_params();
+  EXPECT_EQ(edges(make_ring(6, params)),
+            (Edges{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}}));
+  EXPECT_EQ(edges(make_grid(3, 3, params)),
+            (Edges{{0, 1}, {0, 3}, {1, 2}, {1, 4}, {2, 5}, {3, 4}, {3, 6},
+                   {4, 5}, {4, 7}, {5, 8}, {6, 7}, {7, 8}}));
+  EXPECT_EQ(edges(make_star(6, params)),
+            (Edges{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}}));
+  EXPECT_EQ(edges(make_erdos_renyi(7, 0.55, 1, params)),
+            (Edges{{0, 1}, {0, 2}, {0, 3}, {0, 6}, {1, 2}, {1, 4}, {1, 5},
+                   {1, 6}, {2, 3}, {2, 5}, {3, 4}}));
+  EXPECT_EQ(edges(make_erdos_renyi(7, 0.55, 2, params)),
+            (Edges{{0, 1}, {0, 2}, {0, 5}, {0, 6}, {1, 3}, {1, 5}, {1, 6},
+                   {2, 3}, {2, 5}, {3, 4}, {4, 5}, {4, 6}}));
+  EXPECT_EQ(edges(make_erdos_renyi(7, 0.55, 3, params)),
+            (Edges{{0, 1}, {0, 2}, {1, 2}, {1, 4}, {1, 5}, {2, 5}, {2, 6},
+                   {3, 4}, {3, 5}, {3, 6}, {4, 6}}));
+}
+
+// EXP-16 gates f <= ceil(conn/2) - 1 on these, so connectivity is pinned
+// too (as the max-flow computation the experiment used before found it).
+TEST(TopologyTest, VertexConnectivityOfTheExperimentGraphs) {
+  const TopoParams params = fast_params();
+  EXPECT_EQ(vertex_connectivity(make_ring(6, params).spec), 2u);
+  EXPECT_EQ(vertex_connectivity(make_grid(3, 3, params).spec), 2u);
+  EXPECT_EQ(vertex_connectivity(make_star(6, params).spec), 1u);
+  EXPECT_EQ(vertex_connectivity(make_path(4, params).spec), 1u);
+  EXPECT_EQ(vertex_connectivity(make_path(2, params).spec), 1u);
+  EXPECT_EQ(vertex_connectivity(make_erdos_renyi(7, 0.55, 1, params).spec),
+            2u);
+  EXPECT_EQ(vertex_connectivity(make_erdos_renyi(7, 0.55, 2, params).spec),
+            3u);
+  EXPECT_EQ(vertex_connectivity(make_erdos_renyi(7, 0.55, 3, params).spec),
+            2u);
+  // Complete graphs have no separating cut: n - 1 by convention.
+  EXPECT_EQ(vertex_connectivity(make_erdos_renyi(5, 1.0, 1, params).spec),
+            4u);
+}
+
 TEST(TopologyTest, NtpHierarchyShape) {
   const Network net = make_ntp_hierarchy({2, 4, 8}, 2, false, 1,
                                          fast_params());

@@ -1,9 +1,9 @@
 // driftsync_chaos — seeded fault-injection scenarios with a ground-truth
 // oracle (DESIGN.md S7).
 //
-// Runs a 3-node triangle (source 0; all links specced [0, 50ms]) over the
-// in-process hub, wraps every endpoint in a ChaosTransport and every clock
-// in a FaultyTimeSource, drives a named fault schedule against it, and
+// Runs a 3-node triangle (source 0; all links specced [0, 50ms]) as a
+// runtime::Mesh — every endpoint behind a ChaosTransport, every clock
+// behind a FaultyTimeSource — drives a named fault schedule against it, and
 // checks the paper's invariants with an InvariantOracle the whole time.
 // Every stochastic choice flows through --seed, so a failing run is
 // replayed bit-identically (fault-schedule-wise) from its verdict line
@@ -61,13 +61,11 @@
 // the last stdout line is a JSON verdict either way.
 #include <cstdint>
 #include <cstdio>
-#include <ctime>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 #include "common/errors.h"
 #include "common/flags.h"
@@ -78,11 +76,11 @@
 #include "runtime/byzantine.h"
 #include "runtime/chaos.h"
 #include "runtime/datagram.h"
+#include "runtime/mesh.h"
 #include "runtime/node.h"
-#include "runtime/oracle.h"
-#include "runtime/thread_transport.h"
 #include "runtime/time_source.h"
 #include "serve/client_session.h"
+#include "workloads/topology.h"
 
 using namespace driftsync;
 using namespace driftsync::runtime;
@@ -101,126 +99,30 @@ constexpr std::size_t kProcs = 3;
 constexpr double kOffsets[kProcs] = {0.0, 41.5, -13.25};
 constexpr double kRates[kProcs] = {1.0, 1.0 + 3e-4, 1.0 - 2e-4};
 
-void nap(double seconds) {
-  const timespec ts{static_cast<time_t>(seconds),
-                    static_cast<long>((seconds - static_cast<double>(
-                                                     static_cast<time_t>(
-                                                         seconds))) *
-                                      1e9)};
-  nanosleep(&ts, nullptr);
-}
-
-SystemSpec make_spec() {
-  std::vector<ClockSpec> clocks{{0.0}, {kRho}, {kRho}};
-  std::vector<LinkSpec> links;
-  links.emplace_back(0, 1, 0.0, 0.05);
-  links.emplace_back(0, 2, 0.0, 0.05);
-  links.emplace_back(1, 2, 0.0, 0.05);
-  return SystemSpec(clocks, links, 0);
-}
-
-/// The triangle under test, with non-owning handles into each node's chaos
-/// decorators (the nodes own them).
-struct Harness {
-  SystemSpec spec = make_spec();
-  ThreadHub hub;
-  ChaosEventLog log;
-  InvariantOracle oracle;
-  std::vector<std::unique_ptr<Node>> nodes;
-  std::vector<ChaosTransport*> chaos{kProcs, nullptr};
-  std::vector<FaultyTimeSource*> clocks{kProcs, nullptr};
-  std::uint64_t seed;
-  /// Dynamic membership (churn scenarios): admit kJoinReq from spec
-  /// neighbors, honor kLeave.  Off elsewhere — the fixed-roster scenarios
-  /// double as regression cover for the default-closed gate.
-  bool dynamic_join = false;
-  /// Serving tier on node 0 (client-storm); 0 leaves serving disabled.
-  std::size_t serve_max_clients = 0;
-  double serve_idle_timeout = 0.4;
-  double serve_evict_grace = 0.05;
-  /// Byzantine seat (byzantine-* scenarios): kInvalidProc leaves every
-  /// node honest; otherwise that node's outbound goes through a
-  /// ByzantinePeer with byz_strategy.  byz_start_inactive arms it dormant
-  /// so scenarios can strike after convergence (the ramp's t=0 is still
-  /// construction time, so a late strike opens with a gross lie).
-  ProcId byz_node = kInvalidProc;
-  ByzantineStrategy byz_strategy;
-  bool byz_start_inactive = false;
-  ByzantinePeer* byz = nullptr;
-
-  explicit Harness(std::uint64_t s, bool quiet = false,
-                   InvariantOracle::Options oracle_opts = {})
-      : hub(s ^ 0xC0FFEEULL),
-        log(quiet ? nullptr : stderr),
-        oracle(oracle_opts),
-        seed(s) {}
-
-  std::unique_ptr<Node> build_node(ProcId p, const ChaosFaults& faults,
-                                   const std::string& checkpoint = "") {
+/// Seats the triangle on `mesh` (not started): every seat injects `faults`
+/// from fault stream seed + 1000 * (p + 1), and `tweak` (if any) adjusts a
+/// seat's config before it is built.  The 1-2 link is slower than the two
+/// links to the source.
+void seat_triangle(Mesh& mesh, std::uint64_t seed, const ChaosFaults& faults,
+                   const std::function<void(NodeConfig&)>& tweak = {}) {
+  mesh.hub().set_link(1, 2, 0.001, 0.008);
+  for (ProcId p = 0; p < kProcs; ++p) {
     NodeConfig cfg;
     cfg.self = p;
-    cfg.spec = spec;
     cfg.poll_period = 0.04;
     cfg.fate_timeout = 0.25;
     cfg.skip_retry = 0.08;
-    cfg.checkpoint_path = checkpoint;
-    cfg.dynamic_join = dynamic_join;
-    if (p == 0 && serve_max_clients > 0) {
-      cfg.serve_max_clients = serve_max_clients;
-      cfg.serve_idle_timeout = serve_idle_timeout;
-      cfg.serve_evict_grace = serve_evict_grace;
-    }
     // A lying peer's messages are accepted one at a time, so the decayed
     // suspicion score must outrun the decay between detections; 0.9 keeps
     // an every-other-message liar divergent under the default threshold.
     cfg.suspicion_decay = 0.9;
+    if (tweak) tweak(cfg);
     OptimalCsa::Options opts;
     opts.loss_tolerant = true;
     opts.cross_validation = true;
-    auto chaos_transport = std::make_unique<ChaosTransport>(
-        hub.endpoint(p), p, faults, seed + 1000 * (p + 1), &log);
-    auto clock = std::make_unique<FaultyTimeSource>(
-        std::make_unique<ScaledTimeSource>(kOffsets[p], kRates[p]));
-    chaos[p] = chaos_transport.get();
-    clocks[p] = clock.get();
-    std::unique_ptr<Transport> transport = std::move(chaos_transport);
-    if (p == byz_node) {
-      auto liar = std::make_unique<ByzantinePeer>(
-          std::move(transport), p, byz_strategy, seed ^ 0xB52B52ULL, &log);
-      byz = liar.get();
-      if (byz_start_inactive) byz->set_active(false);
-      transport = std::move(liar);
-    }
-    return std::make_unique<Node>(cfg, std::make_unique<OptimalCsa>(opts),
-                                  std::move(clock), std::move(transport));
+    mesh.add(cfg, opts, kOffsets[p], kRates[p], faults, seed + 1000 * (p + 1));
   }
-
-  void start(const ChaosFaults& faults, const std::string& node1_ckpt = "") {
-    hub.set_link(0, 1, 0.0005, 0.004);
-    hub.set_link(0, 2, 0.0005, 0.004);
-    hub.set_link(1, 2, 0.001, 0.008);
-    for (ProcId p = 0; p < kProcs; ++p) {
-      nodes.push_back(build_node(p, faults, p == 1 ? node1_ckpt : ""));
-      oracle.track("node" + std::to_string(p), nodes.back().get(),
-                   spec.clock(p).rho);
-    }
-    for (auto& node : nodes) node->start();
-  }
-
-  void stop() {
-    for (auto& node : nodes) {
-      if (node) node->stop();
-    }
-  }
-
-  /// Sleeps `seconds` in ~100 ms slices, sampling the oracle each slice.
-  void observe_for(double seconds) {
-    for (double t = 0.0; t < seconds; t += 0.1) {
-      nap(0.1);
-      oracle.observe();
-    }
-  }
-};
+}
 
 /// Prints a scenario-expectation failure as a JSON line; returns 1.
 std::uint64_t expect_failed(const char* what, const std::string& detail) {
@@ -232,8 +134,8 @@ std::uint64_t expect_failed(const char* what, const std::string& detail) {
 }
 
 /// Expect `node`'s quarantine roster to be exactly {bad}.
-std::uint64_t expect_quarantined(const Harness& h, ProcId node, ProcId bad) {
-  const NodeStats s = h.nodes[node]->stats();
+std::uint64_t expect_quarantined(const Mesh& m, ProcId node, ProcId bad) {
+  const NodeStats s = m.node(node).stats();
   if (s.quarantined.size() == 1 && s.quarantined[0] == bad &&
       s.peer_quarantines >= 1) {
     return 0;
@@ -247,83 +149,83 @@ std::uint64_t expect_quarantined(const Harness& h, ProcId node, ProcId bad) {
                            roster + "], want [" + std::to_string(bad) + "]");
 }
 
-std::uint64_t expect_converged(const Harness& h, ProcId node, double bound) {
-  const double width = h.nodes[node]->estimate().width();
+std::uint64_t expect_converged(const Mesh& m, ProcId node, double bound) {
+  const double width = m.node(node).estimate().width();
   if (width < bound) return 0;
   return expect_failed("converged", "node " + std::to_string(node) +
                                         " width " + std::to_string(width) +
                                         " >= " + std::to_string(bound));
 }
 
-std::uint64_t run_partition_heal(Harness& h, double duration) {
-  h.start(ChaosFaults{});
-  h.observe_for(duration * 0.25);
+std::uint64_t run_partition_heal(Mesh& m, std::uint64_t seed, double duration) {
+  seat_triangle(m, seed, {});
+  m.start();
+  m.observe_for(duration * 0.25);
   // Cut 0-1 both ways.  1 still reaches the source through 2, so its
   // estimate keeps converging; fates across the cut abort into losses.
-  h.chaos[0]->set_partitioned(1, true);
-  h.chaos[1]->set_partitioned(0, true);
-  h.oracle.mark_lossish("node0");
-  h.oracle.mark_lossish("node1");
-  h.observe_for(duration * 0.25);
-  h.chaos[0]->set_partitioned(1, false);
-  h.chaos[1]->set_partitioned(0, false);
-  h.observe_for(duration * 0.5);
-  h.oracle.observe();
-  h.oracle.check_loss_soundness();  // Node 2's links never faulted.
+  m.chaos(0).set_partitioned(1, true);
+  m.chaos(1).set_partitioned(0, true);
+  m.oracle().mark_lossish("node0");
+  m.oracle().mark_lossish("node1");
+  m.observe_for(duration * 0.25);
+  m.chaos(0).set_partitioned(1, false);
+  m.chaos(1).set_partitioned(0, false);
+  m.observe_for(duration * 0.5);
+  m.oracle().observe();
+  m.oracle().check_loss_soundness();  // Node 2's links never faulted.
   std::uint64_t failed = 0;
-  failed += expect_converged(h, 1, 0.5);
-  failed += expect_converged(h, 2, 0.5);
+  failed += expect_converged(m, 1, 0.5);
+  failed += expect_converged(m, 2, 0.5);
   return failed;
 }
 
-std::uint64_t run_clock_step(Harness& h, double duration) {
-  h.start(ChaosFaults{});
-  h.observe_for(duration * 0.4);
+std::uint64_t run_clock_step(Mesh& m, std::uint64_t seed, double duration) {
+  seat_triangle(m, seed, {});
+  m.start();
+  m.observe_for(duration * 0.4);
   // A +0.5 s jump is far outside the rho = 5e-4 drift spec: node 2's
   // subsequent send timestamps are infeasible under every conforming
   // execution, so 0 and 1 must renounce them and quarantine node 2 —
   // and must NOT quarantine each other.
-  h.clocks[2]->inject_step(0.5);
-  h.oracle.mark_clock_violated("node2");
+  m.clock(2).inject_step(0.5);
+  m.oracle().mark_clock_violated("node2");
   // Renounced datagrams resolve as losses on every edge of the triangle.
-  h.oracle.mark_lossish("node0");
-  h.oracle.mark_lossish("node1");
-  h.oracle.mark_lossish("node2");
-  h.observe_for(duration * 0.6);
-  h.oracle.observe();
+  for (ProcId p = 0; p < kProcs; ++p) m.oracle().mark_lossish(Mesh::name(p));
+  m.observe_for(duration * 0.6);
+  m.oracle().observe();
   std::uint64_t failed = 0;
-  failed += expect_quarantined(h, 0, 2);
-  failed += expect_quarantined(h, 1, 2);
-  failed += expect_converged(h, 1, 0.5);
+  failed += expect_quarantined(m, 0, 2);
+  failed += expect_quarantined(m, 1, 2);
+  failed += expect_converged(m, 1, 0.5);
   return failed;
 }
 
-std::uint64_t run_crash_restart(Harness& h, double duration,
-                                const std::string& ckpt) {
-  h.start(ChaosFaults{}, ckpt);
-  h.observe_for(duration * 0.4);
+std::uint64_t run_crash_restart(Mesh& m, std::uint64_t seed,
+                                double duration) {
+  seat_triangle(m, seed, {}, [&m](NodeConfig& cfg) {
+    if (cfg.self == 1) cfg.checkpoint_path = m.checkpoint_path(1);
+  });
+  m.start();
+  m.observe_for(duration * 0.4);
   // Kill node 1 (its endpoint unregisters; neighbors' fates fire into the
   // void) and restart it from the write-ahead checkpoint.  The oracle keeps
   // node 1's pre-crash baseline: if the restart forgot any knowledge, the
   // restarted estimate escapes the drift envelope and the run fails.
-  h.nodes[1]->stop();
-  h.nodes[1].reset();
-  h.oracle.mark_lossish("node0");
-  h.oracle.mark_lossish("node2");
+  m.kill(1);
+  m.oracle().mark_lossish("node0");
+  m.oracle().mark_lossish("node2");
   nap(0.3);
-  h.nodes[1] = h.build_node(1, ChaosFaults{}, ckpt);
-  h.nodes[1]->start();
-  h.oracle.note_restart("node1", h.nodes[1].get());
-  h.observe_for(duration * 0.6);
-  h.oracle.observe();
-  h.oracle.check_loss_soundness();
+  m.restart(1);
+  m.observe_for(duration * 0.6);
+  m.oracle().observe();
+  m.oracle().check_loss_soundness();
   std::uint64_t failed = 0;
-  failed += expect_converged(h, 1, 0.5);
-  failed += expect_converged(h, 2, 0.5);
+  failed += expect_converged(m, 1, 0.5);
+  failed += expect_converged(m, 2, 0.5);
   return failed;
 }
 
-std::uint64_t run_client_storm(Harness& h, double duration) {
+std::uint64_t run_client_storm(Mesh& m, std::uint64_t seed, double duration) {
   // 1.5 clients per session slot, a grace window shorter than the fleet's
   // revisit period, and an idle timeout that never fires mid-storm: every
   // newcomer past the cap either evicts an aged LRU tail or is rejected,
@@ -331,9 +233,14 @@ std::uint64_t run_client_storm(Harness& h, double duration) {
   // estimating through drops, duplicates and reorders.
   constexpr std::size_t kCap = 16;
   constexpr std::size_t kFleet = 24;
-  h.serve_max_clients = kCap;
-  h.start(ChaosFaults{});
-  h.observe_for(duration * 0.3);  // Let the mesh converge first.
+  seat_triangle(m, seed, {}, [](NodeConfig& cfg) {
+    if (cfg.self != 0) return;
+    cfg.serve_max_clients = kCap;
+    cfg.serve_idle_timeout = 0.4;
+    cfg.serve_evict_grace = 0.05;
+  });
+  m.start();
+  m.observe_for(duration * 0.3);  // Let the mesh converge first.
 
   ChaosFaults faults;
   faults.drop = 0.15;
@@ -355,7 +262,7 @@ std::uint64_t run_client_storm(Harness& h, double duration) {
   };
   std::mutex storm_mu;
   std::vector<std::unique_ptr<StormClient>> fleet;
-  Rng rng(h.seed ^ 0x5708E);
+  Rng rng(seed ^ 0x5708E);
   for (std::size_t c = 0; c < kFleet; ++c) {
     const ProcId proc = static_cast<ProcId>(100 + c);
     serve::ClientEstimator::Options opts;
@@ -364,9 +271,9 @@ std::uint64_t run_client_storm(Harness& h, double duration) {
     const double offset = rng.uniform(-50.0, 50.0);
     const double rate = 1.0 + rng.uniform(-3e-4, 3e-4);
     auto client = std::make_unique<StormClient>(offset, rate, opts);
-    h.hub.set_link(0, proc, 0.0005, 0.004);
+    m.hub().set_link(0, proc, 0.0005, 0.004);
     client->transport = std::make_unique<ChaosTransport>(
-        h.hub.endpoint(proc), proc, faults, h.seed + 5000 * (c + 1), &h.log);
+        m.hub().endpoint(proc), proc, faults, seed + 5000 * (c + 1), &m.log());
     StormClient* self = client.get();
     client->transport->start(
         [self, &storm_mu](std::span<const std::uint8_t> bytes) {
@@ -408,7 +315,7 @@ std::uint64_t run_client_storm(Harness& h, double duration) {
       client.transport->send(0, std::move(bytes));
     }
     if (ticks % 10 == 0) {
-      h.oracle.observe();
+      m.oracle().observe();
       const std::lock_guard<std::mutex> lock(storm_mu);
       for (const auto& client : fleet) {
         const Interval est = client->est.estimate(client->clock.now());
@@ -422,10 +329,10 @@ std::uint64_t run_client_storm(Harness& h, double duration) {
   }
   // Stop delivery before the fleet (and the handlers' captures) go away.
   for (const auto& client : fleet) client->transport->stop();
-  h.oracle.observe();
+  m.oracle().observe();
 
   std::uint64_t failed = 0;
-  const NodeStats s = h.nodes[0]->stats();
+  const NodeStats s = m.node(0).stats();
   if (s.serve_requests == 0) {
     failed += expect_failed("serve-requests",
                             "server answered zero client requests");
@@ -460,11 +367,12 @@ std::uint64_t run_client_storm(Harness& h, double duration) {
                             std::to_string(bracket_violations) +
                                 " client estimates missed ground truth");
   }
-  failed += expect_converged(h, 1, 0.5);
+  failed += expect_converged(m, 1, 0.5);
   return failed;
 }
 
-std::uint64_t run_random(Harness& h, double duration, double intensity) {
+std::uint64_t run_random(Mesh& m, std::uint64_t seed, double duration,
+                         double intensity) {
   ChaosFaults faults;
   faults.drop = 0.30 * intensity;
   faults.burst = 0.04 * intensity;
@@ -472,23 +380,22 @@ std::uint64_t run_random(Harness& h, double duration, double intensity) {
   faults.corrupt = 0.20 * intensity;
   faults.duplicate = 0.30 * intensity;
   faults.reorder = 0.25 * intensity;
-  h.start(faults);
-  for (ProcId p = 0; p < kProcs; ++p) {
-    h.oracle.mark_lossish("node" + std::to_string(p));
-  }
+  seat_triangle(m, seed, faults);
+  m.start();
+  for (ProcId p = 0; p < kProcs; ++p) m.oracle().mark_lossish(Mesh::name(p));
   // One scripted partition of a random edge, on top of the probabilistic
   // mix.  Rng(seed) keeps the choice replayable.
-  Rng rng(h.seed);
+  Rng rng(seed);
   const ProcId ends[3][2] = {{0, 1}, {0, 2}, {1, 2}};
   const auto& edge = ends[rng.uniform_index(3)];
-  h.observe_for(duration * 0.4);
-  h.chaos[edge[0]]->set_partitioned(edge[1], true);
-  h.chaos[edge[1]]->set_partitioned(edge[0], true);
-  h.observe_for(duration * 0.15);
-  h.chaos[edge[0]]->set_partitioned(edge[1], false);
-  h.chaos[edge[1]]->set_partitioned(edge[0], false);
-  h.observe_for(duration * 0.45);
-  h.oracle.observe();
+  m.observe_for(duration * 0.4);
+  m.chaos(edge[0]).set_partitioned(edge[1], true);
+  m.chaos(edge[1]).set_partitioned(edge[0], true);
+  m.observe_for(duration * 0.15);
+  m.chaos(edge[0]).set_partitioned(edge[1], false);
+  m.chaos(edge[1]).set_partitioned(edge[0], false);
+  m.observe_for(duration * 0.45);
+  m.oracle().observe();
   return 0;
 }
 
@@ -500,7 +407,7 @@ std::uint64_t expect_counter(ProcId node, const char* what,
                        "node " + std::to_string(node) + " " + what + " == 0");
 }
 
-std::uint64_t run_byzantine_skew(Harness& h, double duration) {
+std::uint64_t run_byzantine_skew(Mesh& m, std::uint64_t seed, double duration) {
   // Node 2 stays an honest estimator with a conforming clock, but once
   // struck its outbound timestamps ramp at 2 s/s.  The strike lands after
   // convergence, so the opening lie (the ramp accrues from construction)
@@ -509,52 +416,59 @@ std::uint64_t run_byzantine_skew(Harness& h, double duration) {
   // node 2.  Node 2's own view ingests only honest data, so containment
   // is checked on all three nodes — unlike clock-step, the attacker's
   // estimate is NOT forfeit.
-  h.byz_node = 2;
-  h.byz_strategy.skew_rate = 2.0;
-  h.byz_strategy.skew_max = 100.0;
-  h.byz_start_inactive = true;
-  h.start(ChaosFaults{});
-  h.observe_for(duration * 0.4);
-  h.byz->set_active(true);
+  ByzantineStrategy attack;
+  attack.skew_rate = 2.0;
+  attack.skew_max = 100.0;
+  m.set_byzantine(2, attack, seed ^ 0xB52B52ULL);
+  seat_triangle(m, seed, {});
+  // Dormant until convergence; the ramp's t = 0 is still construction time.
+  m.byzantine(2).set_active(false);
+  m.start();
+  m.observe_for(duration * 0.4);
+  m.byzantine(2).set_active(true);
   // Every renounced datagram resolves as a loss at the liar; the honest
   // nodes' own sends keep landing, so their loss counters must stay 0.
-  h.oracle.mark_lossish("node2");
-  h.observe_for(duration * 0.6);
-  h.oracle.observe();
-  h.oracle.check_loss_soundness();
+  m.oracle().mark_lossish("node2");
+  m.observe_for(duration * 0.6);
+  m.oracle().observe();
+  m.oracle().check_loss_soundness();
   std::uint64_t failed = 0;
-  failed += expect_quarantined(h, 0, 2);
-  failed += expect_quarantined(h, 1, 2);
+  failed += expect_quarantined(m, 0, 2);
+  failed += expect_quarantined(m, 1, 2);
   failed += expect_counter(0, "infeasible_rejected",
-                           h.nodes[0]->stats().infeasible_rejected);
-  failed += expect_converged(h, 1, 0.5);
-  failed += expect_converged(h, 2, 0.5);
+                           m.node(0).stats().infeasible_rejected);
+  failed += expect_converged(m, 1, 0.5);
+  failed += expect_converged(m, 2, 0.5);
   return failed;
 }
 
-std::uint64_t run_byzantine_replay(Harness& h, double duration) {
+std::uint64_t run_byzantine_replay(Mesh& m, std::uint64_t seed,
+                                   double duration) {
   // Node 2 re-sends half its observations under their original dgram_seq
   // with mutated timestamps.  The digest check must separate these from
   // honest duplicates (replay_rejected, suspicion) and the mutated copy
   // must never re-enter the view — containment holds throughout.
-  h.byz_node = 2;
-  h.byz_strategy.replay = 0.5;
-  h.start(ChaosFaults{});
-  h.oracle.mark_lossish("node2");  // Quarantine probes renounce its data.
-  h.observe_for(duration);
-  h.oracle.observe();
-  h.oracle.check_loss_soundness();
+  ByzantineStrategy attack;
+  attack.replay = 0.5;
+  m.set_byzantine(2, attack, seed ^ 0xB52B52ULL);
+  seat_triangle(m, seed, {});
+  m.start();
+  m.oracle().mark_lossish("node2");  // Quarantine probes renounce its data.
+  m.observe_for(duration);
+  m.oracle().observe();
+  m.oracle().check_loss_soundness();
   std::uint64_t failed = 0;
   for (ProcId p = 0; p < 2; ++p) {
-    const NodeStats s = h.nodes[p]->stats();
+    const NodeStats s = m.node(p).stats();
     failed += expect_counter(p, "replay_rejected", s.replay_rejected);
     failed += expect_counter(p, "peer_quarantines", s.peer_quarantines);
   }
-  failed += expect_converged(h, 1, 0.5);
+  failed += expect_converged(m, 1, 0.5);
   return failed;
 }
 
-std::uint64_t run_byzantine_equivocate(Harness& h, double duration) {
+std::uint64_t run_byzantine_equivocate(Mesh& m, std::uint64_t seed,
+                                       double duration) {
   // Node 2 tells node 0 everything +0.4 ms and node 1 everything -0.4 ms
   // (skew saturates at skew_max within a millisecond, so the lie is a
   // constant equivocation).  Each edge alone is a perfectly legal clock —
@@ -567,16 +481,16 @@ std::uint64_t run_byzantine_equivocate(Harness& h, double duration) {
   // engine) — those renounces resolve as losses on the honest edge, which
   // is the price of never fabricating — but only node 2's score may rise
   // from them, which the attribution expectations below pin down.
-  h.byz_node = 2;
-  h.byz_strategy.skew_rate = 1.0;
-  h.byz_strategy.skew_max = 4e-4;
-  h.byz_strategy.equivocate = true;
-  h.start(ChaosFaults{});
-  h.oracle.mark_lossish("node0");
-  h.oracle.mark_lossish("node1");
-  h.oracle.mark_lossish("node2");
-  h.observe_for(duration);
-  h.oracle.observe();
+  ByzantineStrategy attack;
+  attack.skew_rate = 1.0;
+  attack.skew_max = 4e-4;
+  attack.equivocate = true;
+  m.set_byzantine(2, attack, seed ^ 0xB52B52ULL);
+  seat_triangle(m, seed, {});
+  m.start();
+  for (ProcId p = 0; p < kProcs; ++p) m.oracle().mark_lossish(Mesh::name(p));
+  m.observe_for(duration);
+  m.oracle().observe();
   // The outcome is asymmetric by nature: whichever victim quarantines
   // node 2 first stops ingesting its story, and from then on the OTHER
   // victim hears only one version plus echoes of that same version — it
@@ -587,7 +501,7 @@ std::uint64_t run_byzantine_equivocate(Harness& h, double duration) {
   std::uint64_t equivocations = 0;
   std::uint64_t quarantines = 0;
   for (ProcId p = 0; p < 2; ++p) {
-    const NodeStats s = h.nodes[p]->stats();
+    const NodeStats s = m.node(p).stats();
     equivocations += s.equivocations_detected;
     quarantines += s.peer_quarantines;
     // The current roster may only contain node 2, and a readmission cost
@@ -612,16 +526,36 @@ std::uint64_t run_byzantine_equivocate(Harness& h, double duration) {
   }
   failed += expect_counter(0, "equivocations_detected", equivocations);
   failed += expect_counter(0, "peer_quarantines", quarantines);
-  failed += expect_converged(h, 1, 0.5);
+  failed += expect_converged(m, 1, 0.5);
   return failed;
 }
 
-/// Expect zero quarantines anywhere: membership churn between honest nodes
-/// must never read as an attack.
-std::uint64_t expect_no_quarantines(const Harness& h) {
+/// Seats and starts the triangle with dynamic membership on, every pair
+/// under the gradient envelope, and losses legal everywhere (a leave aborts
+/// the in-flight fates on both ends).
+void start_churning(Mesh& m, std::uint64_t seed) {
+  seat_triangle(m, seed, {}, [](NodeConfig& cfg) { cfg.dynamic_join = true; });
+  m.start();
+  for (const LinkSpec& link : m.spec().links()) {
+    m.oracle().track_gradient_pair(Mesh::name(link.a), Mesh::name(link.b));
+  }
+  for (ProcId p = 0; p < kProcs; ++p) m.oracle().mark_lossish(Mesh::name(p));
+}
+
+/// The churn verdict: both incumbents saw node 2 leave and rejoin, the mesh
+/// reconverged, and nobody quarantined anyone — membership churn between
+/// honest nodes must never read as an attack.
+std::uint64_t expect_churn_survived(const Mesh& m) {
   std::uint64_t failed = 0;
+  for (ProcId p = 0; p < 2; ++p) {
+    const NodeStats s = m.node(p).stats();
+    failed += expect_counter(p, "peer_joins", s.peer_joins);
+    failed += expect_counter(p, "peer_leaves", s.peer_leaves);
+  }
+  failed += expect_converged(m, 1, 0.5);
+  failed += expect_converged(m, 2, 0.5);
   for (ProcId p = 0; p < kProcs; ++p) {
-    const std::uint64_t q = h.nodes[p]->stats().peer_quarantines;
+    const std::uint64_t q = m.node(p).stats().peer_quarantines;
     if (q > 0) {
       failed += expect_failed("no-quarantine",
                               "node " + std::to_string(p) + " quarantined " +
@@ -632,7 +566,7 @@ std::uint64_t expect_no_quarantines(const Harness& h) {
   return failed;
 }
 
-std::uint64_t run_churn(Harness& h, double duration) {
+std::uint64_t run_churn(Mesh& m, std::uint64_t seed, double duration) {
   // Dynamic membership under measured churn (DESIGN.md decision 19):
   // node 2 leaves the mesh and rejoins on a seeded schedule while 0 and 1
   // keep serving.  Every leave aborts in-flight fates (losses are legal on
@@ -642,51 +576,36 @@ std::uint64_t run_churn(Harness& h, double duration) {
   // no-quarantine expectation pins down.  The gradient envelope (oracle
   // invariant 5) is checked on every pair the whole time: neighbor-clock
   // bounds are knowledge-based and must stay valid across the churn.
-  h.dynamic_join = true;
-  h.start(ChaosFaults{});
-  h.oracle.track_gradient_pair("node0", "node1");
-  h.oracle.track_gradient_pair("node0", "node2");
-  h.oracle.track_gradient_pair("node1", "node2");
-  for (ProcId p = 0; p < kProcs; ++p) {
-    h.oracle.mark_lossish("node" + std::to_string(p));
-  }
-  h.observe_for(duration * 0.3);  // Converge on the full roster first.
+  start_churning(m, seed);
+  m.observe_for(duration * 0.3);  // Converge on the full roster first.
 
-  Rng rng(h.seed ^ 0xC11A05ULL);
+  Rng rng(seed ^ 0xC11A05ULL);
   std::uint64_t cycles = 0;
   double spent = 0.0;
   while (spent < duration * 0.45) {
     // Leave: the churner walks out — retires both neighbors locally and
     // tells them so; they retire it in turn.
-    h.nodes[2]->remove_peer(0);
-    h.nodes[2]->remove_peer(1);
+    m.node(2).remove_peer(0);
+    m.node(2).remove_peer(1);
     ++cycles;
     const double away = rng.uniform(0.15, 0.35);
-    h.observe_for(away);
+    m.observe_for(away);
     // Rejoin through both neighbors; the mesh re-admits and re-polls.
-    h.nodes[2]->admit_peer(0);
-    h.nodes[2]->admit_peer(1);
+    m.node(2).admit_peer(0);
+    m.node(2).admit_peer(1);
     const double dwell = rng.uniform(0.25, 0.5);
-    h.observe_for(dwell);
+    m.observe_for(dwell);
     spent += away + dwell;
   }
-  h.observe_for(duration * 0.25);  // Settle with everyone back in.
-  h.oracle.observe();
+  m.observe_for(duration * 0.25);  // Settle with everyone back in.
+  m.oracle().observe();
 
   std::uint64_t failed = 0;
   if (cycles == 0) failed += expect_failed("churn-cycles", "schedule empty");
-  for (ProcId p = 0; p < 2; ++p) {
-    const NodeStats s = h.nodes[p]->stats();
-    failed += expect_counter(p, "peer_joins", s.peer_joins);
-    failed += expect_counter(p, "peer_leaves", s.peer_leaves);
-  }
-  failed += expect_no_quarantines(h);
-  failed += expect_converged(h, 1, 0.5);
-  failed += expect_converged(h, 2, 0.5);
-  return failed;
+  return failed + expect_churn_survived(m);
 }
 
-std::uint64_t run_join_flap(Harness& h, double duration) {
+std::uint64_t run_join_flap(Mesh& m, std::uint64_t seed, double duration) {
   // Membership flapping: leave and rejoin with barely any dwell, racing
   // admissions against in-flight data, acks and skip commits.  The dwell
   // windows (20-80 ms out, 20-100 ms in) sit above the hub's 4 ms max
@@ -695,48 +614,33 @@ std::uint64_t run_join_flap(Harness& h, double duration) {
   // unresolved fates.  Soundness bar: no crash, no oracle violation, no
   // honest quarantine, and the mesh still converges once the flapping
   // stops.
-  h.dynamic_join = true;
-  h.start(ChaosFaults{});
-  h.oracle.track_gradient_pair("node0", "node1");
-  h.oracle.track_gradient_pair("node0", "node2");
-  h.oracle.track_gradient_pair("node1", "node2");
-  for (ProcId p = 0; p < kProcs; ++p) {
-    h.oracle.mark_lossish("node" + std::to_string(p));
-  }
-  h.observe_for(duration * 0.25);
+  start_churning(m, seed);
+  m.observe_for(duration * 0.25);
 
-  Rng rng(h.seed ^ 0xF1A9ULL);
+  Rng rng(seed ^ 0xF1A9ULL);
   std::uint64_t flaps = 0;
   for (double spent = 0.0; spent < duration * 0.5;) {
-    h.nodes[2]->remove_peer(0);
-    h.nodes[2]->remove_peer(1);
+    m.node(2).remove_peer(0);
+    m.node(2).remove_peer(1);
     const double out = rng.uniform(0.02, 0.08);
     nap(out);
-    h.nodes[2]->admit_peer(0);
-    h.nodes[2]->admit_peer(1);
+    m.node(2).admit_peer(0);
+    m.node(2).admit_peer(1);
     ++flaps;
     const double in = rng.uniform(0.02, 0.1);
     nap(in);
-    h.oracle.observe();
+    m.oracle().observe();
     spent += out + in;
   }
-  h.observe_for(duration * 0.25);  // Converge after the last rejoin.
-  h.oracle.observe();
+  m.observe_for(duration * 0.25);  // Converge after the last rejoin.
+  m.oracle().observe();
 
   std::uint64_t failed = 0;
   if (flaps < 3) {
     failed += expect_failed("flap-cycles",
                             "only " + std::to_string(flaps) + " flap cycles");
   }
-  for (ProcId p = 0; p < 2; ++p) {
-    const NodeStats s = h.nodes[p]->stats();
-    failed += expect_counter(p, "peer_joins", s.peer_joins);
-    failed += expect_counter(p, "peer_leaves", s.peer_leaves);
-  }
-  failed += expect_no_quarantines(h);
-  failed += expect_converged(h, 1, 0.5);
-  failed += expect_converged(h, 2, 0.5);
-  return failed;
+  return failed + expect_churn_survived(m);
 }
 
 }  // namespace
@@ -765,48 +669,51 @@ int main(int argc, char** argv) try {
     throw FlagError("--faults must be in [0, 1]");
   }
 
-  Harness harness(seed, quiet);
+  // Errors from here on unwind through ~Mesh, which removes the scratch
+  // checkpoint crash-restart writes.
+  // The triangle under test: source 0, every link specced [0, 50 ms].
+  const workloads::TopoParams params{
+      .rho = kRho, .latency = sim::LatencyModel::uniform(0.0, 0.05)};
+  Mesh mesh(workloads::make_ring(kProcs, params).spec, seed ^ 0xC0FFEEULL, {},
+            quiet ? nullptr : stderr);
   std::uint64_t expectation_failures = 0;
-  std::string ckpt;
   if (scenario == "partition-heal") {
-    expectation_failures = run_partition_heal(harness, duration);
+    expectation_failures = run_partition_heal(mesh, seed, duration);
   } else if (scenario == "clock-step") {
-    expectation_failures = run_clock_step(harness, duration);
+    expectation_failures = run_clock_step(mesh, seed, duration);
   } else if (scenario == "crash-restart") {
-    ckpt = "/tmp/driftsync_chaos." + std::to_string(::getpid()) + ".ckpt";
-    expectation_failures = run_crash_restart(harness, duration, ckpt);
+    expectation_failures = run_crash_restart(mesh, seed, duration);
   } else if (scenario == "client-storm") {
-    expectation_failures = run_client_storm(harness, duration);
+    expectation_failures = run_client_storm(mesh, seed, duration);
   } else if (scenario == "random") {
-    expectation_failures = run_random(harness, duration, intensity);
+    expectation_failures = run_random(mesh, seed, duration, intensity);
   } else if (scenario == "byzantine-skew") {
-    expectation_failures = run_byzantine_skew(harness, duration);
+    expectation_failures = run_byzantine_skew(mesh, seed, duration);
   } else if (scenario == "byzantine-replay") {
-    expectation_failures = run_byzantine_replay(harness, duration);
+    expectation_failures = run_byzantine_replay(mesh, seed, duration);
   } else if (scenario == "byzantine-equivocate") {
-    expectation_failures = run_byzantine_equivocate(harness, duration);
+    expectation_failures = run_byzantine_equivocate(mesh, seed, duration);
   } else if (scenario == "churn") {
-    expectation_failures = run_churn(harness, duration);
+    expectation_failures = run_churn(mesh, seed, duration);
   } else if (scenario == "join-flap") {
-    expectation_failures = run_join_flap(harness, duration);
+    expectation_failures = run_join_flap(mesh, seed, duration);
   } else {
     throw FlagError("unknown --scenario: " + scenario);
   }
-  harness.stop();
-  if (!ckpt.empty()) std::remove(ckpt.c_str());
+  mesh.stop();
 
   const std::uint64_t violations =
-      harness.oracle.violations() + expectation_failures;
-  if (violations > 0) harness.oracle.dump_context(&harness.log);
+      mesh.oracle().violations() + expectation_failures;
+  if (violations > 0) mesh.oracle().dump_context(&mesh.log());
   std::printf(
       "{\"tool\":\"driftsync_chaos\",\"scenario\":\"%s\",\"seed\":%llu,"
       "\"duration\":%g,\"faults_injected\":%llu,\"oracle_checks\":%llu,"
       "\"violations\":%llu,\"clock_worst_error\":%g,\"verdict\":\"%s\"}\n",
       scenario.c_str(), static_cast<unsigned long long>(seed), duration,
-      static_cast<unsigned long long>(harness.log.total()),
-      static_cast<unsigned long long>(harness.oracle.checks()),
+      static_cast<unsigned long long>(mesh.log().total()),
+      static_cast<unsigned long long>(mesh.oracle().checks()),
       static_cast<unsigned long long>(violations),
-      harness.oracle.disciplined_worst_error(),
+      mesh.oracle().disciplined_worst_error(),
       violations == 0 ? "PASS" : "FAIL");
   return violations == 0 ? 0 : 1;
 } catch (const driftsync::FlagError& e) {

@@ -38,7 +38,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -54,10 +53,11 @@
 #include "core/optimal_csa.h"
 #include "core/spec.h"
 #include "runtime/byzantine.h"
+#include "runtime/mesh.h"
 #include "runtime/node.h"
-#include "runtime/thread_transport.h"
 #include "runtime/time_source.h"
 #include "runtime/udp_transport.h"
+#include "workloads/topology.h"
 
 using namespace driftsync;
 using runtime::Node;
@@ -213,6 +213,32 @@ bool write_trace_json(const Tracer& tracer, const std::string& path) {
   return ok;
 }
 
+constexpr double kSelftestOffsets[3] = {0.0, 41.5, -13.25};
+constexpr double kSelftestRates[3] = {1.0, 1.0 + 3e-4, 1.0 - 2e-4};
+
+/// The selftest legs' 3-node system: source 0, drift bound 5e-4, every
+/// link specced [0, 50 ms]; the path 0-1-2, or the triangle.
+SystemSpec selftest_spec(bool triangle) {
+  const workloads::TopoParams params{
+      .rho = 5e-4, .latency = sim::LatencyModel::uniform(0.0, 0.05)};
+  return triangle ? workloads::make_ring(3, params).spec
+                  : workloads::make_path(3, params).spec;
+}
+
+/// Adds seat p of a selftest leg: `cfg` with the legs' poll, fate and
+/// skip periods, over a loss-tolerant OptimalCsa.
+void add_selftest_seat(runtime::Mesh& mesh, ProcId p, NodeConfig cfg = {},
+                       bool cross_validation = false) {
+  cfg.self = p;
+  cfg.poll_period = 0.05;
+  cfg.fate_timeout = 0.25;
+  cfg.skip_retry = 0.1;
+  OptimalCsa::Options opts;
+  opts.loss_tolerant = true;
+  opts.cross_validation = cross_validation;
+  mesh.add(std::move(cfg), opts, kSelftestOffsets[p], kSelftestRates[p]);
+}
+
 /// Second selftest leg: a triangle whose third seat lies (ByzantinePeer,
 /// gross skew ramp) with the cross-path defense on.  Passes iff the honest
 /// pair renounces the lies, quarantines exactly node 2, and still contains
@@ -220,74 +246,39 @@ bool write_trace_json(const Tracer& tracer, const std::string& path) {
 /// driftsync_byzantine_* Prometheus series) show the defense counters
 /// nonzero, so CI can assert the whole path end to end with a grep.
 int run_selftest_byzantine() {
-  const double rho = 5e-4;
-  std::vector<ClockSpec> clocks{{0.0}, {rho}, {rho}};
-  std::vector<LinkSpec> links;
-  links.emplace_back(0, 1, 0.0, 0.05);
-  links.emplace_back(0, 2, 0.0, 0.05);
-  links.emplace_back(1, 2, 0.0, 0.05);
-  const SystemSpec spec(clocks, links, 0);
-
-  runtime::ThreadHub hub(11);
-  hub.set_link(0, 1, 0.0005, 0.004);
-  hub.set_link(0, 2, 0.0005, 0.004);
-  hub.set_link(1, 2, 0.001, 0.008);
-
-  const double offsets[3] = {0.0, 41.5, -13.25};
-  const double rates[3] = {1.0, 1.0 + 3e-4, 1.0 - 2e-4};
-  std::vector<std::unique_ptr<Node>> nodes;
+  runtime::Mesh mesh(selftest_spec(true), 11);
+  mesh.hub().set_link(1, 2, 0.001, 0.008);
+  runtime::ByzantineStrategy attack;
+  attack.skew_rate = 2.0;  // Gross per-message lies: every one renounced.
+  attack.skew_max = 100.0;
+  mesh.set_byzantine(2, attack, 11);
+  NodeConfig cfg;
+  cfg.suspicion_decay = 0.9;
   for (ProcId p = 0; p < 3; ++p) {
-    NodeConfig cfg;
-    cfg.self = p;
-    cfg.spec = spec;
-    cfg.poll_period = 0.05;
-    cfg.fate_timeout = 0.25;
-    cfg.skip_retry = 0.1;
-    cfg.suspicion_decay = 0.9;
-    OptimalCsa::Options opts;
-    opts.loss_tolerant = true;
-    opts.cross_validation = true;
-    std::unique_ptr<runtime::Transport> transport = hub.endpoint(p);
-    if (p == 2) {
-      runtime::ByzantineStrategy attack;
-      attack.skew_rate = 2.0;  // Gross per-message lies: every one renounced.
-      attack.skew_max = 100.0;
-      transport = std::make_unique<runtime::ByzantinePeer>(
-          std::move(transport), p, attack, 11);
-    }
-    nodes.push_back(std::make_unique<Node>(
-        cfg, std::make_unique<OptimalCsa>(opts),
-        std::make_unique<runtime::ScaledTimeSource>(offsets[p], rates[p]),
-        std::move(transport)));
+    add_selftest_seat(mesh, p, cfg, /*cross_validation=*/true);
   }
-  for (auto& node : nodes) node->start();
-  const timespec nap{2, 0};
-  nanosleep(&nap, nullptr);
+  mesh.start();
+  runtime::nap(2.0);
 
   int failures = 0;
-  const runtime::SystemTimeSource truth;
   for (ProcId p = 0; p < 2; ++p) {
-    const double t0 = truth.now();
-    const Interval est = nodes[p]->estimate();
-    const double t1 = truth.now();
-    const runtime::NodeStats s = nodes[p]->stats();
-    const bool contained = est.lo <= t1 && est.hi >= t0;
-    const bool converged = p == 0 || est.width() < 0.5;
+    const runtime::TruthBracket truth = runtime::contains_truth(mesh.node(p));
+    const runtime::NodeStats s = mesh.node(p).stats();
     const std::uint64_t renounced =
         s.infeasible_rejected + s.suspect_rejected + s.replay_rejected;
-    const bool caught = renounced > 0 && s.quarantined.size() == 1 &&
-                        s.quarantined[0] == 2;
-    if (!contained || !converged || !caught) ++failures;
+    const bool ok = truth && (p == 0 || truth.est.width() < 0.5) &&
+                    renounced > 0 && s.quarantined.size() == 1 &&
+                    s.quarantined[0] == 2;
+    if (!ok) ++failures;
     std::printf("selftest byzantine node %u: width %.6f renounced %llu "
                 "quarantined %zu %s\n",
-                p, est.width(), static_cast<unsigned long long>(renounced),
-                s.quarantined.size(),
-                contained && converged && caught ? "ok" : "FAIL");
-    std::printf("%s\n", nodes[p]->stats_json().c_str());
+                p, truth.est.width(),
+                static_cast<unsigned long long>(renounced),
+                s.quarantined.size(), ok ? "ok" : "FAIL");
+    std::printf("%s\n", mesh.node(p).stats_json().c_str());
   }
   // One scrape, for the CI grep of the driftsync_byzantine_* series.
-  std::printf("%s", nodes[0]->metrics_text().c_str());
-  for (auto& node : nodes) node->stop();
+  std::printf("%s", mesh.node(0).metrics_text().c_str());
   return failures;
 }
 
@@ -297,73 +288,42 @@ int run_selftest_byzantine() {
 /// it (peer_joins ticks), the joiner converges next to peers it was never
 /// configured into, and everyone still contains true source time.
 int run_selftest_join() {
-  const double rho = 5e-4;
-  std::vector<ClockSpec> clocks{{0.0}, {rho}, {rho}};
-  std::vector<LinkSpec> links;
-  links.emplace_back(0, 1, 0.0, 0.05);
-  links.emplace_back(0, 2, 0.0, 0.05);
-  links.emplace_back(1, 2, 0.0, 0.05);
-  const SystemSpec spec(clocks, links, 0);
-
-  runtime::ThreadHub hub(19);
-  hub.set_link(0, 1, 0.0005, 0.004);
-  hub.set_link(0, 2, 0.0005, 0.004);
-  hub.set_link(1, 2, 0.001, 0.008);
-
-  const double offsets[3] = {0.0, 41.5, -13.25};
-  const double rates[3] = {1.0, 1.0 + 3e-4, 1.0 - 2e-4};
-  auto make = [&](ProcId p, std::vector<ProcId> peers) {
+  runtime::Mesh mesh(selftest_spec(true), 19);
+  mesh.hub().set_link(1, 2, 0.001, 0.008);
+  const auto add = [&mesh](ProcId p, std::vector<ProcId> peers) {
     NodeConfig cfg;
-    cfg.self = p;
-    cfg.spec = spec;
     cfg.peers = std::move(peers);
-    cfg.poll_period = 0.05;
-    cfg.fate_timeout = 0.25;
-    cfg.skip_retry = 0.1;
     cfg.dynamic_join = true;
-    OptimalCsa::Options opts;
-    opts.loss_tolerant = true;
-    return std::make_unique<Node>(
-        cfg, std::make_unique<OptimalCsa>(opts),
-        std::make_unique<runtime::ScaledTimeSource>(offsets[p], rates[p]),
-        hub.endpoint(p));
+    add_selftest_seat(mesh, p, std::move(cfg));
   };
 
   // The incumbents start WITHOUT node 2 on their rosters.
-  std::vector<std::unique_ptr<Node>> nodes;
-  nodes.push_back(make(0, {1}));
-  nodes.push_back(make(1, {0}));
-  for (auto& node : nodes) node->start();
-  timespec nap{0, 800'000'000};
-  nanosleep(&nap, nullptr);
+  add(0, {1});
+  add(1, {0});
+  mesh.start();
+  runtime::nap(0.8);
 
   // Mid-run, the third seat comes up and asks in.
-  nodes.push_back(make(2, {0, 1}));
-  nodes[2]->start();
-  nodes[2]->admit_peer(0);
-  nodes[2]->admit_peer(1);
-  nap = {1, 500'000'000};
-  nanosleep(&nap, nullptr);
+  add(2, {0, 1});
+  mesh.node(2).admit_peer(0);
+  mesh.node(2).admit_peer(1);
+  runtime::nap(1.5);
 
   int failures = 0;
-  const runtime::SystemTimeSource truth;
   for (ProcId p = 0; p < 3; ++p) {
-    const double t0 = truth.now();
-    const Interval est = nodes[p]->estimate();
-    const double t1 = truth.now();
-    const runtime::NodeStats s = nodes[p]->stats();
-    const bool contained = est.lo <= t1 && est.hi >= t0;
-    const bool converged = p == 0 || est.width() < 0.5;
+    const runtime::TruthBracket truth = runtime::contains_truth(mesh.node(p));
+    const runtime::NodeStats s = mesh.node(p).stats();
     // Each incumbent must have admitted the joiner at runtime; the joiner
     // itself was configured with its roster, so its join counter stays 0.
-    const bool admitted = p == 2 || s.peer_joins >= 1;
-    if (!contained || !converged || !admitted) ++failures;
+    const bool ok = truth && (p == 0 || truth.est.width() < 0.5) &&
+                    (p == 2 || s.peer_joins >= 1);
+    if (!ok) ++failures;
     std::printf("selftest join node %u: width %.6f peer_joins %llu %s\n", p,
-                est.width(), static_cast<unsigned long long>(s.peer_joins),
-                contained && converged && admitted ? "ok" : "FAIL");
-    std::printf("%s\n", nodes[p]->stats_json().c_str());
+                truth.est.width(),
+                static_cast<unsigned long long>(s.peer_joins),
+                ok ? "ok" : "FAIL");
+    std::printf("%s\n", mesh.node(p).stats_json().c_str());
   }
-  for (auto& node : nodes) node->stop();
   return failures;
 }
 
@@ -376,16 +336,9 @@ int run_selftest_join() {
 /// they use the in-process hub with asymmetric latency and loss.
 int run_selftest(std::size_t trace_buffer, const std::string& trace_out,
                  const runtime::UdpTransport::Options& udp_opts) {
-  const double rho = 5e-4;
-  std::vector<ClockSpec> clocks{{0.0}, {rho}, {rho}};
-  std::vector<LinkSpec> links;
-  links.emplace_back(0, 1, 0.0, 0.05);
-  links.emplace_back(1, 2, 0.0, 0.05);
-  const SystemSpec spec(clocks, links, 0);
-
+  // The tracer outlives the mesh: the hub's worker records drops into it.
   Tracer tracer(trace_buffer == 0 ? 4096 : trace_buffer);
-  std::unique_ptr<runtime::ThreadHub> hub;
-  std::vector<std::unique_ptr<runtime::Transport>> transports(3);
+  runtime::Mesh mesh(selftest_spec(false), 7);
   bool use_udp = udp_opts.io_shards > 1;
   if (use_udp) {
     try {
@@ -402,7 +355,9 @@ int run_selftest(std::size_t trace_buffer, const std::string& trace_out,
       }
       std::printf("selftest transport: loopback UDP, %zu shard(s)\n",
                   udp[0]->num_shards());
-      for (ProcId p = 0; p < 3; ++p) transports[p] = std::move(udp[p]);
+      for (ProcId p = 0; p < 3; ++p) {
+        mesh.set_transport(p, std::move(udp[p]));
+      }
     } catch (const std::runtime_error& e) {
       std::fprintf(stderr,
                    "selftest: loopback UDP unavailable (%s); "
@@ -412,51 +367,27 @@ int run_selftest(std::size_t trace_buffer, const std::string& trace_out,
     }
   }
   if (!use_udp) {
-    hub = std::make_unique<runtime::ThreadHub>(7);
-    hub->set_tracer(&tracer);
-    hub->set_link(0, 1, 0.0005, 0.004, 0.05);
-    hub->set_link(1, 2, 0.001, 0.008, 0.05);
-    for (ProcId p = 0; p < 3; ++p) transports[p] = hub->endpoint(p);
+    mesh.hub().set_tracer(&tracer);
+    mesh.hub().set_link(0, 1, 0.0005, 0.004, 0.05);
+    mesh.hub().set_link(1, 2, 0.001, 0.008, 0.05);
   }
-
-  const double offsets[3] = {0.0, 41.5, -13.25};
-  const double rates[3] = {1.0, 1.0 + 3e-4, 1.0 - 2e-4};
-  std::vector<std::unique_ptr<Node>> nodes;
-  for (ProcId p = 0; p < 3; ++p) {
-    NodeConfig cfg;
-    cfg.self = p;
-    cfg.spec = spec;
-    cfg.poll_period = 0.05;
-    cfg.fate_timeout = 0.25;
-    cfg.skip_retry = 0.1;
-    cfg.tracer = &tracer;
-    OptimalCsa::Options opts;
-    opts.loss_tolerant = true;
-    nodes.push_back(std::make_unique<Node>(
-        cfg, std::make_unique<OptimalCsa>(opts),
-        std::make_unique<runtime::ScaledTimeSource>(offsets[p], rates[p]),
-        std::move(transports[p])));
-  }
-  for (auto& node : nodes) node->start();
-  const timespec nap{2, 0};
-  nanosleep(&nap, nullptr);
+  NodeConfig cfg;
+  cfg.tracer = &tracer;
+  for (ProcId p = 0; p < 3; ++p) add_selftest_seat(mesh, p, cfg);
+  mesh.start();
+  runtime::nap(2.0);
 
   int failures = 0;
-  const runtime::SystemTimeSource truth;  // Source: offset 0, rate 1.
   for (ProcId p = 0; p < 3; ++p) {
-    const double t0 = truth.now();
-    const Interval est = nodes[p]->estimate();
-    const double t1 = truth.now();
-    const bool contained = est.lo <= t1 && est.hi >= t0;
-    const bool converged = p == 0 || est.width() < 0.5;
-    if (!contained || !converged) ++failures;
-    std::printf("selftest node %u: [%.6f, %.6f] width %.6f %s\n", p, est.lo,
-                est.hi, est.width(),
-                contained && converged ? "ok" : "FAIL");
-    std::printf("%s\n", nodes[p]->stats_json().c_str());
+    const runtime::TruthBracket truth = runtime::contains_truth(mesh.node(p));
+    const bool ok = truth && (p == 0 || truth.est.width() < 0.5);
+    if (!ok) ++failures;
+    std::printf("selftest node %u: [%.6f, %.6f] width %.6f %s\n", p,
+                truth.est.lo, truth.est.hi, truth.est.width(),
+                ok ? "ok" : "FAIL");
+    std::printf("%s\n", mesh.node(p).stats_json().c_str());
   }
-  for (auto& node : nodes) node->stop();
-
+  mesh.stop();
   // Causal continuity: some message must be traceable end-to-end — its id
   // recorded as kSend at the sender AND as kDeliver at a different node.
   const std::vector<TraceEvent> events = tracer.snapshot();
@@ -612,8 +543,7 @@ int main(int argc, char** argv) try {
   double next_stats =
       stats_interval > 0.0 ? started + stats_interval : 0.0;
   while (g_terminate == 0) {
-    const timespec nap{0, 200'000'000};
-    nanosleep(&nap, nullptr);
+    runtime::nap(0.2);
     if (g_dump_stats != 0) {
       g_dump_stats = 0;
       std::printf("%s\n", node.stats_json().c_str());

@@ -55,8 +55,8 @@ DS_BENCHMARK(csa_message, BM_OptimalCsa)->arg(5)->arg(20)->arg(80);
 
 // A/B partner for BM_OptimalCsa: the same traffic ingested with the
 // Byzantine defense on.  The runtime screens every inbound message before
-// ingesting it (runtime/node.cpp handle_data) and cross_validation makes
-// on_receive transactional (copy-then-commit); the sim delivers straight
+// ingesting it (runtime/node.cpp handle_data) and cross_validation keeps
+// a rollback point of the engine for each receive; the sim delivers straight
 // to on_receive, so this wrapper reproduces the runtime's order — screen
 // first, then ingest — and the delta against BM_OptimalCsa is the price
 // an honest node pays for the defense on clean traffic.

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "common/check.h"
 #include "core/history.h"
 #include "core/spec.h"
 #include "workloads/topology.h"
@@ -41,8 +42,8 @@ void BM_RelayExchange(bench::State& state) {
     t += 0.1;
     const EventRecord s = mk(0, seq_left++, t, EventKind::kSend, 1);
     const EventBatch batch = left.fill_message(1, s);
-    const EventBatch fresh = relay.receive_message(0, batch);
-    bench::do_not_optimize(fresh.size());
+    DS_CHECK(relay.receive_message(0, batch) == MergeVerdict::kMerged);
+    bench::do_not_optimize(relay.fresh().size());
     relay.record_own_event(
         mk(1, seq_relay++, t + 0.01, EventKind::kReceive, 0, s.id));
     const EventRecord s2 =

@@ -75,6 +75,10 @@ struct CsaStats {
   /// Resident bytes of caches kept only to make checkpoint() cheap (the
   /// encoded history buffer); not in state_bytes, which is protocol state.
   std::size_t checkpoint_cache_bytes = 0;
+  /// Resident bytes of buffers kept only so receive transactions, the
+  /// message screen and checkpoint() allocate nothing; not in state_bytes
+  /// either.
+  std::size_t scratch_bytes = 0;
   /// Pair-relaxation attempts in the AGDP distance structure (the O(L^2)
   /// inner loops of Lemma 3.5) — the algorithm's dominant per-message work.
   std::uint64_t apsp_relaxations = 0;

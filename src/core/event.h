@@ -11,6 +11,7 @@
 // they exist only in the simulator's ground-truth trace.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -46,6 +47,18 @@ struct EventRecord {
 
   friend bool operator==(const EventRecord&, const EventRecord&) = default;
 };
+
+/// True when every processor id `r` carries is below `num_procs`: its own,
+/// its peer (send, receive) and its match (receive, loss declaration).
+/// Each of them indexes per-processor state once the record is merged.
+inline bool procs_in_range(const EventRecord& r, std::size_t num_procs) {
+  const bool has_peer =
+      r.kind == EventKind::kSend || r.kind == EventKind::kReceive;
+  const bool has_match =
+      r.kind == EventKind::kReceive || r.kind == EventKind::kLossDecl;
+  return r.id.proc < num_procs && (!has_peer || r.peer < num_procs) &&
+         (!has_match || r.match.proc < num_procs);
+}
 
 /// Serialized size we charge for one event record when accounting message
 /// overhead (proc + seq + lt + kind + peer + match ≈ 24 bytes packed).

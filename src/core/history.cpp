@@ -1,6 +1,7 @@
 #include "core/history.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -74,11 +75,34 @@ EventBatch HistoryProtocol::fill_message(ProcId dest,
   return batch;
 }
 
-EventBatch HistoryProtocol::receive_message(ProcId from,
+MergeVerdict HistoryProtocol::receive_message(ProcId from,
+                                              const EventBatch& batch) {
+  const MergeVerdict verdict = begin_receive(from, batch);
+  if (verdict == MergeVerdict::kMerged) {
+    undo_.open = false;
+    garbage_collect();
+  }
+  return verdict;
+}
+
+MergeVerdict HistoryProtocol::begin_receive(ProcId from,
                                             const EventBatch& batch) {
   NeighborState& ns = neighbor_state(from);
-  EventBatch fresh;
+  undo_.open = true;
+  undo_.from = static_cast<std::size_t>(&ns - neighbors_.data());
+  undo_.history_size = history_.size();
+  undo_.max_history_size = max_history_size_;
+  undo_.duplicate_reports_received = duplicate_reports_received_;
+  undo_.gap_dropped = gap_dropped_;
+  undo_.known_seq = known_seq_;
+  undo_.c_from = ns.c;
+  fresh_.clear();
+  const std::size_t num_procs = known_seq_.size();
   for (const EventRecord& p : batch) {
+    if (!procs_in_range(p, num_procs)) {
+      rollback_receive();
+      return MergeVerdict::kOutOfRange;
+    }
     const auto seq = static_cast<std::int64_t>(p.id.seq);
     // Whatever the sender reports, the sender knows.
     ns.c[p.id.proc] = std::max(ns.c[p.id.proc], seq);
@@ -93,20 +117,44 @@ EventBatch HistoryProtocol::receive_message(ProcId from,
         needs_match && static_cast<std::int64_t>(p.match.seq) >
                            known_seq_[p.match.proc];
     if (gap || match_missing) {
-      DS_CHECK_MSG(opts_.loss_tolerant,
-                   "report batch out of order for processor " +
-                       std::to_string(p.id.proc) +
-                       " (enable loss_tolerant for lossy links)");
+      if (!opts_.loss_tolerant) {
+        // Only a lossy link can drop a predecessor report; on reliable
+        // links the batch itself is wrong.
+        rollback_receive();
+        return MergeVerdict::kOutOfOrder;
+      }
       ++gap_dropped_;
       continue;  // a predecessor report was lost; rollback will resend
     }
     known_seq_[p.id.proc] = seq;
     history_.push_back(p);
-    fresh.push_back(p);
+    fresh_.push_back(p);
   }
   max_history_size_ = std::max(max_history_size_, history_.size());
+  return MergeVerdict::kMerged;
+}
+
+void HistoryProtocol::commit_receive(const EventRecord& recv_event) {
+  DS_CHECK_MSG(undo_.open, "commit_receive without begin_receive");
+  undo_.open = false;
   garbage_collect();
-  return fresh;
+  record_own_event(recv_event);
+}
+
+void HistoryProtocol::rollback_receive() {
+  DS_CHECK_MSG(undo_.open, "rollback_receive without begin_receive");
+  undo_.open = false;
+  history_.erase(history_.begin() +
+                     static_cast<std::ptrdiff_t>(undo_.history_size),
+                 history_.end());
+  history_image_.truncate(
+      std::min(history_image_.size(), undo_.history_size));
+  known_seq_.swap(undo_.known_seq);
+  neighbors_[undo_.from].c.swap(undo_.c_from);
+  max_history_size_ = undo_.max_history_size;
+  duplicate_reports_received_ = undo_.duplicate_reports_received;
+  gap_dropped_ = undo_.gap_dropped;
+  fresh_.clear();
 }
 
 void HistoryProtocol::confirm_delivery(ProcId dest) {
@@ -145,12 +193,20 @@ void HistoryProtocol::garbage_collect() {
   }
   // Keep p while some neighbor may not (confirmably) know it yet.  With a
   // single neighbor and no loss this empties the buffer after every send.
-  const auto known_to_all = [&](const EventRecord& p) {
-    const auto seq = static_cast<std::int64_t>(p.id.seq);
-    for (const NeighborState& ns : neighbors_) {
-      if (seq > confirmed_c(ns, p.id.proc)) return false;
+  // Each processor's threshold, the minimum confirmed C over the neighbors,
+  // is worked out when the sweep first meets one of its records and then
+  // reused, instead of asking every neighbor about every record.
+  constexpr std::int64_t kUnset = std::numeric_limits<std::int64_t>::min();
+  gc_known_to_all_.assign(known_seq_.size(), kUnset);
+  const auto known_to_all = [this](const EventRecord& p) {
+    std::int64_t& known = gc_known_to_all_[p.id.proc];
+    if (known == kUnset) {
+      known = std::numeric_limits<std::int64_t>::max();
+      for (const NeighborState& ns : neighbors_) {
+        known = std::min(known, confirmed_c(ns, p.id.proc));
+      }
     }
-    return true;
+    return static_cast<std::int64_t>(p.id.seq) <= known;
   };
   const auto first =
       std::find_if(history_.begin(), history_.end(), known_to_all);
@@ -176,6 +232,13 @@ std::int64_t HistoryProtocol::c_entry(ProcId neighbor, ProcId proc) const {
   __builtin_unreachable();
 }
 
+std::size_t HistoryProtocol::scratch_bytes() const {
+  return fresh_.capacity() * sizeof(EventRecord) +
+         (undo_.known_seq.capacity() + undo_.c_from.capacity() +
+          gc_known_to_all_.capacity()) *
+             sizeof(std::int64_t);
+}
+
 std::size_t HistoryProtocol::state_bytes() const {
   std::size_t bytes = history_.capacity() * sizeof(EventRecord);
   for (const NeighborState& ns : neighbors_) {
@@ -199,6 +262,37 @@ std::int64_t seq_decode(std::uint64_t code) {
 constexpr std::uint64_t kHistoryMagic = 0xD5711;
 }  // namespace
 
+void HistoryProtocol::update_image() const {
+  for (std::size_t i = history_image_.size(); i < history_.size(); ++i) {
+    history_image_.append(history_[i]);
+  }
+}
+
+std::size_t HistoryProtocol::saved_size() const {
+  const auto seqs_size = [](const std::vector<std::int64_t>& seqs) {
+    std::size_t size = 0;
+    for (const std::int64_t s : seqs) size += wire::varint_size(seq_code(s));
+    return size;
+  };
+  std::size_t size = wire::varint_size(kHistoryMagic) +
+                     wire::varint_size(self_) +
+                     wire::varint_size(known_seq_.size()) +
+                     seqs_size(known_seq_) +
+                     wire::varint_size(neighbors_.size());
+  for (const NeighborState& ns : neighbors_) {
+    size += wire::varint_size(ns.id) + seqs_size(ns.c) +
+            wire::varint_size(ns.n_pending);
+    if (ns.n_pending > 0) size += seqs_size(ns.pending_min);
+  }
+  update_image();
+  const std::size_t image = history_image_.encoded_size();
+  return size + wire::varint_size(image) + image +
+         wire::varint_size(max_history_size_) +
+         wire::varint_size(reports_sent_) +
+         wire::varint_size(duplicate_reports_received_) +
+         wire::varint_size(gap_dropped_);
+}
+
 void HistoryProtocol::save(std::vector<std::uint8_t>& out) const {
   DS_CHECK_MSG(!opts_.audit, "audit mode cannot be checkpointed");
   wire::put_varint(out, kHistoryMagic);
@@ -216,9 +310,7 @@ void HistoryProtocol::save(std::vector<std::uint8_t>& out) const {
       }
     }
   }
-  for (std::size_t i = history_image_.size(); i < history_.size(); ++i) {
-    history_image_.append(history_[i]);
-  }
+  update_image();
   wire::put_varint(out, history_image_.encoded_size());
   history_image_.write(out);
   wire::put_varint(out, max_history_size_);

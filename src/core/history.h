@@ -51,6 +51,14 @@
 
 namespace driftsync {
 
+/// What HistoryProtocol made of a received report batch.  Every verdict
+/// but kMerged leaves the protocol exactly as it was.
+enum class MergeVerdict : std::uint8_t {
+  kMerged,
+  kOutOfRange,  ///< A record names a processor outside the spec.
+  kOutOfOrder,  ///< A gap or a missing match, without loss_tolerant.
+};
+
 class HistoryProtocol {
  public:
   struct Options {
@@ -91,11 +99,30 @@ class HistoryProtocol {
   EventBatch fill_message(ProcId dest, const EventRecord& send_event);
 
   /// A message with report batch `batch` arrived from neighbor `from`.
-  /// Returns the sub-batch of records that are new to this processor, in
-  /// causally consistent order; updates C_v,from and garbage-collects H_v.
-  /// (The caller records its own receive event separately via
-  /// record_own_event, *after* ingesting the returned records.)
-  EventBatch receive_message(ProcId from, const EventBatch& batch);
+  /// Merges the records new to this processor into H_v (fresh() lists
+  /// them, in causally consistent order), updates C_v,from and
+  /// garbage-collects H_v.  (The caller records its own receive event
+  /// separately via record_own_event, *after* ingesting fresh().)  A batch
+  /// naming a processor outside the spec, or out of order without
+  /// loss_tolerant, is refused and leaves the protocol unchanged.
+  [[nodiscard]] MergeVerdict receive_message(ProcId from,
+                                             const EventBatch& batch);
+
+  /// The same receive as one transaction with the caller's own receive
+  /// event.  begin_receive merges like receive_message but defers the
+  /// sweep.  After kMerged the caller ends it with exactly one of:
+  /// commit_receive, which sweeps H_v and records `recv_event` (the order
+  /// receive_message + record_own_event follow), or rollback_receive, which
+  /// restores the state before begin_receive.  Any other verdict has
+  /// already left the protocol unchanged.  The undo state lives in reused
+  /// buffers, so a transaction allocates nothing once they have grown.
+  [[nodiscard]] MergeVerdict begin_receive(ProcId from,
+                                           const EventBatch& batch);
+  void commit_receive(const EventRecord& recv_event);
+  void rollback_receive();
+
+  /// The records the last merged batch contributed, in merge order.
+  [[nodiscard]] std::span<const EventRecord> fresh() const { return fresh_; }
 
   /// Loss-tolerant mode: the detection mechanism reports that the earliest
   /// outstanding message to `dest` was delivered / was lost.
@@ -147,6 +174,9 @@ class HistoryProtocol {
   [[nodiscard]] std::size_t checkpoint_cache_bytes() const {
     return history_image_.memory_bytes();
   }
+  /// Resident bytes of the receive and sweep buffers (fresh(), the undo
+  /// state, the sweep's table).  Not protocol state either.
+  [[nodiscard]] std::size_t scratch_bytes() const;
 
   /// Checkpointing: appends the full protocol state (buffer, C arrays,
   /// pending snapshots, counters) to `out`; load() restores it into a
@@ -161,7 +191,12 @@ class HistoryProtocol {
   /// or moved by GC removals (see garbage_collect).  The image is the same
   /// as a full re-encode.  That cache makes save() a writer, so it must not
   /// run concurrently with any other call on the same instance.
+  ///
+  /// saved_size() is the number of bytes save() appends, so a caller can
+  /// reserve the whole image up front.  It brings the cache up to date
+  /// too, so the same rule applies to it.
   void save(std::vector<std::uint8_t>& out) const;
+  [[nodiscard]] std::size_t saved_size() const;
   void load(std::span<const std::uint8_t> bytes, std::size_t& offset);
 
  private:
@@ -176,6 +211,8 @@ class HistoryProtocol {
   };
 
   NeighborState& neighbor_state(ProcId u);
+  /// Encodes the records appended since the last save into the cache.
+  void update_image() const;
   void garbage_collect();
   /// Knowledge of neighbor `ns` that GC may trust (confirmed only).
   [[nodiscard]] std::int64_t confirmed_c(const NeighborState& ns,
@@ -194,8 +231,27 @@ class HistoryProtocol {
   std::size_t gap_dropped_ = 0;
   std::size_t gc_passes_ = 0;
   std::size_t gc_floor_ = 0;  ///< |H_v| right after the last sweep.
+  /// The sweep's scratch: per processor, the highest seq every neighbor
+  /// confirmably knows (filled on first use in each sweep).
+  std::vector<std::int64_t> gc_known_to_all_;
   /// Encoding of history_[0, history_image_.size()) as save() writes it.
   mutable wire::IncrementalBatch history_image_;
+
+  // The open receive: the last merge's new records, and what
+  // rollback_receive restores.  H_v's merged suffix starts at
+  // undo_.history_size; the two arrays are swapped back, not copied.
+  EventBatch fresh_;
+  struct ReceiveUndo {
+    bool open = false;
+    std::size_t from = 0;  ///< Index of the sender in neighbors_.
+    std::size_t history_size = 0;
+    std::size_t max_history_size = 0;
+    std::size_t duplicate_reports_received = 0;
+    std::size_t gap_dropped = 0;
+    std::vector<std::int64_t> known_seq;
+    std::vector<std::int64_t> c_from;
+  };
+  ReceiveUndo undo_;
 };
 
 }  // namespace driftsync

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 #include <utility>
 
 #include "common/check.h"
@@ -23,6 +22,12 @@ void OptimalCsa::init(const SystemSpec& spec, ProcId self) {
   SyncEngine::Options eopts;
   eopts.keep_dead_nodes = opts_.ablate_keep_dead_nodes;
   engine_.emplace(spec, self, eopts);
+  if (opts_.cross_validation) engine_undo_.emplace(spec, self, eopts);
+}
+
+void OptimalCsa::ingest_trusted(const EventRecord& event) {
+  const IngestVerdict verdict = engine_->ingest(event);
+  DS_CHECK_MSG(verdict == IngestVerdict::kApplied, describe(verdict));
 }
 
 bool OptimalCsa::within_edge_envelope(ProcId from, LocalTime send_lt,
@@ -71,6 +76,16 @@ ObservationScreen OptimalCsa::screen_message(ProcId from, LocalTime send_lt,
     s.reason = "infeasible under the single-edge envelope";
     return s;
   }
+  // Processor ids index per-processor state everywhere downstream, so they
+  // are screened with or without cross-validation.
+  const std::size_t n = spec_->num_procs();
+  for (const EventRecord& r : payload.reports) {
+    if (!procs_in_range(r, n)) {
+      s.verdict = ObservationVerdict::kInfeasible;
+      s.reason = "report names a processor outside the spec";
+      return s;
+    }
+  }
   if (!opts_.cross_validation) return s;
   // Cross-path band: the fused peer_clock_estimate already folds in every
   // indirect path through the sync graph (the APSP distances), so the same
@@ -83,19 +98,13 @@ ObservationScreen OptimalCsa::screen_message(ProcId from, LocalTime send_lt,
     return s;
   }
   // Payload screen: every report is checked against what the view already
-  // knows BEFORE any of it is merged.  These are exactly the invariants the
-  // engine enforces with DS_CHECK — validated here as untrusted input so a
-  // forged batch is renounced instead of faulting an honest node.
-  const std::size_t n = spec_->num_procs();
-  std::vector<LocalTime> prev_lt(n, -std::numeric_limits<double>::infinity());
-  std::vector<bool> seeded(n, false);
+  // knows BEFORE any of it is merged, so a forged batch is renounced with a
+  // reason and a culprit; the ingest transaction stays the final authority.
+  // screen_floor_[p] is the newest clock reading p has claimed (NaN until
+  // p's first fresh report seeds it from the view).
+  screen_floor_.assign(n, std::numeric_limits<double>::quiet_NaN());
   for (const EventRecord& r : payload.reports) {
     const ProcId p = r.id.proc;
-    if (p >= n) {
-      s.verdict = ObservationVerdict::kInfeasible;
-      s.reason = "report from a processor outside the spec";
-      return s;
-    }
     const auto seq = static_cast<std::int64_t>(r.id.seq);
     if (seq <= history_->known_seq(p)) {
       // The history layer drops already-known records as duplicates, so
@@ -125,16 +134,17 @@ ObservationScreen OptimalCsa::screen_message(ProcId from, LocalTime send_lt,
       s.reason = "forged event attributed to this processor";
       return s;
     }
-    if (!seeded[p]) {
-      seeded[p] = true;
+    LocalTime& floor = screen_floor_[p];
+    if (std::isnan(floor)) {
+      floor = -std::numeric_limits<double>::infinity();
       const EventId last = engine_->last_event_of(p);
       if (last.valid()) {
         if (const EventRecord* lr = engine_->live_record(last)) {
-          prev_lt[p] = lr->lt;
+          floor = lr->lt;
         }
       }
     }
-    if (r.lt < prev_lt[p] - 1e-9) {
+    if (r.lt < floor - 1e-9) {
       // The inconsistency is internal to p's OWN claims (this fresh report
       // against p's newest live record or an earlier report in the same
       // batch); a relay forwards them faithfully, so when p is not the
@@ -146,7 +156,7 @@ ObservationScreen OptimalCsa::screen_message(ProcId from, LocalTime send_lt,
       if (p != from && s.implicated == kInvalidProc) s.implicated = p;
       return s;
     }
-    prev_lt[p] = std::max(prev_lt[p], r.lt);
+    floor = std::max(floor, r.lt);
     // A reported event is in the causal past of this arrival, so its
     // claimed clock reading cannot exceed the owner's fused current-clock
     // upper bound (which only shrinks as more paths are learned — a stale
@@ -166,7 +176,7 @@ ObservationScreen OptimalCsa::screen_message(ProcId from, LocalTime send_lt,
 
 CsaPayload OptimalCsa::on_send(const SendContext& ctx) {
   DS_CHECK(history_ && engine_);
-  engine_->ingest(ctx.send_event);
+  ingest_trusted(ctx.send_event);
   CsaPayload payload;
   payload.reports = history_->fill_message(ctx.dest, ctx.send_event);
   // Account what would actually cross the wire (compact encoding; see
@@ -177,44 +187,50 @@ CsaPayload OptimalCsa::on_send(const SendContext& ctx) {
 
 void OptimalCsa::on_receive(const RecvContext& ctx,
                             const CsaPayload& payload) {
-  DS_CHECK(history_ && engine_);
-  stats_.payload_bytes_received += wire::encoded_size(payload.reports);
-  last_receive_ok_ = true;
-  if (!opts_.cross_validation) {
-    // Merge the reported events (causal order), then our own receive event.
-    const EventBatch fresh =
-        history_->receive_message(ctx.from, payload.reports);
-    for (const EventRecord& r : fresh) engine_->ingest(r);
-    history_->record_own_event(ctx.recv_event);
-    engine_->ingest(ctx.recv_event);
-    return;
-  }
-  // Copy-then-commit, the restore() idiom: screen_message validates what it
-  // can cheaply, but a lie within the suspicion slack can still contradict
-  // the view by less than any screen tolerates — the engine's exact
-  // constraint checks are the final authority, and when they fault
-  // mid-merge the whole message is rolled back instead of leaving a
-  // half-ingested batch (or crashing an honest node on forged input).
-  HistoryProtocol history = *history_;
-  SyncEngine engine = *engine_;
-  try {
-    const EventBatch fresh =
-        history_->receive_message(ctx.from, payload.reports);
-    for (const EventRecord& r : fresh) engine_->ingest(r);
-    history_->record_own_event(ctx.recv_event);
-    engine_->ingest(ctx.recv_event);
-  } catch (const std::logic_error&) {
-    *history_ = std::move(history);
-    *engine_ = std::move(engine);
-    ++stats_.cross_check_failures;
-    last_receive_ok_ = false;
-  }
+  const bool applied = on_receive_validated(ctx, payload);
+  // Cross-validation counts a refusal (cross_check_failures); without it
+  // the caller vouched for the message, so a refusal is a bug.
+  DS_CHECK_MSG(applied || opts_.cross_validation,
+               "a trusted message could not be applied");
 }
 
 bool OptimalCsa::on_receive_validated(const RecvContext& ctx,
                                       const CsaPayload& payload) {
-  on_receive(ctx, payload);
-  return last_receive_ok_;
+  DS_CHECK(history_ && engine_);
+  // One transaction: merge the reported events (causal order) into H_v,
+  // feed the new ones and then our own receive event to the engine, and
+  // commit only if every record applied.  screen_message validates what
+  // it can cheaply, but a lie within the suspicion slack can still
+  // contradict the view by less than any screen tolerates; the engine's
+  // exact constraint checks are the final authority.  A refused batch
+  // leaves no trace but cross_check_failures.
+  if (history_->begin_receive(ctx.from, payload.reports) !=
+      MergeVerdict::kMerged) {
+    ++stats_.cross_check_failures;  // The history refused before any write.
+    return false;
+  }
+  // The engine has no cheap undo of its own, so cross-validation keeps a
+  // copy of the pre-message state in a shadow whose buffers keep their
+  // capacity; without it a refusal below is a bug (see on_receive).
+  if (engine_undo_) *engine_undo_ = *engine_;
+  IngestVerdict verdict = IngestVerdict::kApplied;
+  for (const EventRecord& r : history_->fresh()) {
+    verdict = engine_->ingest(r);
+    if (verdict != IngestVerdict::kApplied) break;
+  }
+  if (verdict == IngestVerdict::kApplied) {
+    verdict = engine_->ingest(ctx.recv_event);
+  }
+  if (verdict != IngestVerdict::kApplied) {
+    DS_CHECK_MSG(engine_undo_.has_value(), describe(verdict));
+    history_->rollback_receive();
+    std::swap(*engine_, *engine_undo_);
+    ++stats_.cross_check_failures;
+    return false;
+  }
+  history_->commit_receive(ctx.recv_event);
+  stats_.payload_bytes_received += wire::encoded_size(payload.reports);
+  return true;
 }
 
 void OptimalCsa::on_internal(const EventRecord& event) {
@@ -225,7 +241,7 @@ void OptimalCsa::on_internal(const EventRecord& event) {
     history_->handle_loss(event.peer);
   }
   history_->record_own_event(event);
-  engine_->ingest(event);
+  ingest_trusted(event);
 }
 
 void OptimalCsa::on_delivery_confirmed(ProcId dest) {
@@ -240,11 +256,17 @@ Interval OptimalCsa::estimate(LocalTime now) const {
 
 std::vector<std::uint8_t> OptimalCsa::checkpoint() const {
   DS_CHECK(history_ && engine_);
+  // Sized first, so the image is the call's one allocation.
+  const std::size_t size = history_->saved_size() + engine_->saved_size() +
+                           wire::varint_size(stats_.payload_bytes_sent) +
+                           wire::varint_size(stats_.payload_bytes_received);
   std::vector<std::uint8_t> out;
+  out.reserve(size);
   history_->save(out);
   engine_->save(out);
   wire::put_varint(out, stats_.payload_bytes_sent);
   wire::put_varint(out, stats_.payload_bytes_received);
+  DS_CHECK(out.size() == size);
   return out;
 }
 
@@ -279,6 +301,12 @@ CsaStats OptimalCsa::stats() const {
     s.max_live_points = engine_->max_live_count();
     s.state_bytes = engine_->matrix_bytes();
     s.apsp_relaxations = engine_->apsp_relaxations();
+    s.scratch_bytes = engine_->scratch_bytes() +
+                      screen_floor_.capacity() * sizeof(LocalTime);
+    if (engine_undo_) {
+      s.scratch_bytes +=
+          engine_undo_->matrix_bytes() + engine_undo_->scratch_bytes();
+    }
   }
   if (history_) {
     s.history_events = history_->history_size();
@@ -286,6 +314,7 @@ CsaStats OptimalCsa::stats() const {
     s.reports_sent = history_->reports_sent();
     s.state_bytes += history_->state_bytes();
     s.checkpoint_cache_bytes = history_->checkpoint_cache_bytes();
+    s.scratch_bytes += history_->scratch_bytes();
     s.gc_passes = history_->gc_passes();
   }
   return s;

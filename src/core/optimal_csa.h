@@ -33,10 +33,10 @@ class OptimalCsa : public Csa {
     /// validation of inbound messages against the APSP-fused view.  Off by
     /// default so the simulator and the micro-bench baselines keep the
     /// historical single-edge screen; the runtime Node turns it on.  When
-    /// on, on_receive becomes transactional: a payload whose ingestion
-    /// would make the constraint system inconsistent (a sub-slack lie that
-    /// slipped past every screen) is rolled back wholesale instead of
-    /// crashing or poisoning the view.
+    /// on, a payload whose ingestion would make the constraint system
+    /// inconsistent (a sub-slack lie that slipped past every screen) is
+    /// rolled back wholesale instead of crashing or poisoning the view;
+    /// the engine's rollback point costs one copy of its state per message.
     bool cross_validation = false;
     /// Tolerance of the kSuspect band (seconds).  Deliberately tighter than
     /// feasibility_slack: an observation may be feasible per the generous
@@ -118,6 +118,9 @@ class OptimalCsa : public Csa {
   [[nodiscard]] const HistoryProtocol& history() const { return *history_; }
 
  private:
+  /// Ingests an own or trusted record; a refusal is a bug.
+  void ingest_trusted(const EventRecord& event);
+
   /// The single-edge feasibility envelope check with a caller-chosen slack;
   /// observation_feasible uses feasibility_slack, the kSuspect band of
   /// screen_message re-runs it with the tighter suspicion_slack.
@@ -130,8 +133,13 @@ class OptimalCsa : public Csa {
   ProcId self_ = kInvalidProc;
   std::optional<HistoryProtocol> history_;
   std::optional<SyncEngine> engine_;
+  /// cross_validation: the engine as it was before the receive in progress.
+  std::optional<SyncEngine> engine_undo_;
+  /// screen_message's per-processor scratch.  Mutable like the history's
+  /// image cache: screen_message must not run concurrently with any other
+  /// call on the same instance.
+  mutable std::vector<LocalTime> screen_floor_;
   CsaStats stats_;
-  bool last_receive_ok_ = true;  ///< Whether the last on_receive applied.
 };
 
 }  // namespace driftsync

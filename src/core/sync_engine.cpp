@@ -37,12 +37,47 @@ const SyncEngine::LiveNode& SyncEngine::live_at(EventId id) const {
   return *node;
 }
 
-void SyncEngine::ingest(const EventRecord& record) {
+const char* describe(IngestVerdict verdict) {
+  switch (verdict) {
+    case IngestVerdict::kApplied:
+      return "applied";
+    case IngestVerdict::kSequenceGap:
+      return "events of a processor must be ingested in sequence order";
+    case IngestVerdict::kOutOfRange:
+      return "processor, peer or match outside the spec";
+    case IngestVerdict::kClockBackwards:
+      return "local clock went backwards";
+    case IngestVerdict::kBadSlack:
+      return "processing slack must be a non-negative receive-only value";
+    case IngestVerdict::kUnmatchedReceive:
+      return "receive ingested before its matching send is live";
+    case IngestVerdict::kNoLink:
+      return "receive over a non-existent link";
+    case IngestVerdict::kBadLossDecl:
+      return "loss declaration must reference a live send of its own "
+             "processor";
+    case IngestVerdict::kNegativeCycle:
+      return "negative cycle: the real-time specification is inconsistent "
+             "with the observed local times";
+  }
+  return "unknown ingest verdict";
+}
+
+IngestVerdict SyncEngine::ingest(const EventRecord& record) {
+  // Every refusal below happens before the first write (insert_node), so a
+  // refused record leaves the engine exactly as it was.
+  if (!procs_in_range(record, spec_->num_procs())) {
+    return IngestVerdict::kOutOfRange;
+  }
   const ProcId w = record.id.proc;
-  DS_CHECK(w < spec_->num_procs());
   const EventId prev_id = last_id_[w];
-  DS_CHECK_MSG(record.id.seq == (prev_id.valid() ? prev_id.seq + 1 : 0),
-               "events of a processor must be ingested in sequence order");
+  if (record.id.seq != (prev_id.valid() ? prev_id.seq + 1 : 0)) {
+    return IngestVerdict::kSequenceGap;
+  }
+  if (!std::isfinite(record.slack) || record.slack < 0.0 ||
+      (record.slack != 0.0 && record.kind != EventKind::kReceive)) {
+    return IngestVerdict::kBadSlack;
+  }
 
   // At most two edges each way: built on the stack, so ingest allocates
   // nothing once the live lists and the distance matrix stop growing.
@@ -57,29 +92,26 @@ void SyncEngine::ingest(const EventRecord& record) {
   if (prev_id.valid()) {
     const LiveNode& prev = live_at(prev_id);
     const Duration dl = record.lt - prev.rec.lt;
-    DS_CHECK_MSG(dl >= 0.0, "local clock went backwards");
+    if (!(dl >= 0.0)) return IngestVerdict::kClockBackwards;
     const ProcEdgeWeights pw = proc_edge_weights(spec_->clock(w), dl);
     in_edges[n_in++] = HalfEdge{prev.handle, pw.forward};
     out_edges[n_out++] = HalfEdge{prev.handle, pw.backward};
   }
 
   // Transit edges to the matching send (Section 2, message transit bounds).
-  // The send is live: its receive was not in the view before this record.
-  DS_CHECK_MSG(std::isfinite(record.slack) && record.slack >= 0.0 &&
-                   (record.slack == 0.0 || record.kind == EventKind::kReceive),
-               "processing slack must be a non-negative receive-only value");
+  // The send must be live and pending: its receive was not in the view
+  // before this record.
   if (record.kind == EventKind::kReceive) {
-    const LiveNode* const match = find(record.match);
-    DS_CHECK_MSG(match != nullptr,
-                 "receive ingested before its matching send is live");
-    const LiveNode& send = *match;
-    DS_CHECK(send.rec.kind == EventKind::kSend && !send.recv_seen &&
-             !send.lost);
+    const LiveNode* const send = find(record.match);
+    if (send == nullptr || send->rec.kind != EventKind::kSend ||
+        send->recv_seen || send->lost) {
+      return IngestVerdict::kUnmatchedReceive;
+    }
     const LinkSpec* link = spec_->link_between(w, record.peer);
-    DS_CHECK_MSG(link != nullptr, "receive over a non-existent link");
+    if (link == nullptr) return IngestVerdict::kNoLink;
     const MsgEdgeWeights mw =
-        msg_edge_weights(*link, record.peer, send.rec.lt, record.lt);
-    in_edges[n_in++] = HalfEdge{send.handle, mw.send_to_recv};
+        msg_edge_weights(*link, record.peer, send->rec.lt, record.lt);
+    in_edges[n_in++] = HalfEdge{send->handle, mw.send_to_recv};
     if (mw.recv_to_send != kNoBound) {
       // The spec's max transit bounds the *wire*; the record's local time
       // was read up to `slack` local seconds after the datagram arrived
@@ -87,16 +119,23 @@ void SyncEngine::ingest(const EventRecord& record) {
       // bound by that gap mapped through the receiver's drift envelope,
       // else honest processing delay masquerades as a spec violation.
       out_edges[n_out++] = HalfEdge{
-          send.handle,
+          send->handle,
           mw.recv_to_send + spec_->clock(w).rt_upper(record.slack)};
+    }
+  } else if (record.kind == EventKind::kLossDecl) {
+    // Only the sender declares a message lost.
+    const LiveNode* const send = find(record.match);
+    if (record.match.proc != w || send == nullptr ||
+        send->rec.kind != EventKind::kSend) {
+      return IngestVerdict::kBadLossDecl;
     }
   }
 
   const Handle h = apsp_.insert_node(std::span(in_edges.data(), n_in),
                                      std::span(out_edges.data(), n_out));
-  DS_CHECK_MSG(h != graph::IncrementalApsp::kNoHandle,
-               "negative cycle: the real-time specification is inconsistent "
-               "with the observed local times");
+  if (h == graph::IncrementalApsp::kNoHandle) {
+    return IngestVerdict::kNegativeCycle;  // insert_node changed nothing
+  }
 
   // The new event has the highest seq of its processor: appending keeps
   // the list sorted.
@@ -111,16 +150,12 @@ void SyncEngine::ingest(const EventRecord& record) {
     find(record.match)->recv_seen = true;
     drop_if_dead(record.match);
   } else if (record.kind == EventKind::kLossDecl) {
-    LiveNode* const send = find(record.match);
-    DS_CHECK_MSG(send != nullptr && send->rec.kind == EventKind::kSend,
-                 "loss declaration must reference a pending send");
-    DS_CHECK_MSG(record.match.proc == w,
-                 "only the sender declares a message lost");
-    send->lost = true;
+    find(record.match)->lost = true;
     drop_if_dead(record.match);
   }
 
   max_live_ = std::max(max_live_, live_count_);
+  return IngestVerdict::kApplied;
 }
 
 void SyncEngine::drop_if_dead(EventId id) {
@@ -216,6 +251,27 @@ namespace {
 constexpr std::uint64_t kEngineMagic = 0xE5617;
 }  // namespace
 
+std::size_t SyncEngine::live_records_size() const {
+  std::size_t size = wire::varint_size(live_count_);
+  save_encoder_.clear();
+  for (const std::vector<LiveNode>& nodes : live_) {
+    for (const LiveNode& node : nodes) size += save_encoder_.measure(node.rec);
+  }
+  return size;
+}
+
+std::size_t SyncEngine::saved_size() const {
+  std::size_t size = wire::varint_size(kEngineMagic) +
+                     wire::varint_size(self_) +
+                     wire::varint_size(last_id_.size());
+  for (const EventId& id : last_id_) {
+    size += wire::varint_size(id.valid() ? std::uint64_t{id.seq} + 1 : 0);
+  }
+  const std::size_t records = live_records_size();
+  return size + wire::varint_size(records) + records + live_count_ +
+         live_count_ * live_count_ * 8 + wire::varint_size(max_live_);
+}
+
 void SyncEngine::save(std::vector<std::uint8_t>& out) const {
   wire::put_varint(out, kEngineMagic);
   wire::put_varint(out, self_);
@@ -224,28 +280,29 @@ void SyncEngine::save(std::vector<std::uint8_t>& out) const {
     wire::put_varint(out, id.valid() ? std::uint64_t{id.seq} + 1 : 0);
   }
   // Live nodes in canonical (EventId) order, with flags and the exact
-  // pairwise distance matrix in that order.
-  EventBatch records;
-  records.reserve(live_count_);
-  std::vector<std::uint8_t> flags;
-  std::vector<Handle> handles;
+  // pairwise distance matrix in that order.  The canonical order is NOT
+  // causally consistent; the record encoder is order-preserving, so this
+  // is fine — the decoder applies no semantic checks.
+  wire::put_varint(out, live_records_size());
+  wire::put_varint(out, live_count_);
+  save_encoder_.clear();
+  for (const std::vector<LiveNode>& nodes : live_) {
+    for (const LiveNode& node : nodes) save_encoder_.put(out, node.rec);
+  }
   for (const std::vector<LiveNode>& nodes : live_) {
     for (const LiveNode& node : nodes) {
-      records.push_back(node.rec);
-      flags.push_back(static_cast<std::uint8_t>((node.recv_seen ? 1 : 0) |
-                                                (node.lost ? 2 : 0)));
-      handles.push_back(node.handle);
+      out.push_back(static_cast<std::uint8_t>((node.recv_seen ? 1 : 0) |
+                                              (node.lost ? 2 : 0)));
     }
   }
-  // The canonical order is NOT causally consistent; serialize records
-  // individually (encode_batch is order-preserving, so this is fine — the
-  // decoder applies no semantic checks).
-  const auto batch = wire::encode_batch(records);
-  wire::put_varint(out, batch.size());
-  out.insert(out.end(), batch.begin(), batch.end());
-  out.insert(out.end(), flags.begin(), flags.end());
-  for (const Handle a : handles) {
-    for (const Handle b : handles) wire::put_double(out, apsp_.distance(a, b));
+  for (const std::vector<LiveNode>& from : live_) {
+    for (const LiveNode& a : from) {
+      for (const std::vector<LiveNode>& to : live_) {
+        for (const LiveNode& b : to) {
+          wire::put_double(out, apsp_.distance(a.handle, b.handle));
+        }
+      }
+    }
   }
   wire::put_varint(out, max_live_);
 }

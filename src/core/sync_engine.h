@@ -29,9 +29,27 @@
 #include "core/bounds.h"
 #include "core/event.h"
 #include "core/spec.h"
+#include "core/wire.h"
 #include "graph/incremental_apsp.h"
 
 namespace driftsync {
+
+/// What SyncEngine::ingest made of a record.  Every verdict but kApplied
+/// means the record is unusable input and the engine is exactly as it was.
+enum class IngestVerdict : std::uint8_t {
+  kApplied,
+  kSequenceGap,       ///< Not the successor of its processor's last event.
+  kOutOfRange,        ///< Processor, peer or match outside the spec.
+  kClockBackwards,    ///< Local time below its processor-predecessor's.
+  kBadSlack,          ///< Negative, non-finite, or on a non-receive.
+  kUnmatchedReceive,  ///< The match is not a live pending send.
+  kNoLink,            ///< A receive over a link the spec does not have.
+  kBadLossDecl,       ///< Does not name a live send of its own processor.
+  kNegativeCycle,     ///< Inconsistent with the spec, given the view.
+};
+
+/// One line naming the verdict, for error messages.
+[[nodiscard]] const char* describe(IngestVerdict verdict);
 
 class SyncEngine {
  public:
@@ -50,8 +68,11 @@ class SyncEngine {
       : SyncEngine(spec, self, Options()) {}
 
   /// Feeds one event record.  Records must arrive in a causally consistent
-  /// order and, per processor, in sequence order with no gaps.
-  void ingest(const EventRecord& record);
+  /// order and, per processor, in sequence order with no gaps.  A record
+  /// the engine cannot apply is refused with a verdict, before anything is
+  /// written: a refusal leaves the engine unchanged.  Callers feeding
+  /// trusted records (their own events, the simulator's) DS_CHECK it.
+  [[nodiscard]] IngestVerdict ingest(const EventRecord& record);
 
   /// Optimal estimate of the current source time, queried when this
   /// processor's clock reads `now` (>= local time of the last ingested own
@@ -127,8 +148,18 @@ class SyncEngine {
   /// frontier consistency, finite distances, bounded allocations) before
   /// touching any engine state, and throws driftsync::CheckpointError on
   /// rejection — a failed load leaves the engine exactly as it was.
+  ///
+  /// saved_size() is the number of bytes save() appends, so a caller can
+  /// reserve the whole image up front.
   void save(std::vector<std::uint8_t>& out) const;
+  [[nodiscard]] std::size_t saved_size() const;
   void load(std::span<const std::uint8_t> bytes, std::size_t& offset);
+
+  /// Resident bytes of the save() scratch.  Not protocol state, so not
+  /// part of matrix_bytes().
+  [[nodiscard]] std::size_t scratch_bytes() const {
+    return save_encoder_.memory_bytes();
+  }
 
  private:
   struct LiveNode {
@@ -148,6 +179,10 @@ class SyncEngine {
   /// Removes a node if it is no longer live per Definition 3.1.
   void drop_if_dead(EventId id);
 
+  /// Size of the live records' batch image (count, then each record in
+  /// canonical order).
+  [[nodiscard]] std::size_t live_records_size() const;
+
   const SystemSpec* spec_;
   ProcId self_;
   Options opts_;
@@ -160,6 +195,8 @@ class SyncEngine {
   std::size_t live_count_ = 0;
   std::vector<EventId> last_id_;  ///< Per processor; invalid when none.
   std::size_t max_live_ = 0;
+  /// save()'s record encoder, kept so its table keeps its capacity.
+  mutable wire::RecordEncoder save_encoder_;
 };
 
 }  // namespace driftsync

@@ -28,15 +28,6 @@ constexpr std::uint8_t kKnownFlags =
 // set, internal kind).  Used to bound count-prefix-driven allocations.
 constexpr std::size_t kMinRecordBytes = 9;
 
-std::size_t varint_size(std::uint64_t value) {
-  std::size_t n = 1;
-  while (value >= 0x80) {
-    value >>= 7;
-    ++n;
-  }
-  return n;
-}
-
 /// Reads a varint that must fit a 32-bit field (proc ids, seq numbers).
 std::uint32_t get_varint32(std::span<const std::uint8_t> bytes,
                            std::size_t& offset, const char* what) {
@@ -57,8 +48,7 @@ ProcId get_proc(std::span<const std::uint8_t> bytes, std::size_t& offset,
   return p;
 }
 
-/// Cleared-on-entry scratch reused by every decode/size pass on this
-/// thread.
+/// Cleared-on-entry scratch reused by every decode pass on this thread.
 SeqTracker& seq_scratch() {
   thread_local SeqTracker tracker;
   tracker.clear();
@@ -66,6 +56,15 @@ SeqTracker& seq_scratch() {
 }
 
 }  // namespace
+
+std::size_t varint_size(std::uint64_t value) {
+  std::size_t n = 1;
+  while (value >= 0x80) {
+    value >>= 7;
+    ++n;
+  }
+  return n;
+}
 
 void put_varint(std::vector<std::uint8_t>& out, std::uint64_t value) {
   while (value >= 0x80) {
@@ -77,8 +76,15 @@ void put_varint(std::vector<std::uint8_t>& out, std::uint64_t value) {
 
 void put_double(std::vector<std::uint8_t>& out, double v) {
   const auto bits = std::bit_cast<std::uint64_t>(v);
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  if constexpr (std::endian::native == std::endian::little) {
+    // The wire order is little-endian: the bytes as they sit in memory.
+    const std::size_t at = out.size();
+    out.resize(at + 8);
+    std::memcpy(out.data() + at, &bits, 8);
+  } else {
+    for (int i = 0; i < 8; ++i) {
+      out.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+    }
   }
 }
 
@@ -144,6 +150,26 @@ void RecordEncoder::put(std::vector<std::uint8_t>& out, const EventRecord& r) {
   next_seq_.set(r.id.proc, r.id.seq + 1);
 }
 
+std::size_t RecordEncoder::measure(const EventRecord& r) {
+  std::size_t size = 1 + 8;  // flags + local time
+  if (r.id.proc != prev_proc_) size += varint_size(r.id.proc);
+  const std::uint32_t* expected = next_seq_.find(r.id.proc);
+  if (expected == nullptr || *expected != r.id.seq) {
+    size += varint_size(r.id.seq);
+  }
+  if (r.kind == EventKind::kSend || r.kind == EventKind::kReceive ||
+      r.kind == EventKind::kLossDecl) {
+    size += varint_size(r.peer);
+  }
+  if (r.kind == EventKind::kReceive || r.kind == EventKind::kLossDecl) {
+    size += varint_size(r.match.proc) + varint_size(r.match.seq);
+  }
+  if (r.kind == EventKind::kReceive && r.slack != 0.0) size += 8;
+  prev_proc_ = r.id.proc;
+  next_seq_.set(r.id.proc, r.id.seq + 1);
+  return size;
+}
+
 void encode_batch_into(std::vector<std::uint8_t>& out,
                        const EventBatch& batch) {
   put_varint(out, batch.size());
@@ -199,7 +225,7 @@ void IncrementalBatch::write(std::vector<std::uint8_t>& out) const {
 
 std::size_t IncrementalBatch::memory_bytes() const {
   return bytes_.capacity() + records_.capacity() * sizeof(Entry) +
-         encoder_.next_seq_.memory_bytes();
+         encoder_.memory_bytes();
 }
 
 std::vector<std::uint8_t> encode_batch(const EventBatch& batch) {
@@ -337,26 +363,9 @@ CsaPayload decode_payload(std::span<const std::uint8_t> bytes) {
 
 std::size_t encoded_size(const EventBatch& batch) {
   std::size_t size = varint_size(batch.size());
-  ProcId prev_proc = kInvalidProc;
-  SeqTracker& next_seq = seq_scratch();
-  for (const EventRecord& r : batch) {
-    size += 1 + 8;  // flags + local time
-    if (r.id.proc != prev_proc) size += varint_size(r.id.proc);
-    const std::uint32_t* expected = next_seq.find(r.id.proc);
-    if (expected == nullptr || *expected != r.id.seq) {
-      size += varint_size(r.id.seq);
-    }
-    if (r.kind == EventKind::kSend || r.kind == EventKind::kReceive ||
-        r.kind == EventKind::kLossDecl) {
-      size += varint_size(r.peer);
-    }
-    if (r.kind == EventKind::kReceive || r.kind == EventKind::kLossDecl) {
-      size += varint_size(r.match.proc) + varint_size(r.match.seq);
-    }
-    if (r.kind == EventKind::kReceive && r.slack != 0.0) size += 8;
-    prev_proc = r.id.proc;
-    next_seq.set(r.id.proc, r.id.seq + 1);
-  }
+  thread_local RecordEncoder encoder;
+  encoder.clear();
+  for (const EventRecord& r : batch) size += encoder.measure(r);
   return size;
 }
 

@@ -104,6 +104,13 @@ class RecordEncoder {
   /// Appends `r`'s encoding to `out` and advances the state past it.
   void put(std::vector<std::uint8_t>& out, const EventRecord& r);
 
+  /// The size of `r`'s encoding; advances the state exactly as put() does.
+  [[nodiscard]] std::size_t measure(const EventRecord& r);
+
+  [[nodiscard]] std::size_t memory_bytes() const {
+    return next_seq_.memory_bytes();
+  }
+
  private:
   friend class IncrementalBatch;
   ProcId prev_proc_ = kInvalidProc;
@@ -113,21 +120,8 @@ class RecordEncoder {
 /// A batch image kept current as records are appended and the tail is cut
 /// back, so each record is encoded once however often the image is
 /// written.  write() emits exactly encode_batch() of the cached records.
-///
-/// A copy starts empty, as a cache may: its owner re-appends the records
-/// before the next write.  Owners are copied mostly as rollback points that
-/// are then discarded, so copying the bytes would be wasted work.
 class IncrementalBatch {
  public:
-  IncrementalBatch() = default;
-  IncrementalBatch(const IncrementalBatch& /*other*/) {}
-  IncrementalBatch& operator=(const IncrementalBatch& other) {
-    if (this != &other) clear();
-    return *this;
-  }
-  IncrementalBatch(IncrementalBatch&&) = default;
-  IncrementalBatch& operator=(IncrementalBatch&&) = default;
-
   /// Number of records encoded so far.
   [[nodiscard]] std::size_t size() const { return records_.size(); }
 
@@ -199,10 +193,12 @@ CsaPayload decode_payload(std::span<const std::uint8_t> bytes,
 CsaPayload decode_payload(std::span<const std::uint8_t> bytes);
 
 // Low-level primitives (exposed for tests and the checkpoint module).
+// varint_size(v) is the number of bytes put_varint(out, v) appends.
 // The getters throw WireError on truncation; get_varint additionally
 // rejects over-long (non-minimal) and 64-bit-overflowing encodings, so
 // every accepted varint re-encodes to the exact bytes consumed.
 void put_varint(std::vector<std::uint8_t>& out, std::uint64_t value);
+std::size_t varint_size(std::uint64_t value);
 std::uint64_t get_varint(std::span<const std::uint8_t> bytes,
                          std::size_t& offset);
 void put_double(std::vector<std::uint8_t>& out, double v);

@@ -332,7 +332,9 @@ class Node {
   [[nodiscard]] double backed_off(double base, const PeerState& state);
   EventRecord make_own_event(EventKind kind, ProcId peer, EventId match);
   void persist();
-  [[nodiscard]] std::vector<std::uint8_t> encode_checkpoint() const;
+  /// Encodes the checkpoint image's node header, up to and including the
+  /// CSA image's length, into checkpoint_header_.
+  void encode_checkpoint_header(std::size_t csa_image_size);
   void load_checkpoint(std::span<const std::uint8_t> bytes);
   void timer_loop();
   [[nodiscard]] std::string stats_json_locked() const;
@@ -348,6 +350,10 @@ class Node {
   std::condition_variable cv_;
   bool running_ = false;
   bool checkpoint_supported_ = false;
+  /// persist()'s buffers, reused so a checkpoint allocates only the CSA's
+  /// image: the encoded node header and the temporary file's path.
+  std::vector<std::uint8_t> checkpoint_header_;
+  std::string checkpoint_tmp_path_;
   /// Active members + journaled former members (runtime/membership.h).
   MembershipTable membership_;
   std::uint32_t next_event_seq_ = 0;

@@ -52,8 +52,8 @@ TEST(HistoryGcAblationTest, MessagesIdenticalWithAndWithoutGc) {
     const EventBatch ba = with[from]->fill_message(to, sa);
     const EventBatch bb = without[from]->fill_message(to, sb);
     ASSERT_EQ(ba, bb);
-    with[to]->receive_message(from, ba);
-    without[to]->receive_message(from, bb);
+    ASSERT_EQ(with[to]->receive_message(from, ba), MergeVerdict::kMerged);
+    ASSERT_EQ(without[to]->receive_message(from, bb), MergeVerdict::kMerged);
     with[to]->record_own_event(fac_a.receive(to, tr, sa));
     without[to]->record_own_event(fac_b.receive(to, tr, sb));
   };

@@ -52,8 +52,8 @@ TEST(AsymmetricLinkTest, EngineUsesDirectionalBounds) {
   // A single downlink message: transit known within [1, 2] ms.
   const EventRecord s = fac.send(0, 10.0, 1);
   const EventRecord r = fac.receive(1, 500.0, s);
-  engine.ingest(s);
-  engine.ingest(r);
+  EXPECT_EQ(engine.ingest(s), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(r), IngestVerdict::kApplied);
   const Interval est = engine.estimate(500.0);
   EXPECT_TRUE(intervals_close(est, Interval{10.001, 10.002}));
 }
@@ -64,8 +64,8 @@ TEST(AsymmetricLinkTest, UplinkUsesItsOwnBounds) {
   EventFactory fac(2);
   const EventRecord s = fac.send(1, 100.0, 0);
   const EventRecord r = fac.receive(0, 20.0, s);
-  engine.ingest(s);
-  engine.ingest(r);
+  EXPECT_EQ(engine.ingest(s), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(r), IngestVerdict::kApplied);
   // RT(r) - RT(s) in [0.05, 0.2] (uplink bounds).
   EXPECT_TRUE(intervals_close(engine.rt_difference_bounds(r.id, s.id),
                               Interval{0.05, 0.2}));
@@ -188,8 +188,8 @@ TEST(ReferenceLinkTest, ReadingAccuracyBecomesEstimateWidth) {
   EventFactory fac(2);
   const EventRecord s = fac.send(0, 50.0, 1);
   const EventRecord r = fac.receive(1, 1000.0, s);
-  engine.ingest(s);
-  engine.ingest(r);
+  EXPECT_EQ(engine.ingest(s), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(r), IngestVerdict::kApplied);
   const Interval est = engine.estimate(1000.0);
   EXPECT_TRUE(intervals_close(est, Interval{50.0 - a, 50.0 + a}));
 }

@@ -22,7 +22,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "common/interval.h"
@@ -32,8 +35,11 @@
 #include "core/spec.h"
 #include "runtime/byzantine.h"
 #include "runtime/chaos.h"
+#include "runtime/datagram.h"
 #include "runtime/mesh.h"
 #include "runtime/node.h"
+#include "runtime/thread_transport.h"
+#include "runtime/time_source.h"
 #include "test_util.h"
 
 namespace driftsync::runtime {
@@ -252,6 +258,56 @@ TEST_F(CrossValidation, RollbackLeavesViewIntactAndRecovers) {
   EXPECT_EQ(victim_->stats().cross_check_failures, 1u);
 }
 
+/// Reports naming processor 50 on a 3-processor spec, in each field that
+/// indexes per-processor state: the owner, the peer, the matched send.
+std::vector<EventRecord> out_of_range_reports() {
+  EventRecord owner;
+  owner.id = EventId{50, 0};
+  owner.lt = 0.5;
+  EventRecord peer;
+  peer.id = EventId{2, 0};
+  peer.lt = 0.5;
+  peer.kind = EventKind::kSend;
+  peer.peer = 50;
+  EventRecord match;
+  match.id = EventId{2, 0};
+  match.lt = 0.5;
+  match.kind = EventKind::kReceive;
+  match.peer = 1;
+  match.match = EventId{50, 0};
+  return {owner, peer, match};
+}
+
+TEST(OutOfRangeReport, ScreenedAndRefusedWithoutCrossValidation) {
+  // The daemon's own options: loss-tolerant, no cross-validation.  The
+  // screen's payload checks used to start only after its cross-validation
+  // early return, and the merge then indexed per-processor arrays with the
+  // relayed id.
+  const SystemSpec spec = driftsync::testing::line_spec(3, 5e-4, 0.0, 0.05);
+  OptimalCsa::Options opts;
+  opts.loss_tolerant = true;
+  OptimalCsa victim(opts);
+  victim.init(spec, 1);
+  driftsync::testing::EventFactory fac(3);
+  const EventRecord send = fac.send(0, 1.0, 1);
+  const EventRecord recv = fac.receive(1, 1.01, send);
+  const RecvContext ctx{1, 0, recv, send, 0};
+  const std::vector<std::uint8_t> before = victim.checkpoint();
+  for (const EventRecord& bad : out_of_range_reports()) {
+    const CsaPayload payload{{bad, send}, {}};
+    EXPECT_EQ(victim.screen_message(0, 1.0, 1.01, payload).verdict,
+              ObservationVerdict::kInfeasible);
+    // An unscreened caller is safe too: the history refuses the batch
+    // before anything is written.
+    EXPECT_FALSE(victim.on_receive_validated(ctx, payload));
+    EXPECT_EQ(victim.checkpoint(), before);
+    // A caller that vouched for the message learns of a bug.
+    EXPECT_THROW(victim.on_receive(ctx, payload), std::logic_error);
+    EXPECT_EQ(victim.checkpoint(), before);
+  }
+  EXPECT_TRUE(victim.on_receive_validated(ctx, CsaPayload{{send}, {}}));
+}
+
 // ---------------------------------------------------------------------------
 // Runtime: ByzantinePeer vs the Node's suspicion machine
 
@@ -449,6 +505,73 @@ TEST(ByzantineRuntime, LeaveAndRejoinDoesNotInheritOldSuspicion) {
       },
       4000));
   EXPECT_TRUE(brackets_truth(victim));
+}
+
+TEST(ByzantineRuntime, OutOfRangeReportIsRenouncedAndNodeKeepsServing) {
+  // One well-formed datagram relaying a report about processor 50 of 3,
+  // sent to a Node with the daemon's options (loss-tolerant, no
+  // cross-validation, the quarantine screen on): renounced as infeasible,
+  // and the next honest datagram is processed.
+  const SystemSpec spec = driftsync::testing::line_spec(3, 5e-4, 0.0, 0.05);
+  ThreadHub hub(53);
+  hub.set_link(0, 1, 0.0, 0.001);
+  OptimalCsa::Options opts;
+  opts.loss_tolerant = true;
+  Node victim(node_config(1, spec, /*poll_period=*/1000.0),
+              std::make_unique<OptimalCsa>(opts),
+              std::make_unique<ScaledTimeSource>(0.0, 1.0), hub.endpoint(1));
+  std::mutex mu;
+  AckMsg last_ack;
+  auto peer = hub.endpoint(0);
+  peer->start([&](std::span<const std::uint8_t> bytes) {
+    const Datagram dgram = decode_datagram(bytes);
+    if (const auto* ack = std::get_if<AckMsg>(&dgram)) {
+      const std::lock_guard<std::mutex> lock(mu);
+      last_ack = *ack;
+    }
+  });
+  victim.start();
+  const ScaledTimeSource clock(0.0, 1.0);
+  const auto send_data = [&](std::uint64_t dgram_seq,
+                             std::vector<EventRecord> reports) {
+    DataMsg msg;
+    msg.from = 0;
+    msg.dgram_seq = dgram_seq;
+    msg.send_seq = 0;
+    msg.send_lt = clock.now();
+    EventRecord send;
+    send.id = EventId{0, 0};
+    send.lt = msg.send_lt;
+    send.kind = EventKind::kSend;
+    send.peer = 1;
+    reports.push_back(send);
+    msg.payload.reports = std::move(reports);
+    peer->send(1, encode_datagram(Datagram{std::move(msg)}));
+  };
+  const auto acked = [&](std::uint64_t seen, std::uint64_t processed) {
+    return wait_until(
+        [&] {
+          const std::lock_guard<std::mutex> lock(mu);
+          return last_ack.seen_hw >= seen &&
+                 last_ack.processed_hw >= processed;
+        },
+        4000);
+  };
+
+  send_data(1, {out_of_range_reports()[0]});
+  ASSERT_TRUE(acked(1, 0));
+  {
+    const NodeStats s = victim.stats();
+    EXPECT_EQ(s.infeasible_rejected, 1u);
+    EXPECT_EQ(s.cross_check_failures, 0u);
+    const std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(last_ack.processed_hw, 0u);  // Renounced, not processed.
+  }
+  send_data(2, {});
+  EXPECT_TRUE(acked(2, 2));
+  EXPECT_EQ(victim.stats().infeasible_rejected, 1u);
+  victim.stop();
+  peer->stop();
 }
 
 }  // namespace

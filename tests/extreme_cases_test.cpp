@@ -24,7 +24,7 @@ TEST(ExtremeTest, SingleProcessorSystem) {
   const SystemSpec spec({ClockSpec{0.0}}, {}, 0);
   SyncEngine engine(spec, 0);
   EventFactory fac(1);
-  engine.ingest(fac.internal(0, 7.0));
+  EXPECT_EQ(engine.ingest(fac.internal(0, 7.0)), IngestVerdict::kApplied);
   EXPECT_TRUE(intervals_close(engine.estimate(9.0), Interval::point(9.0)));
 }
 
@@ -36,8 +36,8 @@ TEST(ExtremeTest, ZeroWidthTransitBound) {
   EventFactory fac(2);
   const EventRecord s = fac.send(0, 10.0, 1);
   const EventRecord r = fac.receive(1, 300.0, s);
-  engine.ingest(s);
-  engine.ingest(r);
+  EXPECT_EQ(engine.ingest(s), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(r), IngestVerdict::kApplied);
   EXPECT_TRUE(intervals_close(engine.estimate(300.0),
                               Interval::point(10.5)));
 }
@@ -50,8 +50,8 @@ TEST(ExtremeTest, SimultaneousEventsAtOneProcessor) {
   EventFactory fac(3);
   const EventRecord s1 = fac.send(1, 5.0, 0);
   const EventRecord s2 = fac.send(1, 5.0, 2);
-  engine.ingest(s1);
-  engine.ingest(s2);
+  EXPECT_EQ(engine.ingest(s1), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(s2), IngestVerdict::kApplied);
   EXPECT_EQ(engine.live_count(), 2u);
   EXPECT_TRUE(
       intervals_close(engine.rt_difference_bounds(s2.id, s1.id),
@@ -70,8 +70,8 @@ TEST(ExtremeTest, HugeClockOffsetsKeepPrecision) {
   const double base = 1.0e9;
   const EventRecord s = fac.send(0, 25.0, 1);
   const EventRecord r = fac.receive(1, base, s);
-  engine.ingest(s);
-  engine.ingest(r);
+  EXPECT_EQ(engine.ingest(s), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(r), IngestVerdict::kApplied);
   oracle.on_receive(RecvContext{1, 0, r, s, 0}, CsaPayload{{s}, {}});
   const Interval fast = engine.estimate(base + 5.0);
   const Interval slow = oracle.estimate(base + 5.0);
@@ -92,10 +92,10 @@ TEST(ExtremeTest, VeryHighDriftBound) {
   const EventRecord r1 = fac.receive(1, 100.0, s1);
   const EventRecord s2 = fac.send(0, 2.0, 1);
   const EventRecord r2 = fac.receive(1, 101.4, s2);
-  engine.ingest(s1);
-  engine.ingest(r1);
-  engine.ingest(s2);
-  engine.ingest(r2);
+  EXPECT_EQ(engine.ingest(s1), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(r1), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(s2), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(r2), IngestVerdict::kApplied);
   const Interval est = engine.estimate(101.4);
   EXPECT_TRUE(est.contains(2.05));  // true time just after the second send
 }
@@ -107,8 +107,8 @@ TEST(ExtremeTest, NegativeLocalTimesAreFine) {
   EventFactory fac(2);
   const EventRecord s = fac.send(0, 3.0, 1);
   const EventRecord r = fac.receive(1, -5000.0, s);
-  engine.ingest(s);
-  engine.ingest(r);
+  EXPECT_EQ(engine.ingest(s), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(r), IngestVerdict::kApplied);
   const Interval est = engine.estimate(-4999.0);
   EXPECT_TRUE(est.bounded());
   EXPECT_GT(est.lo, 3.0);  // just after the send, in source time
@@ -122,8 +122,8 @@ TEST(ExtremeTest, TwoNodeZeroMinDelayUnboundedMax) {
   EventFactory fac(2);
   const EventRecord s = fac.send(0, 10.0, 1);
   const EventRecord r = fac.receive(1, 100.0, s);
-  engine.ingest(s);
-  engine.ingest(r);
+  EXPECT_EQ(engine.ingest(s), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(r), IngestVerdict::kApplied);
   Interval est = engine.estimate(100.0);
   EXPECT_TRUE(std::isfinite(est.lo));  // source sent at 10, transit >= 0
   EXPECT_EQ(est.hi, kNoBound);         // no upper bound without round trip
@@ -131,10 +131,10 @@ TEST(ExtremeTest, TwoNodeZeroMinDelayUnboundedMax) {
   const EventRecord r2 = fac.receive(0, 11.0, s2);
   const EventRecord s3 = fac.send(0, 11.2, 1);
   const EventRecord r3 = fac.receive(1, 101.0, s3);
-  engine.ingest(s2);
-  engine.ingest(r2);
-  engine.ingest(s3);
-  engine.ingest(r3);
+  EXPECT_EQ(engine.ingest(s2), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(r2), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(s3), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(r3), IngestVerdict::kApplied);
   est = engine.estimate(101.0);
   EXPECT_TRUE(est.bounded());
 }
@@ -221,8 +221,8 @@ TEST(ExtremeTest, LongIdlePeriodKeepsExtrapolating) {
   EventFactory fac(2);
   const EventRecord s = fac.send(0, 1.0, 1);
   const EventRecord r = fac.receive(1, 2.0, s);
-  engine.ingest(s);
-  engine.ingest(r);
+  EXPECT_EQ(engine.ingest(s), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(r), IngestVerdict::kApplied);
   const double w0 = engine.estimate(2.0).width();
   // A week of silence: width grows linearly, never overflows or collapses.
   const double week = 7 * 24 * 3600.0;

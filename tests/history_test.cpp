@@ -7,7 +7,9 @@
 // would.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -36,9 +38,10 @@ class HistoryTest : public ::testing::Test {
   EventBatch transfer(ProcId p, ProcId q, LocalTime lt_s, LocalTime lt_r) {
     const EventRecord s = fac_->send(p, lt_s, q);
     const EventBatch batch = protocols_[p]->fill_message(q, s);
-    EventBatch fresh = protocols_[q]->receive_message(p, batch);
+    EXPECT_EQ(protocols_[q]->receive_message(p, batch), MergeVerdict::kMerged);
+    const std::span<const EventRecord> fresh = protocols_[q]->fresh();
     protocols_[q]->record_own_event(fac_->receive(q, lt_r, s));
-    return fresh;
+    return {fresh.begin(), fresh.end()};
   }
 
   std::unique_ptr<SystemSpec> spec_;
@@ -206,12 +209,69 @@ TEST_F(HistoryTest, NonNeighborThrows) {
   EXPECT_THROW((void)protocols_[0]->c_entry(2, 0), std::logic_error);
 }
 
+std::vector<std::uint8_t> image_of(const HistoryProtocol& protocol) {
+  std::vector<std::uint8_t> out;
+  protocol.save(out);
+  return out;
+}
+
 TEST_F(HistoryTest, GapWithoutLossToleranceThrows) {
   build(2);
-  // Hand-craft a batch that skips a sequence number.
-  EventRecord e = fac_->internal(0, 1.0);
-  e.id.seq = 2;
-  EXPECT_THROW(protocols_[1]->receive_message(0, {e}), std::logic_error);
+  protocols_[0]->record_own_event(fac_->internal(0, 0.5));
+  transfer(0, 1, 1.0, 1.2);
+  // Hand-craft a batch that skips a sequence number after a record that
+  // would merge: the refusal must undo that record too.
+  EventRecord ok = fac_->internal(0, 1.5);
+  EventRecord gap = fac_->internal(0, 2.0);
+  gap.id.seq += 1;
+  const std::vector<std::uint8_t> before = image_of(*protocols_[1]);
+  EXPECT_EQ(protocols_[1]->receive_message(0, {ok, gap}),
+            MergeVerdict::kOutOfOrder);
+  EXPECT_EQ(image_of(*protocols_[1]), before);
+  EXPECT_EQ(protocols_[1]->c_entry(0, 0), 1);
+}
+
+TEST_F(HistoryTest, OutOfRangeProcessorIsRefused) {
+  build(3);
+  protocols_[0]->record_own_event(fac_->internal(0, 0.5));
+  transfer(0, 1, 1.0, 1.2);
+  // A record that would merge, then one naming processor 50 of 3: as its
+  // owner, its peer, or the sender its receive matches.
+  const EventRecord first = fac_->internal(0, 1.4);
+  EventRecord far = fac_->internal(0, 1.5);
+  far.id.proc = 50;
+  EventRecord far_peer = fac_->send(0, 1.5, 1);
+  far_peer.peer = 50;
+  EventRecord far_match = fac_->internal(0, 1.5);
+  far_match.kind = EventKind::kReceive;
+  far_match.peer = 2;
+  far_match.match = EventId{50, 0};
+  const std::vector<std::uint8_t> before = image_of(*protocols_[1]);
+  for (const EventRecord& r : {far, far_peer, far_match}) {
+    EXPECT_EQ(protocols_[1]->receive_message(0, {first, r}),
+              MergeVerdict::kOutOfRange);
+    EXPECT_EQ(image_of(*protocols_[1]), before);
+  }
+}
+
+TEST_F(HistoryTest, RollbackRestoresTheStateBeforeBegin) {
+  build(3);
+  protocols_[0]->record_own_event(fac_->internal(0, 0.5));
+  transfer(0, 1, 1.0, 1.2);
+  transfer(1, 2, 1.3, 1.4);
+  const std::vector<std::uint8_t> before = image_of(*protocols_[1]);
+  const std::size_t size = protocols_[1]->history_size();
+  const EventRecord s = fac_->send(0, 2.0, 1);
+  const EventBatch batch = protocols_[0]->fill_message(1, s);
+  ASSERT_EQ(protocols_[1]->begin_receive(0, batch), MergeVerdict::kMerged);
+  EXPECT_EQ(protocols_[1]->fresh().size(), 1u);
+  EXPECT_GT(protocols_[1]->history_size(), size);
+  protocols_[1]->rollback_receive();
+  EXPECT_EQ(image_of(*protocols_[1]), before);
+  // The same batch then commits as if the rollback never happened.
+  ASSERT_EQ(protocols_[1]->begin_receive(0, batch), MergeVerdict::kMerged);
+  protocols_[1]->commit_receive(fac_->receive(1, 2.1, s));
+  EXPECT_EQ(protocols_[1]->known_seq(0), static_cast<std::int64_t>(s.id.seq));
 }
 
 // Lemma 3.1 as a property: after any sequence of messages, each processor's
@@ -245,7 +305,7 @@ TEST_P(HistoryLemma31Test, KnowledgeEqualsCausalPast) {
     const EventRecord s = fac.send(v, lt[v], u);
     know[v][v] = s.id.seq;  // v's own send enters its past
     const EventBatch batch = protocols[v]->fill_message(u, s);
-    protocols[u]->receive_message(v, batch);
+    ASSERT_EQ(protocols[u]->receive_message(v, batch), MergeVerdict::kMerged);
     const EventRecord r = fac.receive(u, lt[u], s);
     protocols[u]->record_own_event(r);
     // Model: u's past absorbs v's past, plus u's own receive.
@@ -291,8 +351,8 @@ TEST_F(HistoryLossTest, LostMessageIsResentAfterRollback) {
   const EventRecord s2 = fac_->send(0, 2.0, 1);
   const EventBatch batch2 = protocols_[0]->fill_message(1, s2);
   EXPECT_EQ(batch2.size(), 3u);
-  const EventBatch fresh = protocols_[1]->receive_message(0, batch2);
-  EXPECT_EQ(fresh.size(), 3u);
+  EXPECT_EQ(protocols_[1]->receive_message(0, batch2), MergeVerdict::kMerged);
+  EXPECT_EQ(protocols_[1]->fresh().size(), 3u);
   EXPECT_EQ(protocols_[1]->gap_dropped(), 0u);
 }
 
@@ -314,17 +374,17 @@ TEST_F(HistoryLossTest, GapDroppedRecordsRecoveredLater) {
   const EventRecord s2 = fac_->send(0, 1.5, 1);
   const EventBatch batch2 = protocols_[0]->fill_message(1, s2);
   ASSERT_EQ(batch2.size(), 1u);  // only the new send (optimistic C)
-  const EventBatch fresh2 = protocols_[1]->receive_message(0, batch2);
-  EXPECT_TRUE(fresh2.empty());  // unusable: gap
+  EXPECT_EQ(protocols_[1]->receive_message(0, batch2), MergeVerdict::kMerged);
+  EXPECT_TRUE(protocols_[1]->fresh().empty());  // unusable: gap
   EXPECT_EQ(protocols_[1]->gap_dropped(), 1u);
   // Detection reports: message 1 lost, message 2 delivered.
   protocols_[0]->handle_loss(1);
   protocols_[0]->confirm_delivery(1);
   const EventRecord s3 = fac_->send(0, 2.0, 1);
   const EventBatch batch3 = protocols_[0]->fill_message(1, s3);
-  const EventBatch fresh3 = protocols_[1]->receive_message(0, batch3);
+  EXPECT_EQ(protocols_[1]->receive_message(0, batch3), MergeVerdict::kMerged);
   EXPECT_EQ(protocols_[1]->known_seq(0), 3);  // internal + 3 sends, all known
-  EXPECT_EQ(fresh3.size(), 4u);
+  EXPECT_EQ(protocols_[1]->fresh().size(), 4u);
 }
 
 TEST_F(HistoryLossTest, MisuseThrows) {

@@ -20,7 +20,7 @@ TEST(PeerClockEstimateTest, UnknownPeerIsEverything) {
   const SystemSpec spec = testing::line_spec(3);
   SyncEngine engine(spec, 1);
   testing::EventFactory fac(3);
-  engine.ingest(fac.internal(1, 5.0));
+  EXPECT_EQ(engine.ingest(fac.internal(1, 5.0)), IngestVerdict::kApplied);
   EXPECT_EQ(engine.peer_clock_estimate(2, 5.0), Interval::everything());
 }
 
@@ -28,7 +28,7 @@ TEST(PeerClockEstimateTest, SelfEstimateIsExact) {
   const SystemSpec spec = testing::line_spec(2, 1e-3, 0.1, 1.0);
   SyncEngine engine(spec, 1);
   testing::EventFactory fac(2);
-  engine.ingest(fac.internal(1, 5.0));
+  EXPECT_EQ(engine.ingest(fac.internal(1, 5.0)), IngestVerdict::kApplied);
   // My own clock "estimate": last event + elapsed local time, exactly.
   const Interval est = engine.peer_clock_estimate(1, 7.5);
   EXPECT_TRUE(intervals_close(est, Interval::point(7.5)));
@@ -40,8 +40,8 @@ TEST(PeerClockEstimateTest, SourceEstimateMatchesExternal) {
   testing::EventFactory fac(2);
   const EventRecord s = fac.send(0, 10.0, 1);
   const EventRecord r = fac.receive(1, 100.0, s);
-  engine.ingest(s);
-  engine.ingest(r);
+  EXPECT_EQ(engine.ingest(s), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(r), IngestVerdict::kApplied);
   // The source's clock IS real time, so peer_clock_estimate(source) must
   // coincide with the external-synchronization estimate.
   EXPECT_TRUE(intervals_close(engine.peer_clock_estimate(0, 100.0),
@@ -57,8 +57,8 @@ TEST(PeerClockEstimateTest, SingleMessageGivesPeerWindow) {
   testing::EventFactory fac(2);
   const EventRecord s = fac.send(0, 10.0, 1);
   const EventRecord r = fac.receive(1, 100.0, s);
-  engine.ingest(s);
-  engine.ingest(r);
+  EXPECT_EQ(engine.ingest(s), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(r), IngestVerdict::kApplied);
   // Since the receive, 3 local (= real) seconds passed; the peer's clock
   // read 10.0 at the send, which was 0.2-1.0 before the receive.
   const Interval est = engine.peer_clock_estimate(0, 103.0);

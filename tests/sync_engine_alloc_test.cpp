@@ -1,6 +1,8 @@
-// Steady-state SyncEngine::ingest allocates nothing (ROADMAP item 2).  This
-// binary links the counting operator-new hook (driftsync_allochook), so
-// alloc_stats::allocations() sees every heap allocation in the process.
+// Steady-state SyncEngine::ingest allocates nothing, and neither does a
+// warm cross-validated OptimalCsa receive; a warm OptimalCsa::checkpoint()
+// allocates only the image it returns.  This binary links the counting
+// operator-new hook (driftsync_allochook), so alloc_stats::allocations()
+// sees every heap allocation in the process.
 //
 // The stream is a seeded gossip round on a 6-processor clique: each round
 // every processor sends to a random peer, and every message of the previous
@@ -15,6 +17,7 @@
 
 #include "common/alloc_stats.h"
 #include "common/rng.h"
+#include "core/optimal_csa.h"
 #include "core/sync_engine.h"
 #include "test_util.h"
 
@@ -43,14 +46,15 @@ class GossipStream {
       auto q = static_cast<ProcId>(rng_.uniform_index(n_ - 1));
       if (q >= p) ++q;
       next_.push_back(fac_.send(p, t + 0.01 * p, q));
-      engine.ingest(next_.back());
+      EXPECT_EQ(engine.ingest(next_.back()), IngestVerdict::kApplied);
       ++fed;
     }
     for (std::size_t k = in_flight_.size(); k > 0; --k) {
       std::swap(in_flight_[k - 1], in_flight_[rng_.uniform_index(k)]);
       const EventRecord& s = in_flight_[k - 1];
-      engine.ingest(
-          fac_.receive(s.peer, t + 0.5 + 0.01 * static_cast<double>(fed), s));
+      EXPECT_EQ(engine.ingest(fac_.receive(
+                    s.peer, t + 0.5 + 0.01 * static_cast<double>(fed), s)),
+                IngestVerdict::kApplied);
       ++fed;
     }
     in_flight_.swap(next_);
@@ -83,6 +87,115 @@ TEST(SyncEngineAllocTest, SteadyStateIngestAllocatesNothing) {
   EXPECT_EQ(allocs, 0u) << "over " << fed << " ingests";
   EXPECT_TRUE(engine.knows_source());
   EXPECT_LE(engine.max_live_count(), 2u * 6u + 1u);
+}
+
+/// Seeded gossip on the path 0 - 1 - 2 around a defended (loss-tolerant,
+/// cross-validated) OptimalCsa at processor 2.  The victim reports back to
+/// 1 now and then, so its history buffer stays bounded.  The counters see
+/// only the victim's on_receive and checkpoint calls; payloads are built
+/// by the peers before each call.
+class DefendedVictim {
+ public:
+  explicit DefendedVictim(std::uint64_t seed)
+      : spec_(testing::line_spec(3, 1e-4, 0.001, 0.02)),
+        rng_(seed),
+        fac_(3),
+        victim_([] {
+          OptimalCsa::Options opts;
+          opts.loss_tolerant = true;
+          opts.cross_validation = true;
+          return opts;
+        }()) {
+    p0_.init(spec_, 0);
+    p1_.init(spec_, 1);
+    victim_.init(spec_, 2);
+  }
+
+  /// One gossip step; returns true when it delivered to the victim.
+  bool step() {
+    now_ += rng_.uniform(0.01, 0.1);
+    const auto pick = rng_.uniform_index(4);
+    const auto transit = [&] { now_ += rng_.uniform(0.002, 0.019); };
+    if (pick < 2) {
+      const ProcId from = pick == 0 ? 0 : 1;
+      const ProcId to = 1 - from;
+      OptimalCsa& s = from == 0 ? p0_ : p1_;
+      OptimalCsa& r = from == 0 ? p1_ : p0_;
+      const EventRecord send = fac_.send(from, now_, to);
+      const CsaPayload payload = s.on_send(SendContext{from, to, send, 0});
+      transit();
+      const EventRecord recv = fac_.receive(to, now_, send);
+      r.on_receive(RecvContext{to, from, recv, send, 0}, payload);
+      return false;
+    }
+    if (pick == 2) {
+      const EventRecord send = fac_.send(2, now_, 1);
+      const CsaPayload payload = victim_.on_send(SendContext{2, 1, send, 0});
+      transit();
+      const EventRecord recv = fac_.receive(1, now_, send);
+      p1_.on_receive(RecvContext{1, 2, recv, send, 0}, payload);
+      victim_.on_delivery_confirmed(1);
+      return false;
+    }
+    const EventRecord send = fac_.send(1, now_, 2);
+    const CsaPayload payload = p1_.on_send(SendContext{1, 2, send, 0});
+    transit();
+    const RecvContext ctx{2, 1, fac_.receive(2, now_, send), send, 0};
+    const std::uint64_t before = alloc_stats::allocations();
+    victim_.on_receive(ctx, payload);
+    receive_allocs_ += alloc_stats::allocations() - before;
+    return true;
+  }
+
+  const OptimalCsa& victim() const { return victim_; }
+  std::uint64_t receive_allocs() const { return receive_allocs_; }
+
+ private:
+  SystemSpec spec_;
+  Rng rng_;
+  EventFactory fac_;
+  OptimalCsa p0_;
+  OptimalCsa p1_;
+  OptimalCsa victim_;
+  double now_ = 1.0;
+  std::uint64_t receive_allocs_ = 0;
+};
+
+// Warm-up lets every buffer reach the run's high-water marks: the live
+// set, the batch length, |H_v| and the live handles' age span.
+constexpr int kWarmSteps = 2000;
+
+TEST(OptimalCsaAllocTest, WarmCrossValidatedReceiveAllocatesNothing) {
+  ASSERT_TRUE(alloc_stats::hooked());
+  DefendedVictim run(7);
+  for (int i = 0; i < kWarmSteps; ++i) run.step();
+  const std::uint64_t warm = run.receive_allocs();
+  std::size_t receives = 0;
+  for (int i = 0; i < 4000; ++i) receives += run.step() ? 1U : 0U;
+  EXPECT_GT(receives, 500u);
+  EXPECT_EQ(run.receive_allocs() - warm, 0u)
+      << "over " << receives << " receives";
+  EXPECT_EQ(run.victim().stats().cross_check_failures, 0u);
+}
+
+TEST(OptimalCsaAllocTest, CheckpointAllocatesOnlyTheImage) {
+  ASSERT_TRUE(alloc_stats::hooked());
+  DefendedVictim run(8);
+  for (int i = 0; i < kWarmSteps; ++i) {
+    run.step();
+    (void)run.victim().checkpoint();  // Grows the history image cache.
+  }
+  std::size_t checkpoints = 0;
+  for (int i = 0; i < 4000; ++i) {
+    if (!run.step()) continue;
+    const std::uint64_t before = alloc_stats::allocations();
+    const std::vector<std::uint8_t> image = run.victim().checkpoint();
+    ASSERT_EQ(alloc_stats::allocations() - before, 1u)
+        << "checkpoint " << checkpoints << " of " << image.size() << " bytes";
+    ASSERT_EQ(image.capacity(), image.size());
+    ++checkpoints;
+  }
+  EXPECT_GT(checkpoints, 500u);
 }
 
 }  // namespace

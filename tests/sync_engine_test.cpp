@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -28,7 +29,7 @@ class EngineHarness {
       : spec_(&spec), engine_(spec, self), view_(&spec) {}
 
   void ingest(const EventRecord& r) {
-    engine_.ingest(r);
+    EXPECT_EQ(engine_.ingest(r), IngestVerdict::kApplied);
     view_.add(r);
   }
 
@@ -75,7 +76,7 @@ TEST(SyncEngineTest, SourceEstimatesItselfExactly) {
   const SystemSpec spec = line_spec(2);
   SyncEngine engine(spec, 0);
   EventFactory fac(2);
-  engine.ingest(fac.send(0, 5.0, 1));
+  EXPECT_EQ(engine.ingest(fac.send(0, 5.0, 1)), IngestVerdict::kApplied);
   const Interval est = engine.estimate(7.5);
   EXPECT_TRUE(intervals_close(est, Interval::point(7.5)));
 }
@@ -88,8 +89,8 @@ TEST(SyncEngineTest, SingleMessageBoundsMatchTheorem) {
   EventFactory fac(2);
   const EventRecord s = fac.send(0, 10.0, 1);
   const EventRecord r = fac.receive(1, 100.0, s);
-  engine.ingest(s);
-  engine.ingest(r);
+  EXPECT_EQ(engine.ingest(s), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(r), IngestVerdict::kApplied);
   // At the receive point: RT in [10 + 0.2, 10 + 1.0].
   const Interval est = engine.estimate(100.0);
   EXPECT_TRUE(intervals_close(est, Interval{10.2, 11.0}));
@@ -101,8 +102,8 @@ TEST(SyncEngineTest, EstimateWidensBetweenEvents) {
   EventFactory fac(2);
   const EventRecord s = fac.send(0, 10.0, 1);
   const EventRecord r = fac.receive(1, 100.0, s);
-  engine.ingest(s);
-  engine.ingest(r);
+  EXPECT_EQ(engine.ingest(s), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(r), IngestVerdict::kApplied);
   const Interval at_event = engine.estimate(100.0);
   const Interval later = engine.estimate(110.0);
   // Extrapolation: lo advances by dl/(1+rho), hi by dl/(1-rho).
@@ -118,14 +119,14 @@ TEST(SyncEngineTest, RoundTripTightensUpperSide) {
   SyncEngine engine(spec, 1);
   EventFactory fac(2);
   const EventRecord s1 = fac.send(1, 50.0, 0);   // my probe
-  engine.ingest(s1);
+  EXPECT_EQ(engine.ingest(s1), IngestVerdict::kApplied);
   EXPECT_EQ(engine.estimate(50.0), Interval::everything());
   const EventRecord r1 = fac.receive(0, 20.0, s1);  // source receives
   const EventRecord s2 = fac.send(0, 20.5, 1);      // source replies
   const EventRecord r2 = fac.receive(1, 51.2, s2);  // I receive
-  engine.ingest(r1);
-  engine.ingest(s2);
-  engine.ingest(r2);
+  EXPECT_EQ(engine.ingest(r1), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(s2), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(r2), IngestVerdict::kApplied);
   const Interval est = engine.estimate(51.2);
   EXPECT_TRUE(est.bounded());
   // lo: source reply sent at RT 20.5, took >= 0.1.
@@ -181,12 +182,21 @@ TEST(SyncEngineTest, LossDeclarationKillsPendingSend) {
   EXPECT_EQ(h.engine().live_count(), 1u);  // just the declaration point
 }
 
+// The engine's checkpoint image: a refused record must leave it unchanged.
+std::vector<std::uint8_t> image_of(const SyncEngine& engine) {
+  std::vector<std::uint8_t> out;
+  engine.save(out);
+  return out;
+}
+
 TEST(SyncEngineTest, OutOfOrderIngestThrows) {
   const SystemSpec spec = line_spec(2);
   SyncEngine engine(spec, 0);
   EventFactory fac(2);
   fac.internal(0, 1.0);  // consume seq 0
-  EXPECT_THROW(engine.ingest(fac.internal(0, 2.0)), std::logic_error);
+  const std::vector<std::uint8_t> before = image_of(engine);
+  EXPECT_EQ(engine.ingest(fac.internal(0, 2.0)), IngestVerdict::kSequenceGap);
+  EXPECT_EQ(image_of(engine), before);
 }
 
 TEST(SyncEngineTest, ReceiveWithoutSendThrows) {
@@ -194,15 +204,21 @@ TEST(SyncEngineTest, ReceiveWithoutSendThrows) {
   SyncEngine engine(spec, 1);
   EventFactory fac(2);
   const EventRecord s = fac.send(0, 1.0, 1);
-  EXPECT_THROW(engine.ingest(fac.receive(1, 2.0, s)), std::logic_error);
+  const std::vector<std::uint8_t> before = image_of(engine);
+  EXPECT_EQ(engine.ingest(fac.receive(1, 2.0, s)),
+            IngestVerdict::kUnmatchedReceive);
+  EXPECT_EQ(image_of(engine), before);
 }
 
 TEST(SyncEngineTest, BackwardClockThrows) {
   const SystemSpec spec = line_spec(2);
   SyncEngine engine(spec, 0);
   EventFactory fac(2);
-  engine.ingest(fac.internal(0, 5.0));
-  EXPECT_THROW(engine.ingest(fac.internal(0, 4.0)), std::logic_error);
+  EXPECT_EQ(engine.ingest(fac.internal(0, 5.0)), IngestVerdict::kApplied);
+  const std::vector<std::uint8_t> before = image_of(engine);
+  EXPECT_EQ(engine.ingest(fac.internal(0, 4.0)),
+            IngestVerdict::kClockBackwards);
+  EXPECT_EQ(image_of(engine), before);
 }
 
 TEST(SyncEngineTest, InconsistentSpecDetected) {
@@ -215,10 +231,12 @@ TEST(SyncEngineTest, InconsistentSpecDetected) {
   const EventRecord r = fac.receive(1, 20.0, s);   // fine on its own
   const EventRecord s2 = fac.send(1, 20.1, 0);
   const EventRecord r2 = fac.receive(0, 10.05, s2);  // impossible: rt loops
-  engine.ingest(s);
-  engine.ingest(r);
-  engine.ingest(s2);
-  EXPECT_THROW(engine.ingest(r2), std::logic_error);
+  EXPECT_EQ(engine.ingest(s), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(r), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(s2), IngestVerdict::kApplied);
+  const std::vector<std::uint8_t> before = image_of(engine);
+  EXPECT_EQ(engine.ingest(r2), IngestVerdict::kNegativeCycle);
+  EXPECT_EQ(image_of(engine), before);
 }
 
 TEST(SyncEngineTest, ProcessingSlackWidensTransitUpperBoundOnly) {
@@ -230,8 +248,8 @@ TEST(SyncEngineTest, ProcessingSlackWidensTransitUpperBoundOnly) {
   EventFactory fac(2);
   const EventRecord s = fac.send(0, 10.0, 1);
   const EventRecord r = fac.receive(1, 100.0, s, 0.3);
-  engine.ingest(s);
-  engine.ingest(r);
+  EXPECT_EQ(engine.ingest(s), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(r), IngestVerdict::kApplied);
   const Interval est = engine.estimate(100.0);
   EXPECT_TRUE(intervals_close(est, Interval{10.2, 11.3}));
 }
@@ -249,13 +267,15 @@ TEST(SyncEngineTest, ProcessingSlackAvoidsFalseNegativeCycle) {
   const EventRecord r = fac.receive(1, 20.0, s);
   const EventRecord s2 = fac.send(1, 20.1, 0);
   const EventRecord r2 = fac.receive(0, 10.45, s2, 0.3);
-  engine.ingest(s);
-  engine.ingest(r);
-  engine.ingest(s2);
+  EXPECT_EQ(engine.ingest(s), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(r), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(s2), IngestVerdict::kApplied);
   EventRecord r2_bad = r2;
   r2_bad.slack = 0.0;
-  EXPECT_THROW(engine.ingest(r2_bad), std::logic_error);
-  engine.ingest(r2);  // a failed ingest leaves the engine untouched
+  const std::vector<std::uint8_t> before = image_of(engine);
+  EXPECT_EQ(engine.ingest(r2_bad), IngestVerdict::kNegativeCycle);
+  EXPECT_EQ(image_of(engine), before);
+  EXPECT_EQ(engine.ingest(r2), IngestVerdict::kApplied);
   // Death processing has collected the matched send and the superseded
   // receive: only the last event of each processor stays live.
   EXPECT_EQ(engine.live_count(), 2u);
@@ -268,8 +288,10 @@ TEST(SyncEngineTest, NegativeSlackThrows) {
   const EventRecord s = fac.send(0, 10.0, 1);
   EventRecord r = fac.receive(1, 20.0, s);
   r.slack = -0.1;
-  engine.ingest(s);
-  EXPECT_THROW(engine.ingest(r), std::logic_error);
+  EXPECT_EQ(engine.ingest(s), IngestVerdict::kApplied);
+  const std::vector<std::uint8_t> before = image_of(engine);
+  EXPECT_EQ(engine.ingest(r), IngestVerdict::kBadSlack);
+  EXPECT_EQ(image_of(engine), before);
 }
 
 TEST(SyncEngineTest, RtDifferenceBoundsMatchTheoremForm) {
@@ -278,8 +300,8 @@ TEST(SyncEngineTest, RtDifferenceBoundsMatchTheoremForm) {
   EventFactory fac(2);
   const EventRecord s = fac.send(0, 10.0, 1);
   const EventRecord r = fac.receive(1, 100.0, s);
-  engine.ingest(s);
-  engine.ingest(r);
+  EXPECT_EQ(engine.ingest(s), IngestVerdict::kApplied);
+  EXPECT_EQ(engine.ingest(r), IngestVerdict::kApplied);
   const Interval b = engine.rt_difference_bounds(r.id, s.id);
   // RT(r) - RT(s) in [0.2, 1.0] exactly (the transit bounds).
   EXPECT_TRUE(intervals_close(b, Interval{0.2, 1.0}));

@@ -70,20 +70,17 @@ void BM_GarbageCollectedBufferStaysFlat(bench::State& state) {
 }
 DS_BENCHMARK(history, BM_GarbageCollectedBufferStaysFlat);
 
-// Batched GC schedule (arg = gc_batch) in the regime it targets: bursty
-// forwarding.  The relay sends a burst to one neighbor while the other is
-// briefly silent; every burst record is still owed to the silent neighbor,
-// so the eager schedule sweeps a growing buffer after each send — O(K^2)
-// record visits per K-message burst — while a batch of B sweeps once per B
-// records.  The closing exchange with the quiet neighbor lets GC drain the
-// buffer, so each iteration does identical steady-state work.  (With no
-// backlog at all, eager is already optimal — the sweep is as cheap as the
-// buffer is small.)
+// The Figure-2 GC schedule under bursty forwarding.  The relay sends a
+// burst to one neighbor while the other is briefly silent; every burst
+// record is still owed to the silent neighbor, so the sweep after each send
+// visits a growing buffer — O(K^2) record visits per K-message burst.  The
+// closing exchange with the quiet neighbor lets GC drain the buffer, so
+// each iteration does identical steady-state work.  The name and the arg
+// (1, a sweep after every message) keep the case comparable with earlier
+// reports, which also ran batched schedules of 16 and 64.
 void BM_BatchedGcExchange(bench::State& state) {
   const SystemSpec spec = path_spec(3);  // 0 — 1 — 2; the subject is 1.
-  HistoryProtocol::Options opts;
-  opts.gc_batch = static_cast<std::size_t>(state.range(0));
-  HistoryProtocol relay(spec, 1, opts);
+  HistoryProtocol relay(spec, 1);
   std::uint32_t seq = 0;
   double t = 0.0;
   constexpr int kBurst = 64;
@@ -100,7 +97,7 @@ void BM_BatchedGcExchange(bench::State& state) {
   state.counters["gc_passes"] = static_cast<double>(relay.gc_passes());
   state.counters["max_H"] = static_cast<double>(relay.max_history_size());
 }
-DS_BENCHMARK(history, BM_BatchedGcExchange)->arg(1)->arg(16)->arg(64);
+DS_BENCHMARK(history, BM_BatchedGcExchange)->arg(1);
 
 }  // namespace
 }  // namespace driftsync

@@ -82,8 +82,7 @@ struct CsaStats {
   /// Pair-relaxation attempts in the AGDP distance structure (the O(L^2)
   /// inner loops of Lemma 3.5) — the algorithm's dominant per-message work.
   std::uint64_t apsp_relaxations = 0;
-  /// History-buffer GC sweeps actually performed (see
-  /// HistoryProtocol::Options::gc_batch).
+  /// History-buffer GC sweeps performed (HistoryProtocol::gc_passes).
   std::uint64_t gc_passes = 0;
   /// Dynamic-membership hook invocations (on_peer_join / on_peer_leave);
   /// zero for statically meshed hosts.

@@ -186,11 +186,6 @@ std::int64_t HistoryProtocol::confirmed_c(const NeighborState& ns,
 
 void HistoryProtocol::garbage_collect() {
   if (opts_.disable_gc) return;  // ablation mode
-  // Batched schedule: skip the O(|H_v|) sweep until the buffer has grown
-  // enough since the last one to amortize it.
-  if (opts_.gc_batch > 1 && history_.size() < gc_floor_ + opts_.gc_batch) {
-    return;
-  }
   // Keep p while some neighbor may not (confirmably) know it yet.  With a
   // single neighbor and no loss this empties the buffer after every send.
   // Each processor's threshold, the minimum confirmed C over the neighbors,
@@ -218,7 +213,6 @@ void HistoryProtocol::garbage_collect() {
   history_.erase(std::remove_if(first, history_.end(), known_to_all),
                  history_.end());
   ++gc_passes_;
-  gc_floor_ = history_.size();
 }
 
 std::int64_t HistoryProtocol::c_entry(ProcId neighbor, ProcId proc) const {
@@ -420,9 +414,6 @@ void HistoryProtocol::load(std::span<const std::uint8_t> bytes,
   reports_sent_ = reports;
   duplicate_reports_received_ = duplicates;
   gap_dropped_ = gaps;
-  // Not part of the image (a scheduling detail, not protocol state):
-  // restart the batching window at the restored buffer size.
-  gc_floor_ = history_.size();
   offset = cur;
 }
 

@@ -72,15 +72,6 @@ class HistoryProtocol {
     /// with the whole execution instead of O(K1*D) — isolating what the
     /// Figure-2 GC clause buys (Lemma 3.3).
     bool disable_gc = false;
-    /// Amortize the GC sweep: with a batch of B > 1, the O(|H_v|) sweep
-    /// runs only once the buffer has grown by B records since the last
-    /// sweep, instead of after every message (the Figure-2 schedule, B=1).
-    /// Protocol output is IDENTICAL either way — the C arrays alone decide
-    /// what each message reports; batching only trades a bounded amount of
-    /// extra buffer residency (at most B records) for fewer sweeps.
-    /// Default stays eager because the Lemma 3.3 space bounds (and the
-    /// tests pinning them) assume the paper's schedule.
-    std::size_t gc_batch = 1;
   };
 
   HistoryProtocol(const SystemSpec& spec, ProcId self, Options opts);
@@ -164,7 +155,8 @@ class HistoryProtocol {
   }
   /// Loss-tolerant mode: records dropped because a predecessor was lost.
   [[nodiscard]] std::size_t gap_dropped() const { return gap_dropped_; }
-  /// GC sweeps actually performed (skipped batched triggers not counted).
+  /// GC sweeps performed: one after every send, merged receive and
+  /// delivery confirmation (none with disable_gc).
   [[nodiscard]] std::size_t gc_passes() const { return gc_passes_; }
 
   /// Approximate resident bytes (H_v + C arrays), for EXP-10.
@@ -230,7 +222,6 @@ class HistoryProtocol {
   std::size_t audit_repeat_reports_ = 0;
   std::size_t gap_dropped_ = 0;
   std::size_t gc_passes_ = 0;
-  std::size_t gc_floor_ = 0;  ///< |H_v| right after the last sweep.
   /// The sweep's scratch: per processor, the highest seq every neighbor
   /// confirmably knows (filled on first use in each sweep).
   std::vector<std::int64_t> gc_known_to_all_;

@@ -11,13 +11,32 @@
 
 namespace driftsync {
 
+namespace {
+
+/// Tolerance of observation_feasible() (seconds): an observation is
+/// declared infeasible only when it lies beyond the spec-derived envelope
+/// by more than this slack.  Generous — the screen exists to catch insane
+/// clocks (steps of seconds, grossly wrong rates), and a false positive
+/// quarantines a sane peer.
+constexpr double kFeasibilitySlack = 5e-3;
+
+/// Tolerance of the kSuspect band (seconds).  Deliberately tighter than
+/// kFeasibilitySlack: an observation may be feasible per the generous
+/// single-edge envelope yet diverge from the tightest indirect (cross-path)
+/// bound by more than the drift the spec allows — that is the signature of
+/// a plausible lie, and it only ever *renounces* (the defense never
+/// fabricates constraints), so a rare false positive costs one
+/// observation, not containment.
+constexpr double kSuspicionSlack = 1e-3;
+
+}  // namespace
+
 void OptimalCsa::init(const SystemSpec& spec, ProcId self) {
   spec_ = &spec;
   self_ = self;
   HistoryProtocol::Options hopts;
   hopts.audit = opts_.audit_reports;
   hopts.loss_tolerant = opts_.loss_tolerant;
-  hopts.gc_batch = opts_.history_gc_batch;
   history_.emplace(spec, self, hopts);
   SyncEngine::Options eopts;
   eopts.keep_dead_nodes = opts_.ablate_keep_dead_nodes;
@@ -63,7 +82,7 @@ bool OptimalCsa::observation_feasible(ProcId from, LocalTime send_lt,
                                       LocalTime now) const {
   DS_CHECK(engine_ && spec_);
   if (from >= spec_->num_procs()) return false;
-  return within_edge_envelope(from, send_lt, now, opts_.feasibility_slack);
+  return within_edge_envelope(from, send_lt, now, kFeasibilitySlack);
 }
 
 ObservationScreen OptimalCsa::screen_message(ProcId from, LocalTime send_lt,
@@ -92,7 +111,7 @@ ObservationScreen OptimalCsa::screen_message(ProcId from, LocalTime send_lt,
   // envelope re-evaluated with the tighter suspicion slack detects a direct
   // claim diverging from what the redundant paths support — a lie still
   // inside the generous single-edge budget.
-  if (!within_edge_envelope(from, send_lt, now, opts_.suspicion_slack)) {
+  if (!within_edge_envelope(from, send_lt, now, kSuspicionSlack)) {
     s.verdict = ObservationVerdict::kSuspect;
     s.reason = "direct bound contradicts tightest cross-path bound";
     return s;
@@ -163,7 +182,7 @@ ObservationScreen OptimalCsa::screen_message(ProcId from, LocalTime send_lt,
     // bound errs in the safe direction).
     const Interval owner_now = engine_->peer_clock_estimate(p, now);
     if (std::isfinite(owner_now.hi) &&
-        r.lt > owner_now.hi + opts_.feasibility_slack) {
+        r.lt > owner_now.hi + kFeasibilitySlack) {
       // As above: the claim is the owner's, whoever carries it.
       s.verdict = ObservationVerdict::kSuspect;
       s.reason = "report ahead of every cross-path bound";

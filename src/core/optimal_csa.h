@@ -23,12 +23,6 @@ class OptimalCsa : public Csa {
     /// ABLATION ONLY: disable AGDP dead-node garbage collection (see
     /// SyncEngine::Options::keep_dead_nodes).
     bool ablate_keep_dead_nodes = false;
-    /// Tolerance of observation_feasible() (seconds): an observation is
-    /// declared infeasible only when it lies beyond the spec-derived
-    /// envelope by more than this slack.  Generous by default — the screen
-    /// exists to catch insane clocks (steps of seconds, grossly wrong
-    /// rates), and a false positive quarantines a sane peer.
-    double feasibility_slack = 5e-3;
     /// Byzantine defense (screen_message / on_receive_validated): cross-path
     /// validation of inbound messages against the APSP-fused view.  Off by
     /// default so the simulator and the micro-bench baselines keep the
@@ -38,18 +32,6 @@ class OptimalCsa : public Csa {
     /// rolled back wholesale instead of crashing or poisoning the view;
     /// the engine's rollback point costs one copy of its state per message.
     bool cross_validation = false;
-    /// Tolerance of the kSuspect band (seconds).  Deliberately tighter than
-    /// feasibility_slack: an observation may be feasible per the generous
-    /// single-edge envelope yet diverge from the tightest indirect
-    /// (cross-path) bound by more than the drift the spec allows — that is
-    /// the signature of a plausible lie, and it only ever *renounces* (the
-    /// defense never fabricates constraints), so a rare false positive
-    /// costs one observation, not containment.
-    double suspicion_slack = 1e-3;
-    /// History-buffer GC batch (HistoryProtocol::Options::gc_batch): > 1
-    /// amortizes the per-message sweep at the cost of up to that many
-    /// extra buffered records.  Estimates and messages are unaffected.
-    std::size_t history_gc_batch = 1;
   };
 
   OptimalCsa() = default;
@@ -122,8 +104,9 @@ class OptimalCsa : public Csa {
   void ingest_trusted(const EventRecord& event);
 
   /// The single-edge feasibility envelope check with a caller-chosen slack;
-  /// observation_feasible uses feasibility_slack, the kSuspect band of
-  /// screen_message re-runs it with the tighter suspicion_slack.
+  /// observation_feasible uses kFeasibilitySlack, the kSuspect band of
+  /// screen_message re-runs it with the tighter kSuspicionSlack (both in
+  /// optimal_csa.cpp).
   [[nodiscard]] bool within_edge_envelope(ProcId from, LocalTime send_lt,
                                           LocalTime now, double slack) const;
 

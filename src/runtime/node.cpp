@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 #include <utility>
 #include <variant>
 
@@ -38,33 +38,110 @@ double steady_seconds() {
       .count();
 }
 
-void append_json_number(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";  // JSON has no infinity; null marks an unbounded value.
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
-}
+/// Peer health: the poll-cadence multiplier of a quarantined peer, and the
+/// cap on the backoff exponent (cadences back off to at most 2^6 = 64x).
+constexpr double kQuarantineProbeFactor = 16.0;
+constexpr std::uint32_t kBackoffCap = 6;
 
-void append_json_u64(std::string& out, const char* key, std::uint64_t v,
-                     bool first = false) {
-  if (!first) out += ',';
-  out += '"';
-  out += key;
-  out += "\":";
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out += buf;
-}
-
-/// Prometheus sample value: the text format spells non-finite values out
-/// (JSON, by contrast, has no infinity — json::number would emit null).
-std::string prom_number(double v) {
-  if (std::isnan(v)) return "NaN";
-  if (std::isinf(v)) return v > 0.0 ? "+Inf" : "-Inf";
-  return json::number(v);
+/// The export list: every scalar a node exports, named once.  Each row is
+/// f(json_key, prometheus_series, value) with an integer value (printed as
+/// one) or a double (json::number; non-finite is null in JSON, NaN/±Inf in
+/// Prometheus).  A null json_key marks a Prometheus-only aggregate whose
+/// per-peer breakdown the JSON carries as a map.
+template <typename F>
+void for_each_export(const NodeStats& s, F&& f) {
+  const double undefined = std::nan("");
+  f("lt", "driftsync_local_time_seconds", s.lt);
+  f("lo", "driftsync_estimate_lo_seconds", s.est.lo);
+  f("hi", "driftsync_estimate_hi_seconds", s.est.hi);
+  f("width", "driftsync_estimate_width_seconds", s.width);
+  // Disciplined output clock (decision 21): the monotone reading next to
+  // the raw interval (undefined until initialized), its worst-case error
+  // bound, and the steering counters.
+  f("disciplined", "driftsync_clock_disciplined_seconds",
+    s.disc.initialized ? s.disc.out : undefined);
+  f("clock_err", "driftsync_clock_error_bound_seconds",
+    s.disc.initialized ? s.disc.err_bound : undefined);
+  f("clock_drift", "driftsync_clock_drift", s.clock_drift);
+  f("clock_resteers", "driftsync_clock_resteers", s.clock_resteers);
+  f("clock_holds", "driftsync_clock_holds", s.clock_holds);
+  f("clock_slew_clamps", "driftsync_clock_slew_clamps", s.clock_slew_clamps);
+  f("dgrams_in", "driftsync_dgrams_in", s.dgrams_in);
+  f("dgrams_out", "driftsync_dgrams_out", s.dgrams_out);
+  f("bytes_in", "driftsync_bytes_in", s.bytes_in);
+  f("bytes_out", "driftsync_bytes_out", s.bytes_out);
+  f("decode_drops", "driftsync_decode_drops", s.decode_drops);
+  f("ignored_dgrams", "driftsync_ignored_dgrams", s.ignored_dgrams);
+  f("duplicate_dgrams", "driftsync_duplicate_dgrams", s.duplicate_dgrams);
+  f("loss_declarations", "driftsync_loss_declarations", s.loss_declarations);
+  f("deliveries_confirmed", "driftsync_deliveries_confirmed",
+    s.deliveries_confirmed);
+  f("skips_sent", "driftsync_skips_sent", s.skips_sent);
+  f("checkpoints_written", "driftsync_checkpoints_written",
+    s.checkpoints_written);
+  f("checkpoint_failures", "driftsync_checkpoint_failures",
+    s.checkpoint_failures);
+  f("events", "driftsync_events", s.events);
+  f("infeasible_rejected", "driftsync_infeasible_rejected",
+    s.infeasible_rejected);
+  // Byzantine defense (DESIGN.md decision 18).
+  f("suspect_rejected", "driftsync_byzantine_suspect_rejected",
+    s.suspect_rejected);
+  f("replay_rejected", "driftsync_byzantine_replay_rejected",
+    s.replay_rejected);
+  f("cross_check_failures", "driftsync_byzantine_cross_check_failures",
+    s.cross_check_failures);
+  f("equivocations_detected", "driftsync_byzantine_equivocations",
+    s.equivocations_detected);
+  double suspicion_total = 0.0;
+  for (const auto& [peer, score] : s.suspicion) suspicion_total += score;
+  f(nullptr, "driftsync_byzantine_suspicion_total", suspicion_total);
+  f("peer_quarantines", "driftsync_peer_quarantines", s.peer_quarantines);
+  f("peer_readmissions", "driftsync_peer_readmissions", s.peer_readmissions);
+  f("backoff_resets", "driftsync_backoff_resets", s.backoff_resets);
+  // Dynamic membership (decision 19).
+  f("peer_joins", "driftsync_peer_joins", s.peer_joins);
+  f("peer_leaves", "driftsync_peer_leaves", s.peer_leaves);
+  f("membership_active", "driftsync_membership_active", s.membership_active);
+  f("membership_journal", "driftsync_membership_journal", s.peers_journaled);
+  f("msg_path_allocs", "driftsync_msg_path_allocs", s.msg_path_allocs);
+  f("msg_path_alloc_bytes", "driftsync_msg_path_alloc_bytes",
+    s.msg_path_alloc_bytes);
+  // Serving tier (all zero unless --serve is on).
+  f("serve_requests", "driftsync_serve_requests", s.serve_requests);
+  f("serve_active", "driftsync_serve_active", s.serve_active);
+  f("serve_evicted", "driftsync_serve_evicted", s.serve_evicted);
+  f("serve_reaped", "driftsync_serve_reaped", s.serve_reaped);
+  f("serve_rejected", "driftsync_serve_rejected", s.serve_rejected);
+  const TransportStats& ts = s.transport;
+  f("transport_send_drops", "driftsync_transport_send_drops", ts.send_drops);
+  f("transport_recv_drops", "driftsync_transport_recv_drops", ts.recv_drops);
+  f("transport_socket_errors", "driftsync_transport_socket_errors",
+    ts.socket_errors);
+  f("transport_recv_batches", "driftsync_transport_recv_batches",
+    ts.recv_batches);
+  f("transport_recv_datagrams", "driftsync_transport_recv_datagrams",
+    ts.recv_datagrams);
+  f("transport_send_batches", "driftsync_transport_send_batches",
+    ts.send_batches);
+  f("transport_send_datagrams", "driftsync_transport_send_datagrams",
+    ts.send_datagrams);
+  const CsaStats& cs = s.csa;
+  f("payload_bytes_sent", "driftsync_payload_bytes_sent",
+    cs.payload_bytes_sent);
+  f("payload_bytes_received", "driftsync_payload_bytes_received",
+    cs.payload_bytes_received);
+  f("reports_sent", "driftsync_reports_sent", cs.reports_sent);
+  f("history_events", "driftsync_history_events", cs.history_events);
+  f("live_points", "driftsync_live_points", cs.live_points);
+  f("apsp_relaxations", "driftsync_apsp_relaxations", cs.apsp_relaxations);
+  f("gc_passes", "driftsync_gc_passes", cs.gc_passes);
+  f("state_bytes", "driftsync_state_bytes", cs.state_bytes);
+  f("checkpoint_cache_bytes", "driftsync_checkpoint_cache_bytes",
+    cs.checkpoint_cache_bytes);
+  f("scratch_bytes", "driftsync_scratch_bytes", cs.scratch_bytes);
+  f("trace_recorded", "driftsync_trace_recorded", s.trace_recorded);
+  f("trace_dropped", "driftsync_trace_dropped", s.trace_dropped);
 }
 
 /// One step of FNV-1a over a whole 64-bit word: xor, then multiply by the
@@ -137,8 +214,6 @@ Node::Node(NodeConfig config, std::unique_ptr<Csa> csa,
   DS_CHECK(cfg_.self < cfg_.spec.num_procs());
   DS_CHECK(cfg_.poll_period > 0.0 && cfg_.fate_timeout > 0.0 &&
            cfg_.skip_retry > 0.0);
-  DS_CHECK(cfg_.quarantine_probe_factor >= 1.0);
-  DS_CHECK(cfg_.backoff_cap < 32);
   DS_CHECK(cfg_.clock_max_slew >= 0.0 && cfg_.clock_max_slew < 1.0);
   DS_CHECK(cfg_.clock_steer_horizon > 0.0);
   // Jitter decorrelates peers' retry storms; it never touches protocol
@@ -278,7 +353,13 @@ LocalTime Node::local_time() const {
 
 NodeStats Node::stats() const {
   const std::lock_guard<std::mutex> lock(mu_);
+  return stats_locked();
+}
+
+NodeStats Node::stats_locked() const {
   NodeStats s = stats_;
+  s.proc = cfg_.self;
+  s.algo = csa_->name();
   if (serve_ != nullptr) {
     const serve::SessionTable::Counters& sc = serve_->sessions().counters();
     s.serve_active = serve_->sessions().size();
@@ -287,14 +368,22 @@ NodeStats Node::stats() const {
     s.serve_rejected = sc.rejected;
   }
   s.transport = transport_->transport_stats();
-  s.width = csa_->estimate(query_time_locked()).width();
-  {
-    const clock::AccuracyStats acc = disc_clock_.accuracy();
-    s.clock_resteers = acc.resteers;
-    s.clock_holds = acc.holds;
-    s.clock_slew_clamps = acc.slew_clamps;
-  }
+  s.csa = csa_->stats();
+  s.lt = query_time_locked();
+  s.est = csa_->estimate(s.lt);
+  s.width = s.est.width();
+  s.disc = disciplined_locked(s.est, s.lt);
+  const clock::AccuracyStats acc = disc_clock_.accuracy();
+  s.clock_drift = acc.drift;
+  s.clock_resteers = acc.resteers;
+  s.clock_holds = acc.holds;
+  s.clock_slew_clamps = acc.slew_clamps;
+  s.membership_active = membership_.active_count();
   s.peers_journaled = membership_.journal_count();
+  if (cfg_.tracer != nullptr) {
+    s.trace_recorded = cfg_.tracer->recorded();
+    s.trace_dropped = cfg_.tracer->dropped();
+  }
   const double now = steady_seconds();
   membership_.for_each_active([&](const PeerState& state) {
     const ProcId peer = state.peer;
@@ -322,135 +411,47 @@ LocalTime Node::query_time_locked() const {
 }
 
 std::string Node::stats_json_locked() const {
-  const LocalTime now = query_time_locked();
-  const Interval est = csa_->estimate(now);
-  const DisciplinedReading disc = disciplined_locked(est, now);
-  const clock::AccuracyStats acc = disc_clock_.accuracy();
-  std::string out = "{";
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%u", cfg_.self);
-  out += "\"proc\":";
-  out += buf;
-  out += ",\"algo\":\"";
-  out += csa_->name();
-  out += "\",\"lt\":";
-  append_json_number(out, now);
-  out += ",\"lo\":";
-  append_json_number(out, est.lo);
-  out += ",\"hi\":";
-  append_json_number(out, est.hi);
-  out += ",\"width\":";
-  append_json_number(out, est.width());
-  // Disciplined output clock (decision 21): the monotone reading next to
-  // the raw interval (null until initialized), its worst-case error bound,
-  // and the steering counters.
-  out += ",\"disciplined\":";
-  append_json_number(out, disc.initialized ? disc.out : std::nan(""));
-  out += ",\"clock_err\":";
-  append_json_number(out, disc.initialized ? disc.err_bound : std::nan(""));
-  out += ",\"clock_drift\":";
-  append_json_number(out, acc.drift);
-  append_json_u64(out, "clock_resteers", acc.resteers);
-  append_json_u64(out, "clock_holds", acc.holds);
-  append_json_u64(out, "clock_slew_clamps", acc.slew_clamps);
-  append_json_u64(out, "dgrams_in", stats_.dgrams_in);
-  append_json_u64(out, "dgrams_out", stats_.dgrams_out);
-  append_json_u64(out, "bytes_in", stats_.bytes_in);
-  append_json_u64(out, "bytes_out", stats_.bytes_out);
-  append_json_u64(out, "decode_drops", stats_.decode_drops);
-  append_json_u64(out, "ignored_dgrams", stats_.ignored_dgrams);
-  append_json_u64(out, "duplicate_dgrams", stats_.duplicate_dgrams);
-  append_json_u64(out, "loss_declarations", stats_.loss_declarations);
-  append_json_u64(out, "deliveries_confirmed", stats_.deliveries_confirmed);
-  append_json_u64(out, "skips_sent", stats_.skips_sent);
-  append_json_u64(out, "checkpoints_written", stats_.checkpoints_written);
-  append_json_u64(out, "checkpoint_failures", stats_.checkpoint_failures);
-  append_json_u64(out, "events", stats_.events);
-  append_json_u64(out, "infeasible_rejected", stats_.infeasible_rejected);
-  append_json_u64(out, "suspect_rejected", stats_.suspect_rejected);
-  append_json_u64(out, "replay_rejected", stats_.replay_rejected);
-  append_json_u64(out, "cross_check_failures", stats_.cross_check_failures);
-  append_json_u64(out, "equivocations_detected",
-                  stats_.equivocations_detected);
-  append_json_u64(out, "peer_quarantines", stats_.peer_quarantines);
-  append_json_u64(out, "peer_readmissions", stats_.peer_readmissions);
-  append_json_u64(out, "backoff_resets", stats_.backoff_resets);
-  append_json_u64(out, "peer_joins", stats_.peer_joins);
-  append_json_u64(out, "peer_leaves", stats_.peer_leaves);
-  append_json_u64(out, "membership_active", membership_.active_count());
-  append_json_u64(out, "membership_journal", membership_.journal_count());
-  append_json_u64(out, "msg_path_allocs", stats_.msg_path_allocs);
-  append_json_u64(out, "msg_path_alloc_bytes", stats_.msg_path_alloc_bytes);
-  // Serving tier (all zero unless --serve is on).
-  {
-    const serve::SessionTable::Counters sc =
-        serve_ != nullptr ? serve_->sessions().counters()
-                          : serve::SessionTable::Counters{};
-    append_json_u64(out, "serve_requests", stats_.serve_requests);
-    append_json_u64(out, "serve_active",
-                    serve_ != nullptr ? serve_->sessions().size() : 0);
-    append_json_u64(out, "serve_evicted", sc.evicted);
-    append_json_u64(out, "serve_reaped", sc.reaped);
-    append_json_u64(out, "serve_rejected", sc.rejected);
-  }
-  // Transport-level counters (zeros for transports that track nothing).
-  const TransportStats ts = transport_->transport_stats();
-  append_json_u64(out, "transport_send_drops", ts.send_drops);
-  append_json_u64(out, "transport_recv_drops", ts.recv_drops);
-  append_json_u64(out, "transport_socket_errors", ts.socket_errors);
-  append_json_u64(out, "transport_recv_batches", ts.recv_batches);
-  append_json_u64(out, "transport_recv_datagrams", ts.recv_datagrams);
-  append_json_u64(out, "transport_send_batches", ts.send_batches);
-  append_json_u64(out, "transport_send_datagrams", ts.send_datagrams);
-  // CSA-level counters (zeros where the algorithm has no such notion).
-  const CsaStats cs = csa_->stats();
-  append_json_u64(out, "payload_bytes_sent", cs.payload_bytes_sent);
-  append_json_u64(out, "payload_bytes_received", cs.payload_bytes_received);
-  append_json_u64(out, "reports_sent", cs.reports_sent);
-  append_json_u64(out, "history_events", cs.history_events);
-  append_json_u64(out, "live_points", cs.live_points);
-  append_json_u64(out, "apsp_relaxations", cs.apsp_relaxations);
-  append_json_u64(out, "gc_passes", cs.gc_passes);
-  append_json_u64(out, "state_bytes", cs.state_bytes);
-  append_json_u64(out, "checkpoint_cache_bytes", cs.checkpoint_cache_bytes);
-  append_json_u64(out, "scratch_bytes", cs.scratch_bytes);
-  // Per-peer health: seconds since last heard (null = never), plus the
-  // quarantine roster.
-  const double steady_now = steady_seconds();
-  out += ",\"last_heard\":{";
-  bool first_peer = true;
-  membership_.for_each_active([&](const PeerState& state) {
-    if (!first_peer) out += ',';
-    first_peer = false;
-    std::snprintf(buf, sizeof(buf), "\"%u\":", state.peer);
-    out += buf;
-    if (state.last_heard < 0.0) {
-      out += "null";
+  const NodeStats s = stats_locked();
+  std::string out = "{\"proc\":" + std::to_string(s.proc) +
+                    ",\"algo\":" + json::quote(s.algo);
+  for_each_export(s, [&out](const char* key, const char*, auto v) {
+    if (key == nullptr) return;
+    out += ",\"";
+    out += key;
+    out += "\":";
+    if constexpr (std::is_integral_v<decltype(v)>) {
+      out += std::to_string(v);
     } else {
-      append_json_number(out, steady_now - state.last_heard);
+      out += json::number(v);
     }
   });
-  out += "},\"quarantined\":[";
-  first_peer = true;
-  membership_.for_each_active([&](const PeerState& state) {
-    if (!state.quarantined) return;
-    if (!first_peer) out += ',';
-    first_peer = false;
-    std::snprintf(buf, sizeof(buf), "%u", state.peer);
-    out += buf;
-  });
-  // Suspicion roster: every peer with a nonzero (decayed) score — the
+  // Per-peer health: seconds since last heard (null = never), the
+  // quarantine roster, and every nonzero (decayed) suspicion score — the
   // suspect set a violation dump names.
+  const auto key = [&out](ProcId peer) {
+    out += '"' + std::to_string(peer) + "\":";
+  };
+  const char* sep = "";
+  out += ",\"last_heard\":{";
+  for (const auto& [peer, ago] : s.last_heard) {
+    out += std::exchange(sep, ",");
+    key(peer);
+    out += ago < 0.0 ? "null" : json::number(ago);
+  }
+  sep = "";
+  out += "},\"quarantined\":[";
+  for (const ProcId peer : s.quarantined) {
+    out += std::exchange(sep, ",");
+    out += std::to_string(peer);
+  }
+  sep = "";
   out += "],\"suspicion\":{";
-  first_peer = true;
-  membership_.for_each_active([&](const PeerState& state) {
-    if (state.suspicion <= 0.0) return;
-    if (!first_peer) out += ',';
-    first_peer = false;
-    std::snprintf(buf, sizeof(buf), "\"%u\":", state.peer);
-    out += buf;
-    append_json_number(out, state.suspicion);
-  });
+  for (const auto& [peer, score] : s.suspicion) {
+    if (score <= 0.0) continue;
+    out += std::exchange(sep, ",");
+    key(peer);
+    out += json::number(score);
+  }
   out += "}}";
   return out;
 }
@@ -461,110 +462,26 @@ std::string Node::metrics_text() const {
 }
 
 std::string Node::metrics_text_locked() const {
-  char labelbuf[24];
-  std::snprintf(labelbuf, sizeof(labelbuf), "node=\"%u\"", cfg_.self);
-  const std::string labels = labelbuf;
+  const NodeStats s = stats_locked();
+  const std::string labels = "node=\"" + std::to_string(s.proc) + '"';
   std::string out;
-  const auto counter = [&out, &labels](const char* name, std::uint64_t v) {
-    out += name;
+  for_each_export(s, [&out, &labels](const char*, const char* series,
+                                     auto v) {
+    out += series;
     out += '{';
     out += labels;
     out += "} ";
-    out += std::to_string(v);
+    if constexpr (std::is_integral_v<decltype(v)>) {
+      out += std::to_string(v);
+    } else if (std::isnan(v)) {
+      out += "NaN";  // The text format spells non-finite values out.
+    } else if (std::isinf(v)) {
+      out += v > 0.0 ? "+Inf" : "-Inf";
+    } else {
+      out += json::number(v);
+    }
     out += '\n';
-  };
-  const auto gauge = [&out, &labels](const char* name, double v) {
-    out += name;
-    out += '{';
-    out += labels;
-    out += "} ";
-    out += prom_number(v);
-    out += '\n';
-  };
-  counter("driftsync_dgrams_in", stats_.dgrams_in);
-  counter("driftsync_dgrams_out", stats_.dgrams_out);
-  counter("driftsync_bytes_in", stats_.bytes_in);
-  counter("driftsync_bytes_out", stats_.bytes_out);
-  counter("driftsync_decode_drops", stats_.decode_drops);
-  counter("driftsync_ignored_dgrams", stats_.ignored_dgrams);
-  counter("driftsync_duplicate_dgrams", stats_.duplicate_dgrams);
-  counter("driftsync_loss_declarations", stats_.loss_declarations);
-  counter("driftsync_deliveries_confirmed", stats_.deliveries_confirmed);
-  counter("driftsync_skips_sent", stats_.skips_sent);
-  counter("driftsync_checkpoints_written", stats_.checkpoints_written);
-  counter("driftsync_checkpoint_failures", stats_.checkpoint_failures);
-  counter("driftsync_events", stats_.events);
-  counter("driftsync_infeasible_rejected", stats_.infeasible_rejected);
-  counter("driftsync_peer_quarantines", stats_.peer_quarantines);
-  counter("driftsync_peer_readmissions", stats_.peer_readmissions);
-  counter("driftsync_backoff_resets", stats_.backoff_resets);
-  // Dynamic membership (decision 19).
-  counter("driftsync_peer_joins", stats_.peer_joins);
-  counter("driftsync_peer_leaves", stats_.peer_leaves);
-  gauge("driftsync_membership_active",
-        static_cast<double>(membership_.active_count()));
-  gauge("driftsync_membership_journal",
-        static_cast<double>(membership_.journal_count()));
-  // Byzantine defense (DESIGN.md decision 18).
-  counter("driftsync_byzantine_suspect_rejected", stats_.suspect_rejected);
-  counter("driftsync_byzantine_replay_rejected", stats_.replay_rejected);
-  counter("driftsync_byzantine_cross_check_failures",
-          stats_.cross_check_failures);
-  counter("driftsync_byzantine_equivocations",
-          stats_.equivocations_detected);
-  {
-    double total_suspicion = 0.0;
-    membership_.for_each_active([&](const PeerState& state) {
-      total_suspicion += state.suspicion;
-    });
-    gauge("driftsync_byzantine_suspicion_total", total_suspicion);
-  }
-  if (serve_ != nullptr) {
-    const serve::SessionTable::Counters& sc = serve_->sessions().counters();
-    counter("driftsync_serve_requests", stats_.serve_requests);
-    counter("driftsync_serve_active", serve_->sessions().size());
-    counter("driftsync_serve_evicted", sc.evicted);
-    counter("driftsync_serve_reaped", sc.reaped);
-    counter("driftsync_serve_rejected", sc.rejected);
-  }
-  const TransportStats ts = transport_->transport_stats();
-  counter("driftsync_transport_send_drops", ts.send_drops);
-  counter("driftsync_transport_recv_drops", ts.recv_drops);
-  counter("driftsync_transport_socket_errors", ts.socket_errors);
-  counter("driftsync_transport_recv_datagrams", ts.recv_datagrams);
-  counter("driftsync_transport_send_datagrams", ts.send_datagrams);
-  const CsaStats cs = csa_->stats();
-  counter("driftsync_payload_bytes_sent", cs.payload_bytes_sent);
-  counter("driftsync_payload_bytes_received", cs.payload_bytes_received);
-  counter("driftsync_history_events", cs.history_events);
-  counter("driftsync_live_points", cs.live_points);
-  counter("driftsync_apsp_relaxations", cs.apsp_relaxations);
-  counter("driftsync_gc_passes", cs.gc_passes);
-  gauge("driftsync_checkpoint_cache_bytes",
-        static_cast<double>(cs.checkpoint_cache_bytes));
-  const LocalTime now = query_time_locked();
-  const Interval est = csa_->estimate(now);
-  gauge("driftsync_local_time_seconds", now);
-  gauge("driftsync_estimate_lo_seconds", est.lo);
-  gauge("driftsync_estimate_hi_seconds", est.hi);
-  gauge("driftsync_estimate_width_seconds", est.width());
-  // Disciplined output clock (decision 21).
-  {
-    const DisciplinedReading disc = disciplined_locked(est, now);
-    const clock::AccuracyStats acc = disc_clock_.accuracy();
-    counter("driftsync_clock_resteers", acc.resteers);
-    counter("driftsync_clock_holds", acc.holds);
-    counter("driftsync_clock_slew_clamps", acc.slew_clamps);
-    gauge("driftsync_clock_disciplined_seconds",
-          disc.initialized ? disc.out : std::nan(""));
-    gauge("driftsync_clock_error_bound_seconds",
-          disc.initialized ? disc.err_bound : std::nan(""));
-    gauge("driftsync_clock_drift", acc.drift);
-  }
-  if (cfg_.tracer != nullptr) {
-    counter("driftsync_trace_recorded", cfg_.tracer->recorded());
-    counter("driftsync_trace_dropped", cfg_.tracer->dropped());
-  }
+  });
   append_prometheus(out, "driftsync_width_seconds", labels, width_hist_);
   append_prometheus(out, "driftsync_clock_jump_seconds", labels,
                     clock_jump_hist_);
@@ -1130,7 +1047,7 @@ void Node::timer_loop() {
           if (now >= state.fate_deadline) {
             // Timeout: abort the datagram's fate via a skip commit.  No
             // persist needed — a restart maps kAwaitingAck to kAborting.
-            if (state.backoff_exp < cfg_.backoff_cap) ++state.backoff_exp;
+            if (state.backoff_exp < kBackoffCap) ++state.backoff_exp;
             state.fate = PeerFate::kAborting;
             send_skip(peer, state);
           }
@@ -1144,7 +1061,7 @@ void Node::timer_loop() {
           if (now >= state.next_poll) {
             const double period =
                 cfg_.poll_period *
-                (state.quarantined ? cfg_.quarantine_probe_factor : 1.0);
+                (state.quarantined ? kQuarantineProbeFactor : 1.0);
             state.next_poll = now + backed_off(period, state);
             poll_peer(peer, state);
             next = std::min(next, state.fate_deadline);

@@ -79,24 +79,21 @@ struct NodeConfig {
   double fate_timeout = 2.0;  ///< Section 3.3 detection timeout.
   double skip_retry = 1.0;    ///< Resend cadence for unacked skip commits.
   /// Peer health.  The poll and skip-retry cadences back off exponentially
-  /// (with jitter) while a peer keeps timing out, up to 2^backoff_cap; a
-  /// clean ack resets them.  Every inbound data message is screened through
+  /// (with jitter) while a peer keeps timing out, up to 2^6; a clean ack
+  /// resets them.  Every inbound data message is screened through
   /// csa->screen_message; a renounced verdict (infeasible, suspect, replay,
   /// or a cross-check rollback) adds 1 to the peer's suspicion score while
   /// an accepted message multiplies it by suspicion_decay.  A peer whose
   /// score reaches quarantine_threshold is quarantined: its observations
-  /// are renounced instead of processed and it is polled
-  /// quarantine_probe_factor times slower until quarantine_threshold
-  /// consecutive feasible messages readmit it — a cost that doubles with
+  /// are renounced instead of processed and it is polled 16 times slower
+  /// until quarantine_threshold consecutive feasible messages readmit it — a cost that doubles with
   /// every readmission, and a readmitted peer keeps residual suspicion, so
   /// a still-lying peer is re-quarantined faster each round.  The decaying
   /// score (rather than a consecutive-streak counter) is what catches a
   /// flapping attacker that alternates feasible and infeasible messages.
   /// quarantine_threshold = 0 disables the screen entirely.
   std::uint32_t quarantine_threshold = 2;
-  double quarantine_probe_factor = 16.0;
   double suspicion_decay = 0.7;  ///< Score multiplier per accepted message.
-  std::uint32_t backoff_cap = 6;
   /// Dynamic membership (DESIGN.md decision 19).  When true, a kJoinReq
   /// from a spec neighbor not currently in the membership admits it (the
   /// transport learns its address from the datagram source) and a kLeave
@@ -135,8 +132,31 @@ struct NodeConfig {
   double clock_steer_horizon = 1.0;
 };
 
-/// Observability counters; stats_json() renders them as one JSON line.
+/// The disciplined clock's reading as captured in a NodeSample (and in
+/// NodeStats): everything the oracle's invariant-6 check needs, coherent
+/// with the interval it was steered against.  `initialized` is false until the first bounded
+/// estimate snapped the clock; pre-init "readings" are raw local time and
+/// carry no contract.
+struct DisciplinedReading {
+  bool initialized = false;
+  double out = 0.0;       ///< Disciplined reading at the sample's lt.
+  double max_slew = 0.0;  ///< Configured rate bound |rate - 1| <= max_slew.
+  double deficit = 0.0;   ///< Distance to the sample's est (0 = inside).
+  double err_bound = 0.0; ///< Worst-case error vs true time (interval
+                          ///< geometry); +inf while est is unbounded.
+};
+
+/// Everything a node exports, as one lock-coherent snapshot (stats()).
+/// stats_json() and metrics_text() render this snapshot and nothing else
+/// apart from the histograms, from one list in node.cpp that names each
+/// scalar once: its JSON key, its Prometheus series, its value.  Counters
+/// print as integers; a double prints as json::number, and an undefined
+/// value (an unbounded or empty estimate, a clock not yet initialized) as
+/// null in JSON and NaN/±Inf in Prometheus.  Building it walks the
+/// membership into std::maps, so no datagram or estimate path calls it.
 struct NodeStats {
+  ProcId proc = kInvalidProc;
+  std::string algo;  ///< Csa::name().
   std::uint64_t dgrams_in = 0;
   std::uint64_t dgrams_out = 0;
   std::uint64_t bytes_in = 0;
@@ -183,11 +203,24 @@ struct NodeStats {
   std::uint64_t clock_resteers = 0;     ///< Init + rate-steer decisions.
   std::uint64_t clock_holds = 0;        ///< Unbounded estimate, rate kept.
   std::uint64_t clock_slew_clamps = 0;  ///< Steers that saturated the budget.
+  double clock_drift = 0.0;  ///< AccuracyStats::drift, the measured rate.
+  std::uint64_t membership_active = 0;  ///< Gauge: active peers.
+  /// The causal tracer's counters; zero without a tracer.
+  std::uint64_t trace_recorded = 0;
+  std::uint64_t trace_dropped = 0;
   /// Transport-level counters (drops, socket errors, batch totals) from
   /// Transport::transport_stats(); all zero for transports that track
   /// nothing.
   TransportStats transport;
-  double width = 0.0;        ///< Estimate width at snapshot time.
+  /// The CSA's counters (zero where the algorithm has no such notion).
+  CsaStats csa;
+  /// The estimate at the snapshot's local time `lt` (not an
+  /// externalization: it steers nothing), its width, and the disciplined
+  /// clock's reading against it.
+  LocalTime lt = 0.0;
+  Interval est;
+  double width = 0.0;
+  DisciplinedReading disc;
   /// Seconds since each configured peer was last heard from (any
   /// well-formed datagram); negative = never heard.
   std::map<ProcId, double> last_heard;
@@ -199,20 +232,6 @@ struct NodeStats {
   /// Feasible probes the peer must produce for its NEXT readmission
   /// (doubles on every readmission; starts at quarantine_threshold).
   std::map<ProcId, std::uint32_t> readmission_cost;
-};
-
-/// The disciplined clock's reading as captured in a NodeSample: everything
-/// the oracle's invariant-6 check needs, coherent with the interval it was
-/// steered against.  `initialized` is false until the first bounded
-/// estimate snapped the clock; pre-init "readings" are raw local time and
-/// carry no contract.
-struct DisciplinedReading {
-  bool initialized = false;
-  double out = 0.0;       ///< Disciplined reading at the sample's lt.
-  double max_slew = 0.0;  ///< Configured rate bound |rate - 1| <= max_slew.
-  double deficit = 0.0;   ///< Distance to the sample's est (0 = inside).
-  double err_bound = 0.0; ///< Worst-case error vs true time (interval
-                          ///< geometry); +inf while est is unbounded.
 };
 
 /// One atomic (lock-coherent) estimate reading: the interval, the local
@@ -253,13 +272,17 @@ class Node {
 
   [[nodiscard]] LocalTime local_time() const;
 
+  /// The export snapshot (see NodeStats).  Not for hot loops: it builds
+  /// per-peer maps under the node lock.
   [[nodiscard]] NodeStats stats() const;
 
-  /// One line of JSON, e.g. for a SIGUSR1 dump or the probe response.
+  /// stats() as one line of JSON, plus the per-peer health maps, e.g. for
+  /// a SIGUSR1 dump or the probe response.
   [[nodiscard]] std::string stats_json() const;
 
-  /// Prometheus text exposition of the counters plus the latency/width
-  /// histograms (what a MetricsReq datagram returns).
+  /// stats() as Prometheus text, under the same names as stats_json(),
+  /// plus the latency/width histograms (what a MetricsReq datagram
+  /// returns).
   [[nodiscard]] std::string metrics_text() const;
 
   [[nodiscard]] ProcId self() const { return cfg_.self; }
@@ -337,6 +360,9 @@ class Node {
   void encode_checkpoint_header(std::size_t csa_image_size);
   void load_checkpoint(std::span<const std::uint8_t> bytes);
   void timer_loop();
+  /// The export snapshot, built under mu_; the two renderers below read
+  /// it and the histograms, and no other node state.
+  [[nodiscard]] NodeStats stats_locked() const;
   [[nodiscard]] std::string stats_json_locked() const;
   [[nodiscard]] std::string metrics_text_locked() const;
   [[nodiscard]] LocalTime query_time_locked() const;
@@ -360,6 +386,7 @@ class Node {
   /// Local time of the last minted event; -inf until the first one, so a
   /// clock reading below zero mints at its own reading.
   LocalTime last_event_lt_ = -std::numeric_limits<double>::infinity();
+  /// The counters the node bumps itself; stats_locked() adds the rest.
   NodeStats stats_;
   /// Estimate-width distribution over externalizations (seconds); mutable
   /// because estimate()/sample() are logically const reads.  Guarded by mu_.

@@ -10,9 +10,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <map>
 #include <mutex>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +24,7 @@
 #include "common/interval.h"
 #include "common/json.h"
 #include "common/rng.h"
+#include "common/trace.h"
 #include "core/csa.h"
 #include "core/optimal_csa.h"
 #include "core/spec.h"
@@ -538,30 +542,299 @@ TEST(NodeLocalTime, NegativeClockMintsAtItsOwnReading) {
   node->stop();
 }
 
+/// One exported scalar: its JSON key (null: Prometheus only), its
+/// Prometheus series, and the NodeStats value both renderings must carry.
+/// This table pins the export surface — every name the formats have ever
+/// emitted stays emitted — so it is written out here rather than taken
+/// from the node's own list.
+struct ExportRow {
+  const char* key;
+  const char* series;
+  double (*value)(const NodeStats&);
+};
+
+#define EXPORT_ROW(key, series, expr) \
+  ExportRow { key, series, [](const NodeStats& s) { \
+    return static_cast<double>(expr); } }
+
+const ExportRow kExportRows[] = {
+    EXPORT_ROW("lt", "driftsync_local_time_seconds", s.lt),
+    EXPORT_ROW("lo", "driftsync_estimate_lo_seconds", s.est.lo),
+    EXPORT_ROW("hi", "driftsync_estimate_hi_seconds", s.est.hi),
+    EXPORT_ROW("width", "driftsync_estimate_width_seconds", s.width),
+    EXPORT_ROW("disciplined", "driftsync_clock_disciplined_seconds",
+               s.disc.initialized ? s.disc.out : std::nan("")),
+    EXPORT_ROW("clock_err", "driftsync_clock_error_bound_seconds",
+               s.disc.initialized ? s.disc.err_bound : std::nan("")),
+    EXPORT_ROW("clock_drift", "driftsync_clock_drift", s.clock_drift),
+    EXPORT_ROW("clock_resteers", "driftsync_clock_resteers",
+               s.clock_resteers),
+    EXPORT_ROW("clock_holds", "driftsync_clock_holds", s.clock_holds),
+    EXPORT_ROW("clock_slew_clamps", "driftsync_clock_slew_clamps",
+               s.clock_slew_clamps),
+    EXPORT_ROW("dgrams_in", "driftsync_dgrams_in", s.dgrams_in),
+    EXPORT_ROW("dgrams_out", "driftsync_dgrams_out", s.dgrams_out),
+    EXPORT_ROW("bytes_in", "driftsync_bytes_in", s.bytes_in),
+    EXPORT_ROW("bytes_out", "driftsync_bytes_out", s.bytes_out),
+    EXPORT_ROW("decode_drops", "driftsync_decode_drops", s.decode_drops),
+    EXPORT_ROW("ignored_dgrams", "driftsync_ignored_dgrams",
+               s.ignored_dgrams),
+    EXPORT_ROW("duplicate_dgrams", "driftsync_duplicate_dgrams",
+               s.duplicate_dgrams),
+    EXPORT_ROW("loss_declarations", "driftsync_loss_declarations",
+               s.loss_declarations),
+    EXPORT_ROW("deliveries_confirmed", "driftsync_deliveries_confirmed",
+               s.deliveries_confirmed),
+    EXPORT_ROW("skips_sent", "driftsync_skips_sent", s.skips_sent),
+    EXPORT_ROW("checkpoints_written", "driftsync_checkpoints_written",
+               s.checkpoints_written),
+    EXPORT_ROW("checkpoint_failures", "driftsync_checkpoint_failures",
+               s.checkpoint_failures),
+    EXPORT_ROW("events", "driftsync_events", s.events),
+    EXPORT_ROW("infeasible_rejected", "driftsync_infeasible_rejected",
+               s.infeasible_rejected),
+    EXPORT_ROW("suspect_rejected", "driftsync_byzantine_suspect_rejected",
+               s.suspect_rejected),
+    EXPORT_ROW("replay_rejected", "driftsync_byzantine_replay_rejected",
+               s.replay_rejected),
+    EXPORT_ROW("cross_check_failures",
+               "driftsync_byzantine_cross_check_failures",
+               s.cross_check_failures),
+    EXPORT_ROW("equivocations_detected",
+               "driftsync_byzantine_equivocations",
+               s.equivocations_detected),
+    EXPORT_ROW(nullptr, "driftsync_byzantine_suspicion_total", [&s] {
+      double total = 0.0;
+      for (const auto& [peer, score] : s.suspicion) total += score;
+      return total;
+    }()),
+    EXPORT_ROW("peer_quarantines", "driftsync_peer_quarantines",
+               s.peer_quarantines),
+    EXPORT_ROW("peer_readmissions", "driftsync_peer_readmissions",
+               s.peer_readmissions),
+    EXPORT_ROW("backoff_resets", "driftsync_backoff_resets",
+               s.backoff_resets),
+    EXPORT_ROW("peer_joins", "driftsync_peer_joins", s.peer_joins),
+    EXPORT_ROW("peer_leaves", "driftsync_peer_leaves", s.peer_leaves),
+    EXPORT_ROW("membership_active", "driftsync_membership_active",
+               s.membership_active),
+    EXPORT_ROW("membership_journal", "driftsync_membership_journal",
+               s.peers_journaled),
+    EXPORT_ROW("msg_path_allocs", "driftsync_msg_path_allocs",
+               s.msg_path_allocs),
+    EXPORT_ROW("msg_path_alloc_bytes", "driftsync_msg_path_alloc_bytes",
+               s.msg_path_alloc_bytes),
+    EXPORT_ROW("serve_requests", "driftsync_serve_requests",
+               s.serve_requests),
+    EXPORT_ROW("serve_active", "driftsync_serve_active", s.serve_active),
+    EXPORT_ROW("serve_evicted", "driftsync_serve_evicted", s.serve_evicted),
+    EXPORT_ROW("serve_reaped", "driftsync_serve_reaped", s.serve_reaped),
+    EXPORT_ROW("serve_rejected", "driftsync_serve_rejected",
+               s.serve_rejected),
+    EXPORT_ROW("transport_send_drops", "driftsync_transport_send_drops",
+               s.transport.send_drops),
+    EXPORT_ROW("transport_recv_drops", "driftsync_transport_recv_drops",
+               s.transport.recv_drops),
+    EXPORT_ROW("transport_socket_errors",
+               "driftsync_transport_socket_errors",
+               s.transport.socket_errors),
+    EXPORT_ROW("transport_recv_batches", "driftsync_transport_recv_batches",
+               s.transport.recv_batches),
+    EXPORT_ROW("transport_recv_datagrams",
+               "driftsync_transport_recv_datagrams",
+               s.transport.recv_datagrams),
+    EXPORT_ROW("transport_send_batches", "driftsync_transport_send_batches",
+               s.transport.send_batches),
+    EXPORT_ROW("transport_send_datagrams",
+               "driftsync_transport_send_datagrams",
+               s.transport.send_datagrams),
+    EXPORT_ROW("payload_bytes_sent", "driftsync_payload_bytes_sent",
+               s.csa.payload_bytes_sent),
+    EXPORT_ROW("payload_bytes_received", "driftsync_payload_bytes_received",
+               s.csa.payload_bytes_received),
+    EXPORT_ROW("reports_sent", "driftsync_reports_sent", s.csa.reports_sent),
+    EXPORT_ROW("history_events", "driftsync_history_events",
+               s.csa.history_events),
+    EXPORT_ROW("live_points", "driftsync_live_points", s.csa.live_points),
+    EXPORT_ROW("apsp_relaxations", "driftsync_apsp_relaxations",
+               s.csa.apsp_relaxations),
+    EXPORT_ROW("gc_passes", "driftsync_gc_passes", s.csa.gc_passes),
+    EXPORT_ROW("state_bytes", "driftsync_state_bytes", s.csa.state_bytes),
+    EXPORT_ROW("checkpoint_cache_bytes", "driftsync_checkpoint_cache_bytes",
+               s.csa.checkpoint_cache_bytes),
+    EXPORT_ROW("scratch_bytes", "driftsync_scratch_bytes",
+               s.csa.scratch_bytes),
+    EXPORT_ROW("trace_recorded", "driftsync_trace_recorded",
+               s.trace_recorded),
+    EXPORT_ROW("trace_dropped", "driftsync_trace_dropped", s.trace_dropped),
+};
+
+#undef EXPORT_ROW
+
+/// Series of the form `name{node="<self>"} value` in a Prometheus text,
+/// name -> value text; bucket lines (which carry an `le` label) are not.
+std::map<std::string, std::string> prometheus_scalars(const std::string& text,
+                                                      ProcId self) {
+  const std::string labels = "{node=\"" + std::to_string(self) + "\"} ";
+  std::map<std::string, std::string> out;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t eol = text.find('\n', pos);
+    if (eol == std::string::npos) eol = text.size();
+    const std::string line = text.substr(pos, eol - pos);
+    pos = eol + 1;
+    const std::size_t at = line.find(labels);
+    if (at == std::string::npos) continue;
+    EXPECT_TRUE(out.emplace(line.substr(0, at), line.substr(at + labels.size()))
+                    .second)
+        << "series emitted twice: " << line;
+  }
+  return out;
+}
+
+// The export surface: stats(), stats_json() and metrics_text() carry the
+// same scalars under pinned names, with the same values.  The node is
+// quiescent — a hand-set clock, polls parked, stopped before it is read —
+// so all three readings see one state.
 TEST(NodeCheckpoint, StatsJsonIsWellShaped) {
+  const SystemSpec spec = driftsync::testing::two_node_spec();
+  const auto clock = std::make_shared<std::atomic<double>>(0.0);
+  DatagramHandler handler;
+  Tracer tracer(256);
+  NodeConfig cfg = node_config(1, spec, 1e9, 1e9, 1e9);
+  cfg.tracer = &tracer;
+  Node node(std::move(cfg), driftsync::testing::loss_tolerant_csa(),
+            std::make_unique<ManualTimeSource>(clock),
+            std::make_unique<DirectTransport>(&handler));
+  node.start();
+  // Two messages from the source (real time t, node 1 reads t + 40) and
+  // one malformed datagram: nonzero counters, a bounded estimate, and a
+  // disciplined clock initialized by the sample() that externalizes it.
+  OptimalCsa source;
+  source.init(spec, 0);
+  for (std::uint32_t k = 0; k < 2; ++k) {
+    const double send_rt = 10.0 + k;
+    EventRecord send;
+    send.id = EventId{0, k};
+    send.lt = send_rt;
+    send.kind = EventKind::kSend;
+    send.peer = 1;
+    DataMsg msg;
+    msg.from = 0;
+    msg.dgram_seq = 1 + k;
+    msg.send_seq = k;
+    msg.send_lt = send_rt;
+    msg.payload = source.on_send(SendContext{0, 1, send, 0});
+    clock->store(send_rt + 0.01 + 40.0);
+    const std::vector<std::uint8_t> bytes = encode_datagram(Datagram{msg});
+    handler(bytes);
+  }
+  const std::vector<std::uint8_t> garbage = {0xFF, 0x00};
+  handler(garbage);
+  ASSERT_TRUE(node.sample().est.bounded());
+  node.stop();
+
+  const NodeStats s = node.stats();
+  const std::string json_text = node.stats_json();
+  const std::string prom = node.metrics_text();
+  EXPECT_EQ(json_text.find('\n'), std::string::npos) << "must be one line";
+  ASSERT_TRUE(s.est.bounded());
+  ASSERT_TRUE(s.disc.initialized);
+  EXPECT_GT(s.width, 0.0);
+  EXPECT_GT(s.dgrams_in, 0u);
+  EXPECT_GT(s.decode_drops, 0u);
+  EXPECT_GT(s.trace_recorded, 0u);
+  EXPECT_GT(s.csa.history_events, 0u);
+
+  const json::Value doc = json::parse(json_text);
+  const std::map<std::string, std::string> series =
+      prometheus_scalars(prom, 1);
+  std::set<std::string> want_keys = {"proc", "algo", "last_heard",
+                                     "quarantined", "suspicion"};
+  std::set<std::string> want_series;
+  for (const char* hist :
+       {"driftsync_width_seconds", "driftsync_clock_jump_seconds",
+        "driftsync_clock_error_seconds", "driftsync_handle_seconds",
+        "driftsync_gradient_skew_seconds",
+        "driftsync_gradient_width_seconds"}) {
+    want_series.insert(std::string(hist) + "_sum");
+    want_series.insert(std::string(hist) + "_count");
+  }
+  for (const ExportRow& row : kExportRows) {
+    SCOPED_TRACE(row.series);
+    const double v = row.value(s);
+    if (row.key != nullptr) {
+      want_keys.insert(row.key);
+      const json::Value* j = doc.find(row.key);
+      ASSERT_NE(j, nullptr) << "JSON lacks " << row.key;
+      if (std::isfinite(v)) {
+        EXPECT_EQ(j->as_number(), v);
+      } else {
+        EXPECT_TRUE(j->is_null());
+      }
+    }
+    want_series.insert(row.series);
+    const auto it = series.find(row.series);
+    ASSERT_NE(it, series.end()) << "Prometheus lacks " << row.series;
+    const double p = std::strtod(it->second.c_str(), nullptr);
+    if (std::isnan(v)) {
+      EXPECT_TRUE(std::isnan(p)) << it->second;
+    } else {
+      EXPECT_EQ(p, v) << it->second;
+    }
+  }
+  // Nothing beyond the pinned surface, in either format.
+  std::set<std::string> got_keys;
+  for (const auto& [key, value] : doc.as_object()) got_keys.insert(key);
+  EXPECT_EQ(got_keys, want_keys);
+  std::set<std::string> got_series;
+  for (const auto& [name, value] : series) got_series.insert(name);
+  EXPECT_EQ(got_series, want_series);
+
+  EXPECT_EQ(doc.at("proc").as_number(), 1.0);
+  EXPECT_EQ(doc.at("algo").as_string(), "optimal");
+  // Per-peer health renders the snapshot's maps: every configured peer in
+  // last_heard (an age on the wall clock, so it only grows between the two
+  // readings), only nonzero scores in suspicion.
+  ASSERT_EQ(doc.at("last_heard").as_object().size(), s.last_heard.size());
+  for (const auto& [peer, ago] : s.last_heard) {
+    const json::Value& j = doc.at("last_heard").at(std::to_string(peer));
+    if (ago < 0.0) {
+      EXPECT_TRUE(j.is_null());
+    } else {
+      EXPECT_GE(j.as_number(), ago);
+      EXPECT_LT(j.as_number(), ago + 10.0);
+    }
+  }
+  EXPECT_EQ(doc.at("quarantined").as_array().size(), s.quarantined.size());
+  std::size_t suspects = 0;
+  for (const auto& [peer, score] : s.suspicion) suspects += score > 0.0;
+  EXPECT_EQ(doc.at("suspicion").as_object().size(), suspects);
+}
+
+// Times keep every digit in stats_json: at a local clock near 1e6 s, nine
+// significant digits would leave 10 ms of resolution for an interval a few
+// milliseconds wide, and hi - lo would stop matching the width next to it.
+TEST(NodeCheckpoint, StatsJsonKeepsFullPrecisionAtLargeClockReadings) {
   Mesh mesh = three_node_path();
   mesh.hub().set_link(0, 1, 0.0005, 0.002);
-  Node& n0 = mesh.add(node_config(0, mesh.spec()), loss_tolerant(), 0.0, 1.0);
+  mesh.add(node_config(0, mesh.spec()), loss_tolerant(), 1e6, 1.0);
+  Node& n1 = mesh.add(node_config(1, mesh.spec()), loss_tolerant(), 1e6, 1.0);
   mesh.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  const std::string json = n0.stats_json();
+  for (int i = 0; i < 100 && !n1.estimate().bounded(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  }
+  const json::Value doc = json::parse(n1.stats_json());
   mesh.stop();
 
-  ASSERT_FALSE(json.empty());
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  for (const char* key :
-       {"\"proc\"", "\"algo\"", "\"lt\"", "\"lo\"", "\"hi\"", "\"width\"",
-        "\"dgrams_in\"", "\"dgrams_out\"", "\"bytes_in\"", "\"bytes_out\"",
-        "\"decode_drops\"", "\"ignored_dgrams\"", "\"duplicate_dgrams\"",
-        "\"loss_declarations\"", "\"deliveries_confirmed\"", "\"skips_sent\"",
-        "\"checkpoints_written\"", "\"checkpoint_failures\"", "\"events\"",
-        "\"infeasible_rejected\"", "\"peer_quarantines\"",
-        "\"peer_readmissions\"", "\"backoff_resets\"", "\"last_heard\"",
-        "\"quarantined\""}) {
-    EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
-  }
-  EXPECT_EQ(json.find('\n'), std::string::npos) << "must be one line";
+  ASSERT_FALSE(doc.at("lo").is_null());
+  ASSERT_FALSE(doc.at("hi").is_null());
+  const double lo = doc.at("lo").as_number();
+  const double hi = doc.at("hi").as_number();
+  const double width = doc.at("width").as_number();
+  EXPECT_GT(lo, 1e6);
+  EXPECT_GT(width, 0.0);
+  EXPECT_EQ(hi - lo, width);
 }
 
 // ---------------------------------------------------------------------------

@@ -473,7 +473,7 @@ std::uint64_t run_byzantine_equivocate(Mesh& m, std::uint64_t seed,
   // (skew saturates at skew_max within a millisecond, so the lie is a
   // constant equivocation).  Each edge alone is a perfectly legal clock —
   // even the tight suspect band never objects, since the two stories
-  // differ by less than suspicion_slack — but honest full-information
+  // differ by less than the suspicion slack — but honest full-information
   // relaying delivers both versions of one event id to both victims, and
   // the payload screen pins the contradiction on node 2, not the honest
   // carrier.  A relay whose batch mixes the two versions of events minted

@@ -8,7 +8,7 @@
 // reply-context locking vs a thread_local, deque shuffling vs fixed rings,
 // and per-datagram engine turns vs recv_batch/send_batch amortization.
 // BM_LegacyEnginePath is a faithful replica of the pre-§7 engine (the
-// single-shard loop: per-send pipe wake, per-datagram recv turns with two
+// unbatched loop: per-send pipe wake, per-datagram recv turns with two
 // reply locks, whole-backlog drain under one lock) driven through the same
 // StubKernel as BM_ShardEnginePath, so every syscall either engine still
 // makes for real (wake pipe / eventfd) is paid for real, and everything
@@ -141,8 +141,8 @@ class StubOps final : public UdpIoOps {
   StubKernel* kernel_;
 };
 
-/// Faithful replica of the pre-§7 single-shard engine (git history:
-/// src/runtime/udp_transport.cpp before the shard rewrite), with the
+/// Faithful replica of the pre-§7 unbatched engine (git history:
+/// src/runtime/udp_transport.cpp before the batched rewrite), with the
 /// socket syscalls routed through StubKernel.  Everything else is verbatim
 /// behavior: fresh caller vectors, per-queued-send pipe wake, deque
 /// backlogs, whole-backlog drain under one lock, one recv turn per
@@ -318,7 +318,7 @@ void BM_ShardEnginePath(bench::State& state) {
     }
     kernel.blocked = false;
     delivered = 0;
-    while (delivered < kDatagrams) transport.run_once(0, 0);
+    while (delivered < kDatagrams) transport.run_once(0);
   };
   cycle();
   for (auto _ : state) {
@@ -371,7 +371,7 @@ void BM_UdpLoopbackPump(bench::State& state) {
       tx->send(1, std::move(bytes));
     }
     while (delivered < kBurst) {
-      if (!rx->run_once(0, 100)) break;  // Dead fd: bail (loop would hang).
+      if (!rx->run_once(100)) break;  // Dead fd: bail (loop would hang).
     }
   };
   cycle();  // Untimed: warms tx's buffer pool (setup, not traffic).

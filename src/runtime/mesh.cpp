@@ -71,12 +71,6 @@ void Mesh::set_byzantine(ProcId p, const ByzantineStrategy& strategy,
   s.liar_seed = seed;
 }
 
-void Mesh::set_transport(ProcId p, std::unique_ptr<Transport> transport) {
-  Seat& s = recipe(p);
-  s.replacement = std::move(transport);
-  s.replaced = true;
-}
-
 Node& Mesh::add(NodeConfig cfg, const OptimalCsa::Options& opts,
                 double offset, double rate, const ChaosFaults& faults,
                 std::uint64_t fault_seed) {
@@ -96,9 +90,8 @@ Node& Mesh::add(NodeConfig cfg, const OptimalCsa::Options& opts,
 }
 
 void Mesh::build(Seat& s, ProcId p) {
-  auto chaos = std::make_unique<ChaosTransport>(
-      s.replacement != nullptr ? std::move(s.replacement) : hub_.endpoint(p),
-      p, s.faults, s.fault_seed, &log_);
+  auto chaos = std::make_unique<ChaosTransport>(hub_.endpoint(p), p, s.faults,
+                                                s.fault_seed, &log_);
   s.chaos = chaos.get();
   std::unique_ptr<Transport> transport = std::move(chaos);
   if (s.strategy) {
@@ -133,7 +126,6 @@ void Mesh::kill(ProcId p) { node(p).stop(); }
 
 Node& Mesh::restart(ProcId p) {
   Seat& s = seats_.at(p);
-  DS_CHECK_MSG(!s.replaced, "a seat on a replaced transport cannot restart");
   kill(p);
   s.node.reset();
   build(s, p);

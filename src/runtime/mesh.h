@@ -2,14 +2,13 @@
 // harness every chaos scenario, EXP-16/17 sweep, --selftest leg and runtime
 // test runs on.  Seat p is a Node over an OptimalCsa on
 // ScaledTimeSource(offset, rate) behind a FaultyTimeSource, talking through
-// a ChaosTransport over its hub endpoint (or a replacement transport), and
-// through a ByzantinePeer on top if declared Byzantine; undecorated, a seat
-// behaves as a bare endpoint.  Every spec edge starts as a 0.5-4 ms hub
-// link and every seat is tracked by the oracle as name(p).  restart(p)
-// rebuilds a seat from the same recipe while the oracle keeps its
-// pre-crash baseline, so a restart that forgot anything fails the
-// width-dynamics envelope.  Protocol values and seeds all come from the
-// caller.
+// a ChaosTransport over its hub endpoint, and through a ByzantinePeer on
+// top if declared Byzantine; undecorated, a seat behaves as a bare
+// endpoint.  Every spec edge starts as a 0.5-4 ms hub link and every seat
+// is tracked by the oracle as name(p).  restart(p) rebuilds a seat from the
+// same recipe while the oracle keeps its pre-crash baseline, so a restart
+// that forgot anything fails the width-dynamics envelope.  Protocol values
+// and seeds all come from the caller.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +63,6 @@ class Mesh {
   // Seat recipe: call before add(p); restart(p) reuses it.
   void set_byzantine(ProcId p, const ByzantineStrategy& strategy,
                      std::uint64_t seed);
-  /// Replaces seat p's hub endpoint; such a seat cannot restart.
-  void set_transport(ProcId p, std::unique_ptr<Transport> transport);
 
   /// Builds seat cfg.self (cfg.spec comes from the mesh), its ChaosTransport
   /// injecting `faults` from fault stream `fault_seed`; it starts at once if
@@ -112,8 +109,6 @@ class Mesh {
     std::uint64_t fault_seed = 0;
     std::optional<ByzantineStrategy> strategy;  ///< Set: the seat lies.
     std::uint64_t liar_seed = 0;
-    std::unique_ptr<Transport> replacement;  ///< Consumed by the build.
-    bool replaced = false;
     std::string scratch_checkpoint;
     std::unique_ptr<Node> node;  ///< Owns the three decorators below.
     ChaosTransport* chaos = nullptr;

@@ -353,10 +353,10 @@ LocalTime Node::local_time() const {
 
 NodeStats Node::stats() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return stats_locked();
+  return stats_locked(query_time_locked());
 }
 
-NodeStats Node::stats_locked() const {
+NodeStats Node::stats_locked(LocalTime now) const {
   NodeStats s = stats_;
   s.proc = cfg_.self;
   s.algo = csa_->name();
@@ -369,7 +369,7 @@ NodeStats Node::stats_locked() const {
   }
   s.transport = transport_->transport_stats();
   s.csa = csa_->stats();
-  s.lt = query_time_locked();
+  s.lt = now;
   s.est = csa_->estimate(s.lt);
   s.width = s.est.width();
   s.disc = disciplined_locked(s.est, s.lt);
@@ -384,11 +384,11 @@ NodeStats Node::stats_locked() const {
     s.trace_recorded = cfg_.tracer->recorded();
     s.trace_dropped = cfg_.tracer->dropped();
   }
-  const double now = steady_seconds();
+  const double steady_now = steady_seconds();
   membership_.for_each_active([&](const PeerState& state) {
     const ProcId peer = state.peer;
     s.last_heard[peer] = state.last_heard < 0.0 ? -1.0
-                                                : now - state.last_heard;
+                                                : steady_now - state.last_heard;
     if (state.quarantined) s.quarantined.push_back(peer);
     s.suspicion[peer] = state.suspicion;
     s.readmission_cost[peer] = state.readmission_cost != 0
@@ -400,7 +400,7 @@ NodeStats Node::stats_locked() const {
 
 std::string Node::stats_json() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return stats_json_locked();
+  return stats_json_locked(query_time_locked());
 }
 
 LocalTime Node::query_time_locked() const {
@@ -410,8 +410,8 @@ LocalTime Node::query_time_locked() const {
   return now > last_event_lt_ ? now : last_event_lt_;
 }
 
-std::string Node::stats_json_locked() const {
-  const NodeStats s = stats_locked();
+std::string Node::stats_json_locked(LocalTime now) const {
+  const NodeStats s = stats_locked(now);
   std::string out = "{\"proc\":" + std::to_string(s.proc) +
                     ",\"algo\":" + json::quote(s.algo);
   for_each_export(s, [&out](const char* key, const char*, auto v) {
@@ -458,11 +458,11 @@ std::string Node::stats_json_locked() const {
 
 std::string Node::metrics_text() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return metrics_text_locked();
+  return metrics_text_locked(query_time_locked());
 }
 
-std::string Node::metrics_text_locked() const {
-  const NodeStats s = stats_locked();
+std::string Node::metrics_text_locked(LocalTime now) const {
+  const NodeStats s = stats_locked(now);
   const std::string labels = "node=\"" + std::to_string(s.proc) + '"';
   std::string out;
   for_each_export(s, [&out, &labels](const char*, const char* series,
@@ -863,7 +863,8 @@ void Node::handle_probe(const ProbeReq& msg) {
   const LocalTime now = query_time_locked();
   const Interval est = csa_->estimate(now);
   // Steer before rendering stats so the probe reply's disciplined reading
-  // reflects this very externalization.
+  // reflects this very externalization; the stats are rendered at the same
+  // reading, so their lt/lo/hi equal the reply's own.
   note_externalize(est, now);
   ProbeResp resp;
   resp.nonce = msg.nonce;
@@ -871,7 +872,7 @@ void Node::handle_probe(const ProbeReq& msg) {
   resp.local_time = now;
   resp.lo = est.lo;
   resp.hi = est.hi;
-  resp.stats_json = stats_json_locked();
+  resp.stats_json = stats_json_locked(now);
   // No state changed, so no checkpoint; the requester is not a configured
   // peer, so the reply addresses the transport's reply slot (kReplyPeer =
   // "origin of the datagram being handled").
@@ -882,7 +883,7 @@ void Node::handle_metrics(const MetricsReq& msg) {
   MetricsResp resp;
   resp.nonce = msg.nonce;
   resp.from = cfg_.self;
-  resp.metrics = metrics_text_locked();
+  resp.metrics = metrics_text_locked(query_time_locked());
   if (msg.max_trace_events > 0 && cfg_.tracer != nullptr) {
     std::vector<TraceEvent> events = cfg_.tracer->snapshot();
     // Clamp so the reply stays under the 64 KiB UDP datagram ceiling

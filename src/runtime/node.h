@@ -360,11 +360,12 @@ class Node {
   void encode_checkpoint_header(std::size_t csa_image_size);
   void load_checkpoint(std::span<const std::uint8_t> bytes);
   void timer_loop();
-  /// The export snapshot, built under mu_; the two renderers below read
-  /// it and the histograms, and no other node state.
-  [[nodiscard]] NodeStats stats_locked() const;
-  [[nodiscard]] std::string stats_json_locked() const;
-  [[nodiscard]] std::string metrics_text_locked() const;
+  /// The export snapshot at local time `now` (one query_time_locked()
+  /// reading), built under mu_; the two renderers below read it and the
+  /// histograms, and no other node state.
+  [[nodiscard]] NodeStats stats_locked(LocalTime now) const;
+  [[nodiscard]] std::string stats_json_locked(LocalTime now) const;
+  [[nodiscard]] std::string metrics_text_locked(LocalTime now) const;
   [[nodiscard]] LocalTime query_time_locked() const;
 
   NodeConfig cfg_;

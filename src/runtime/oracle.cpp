@@ -11,6 +11,12 @@ namespace driftsync::runtime {
 
 namespace {
 
+/// Slack (seconds) applied to every comparison.  Must cover the
+/// feasibility slack of the quarantine screen (an infeasible-by-less
+/// observation may legally be ingested) plus scheduling noise.
+constexpr double kTolerance = 0.02;
+
+/// Ground truth: true source time is the monotonic clock itself.
 double mono_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -19,14 +25,7 @@ double mono_seconds() {
 
 }  // namespace
 
-InvariantOracle::InvariantOracle(Options opts) : opts_(opts) {
-  DS_CHECK(opts_.tolerance >= 0.0);
-  DS_CHECK(opts_.source_rate > 0.0);
-}
-
-double InvariantOracle::truth() const {
-  return opts_.source_offset + opts_.source_rate * mono_seconds();
-}
+InvariantOracle::InvariantOracle(Options opts) : opts_(opts) {}
 
 void InvariantOracle::track(const std::string& name, const Node* node,
                             double rho) {
@@ -141,7 +140,7 @@ void InvariantOracle::check_gradient(const std::string& a_name,
   }
   if (!std::isfinite(bounds.width())) return;  // Unbounded claims nothing.
   ++checks_;
-  const double tol = opts_.tolerance;
+  const double tol = kTolerance;
   if (bounds.lo > lt1 + tol || bounds.hi < lt0 - tol) {
     violation(a_name, "gradient",
               "bounds " + bounds.str() + " on peer " +
@@ -212,10 +211,10 @@ const char* InvariantOracle::disciplined_check(const NodeSample& prev,
 void InvariantOracle::observe() {
   for (auto& [name, t] : nodes_) {
     if (t.clock_violated) continue;  // The paper promises nothing here.
-    const double t0 = truth();
+    const double t0 = mono_seconds();
     const NodeSample s = t.node->sample();
-    const double t1 = truth();
-    const double tol = opts_.tolerance;
+    const double t1 = mono_seconds();
+    const double tol = kTolerance;
 
     ++checks_;
     if (s.est.empty()) {

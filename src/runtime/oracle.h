@@ -73,16 +73,10 @@ class ChaosEventLog;
 
 class InvariantOracle {
  public:
+  /// Every comparison allows 0.02 s of slack; ground truth is the
+  /// monotonic clock, matching the harness convention of running the source
+  /// on ScaledTimeSource(0, 1).
   struct Options {
-    /// Slack (seconds) applied to every comparison.  Must cover the
-    /// feasibility slack of the quarantine screen (an infeasible-by-less
-    /// observation may legally be ingested) plus scheduling noise.
-    double tolerance = 0.02;
-    /// Ground truth: true source time = source_offset + source_rate * mono.
-    /// The defaults match the harness convention of running the source on
-    /// ScaledTimeSource(0, 1).
-    double source_offset = 0.0;
-    double source_rate = 1.0;
     /// Violation / verdict sink; nullptr silences output (counts only).
     std::FILE* out = stderr;
   };
@@ -176,8 +170,6 @@ class InvariantOracle {
   /// One direction of invariant 5: `a`'s bounds on `b`'s clock.
   void check_gradient(const std::string& a_name, const Tracked& a,
                       const Tracked& b);
-
-  [[nodiscard]] double truth() const;
 
   Options opts_;
   std::map<std::string, Tracked> nodes_;

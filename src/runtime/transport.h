@@ -19,11 +19,11 @@
 namespace driftsync::runtime {
 
 /// Receive callback.  Invoked from a transport delivery thread; the span is
-/// valid only for the duration of the call.  Single-threaded transports
-/// (ThreadHub endpoints, UdpTransport with one shard) never invoke it
-/// concurrently with itself; a sharded transport invokes it from every
-/// shard thread at once, so handlers must be internally synchronized (the
-/// Node driver is: one mutex guards all protocol state).
+/// valid only for the duration of the call.  Transports (ThreadHub
+/// endpoints, UdpTransport's one event loop) never invoke it concurrently
+/// with itself, but the delivery thread is not the owner's, so handlers
+/// must synchronize with the rest of their owner (the Node driver does: one
+/// mutex guards all protocol state).
 using DatagramHandler = std::function<void(std::span<const std::uint8_t>)>;
 
 /// Transport-level counters, all monotonic.  A transport without the

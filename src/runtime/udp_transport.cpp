@@ -22,6 +22,11 @@ namespace {
 /// arrays in the real ops below).
 constexpr std::size_t kMaxBatch = 64;
 
+/// One peer's backlog ring never holds more than this many unsent
+/// datagrams; beyond it new sends are dropped (the fate protocol absorbs
+/// the loss).
+constexpr std::size_t kMaxBacklog = 256;
+
 sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -181,119 +186,83 @@ UdpIoOps& real_udp_io_ops() {
 
 thread_local UdpTransport::ReplyContext UdpTransport::reply_ctx_;
 
-UdpTransport::Shard::Shard(const Options& opts)
-    : pool(),
-      arena(opts.recv_batch * opts.max_datagram),
-      slots(opts.recv_batch),
-      scratch(opts.send_batch),
-      recv_hist(batch_bounds()),
-      send_hist(batch_bounds()) {
-  pool.reserve(opts.pool_buffers);
-  for (std::size_t i = 0; i < opts.recv_batch; ++i) {
-    slots[i].data = arena.data() + i * opts.max_datagram;
-    slots[i].cap = opts.max_datagram;
-  }
-}
-
 UdpTransport::UdpTransport(const std::string& bind_host,
                            std::uint16_t bind_port)
     : UdpTransport(bind_host, bind_port, Options{}) {}
 
 UdpTransport::UdpTransport(const std::string& bind_host,
                            std::uint16_t bind_port, Options options)
-    : opts_(options) {
-  DS_CHECK_MSG(opts_.io_shards >= 1 && opts_.io_shards <= kMaxBatch,
-               "io_shards out of range");
+    : opts_(options),
+      arena_(opts_.recv_batch * opts_.max_datagram),
+      slots_(opts_.recv_batch),
+      scratch_(opts_.send_batch),
+      recv_hist_(batch_bounds()),
+      send_hist_(batch_bounds()) {
   DS_CHECK_MSG(opts_.recv_batch >= 1 && opts_.recv_batch <= kMaxBatch,
                "recv_batch out of range");
   DS_CHECK_MSG(opts_.send_batch >= 1 && opts_.send_batch <= kMaxBatch,
                "send_batch out of range");
   DS_CHECK_MSG(opts_.max_datagram >= 64 && opts_.max_datagram <= 65536,
                "max_datagram out of range");
-  DS_CHECK_MSG(opts_.max_backlog >= 1, "max_backlog out of range");
   ops_ = opts_.ops != nullptr ? opts_.ops : &real_udp_io_ops();
+  pool_.reserve(opts_.pool_buffers);
+  for (std::size_t i = 0; i < opts_.recv_batch; ++i) {
+    slots_[i].data = arena_.data() + i * opts_.max_datagram;
+    slots_[i].cap = opts_.max_datagram;
+  }
 
   const auto fail = [this](const char* what, int err) {
-    for (const auto& s : shards_) {
-      if (s->fd >= 0) ::close(s->fd);
-      if (s->wake_fd >= 0) ::close(s->wake_fd);
-    }
-    shards_.clear();
+    if (fd_ >= 0) ::close(fd_);
+    if (wake_fd_ >= 0) ::close(wake_fd_);
     throw std::runtime_error(std::string("udp: ") + what + ": " +
                              std::strerror(err));
   };
-
-  // Shard 0 resolves an ephemeral bind_port; the remaining shards bind the
-  // resolved port with SO_REUSEPORT so the kernel spreads inbound flows.
-  std::uint16_t port = bind_port;
-  for (std::size_t i = 0; i < opts_.io_shards; ++i) {
-    auto shard = std::make_unique<Shard>(opts_);
-    shards_.push_back(std::move(shard));
-    Shard& s = *shards_.back();
-    s.fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (s.fd < 0) fail("socket", errno);
-    if (opts_.io_shards > 1) {
-      const int one = 1;
-      if (::setsockopt(s.fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) !=
-          0) {
-        fail("setsockopt(SO_REUSEPORT)", errno);
-      }
-    }
-    sockaddr_in addr = make_addr(bind_host, port);
-    if (::bind(s.fd, reinterpret_cast<const sockaddr*>(&addr),
-               sizeof(addr)) != 0) {
-      fail("bind", errno);
-    }
-    if (i == 0) {
-      sockaddr_in bound{};
-      socklen_t len = sizeof(bound);
-      if (::getsockname(s.fd, reinterpret_cast<sockaddr*>(&bound), &len) ==
-          0) {
-        local_port_ = ntohs(bound.sin_port);
-      }
-      port = local_port_;
-    }
-    s.wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    if (s.wake_fd < 0) fail("eventfd", errno);
+  const sockaddr_in addr = make_addr(bind_host, bind_port);
+  fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd_ < 0) fail("socket", errno);
+  if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    fail("bind", errno);
   }
+  sockaddr_in bound{};
+  socklen_t len = sizeof(bound);
+  if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
+    local_port_ = ntohs(bound.sin_port);
+  }
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) fail("eventfd", errno);
 }
 
 UdpTransport::~UdpTransport() {
   stop();
-  for (const auto& s : shards_) {
-    if (s->fd >= 0) ::close(s->fd);
-    if (s->wake_fd >= 0) ::close(s->wake_fd);
-  }
+  ::close(fd_);
+  ::close(wake_fd_);
 }
 
 void UdpTransport::add_peer(ProcId proc, const std::string& host,
                             std::uint16_t port) {
   const sockaddr_in addr = make_addr(host, port);
-  Shard& s = *shards_[shard_of(proc)];
-  const std::lock_guard<std::mutex> lock(s.mu);
-  admit_locked(s, proc, addr);
+  const std::lock_guard<std::mutex> lock(mu_);
+  admit_locked(proc, addr);
 }
 
 bool UdpTransport::admit_current_sender(ProcId peer) {
   if (reply_ctx_.owner != this) return false;
-  Shard& s = *shards_[shard_of(peer)];
-  const std::lock_guard<std::mutex> lock(s.mu);
-  admit_locked(s, peer, reply_ctx_.addr);
+  const std::lock_guard<std::mutex> lock(mu_);
+  admit_locked(peer, reply_ctx_.addr);
   return true;
 }
 
-void UdpTransport::admit_locked(Shard& s, ProcId proc,
-                                const sockaddr_in& addr) {
-  const bool fresh = s.peers.find(proc) == s.peers.end();
-  s.peers[proc].addr = addr;
-  if (fresh) s.flush_order.push_back(proc);
+void UdpTransport::admit_locked(ProcId proc, const sockaddr_in& addr) {
+  const bool fresh = peers_.find(proc) == peers_.end();
+  peers_[proc].addr = addr;
+  if (fresh) flush_order_.push_back(proc);
 }
 
 void UdpTransport::retire_peer(ProcId peer) {
-  Shard& s = *shards_[shard_of(peer)];
-  const std::lock_guard<std::mutex> lock(s.mu);
-  const auto it = s.peers.find(peer);
-  if (it == s.peers.end()) return;
+  const std::lock_guard<std::mutex> lock(mu_);
+  const auto it = peers_.find(peer);
+  if (it == peers_.end()) return;
   PeerState& p = it->second;
   // Whatever was still queued for the departed peer is a drop — the fate
   // protocol already covers it — but the buffers themselves go back to the
@@ -301,82 +270,65 @@ void UdpTransport::retire_peer(ProcId peer) {
   while (p.count > 0) {
     send_drops_.fetch_add(1, std::memory_order_relaxed);
     trace_drop(peer, peek_trace_id(p.ring[p.head]));
-    recycle_locked(s, std::move(p.ring[p.head]));
+    recycle_locked(std::move(p.ring[p.head]));
     p.head = (p.head + 1) % p.ring.size();
     --p.count;
-    DS_CHECK(s.backlog_total > 0);
-    --s.backlog_total;
+    DS_CHECK(backlog_total_ > 0);
+    --backlog_total_;
   }
   // Vacate the round-robin slot.  flush_locked dereferences
-  // s.peers.find(proc) unchecked, so the flush_order entry must go in the
+  // peers_.find(proc) unchecked, so the flush_order_ entry must go in the
   // same critical section — and the cursor shifts with it so the rotation
   // resumes at the same neighbor instead of skipping one.
-  const auto pos =
-      std::find(s.flush_order.begin(), s.flush_order.end(), peer);
-  if (pos != s.flush_order.end()) {
+  const auto pos = std::find(flush_order_.begin(), flush_order_.end(), peer);
+  if (pos != flush_order_.end()) {
     const std::size_t idx =
-        static_cast<std::size_t>(pos - s.flush_order.begin());
-    s.flush_order.erase(pos);
-    if (idx < s.flush_cursor) --s.flush_cursor;
-    if (s.flush_order.empty()) {
-      s.flush_cursor = 0;
+        static_cast<std::size_t>(pos - flush_order_.begin());
+    flush_order_.erase(pos);
+    if (idx < flush_cursor_) --flush_cursor_;
+    if (flush_order_.empty()) {
+      flush_cursor_ = 0;
     } else {
-      s.flush_cursor %= s.flush_order.size();
+      flush_cursor_ %= flush_order_.size();
     }
   }
-  s.peers.erase(it);
+  peers_.erase(it);
 }
 
-void UdpTransport::start_common(DatagramHandler handler, bool spawn_threads) {
+void UdpTransport::start(DatagramHandler handler) {
+  start_manual(std::move(handler));
+  thread_ = std::thread([this] {
+    while (running_.load(std::memory_order_relaxed)) {
+      if (!run_once(-1)) break;  // Dead fd: the loop stops serving.
+    }
+  });
+}
+
+void UdpTransport::start_manual(DatagramHandler handler) {
   DS_CHECK_MSG(!started_, "transport started twice");
   handler_ = std::move(handler);
   running_.store(true);
   started_ = true;
-  manual_ = !spawn_threads;
-  if (!spawn_threads) return;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i]->thread = std::thread([this, i] {
-      while (running_.load(std::memory_order_relaxed)) {
-        if (!run_once(i, -1)) break;  // Dead fd: this shard stops serving.
-      }
-    });
-  }
-}
-
-void UdpTransport::start(DatagramHandler handler) {
-  start_common(std::move(handler), /*spawn_threads=*/true);
-}
-
-void UdpTransport::start_manual(DatagramHandler handler) {
-  start_common(std::move(handler), /*spawn_threads=*/false);
 }
 
 void UdpTransport::stop() {
   if (!started_) return;
   running_.store(false);
-  for (const auto& s : shards_) wake(*s);
-  if (!manual_) {
-    for (const auto& s : shards_) {
-      if (s->thread.joinable()) s->thread.join();
-    }
-  }
+  wake();
+  if (thread_.joinable()) thread_.join();  // start_manual() spawns none.
   started_ = false;
 }
 
-void UdpTransport::wake(const Shard& s) {
+void UdpTransport::wake() {
   const std::uint64_t one = 1;
   // A saturated eventfd already guarantees a pending wakeup; ignore the
   // result.
-  [[maybe_unused]] const ssize_t n = ::write(s.wake_fd, &one, sizeof(one));
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
 std::size_t UdpTransport::backlog_depth() const {
-  std::size_t total = 0;
-  for (const auto& s : shards_) {
-    const std::lock_guard<std::mutex> lock(s->mu);
-    total += s->backlog_total;
-  }
-  return total;
+  const std::lock_guard<std::mutex> lock(mu_);
+  return backlog_total_;
 }
 
 void UdpTransport::set_tracer(Tracer* tracer, ProcId self) {
@@ -390,68 +342,64 @@ void UdpTransport::trace_drop(ProcId to, std::uint64_t trace_id) {
   tracer_->record(TraceEventKind::kDrop, trace_id, trace_self_, to);
 }
 
-void UdpTransport::recycle_locked(Shard& s,
-                                  std::vector<std::uint8_t>&& bytes) {
-  if (s.pool.size() >= opts_.pool_buffers || bytes.capacity() == 0) return;
+void UdpTransport::recycle_locked(std::vector<std::uint8_t>&& bytes) {
+  if (pool_.size() >= opts_.pool_buffers || bytes.capacity() == 0) return;
   bytes.clear();
-  s.pool.push_back(std::move(bytes));
+  pool_.push_back(std::move(bytes));
 }
 
-std::vector<std::uint8_t> UdpTransport::take_buffer(ProcId to) {
-  Shard& s = *shards_[to == kReplyPeer ? reply_ctx_.shard : shard_of(to)];
-  const std::lock_guard<std::mutex> lock(s.mu);
-  if (s.pool.empty()) return {};
-  std::vector<std::uint8_t> buf = std::move(s.pool.back());
-  s.pool.pop_back();
+std::vector<std::uint8_t> UdpTransport::take_buffer(ProcId /*to*/) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (pool_.empty()) return {};
+  std::vector<std::uint8_t> buf = std::move(pool_.back());
+  pool_.pop_back();
   return buf;
 }
 
-void UdpTransport::enqueue_locked(Shard& s, PeerState& peer, ProcId to,
+void UdpTransport::enqueue_locked(PeerState& peer, ProcId to,
                                   std::vector<std::uint8_t>&& bytes) {
-  if (peer.count >= opts_.max_backlog) {
+  if (peer.count >= kMaxBacklog) {
     send_drops_.fetch_add(1, std::memory_order_relaxed);
     trace_drop(to, peek_trace_id(bytes));
-    recycle_locked(s, std::move(bytes));
+    recycle_locked(std::move(bytes));
     return;
   }
-  if (peer.ring.empty()) peer.ring.resize(opts_.max_backlog);
+  if (peer.ring.empty()) peer.ring.resize(kMaxBacklog);
   peer.ring[(peer.head + peer.count) % peer.ring.size()] = std::move(bytes);
   ++peer.count;
   // Transition-only wake: the loop arms POLLOUT whenever it observes a
-  // non-empty backlog under mu, so only the 0 -> 1 edge can find it parked
+  // non-empty backlog under mu_, so only the 0 -> 1 edge can find it parked
   // in poll without POLLOUT armed.
-  if (++s.backlog_total == 1) wake(s);
+  if (++backlog_total_ == 1) wake();
 }
 
 void UdpTransport::send(ProcId to, std::vector<std::uint8_t> bytes) {
   if (to == kReplyPeer) {
-    // Reply to the source of the datagram being handled (we are on that
-    // shard's loop thread).  Best-effort and unqueued: if the socket would
-    // block, the requester retries.
+    // Reply to the source of the datagram being handled (we are on the
+    // loop thread).  Best-effort and unqueued: if the socket would block,
+    // the requester retries.
     if (reply_ctx_.owner != this) {
       send_drops_.fetch_add(1, std::memory_order_relaxed);
       trace_drop(to, peek_trace_id(bytes));
       return;
     }
-    Shard& s = *shards_[reply_ctx_.shard];
-    const std::lock_guard<std::mutex> lock(s.mu);
+    const std::lock_guard<std::mutex> lock(mu_);
     const UdpSendItem item{bytes.data(), bytes.size(), reply_ctx_.addr};
-    const UdpSendResult res = ops_->send_batch(s.fd, &item, 1);
+    const UdpSendResult res = ops_->send_batch(fd_, &item, 1);
     if (res.sent == 1) {
-      s.send_hist.add(1.0);
-      ++s.send_batches;
-      ++s.send_datagrams;
+      send_hist_.add(1.0);
+      ++send_batches_;
+      ++send_datagrams_;
     } else {
       send_drops_.fetch_add(1, std::memory_order_relaxed);
       trace_drop(to, peek_trace_id(bytes));
     }
-    recycle_locked(s, std::move(bytes));
+    recycle_locked(std::move(bytes));
     return;
   }
-  Shard& s = *shards_[shard_of(to)];
-  const std::lock_guard<std::mutex> lock(s.mu);
-  const auto it = s.peers.find(to);
-  if (it == s.peers.end()) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  const auto it = peers_.find(to);
+  if (it == peers_.end()) {
     send_drops_.fetch_add(1, std::memory_order_relaxed);
     trace_drop(to, peek_trace_id(bytes));
     return;
@@ -460,54 +408,54 @@ void UdpTransport::send(ProcId to, std::vector<std::uint8_t> bytes) {
   if (peer.count == 0) {
     // Uncontended fast path: one direct (batch-1) send.
     const UdpSendItem item{bytes.data(), bytes.size(), peer.addr};
-    const UdpSendResult res = ops_->send_batch(s.fd, &item, 1);
+    const UdpSendResult res = ops_->send_batch(fd_, &item, 1);
     if (res.sent == 1) {
-      s.send_hist.add(1.0);
-      ++s.send_batches;
-      ++s.send_datagrams;
-      recycle_locked(s, std::move(bytes));
+      send_hist_.add(1.0);
+      ++send_batches_;
+      ++send_datagrams_;
+      recycle_locked(std::move(bytes));
       return;
     }
     if (res.hard_error) {
       // E.g. EMSGSIZE: drop, the fate protocol copes.
       send_drops_.fetch_add(1, std::memory_order_relaxed);
       trace_drop(to, peek_trace_id(bytes));
-      recycle_locked(s, std::move(bytes));
+      recycle_locked(std::move(bytes));
       return;
     }
   }
-  enqueue_locked(s, peer, to, std::move(bytes));
+  enqueue_locked(peer, to, std::move(bytes));
 }
 
-void UdpTransport::flush_locked(Shard& s) {
-  const std::size_t npeers = s.flush_order.size();
-  if (npeers == 0 || s.backlog_total == 0) return;
+void UdpTransport::flush_locked() {
+  const std::size_t npeers = flush_order_.size();
+  if (npeers == 0 || backlog_total_ == 0) return;
   // One pass over the peers, at most send_batch datagrams each, resuming at
   // the cursor — so under sustained backpressure every peer gets a turn
   // before any peer gets a second one.
   std::size_t visited = 0;
-  while (s.backlog_total > 0 && visited < npeers) {
-    const ProcId proc = s.flush_order[s.flush_cursor];
-    s.flush_cursor = (s.flush_cursor + 1) % npeers;
+  while (backlog_total_ > 0 && visited < npeers) {
+    const ProcId proc = flush_order_[flush_cursor_];
+    flush_cursor_ = (flush_cursor_ + 1) % npeers;
     ++visited;
-    PeerState& peer = s.peers.find(proc)->second;
+    PeerState& peer = peers_.find(proc)->second;
     if (peer.count == 0) continue;
     const std::size_t want = std::min(peer.count, opts_.send_batch);
     for (std::size_t j = 0; j < want; ++j) {
       const std::vector<std::uint8_t>& b =
           peer.ring[(peer.head + j) % peer.ring.size()];
-      s.scratch[j] = {b.data(), b.size(), peer.addr};
+      scratch_[j] = {b.data(), b.size(), peer.addr};
     }
-    const UdpSendResult res = ops_->send_batch(s.fd, s.scratch.data(), want);
+    const UdpSendResult res = ops_->send_batch(fd_, scratch_.data(), want);
     if (res.sent > 0) {
-      s.send_hist.add(static_cast<double>(res.sent));
-      ++s.send_batches;
-      s.send_datagrams += res.sent;
+      send_hist_.add(static_cast<double>(res.sent));
+      ++send_batches_;
+      send_datagrams_ += res.sent;
       for (std::size_t j = 0; j < res.sent; ++j) {
-        recycle_locked(s, std::move(peer.ring[peer.head]));
+        recycle_locked(std::move(peer.ring[peer.head]));
         peer.head = (peer.head + 1) % peer.ring.size();
         --peer.count;
-        --s.backlog_total;
+        --backlog_total_;
       }
     }
     if (res.hard_error && peer.count > 0) {
@@ -515,32 +463,30 @@ void UdpTransport::flush_locked(Shard& s) {
       // draining (the fate protocol absorbs the loss).
       send_drops_.fetch_add(1, std::memory_order_relaxed);
       trace_drop(proc, peek_trace_id(peer.ring[peer.head]));
-      recycle_locked(s, std::move(peer.ring[peer.head]));
+      recycle_locked(std::move(peer.ring[peer.head]));
       peer.head = (peer.head + 1) % peer.ring.size();
       --peer.count;
-      --s.backlog_total;
+      --backlog_total_;
       continue;
     }
     if (res.blocked) return;  // Socket full; POLLOUT stays armed.
   }
 }
 
-void UdpTransport::recv_dispatch(std::size_t shard_index) {
-  Shard& s = *shards_[shard_index];
+void UdpTransport::recv_dispatch() {
   while (true) {
-    // The arena slots are touched only by this shard's loop thread; no lock
-    // is held while receiving or dispatching, so handlers may send().
-    const std::size_t n = ops_->recv_batch(s.fd, s.slots.data(),
-                                           s.slots.size());
+    // The arena slots are touched only by the loop thread; no lock is held
+    // while receiving or dispatching, so handlers may send().
+    const std::size_t n = ops_->recv_batch(fd_, slots_.data(), slots_.size());
     if (n == 0) break;
     {
-      const std::lock_guard<std::mutex> lock(s.mu);
-      s.recv_hist.add(static_cast<double>(n));
-      ++s.recv_batches;
-      s.recv_datagrams += n;
+      const std::lock_guard<std::mutex> lock(mu_);
+      recv_hist_.add(static_cast<double>(n));
+      ++recv_batches_;
+      recv_datagrams_ += n;
     }
     for (std::size_t i = 0; i < n; ++i) {
-      const UdpRecvSlot& slot = s.slots[i];
+      const UdpRecvSlot& slot = slots_[i];
       if (slot.truncated || slot.len > slot.cap) {
         // Oversized datagram: the kernel truncated it to cap bytes.  A
         // truncated payload must never reach the handler — it would decode
@@ -552,27 +498,25 @@ void UdpTransport::recv_dispatch(std::size_t shard_index) {
         continue;
       }
       reply_ctx_.owner = this;
-      reply_ctx_.shard = shard_index;
       reply_ctx_.addr = slot.src;
       handler_(std::span<const std::uint8_t>(slot.data, slot.len));
       reply_ctx_.owner = nullptr;
     }
-    if (n < s.slots.size()) break;  // Short batch: queue (almost) drained.
+    if (n < slots_.size()) break;  // Short batch: queue (almost) drained.
   }
 }
 
-bool UdpTransport::run_once(std::size_t shard_index, int timeout_ms) {
-  Shard& s = *shards_[shard_index];
+bool UdpTransport::run_once(int timeout_ms) {
   bool want_write = false;
   {
-    const std::lock_guard<std::mutex> lock(s.mu);
-    want_write = s.backlog_total > 0;
+    const std::lock_guard<std::mutex> lock(mu_);
+    want_write = backlog_total_ > 0;
   }
   pollfd fds[2];
-  fds[0].fd = s.fd;
+  fds[0].fd = fd_;
   fds[0].events = static_cast<short>(POLLIN | (want_write ? POLLOUT : 0));
   fds[0].revents = 0;
-  fds[1].fd = s.wake_fd;
+  fds[1].fd = wake_fd_;
   fds[1].events = POLLIN;
   fds[1].revents = 0;
   const int rc = ops_->poll_io(fds, 2, timeout_ms);
@@ -582,8 +526,7 @@ bool UdpTransport::run_once(std::size_t shard_index, int timeout_ms) {
   if (rc == 0) return true;
   if (fds[1].revents & POLLIN) {
     std::uint64_t drain = 0;
-    [[maybe_unused]] const ssize_t n =
-        ::read(s.wake_fd, &drain, sizeof(drain));
+    [[maybe_unused]] const ssize_t n = ::read(wake_fd_, &drain, sizeof(drain));
   }
   if (fds[0].revents & (POLLERR | POLLHUP | POLLNVAL)) {
     socket_errors_.fetch_add(1, std::memory_order_relaxed);
@@ -594,12 +537,12 @@ bool UdpTransport::run_once(std::size_t shard_index, int timeout_ms) {
     // POLLERR) so poll does not spin on it, then keep serving.
     int err = 0;
     socklen_t len = sizeof(err);
-    ::getsockopt(s.fd, SOL_SOCKET, SO_ERROR, &err, &len);
+    ::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &err, &len);
   }
-  if (fds[0].revents & POLLIN) recv_dispatch(shard_index);
+  if (fds[0].revents & POLLIN) recv_dispatch();
   if (fds[0].revents & POLLOUT) {
-    const std::lock_guard<std::mutex> lock(s.mu);
-    flush_locked(s);
+    const std::lock_guard<std::mutex> lock(mu_);
+    flush_locked();
   }
   return true;
 }
@@ -609,35 +552,25 @@ TransportStats UdpTransport::transport_stats() const {
   out.send_drops = send_drops_.load(std::memory_order_relaxed);
   out.recv_drops = recv_drops_.load(std::memory_order_relaxed);
   out.socket_errors = socket_errors_.load(std::memory_order_relaxed);
-  for (const auto& s : shards_) {
-    const std::lock_guard<std::mutex> lock(s->mu);
-    out.recv_batches += s->recv_batches;
-    out.recv_datagrams += s->recv_datagrams;
-    out.send_batches += s->send_batches;
-    out.send_datagrams += s->send_datagrams;
-  }
+  const std::lock_guard<std::mutex> lock(mu_);
+  out.recv_batches = recv_batches_;
+  out.recv_datagrams = recv_datagrams_;
+  out.send_batches = send_batches_;
+  out.send_datagrams = send_datagrams_;
   return out;
 }
 
 void UdpTransport::append_metrics(std::string& out,
                                   const std::string& labels) const {
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const Shard& s = *shards_[i];
-    std::string shard_labels = labels;
-    if (!shard_labels.empty()) shard_labels += ',';
-    shard_labels += "shard=\"" + std::to_string(i) + '"';
-    Histogram recv_copy(batch_bounds());
-    Histogram send_copy(batch_bounds());
-    {
-      const std::lock_guard<std::mutex> lock(s.mu);
-      recv_copy.merge(s.recv_hist);
-      send_copy.merge(s.send_hist);
-    }
-    append_prometheus(out, "driftsync_transport_recv_batch", shard_labels,
-                      recv_copy);
-    append_prometheus(out, "driftsync_transport_send_batch", shard_labels,
-                      send_copy);
+  Histogram recv_copy(batch_bounds());
+  Histogram send_copy(batch_bounds());
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    recv_copy.merge(recv_hist_);
+    send_copy.merge(send_hist_);
   }
+  append_prometheus(out, "driftsync_transport_recv_batch", labels, recv_copy);
+  append_prometheus(out, "driftsync_transport_send_batch", labels, send_copy);
 }
 
 }  // namespace driftsync::runtime

@@ -1,27 +1,23 @@
-// Sharded, batched, nonblocking IPv4/UDP transport (DESIGN.md S7, §7).
+// Batched, nonblocking IPv4/UDP transport (DESIGN.md S7, §7).
 //
-// N event-loop shards (Options::io_shards, default 1 — the single-threaded
-// behavior previous releases had) each own one socket bound to the same
-// port with SO_REUSEPORT, so the kernel fans inbound flows across shards;
-// outbound peers are assigned to shards by ProcId.  Each shard owns its
-// peers' backlog rings, an eventfd wake, a reusable receive arena
-// (recv_batch slots of max_datagram bytes each) and a free-list of send
-// buffers, so the steady-state receive->decode->handle->reply path and the
-// uncontended send path perform zero heap allocations (bench_transport
-// verifies this with the counting operator-new hook).  recvmmsg/sendmmsg
-// amortize syscalls over up to recv_batch/send_batch datagrams, with a
-// graceful single-message fallback where the batched calls are unavailable.
+// One socket and one event-loop thread.  The loop owns the peers' backlog
+// rings, an eventfd wake, a reusable receive arena (recv_batch slots of
+// max_datagram bytes each) and a free-list of send buffers, so the
+// steady-state receive->decode->handle->reply path and the uncontended send
+// path perform zero heap allocations (bench_transport verifies this with
+// the counting operator-new hook).  recvmmsg/sendmmsg amortize syscalls
+// over up to recv_batch/send_batch datagrams, with a graceful
+// single-message fallback where the batched calls are unavailable.
 //
-// Inbound datagrams go to the handler (concurrently across shards — the
-// handler must be internally synchronized, see runtime/transport.h);
-// outbound datagrams that would block queue per peer (bounded ring) and
-// flush round-robin across the shard's peers when the socket becomes
-// writable, so no peer's backlog can starve another's.  Oversized inbound
-// datagrams (> max_datagram, detected via MSG_TRUNC) are dropped and
-// counted, never delivered truncated.  Membership is dynamic (DESIGN.md
-// decision 19): add_peer / admit_current_sender register a peer's address
-// on its shard at any time, and retire_peer releases its backlog ring,
-// pooled buffers, and round-robin slot without restarting the shard.  The
+// Inbound datagrams go to the handler on the loop thread (see
+// runtime/transport.h); outbound datagrams that would block queue per peer
+// (bounded ring) and flush round-robin across the peers when the socket
+// becomes writable, so no peer's backlog can starve another's.  Oversized
+// inbound datagrams (> max_datagram, detected via MSG_TRUNC) are dropped
+// and counted, never delivered truncated.  Membership is dynamic
+// (DESIGN.md decision 19): add_peer / admit_current_sender register a
+// peer's address at any time, and retire_peer releases its backlog ring,
+// pooled buffers, and round-robin slot without restarting the loop.  The
 // datagram's own `from` field — not the UDP source address — identifies
 // the sender, which makes the socket an untrusted-input surface in full
 // (DESIGN.md §6): any host that can reach the port can inject bytes, and
@@ -36,7 +32,6 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -52,7 +47,7 @@
 
 namespace driftsync::runtime {
 
-/// One inbound datagram slot: `data`/`cap` point into the shard's arena and
+/// One inbound datagram slot: `data`/`cap` point into the loop's arena and
 /// are set up by the transport; recv_batch() fills `len`, `truncated`, and
 /// `src` for the first `n` slots it returns.
 struct UdpRecvSlot {
@@ -80,7 +75,7 @@ struct UdpSendResult {
   bool hard_error = false;
 };
 
-/// Syscall seam for the transport event loops.  The real implementation
+/// Syscall seam for the transport event loop.  The real implementation
 /// issues poll/recvmmsg/sendmmsg (falling back to recvmsg/sendmsg loops
 /// where the batched calls are unavailable); tests and benches substitute
 /// scripted readiness and in-memory queues.
@@ -108,9 +103,6 @@ UdpIoOps& real_udp_io_ops();
 class UdpTransport : public Transport {
  public:
   struct Options {
-    /// Event-loop shards.  1 keeps the classic single-thread single-socket
-    /// behavior; > 1 binds one SO_REUSEPORT socket per shard.
-    std::size_t io_shards = 1;
     std::size_t recv_batch = 16;  ///< Max datagrams per batched receive.
     std::size_t send_batch = 16;  ///< Max datagrams per peer per flush call.
     /// Largest datagram accepted inbound; anything larger is dropped and
@@ -118,12 +110,8 @@ class UdpTransport : public Transport {
     /// payloads are bounded by the CSA's O(K1*D) report batches, far below
     /// the default.
     std::size_t max_datagram = 65536;
-    /// One peer's backlog ring never holds more than this many unsent
-    /// datagrams; beyond it new sends are dropped (the fate protocol
-    /// absorbs the loss).
-    std::size_t max_backlog = 256;
-    /// Recycled send buffers kept per shard (capacity reuse is what makes
-    /// the steady-state send path allocation-free).
+    /// Recycled send buffers kept (capacity reuse is what makes the
+    /// steady-state send path allocation-free).
     std::size_t pool_buffers = 64;
     /// Syscall seam override for tests/benches; not owned.  Null = real
     /// syscalls.
@@ -131,9 +119,9 @@ class UdpTransport : public Transport {
   };
 
   /// Binds `bind_host:bind_port` (IPv4 dotted quad; port 0 picks an
-  /// ephemeral port, see local_port()) — once per shard.  Throws
-  /// std::runtime_error on socket/bind failure — callers that can run
-  /// without a network (tests) catch and skip.
+  /// ephemeral port, see local_port()).  Throws std::runtime_error on
+  /// socket/bind failure — callers that can run without a network (tests)
+  /// catch and skip.
   UdpTransport(const std::string& bind_host, std::uint16_t bind_port);
   UdpTransport(const std::string& bind_host, std::uint16_t bind_port,
                Options options);
@@ -142,48 +130,44 @@ class UdpTransport : public Transport {
   UdpTransport(const UdpTransport&) = delete;
   UdpTransport& operator=(const UdpTransport&) = delete;
 
-  /// Registers (or re-addresses) a peer on shard `proc % io_shards`.  Safe
-  /// before or after start(): a running shard picks the new peer up on its
-  /// next flush pass.  Throws std::runtime_error on an unparsable host.
+  /// Registers (or re-addresses) a peer.  Safe before or after start(): a
+  /// running loop picks the new peer up on its next flush pass.  Throws
+  /// std::runtime_error on an unparsable host.
   void add_peer(ProcId proc, const std::string& host, std::uint16_t port);
 
   /// Binds `peer` to the source address of the datagram currently being
-  /// handled (shard loop thread only); false outside a handler call.
+  /// handled (loop thread only); false outside a handler call.
   [[nodiscard]] bool admit_current_sender(ProcId peer) override;
 
-  /// Releases `peer` from its shard: queued ring entries are dropped
-  /// (counted in send_drops) with their buffers recycled to the pool, the
-  /// round-robin cursor is adjusted past the vacated slot, and the address
-  /// is forgotten.  Idempotent; unknown peers are ignored.
+  /// Releases `peer`: queued ring entries are dropped (counted in
+  /// send_drops) with their buffers recycled to the pool, the round-robin
+  /// cursor is adjusted past the vacated slot, and the address is
+  /// forgotten.  Idempotent; unknown peers are ignored.
   void retire_peer(ProcId peer) override;
 
   void start(DatagramHandler handler) override;
 
-  /// Manual-pump mode: registers the handler without spawning shard
-  /// threads; the caller drives each shard with run_once().  Deterministic
+  /// Manual-pump mode: registers the handler without spawning the loop
+  /// thread; the caller drives the loop with run_once().  Deterministic
   /// single-threaded operation for tests and benches.
   void start_manual(DatagramHandler handler);
 
-  /// Runs one poll/recv/flush cycle for `shard_index` (timeout_ms as in
-  /// poll(2); -1 blocks).  Returns false when the shard can no longer serve
-  /// (invalid fd or unrecoverable poll failure).
-  bool run_once(std::size_t shard_index, int timeout_ms);
+  /// Runs one poll/recv/flush cycle (timeout_ms as in poll(2); -1 blocks).
+  /// Returns false when the loop can no longer serve (invalid fd or
+  /// unrecoverable poll failure).
+  bool run_once(int timeout_ms);
 
   void stop() override;
   void send(ProcId to, std::vector<std::uint8_t> bytes) override;
 
-  /// A send buffer recycled from the pool of `to`'s shard (empty, capacity
-  /// preserved from earlier traffic) — or a fresh empty vector when the
-  /// pool is dry.  Callers that fill one of these and pass it back to
-  /// send() close the buffer cycle and make their steady-state send path
-  /// allocation-free.
+  /// A send buffer recycled from the pool (empty, capacity preserved from
+  /// earlier traffic) — or a fresh empty vector when the pool is dry.
+  /// Callers that fill one of these and pass it back to send() close the
+  /// buffer cycle and make their steady-state send path allocation-free.
   [[nodiscard]] std::vector<std::uint8_t> take_buffer(ProcId to) override;
 
-  /// The actually bound port (resolves a bind_port of 0; all shards share
-  /// it).
+  /// The actually bound port (resolves a bind_port of 0).
   [[nodiscard]] std::uint16_t local_port() const { return local_port_; }
-
-  [[nodiscard]] std::size_t num_shards() const { return shards_.size(); }
 
   /// Outbound datagrams dropped (unknown peer, full queue, send error).
   [[nodiscard]] std::uint64_t send_drops() const {
@@ -195,20 +179,20 @@ class UdpTransport : public Transport {
     return recv_drops_.load(std::memory_order_relaxed);
   }
 
-  /// POLLERR/POLLHUP/POLLNVAL conditions consumed off shard sockets.
+  /// POLLERR/POLLHUP/POLLNVAL conditions consumed off the socket.
   [[nodiscard]] std::uint64_t socket_errors() const {
     return socket_errors_.load(std::memory_order_relaxed);
   }
 
-  /// Datagrams queued behind blocked sockets, summed over shards and peers.
-  /// Every queued datagram leaves via the flush path (sent, or consumed by
-  /// a hard send error), so this returns to 0 once the sockets drain.
+  /// Datagrams queued behind the blocked socket, summed over peers.  Every
+  /// queued datagram leaves via the flush path (sent, or consumed by a hard
+  /// send error), so this returns to 0 once the socket drains.
   [[nodiscard]] std::size_t backlog_depth() const;
 
   [[nodiscard]] TransportStats transport_stats() const override;
 
-  /// Per-shard recv/send batch-size histograms as
-  /// driftsync_transport_{recv,send}_batch{<labels>,shard="i",...}.
+  /// Recv/send batch-size histograms as
+  /// driftsync_transport_{recv,send}_batch{<labels>,...}.
   void append_metrics(std::string& out,
                       const std::string& labels) const override;
 
@@ -221,74 +205,62 @@ class UdpTransport : public Transport {
   struct PeerState {
     sockaddr_in addr{};
     /// Fixed-capacity FIFO ring of unsent datagrams (EWOULDBLOCK queue),
-    /// sized to max_backlog on first use; entries keep their heap capacity
+    /// sized to kMaxBacklog on first use; entries keep their heap capacity
     /// across reuse.
     std::vector<std::vector<std::uint8_t>> ring;
     std::size_t head = 0;
     std::size_t count = 0;
   };
 
-  struct Shard {
-    explicit Shard(const Options& opts);
-
-    int fd = -1;
-    int wake_fd = -1;  ///< eventfd: wakes the loop for stop/new-backlog.
-    mutable std::mutex mu;  ///< Guards everything below plus fd sends.
-    std::map<ProcId, PeerState> peers;
-    /// Round-robin flush state: peers in registration order, with the
-    /// cursor persisting across flush calls so the next call resumes where
-    /// backpressure stopped the last one.
-    std::vector<ProcId> flush_order;
-    std::size_t flush_cursor = 0;
-    std::size_t backlog_total = 0;  ///< Queued datagrams across peers.
-    std::vector<std::vector<std::uint8_t>> pool;  ///< Recycled send buffers.
-    std::vector<std::uint8_t> arena;  ///< recv_batch * max_datagram bytes.
-    std::vector<UdpRecvSlot> slots;   ///< Point into arena; loop-thread only.
-    std::vector<UdpSendItem> scratch;  ///< Flush staging (send_batch items).
-    Histogram recv_hist;  ///< Datagrams per productive recv_batch call.
-    Histogram send_hist;  ///< Datagrams per productive send_batch call.
-    std::uint64_t recv_batches = 0;
-    std::uint64_t recv_datagrams = 0;
-    std::uint64_t send_batches = 0;
-    std::uint64_t send_datagrams = 0;
-    std::thread thread;
-  };
-
-  /// kReplyPeer routing: while a handler runs on a shard loop thread, this
-  /// names the transport, shard, and source address to reply to.
+  /// kReplyPeer routing: while a handler runs on the loop thread, this
+  /// names the transport and the source address to reply to.
   struct ReplyContext {
     const UdpTransport* owner = nullptr;
-    std::size_t shard = 0;
     sockaddr_in addr{};
   };
   static thread_local ReplyContext reply_ctx_;
 
-  [[nodiscard]] std::size_t shard_of(ProcId proc) const {
-    return static_cast<std::size_t>(proc) % shards_.size();
-  }
-  void start_common(DatagramHandler handler, bool spawn_threads);
-  /// Registers or re-addresses `proc` on shard `s` (mu held).
-  void admit_locked(Shard& s, ProcId proc, const sockaddr_in& addr);
-  /// Receives and dispatches until the socket runs dry (shard loop thread
-  /// only; mu is NOT held across handler calls).
-  void recv_dispatch(std::size_t shard_index);
-  /// One round-robin pass over the shard's backlogged peers (mu held).
-  void flush_locked(Shard& s);
-  /// Returns `bytes` to the shard's buffer pool (mu held).
-  void recycle_locked(Shard& s, std::vector<std::uint8_t>&& bytes);
-  void enqueue_locked(Shard& s, PeerState& peer, ProcId to,
+  /// Registers or re-addresses `proc` (mu_ held).
+  void admit_locked(ProcId proc, const sockaddr_in& addr);
+  /// Receives and dispatches until the socket runs dry (loop thread only;
+  /// mu_ is NOT held across handler calls).
+  void recv_dispatch();
+  /// One round-robin pass over the backlogged peers (mu_ held).
+  void flush_locked();
+  /// Returns `bytes` to the buffer pool (mu_ held).
+  void recycle_locked(std::vector<std::uint8_t>&& bytes);
+  void enqueue_locked(PeerState& peer, ProcId to,
                       std::vector<std::uint8_t>&& bytes);
-  void wake(const Shard& s);
+  void wake();
   void trace_drop(ProcId to, std::uint64_t trace_id);
 
   std::uint16_t local_port_ = 0;
   Options opts_;
   UdpIoOps* ops_ = nullptr;  ///< opts_.ops or the real-syscall singleton.
-  std::vector<std::unique_ptr<Shard>> shards_;
+  int fd_ = -1;
+  int wake_fd_ = -1;  ///< eventfd: wakes the loop for stop/new-backlog.
+  mutable std::mutex mu_;  ///< Guards everything below plus fd_ sends.
+  std::map<ProcId, PeerState> peers_;
+  /// Round-robin flush state: peers in registration order, with the cursor
+  /// persisting across flush calls so the next call resumes where
+  /// backpressure stopped the last one.
+  std::vector<ProcId> flush_order_;
+  std::size_t flush_cursor_ = 0;
+  std::size_t backlog_total_ = 0;  ///< Queued datagrams across peers.
+  std::vector<std::vector<std::uint8_t>> pool_;  ///< Recycled send buffers.
+  std::vector<std::uint8_t> arena_;  ///< recv_batch * max_datagram bytes.
+  std::vector<UdpRecvSlot> slots_;   ///< Point into arena_; loop-thread only.
+  std::vector<UdpSendItem> scratch_;  ///< Flush staging (send_batch items).
+  Histogram recv_hist_;  ///< Datagrams per productive recv_batch call.
+  Histogram send_hist_;  ///< Datagrams per productive send_batch call.
+  std::uint64_t recv_batches_ = 0;
+  std::uint64_t recv_datagrams_ = 0;
+  std::uint64_t send_batches_ = 0;
+  std::uint64_t send_datagrams_ = 0;
+  std::thread thread_;
   DatagramHandler handler_;
   std::atomic<bool> running_{false};
   bool started_ = false;
-  bool manual_ = false;  ///< start_manual(): no shard threads to join.
   std::atomic<std::uint64_t> send_drops_{0};
   std::atomic<std::uint64_t> recv_drops_{0};
   std::atomic<std::uint64_t> socket_errors_{0};

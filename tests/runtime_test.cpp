@@ -453,30 +453,41 @@ TEST(NodeCheckpoint, ClockRegressionIsRejected) {
 }
 
 /// A local clock the test sets by hand (atomic: the Node's parked timer
-/// thread may read it too).
+/// thread may read it too).  With a nonzero `step`, every read also
+/// advances it by `step` seconds, so no two readings are equal.
 class ManualTimeSource final : public TimeSource {
  public:
-  explicit ManualTimeSource(std::shared_ptr<std::atomic<double>> now)
-      : now_(std::move(now)) {}
-  [[nodiscard]] LocalTime now() const override { return now_->load(); }
+  explicit ManualTimeSource(std::shared_ptr<std::atomic<double>> now,
+                            double step = 0.0)
+      : now_(std::move(now)), step_(step) {}
+  [[nodiscard]] LocalTime now() const override {
+    return now_->load() + step_ * static_cast<double>(reads_++);
+  }
 
  private:
   std::shared_ptr<std::atomic<double>> now_;
+  double step_;
+  mutable std::atomic<std::uint64_t> reads_{0};
 };
 
 /// Keeps the Node's datagram handler so the test can call it directly;
-/// whatever the Node sends is dropped.
+/// the last datagram the Node sends lands in `sent` (dropped if null).
 class DirectTransport final : public Transport {
  public:
-  explicit DirectTransport(DatagramHandler* handler) : handler_(handler) {}
+  explicit DirectTransport(DatagramHandler* handler,
+                           std::vector<std::uint8_t>* sent = nullptr)
+      : handler_(handler), sent_(sent) {}
   void start(DatagramHandler handler) override {
     *handler_ = std::move(handler);
   }
   void stop() override {}
-  void send(ProcId /*to*/, std::vector<std::uint8_t> /*bytes*/) override {}
+  void send(ProcId /*to*/, std::vector<std::uint8_t> bytes) override {
+    if (sent_ != nullptr) *sent_ = std::move(bytes);
+  }
 
  private:
   DatagramHandler* handler_;
+  std::vector<std::uint8_t>* sent_;
 };
 
 // A local clock that reads below zero mints its events at its own
@@ -835,6 +846,53 @@ TEST(NodeCheckpoint, StatsJsonKeepsFullPrecisionAtLargeClockReadings) {
   EXPECT_GT(lo, 1e6);
   EXPECT_GT(width, 0.0);
   EXPECT_EQ(hi - lo, width);
+}
+
+// A probe reply is one reading of the node: the stats it carries are taken
+// at the reply's own local_time, so their lt/lo/hi equal the reply's
+// exactly even though the clock moves on every read.
+TEST(NodeProbe, ReplyStatsShareTheReplyReading) {
+  const SystemSpec spec = driftsync::testing::two_node_spec();
+  const auto clock = std::make_shared<std::atomic<double>>(0.0);
+  DatagramHandler handler;
+  std::vector<std::uint8_t> sent;
+  Node node(node_config(1, spec, 1e9, 1e9, 1e9),
+            driftsync::testing::loss_tolerant_csa(),
+            std::make_unique<ManualTimeSource>(clock, 1e-6),
+            std::make_unique<DirectTransport>(&handler, &sent));
+  node.start();
+  OptimalCsa source;
+  source.init(spec, 0);
+  for (std::uint32_t k = 0; k < 2; ++k) {
+    const double send_rt = 10.0 + k;
+    EventRecord send;
+    send.id = EventId{0, k};
+    send.lt = send_rt;
+    send.kind = EventKind::kSend;
+    send.peer = 1;
+    DataMsg msg;
+    msg.from = 0;
+    msg.dgram_seq = 1 + k;
+    msg.send_seq = k;
+    msg.send_lt = send_rt;
+    msg.payload = source.on_send(SendContext{0, 1, send, 0});
+    clock->store(send_rt + 0.01 + 40.0);
+    handler(encode_datagram(Datagram{msg}));
+  }
+  sent.clear();
+  handler(encode_datagram(Datagram{ProbeReq{42}}));
+  node.stop();
+
+  ASSERT_FALSE(sent.empty()) << "no probe reply";
+  const Datagram reply = decode_datagram(sent);
+  ASSERT_TRUE(std::holds_alternative<ProbeResp>(reply));
+  const ProbeResp& resp = std::get<ProbeResp>(reply);
+  EXPECT_EQ(resp.nonce, 42u);
+  ASSERT_TRUE(std::isfinite(resp.lo) && std::isfinite(resp.hi));
+  const json::Value stats = json::parse(resp.stats_json);
+  EXPECT_EQ(stats.at("lt").as_number(), resp.local_time);
+  EXPECT_EQ(stats.at("lo").as_number(), resp.lo);
+  EXPECT_EQ(stats.at("hi").as_number(), resp.hi);
 }
 
 // ---------------------------------------------------------------------------

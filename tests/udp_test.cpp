@@ -507,7 +507,7 @@ TEST(UdpTransport, BacklogFlushIsRoundRobinAcrossPeers) {
   // Unblock and pump until drained; every pump is one poll/flush cycle.
   ops.block_sends = false;
   for (int spins = 0; spins < 64 && t->backlog_depth() > 0; ++spins) {
-    ASSERT_TRUE(t->run_once(0, 0));
+    ASSERT_TRUE(t->run_once(0));
   }
   EXPECT_EQ(t->backlog_depth(), 0u);
   ASSERT_EQ(ops.accepted.size(), 3u * kPerPeer);
@@ -572,7 +572,7 @@ TEST(UdpTransport, RetirePeerReleasesBacklogAndRotation) {
   // (A A C C ...) — the cursor neither skips C nor serves a ghost B.
   ops.block_sends = false;
   for (int spins = 0; spins < 64 && t->backlog_depth() > 0; ++spins) {
-    ASSERT_TRUE(t->run_once(0, 0));
+    ASSERT_TRUE(t->run_once(0));
   }
   EXPECT_EQ(t->backlog_depth(), 0u);
   std::vector<std::uint8_t> expected;
@@ -587,7 +587,7 @@ TEST(UdpTransport, RetirePeerReleasesBacklogAndRotation) {
   // Rejoin: a re-admitted peer's traffic flows again.
   t->add_peer(1, kHost, 9002);
   t->send(1, {0x42});
-  t->run_once(0, 0);
+  t->run_once(0);
   ASSERT_FALSE(ops.accepted.empty());
   EXPECT_EQ(ops.accepted.back(), 0x42);
   t->stop();
@@ -609,17 +609,17 @@ TEST(UdpTransport, PollErrIsConsumedAndServingContinues) {
 
   ops.inbox.push_back({0x42});
   ops.poll_script.push_back(POLLERR);  // First cycle: only the error.
-  EXPECT_TRUE(t->run_once(0, 0));
+  EXPECT_TRUE(t->run_once(0));
   EXPECT_EQ(t->socket_errors(), 1u);
   EXPECT_EQ(delivered, 0u);
 
-  EXPECT_TRUE(t->run_once(0, 0));  // Next cycle: the datagram flows.
+  EXPECT_TRUE(t->run_once(0));  // Next cycle: the datagram flows.
   EXPECT_EQ(delivered, 1u);
   EXPECT_EQ(t->transport_stats().socket_errors, 1u);
   t->stop();
 }
 
-/// Regression (revents): POLLNVAL means the fd is gone — the shard must
+/// Regression (revents): POLLNVAL means the fd is gone — the loop must
 /// stop cleanly (run_once returns false; the threaded loop exits) instead
 /// of spinning on a dead descriptor.
 TEST(UdpTransport, PollNvalStopsTheShardCleanly) {
@@ -630,24 +630,20 @@ TEST(UdpTransport, PollNvalStopsTheShardCleanly) {
   REQUIRE_SOCKETS(t);
   t->start_manual([](std::span<const std::uint8_t>) {});
   ops.poll_script.push_back(POLLNVAL);
-  EXPECT_FALSE(t->run_once(0, 0));
+  EXPECT_FALSE(t->run_once(0));
   EXPECT_EQ(t->socket_errors(), 1u);
   t->stop();
 }
 
-/// The sharded transport end to end: a 3-node path over loopback UDP with
-/// --io-shards=4 per node (SO_REUSEPORT fan-in, cross-shard handoff on the
-/// send side) must converge exactly like the single-shard transport.
-TEST(UdpNode, ShardedThreeNodeConverges) {
-  UdpTransport::Options opts;
-  opts.io_shards = 4;
-  auto t0 = try_bind_opts(opts);
+/// The transport end to end: a 3-node path over loopback UDP must contain
+/// true source time and converge, with datagrams counted both ways.
+TEST(UdpNode, ThreeNodeLoopbackConverges) {
+  auto t0 = try_bind();
   REQUIRE_SOCKETS(t0);
-  auto t1 = try_bind_opts(opts);
+  auto t1 = try_bind();
   REQUIRE_SOCKETS(t1);
-  auto t2 = try_bind_opts(opts);
+  auto t2 = try_bind();
   REQUIRE_SOCKETS(t2);
-  ASSERT_EQ(t0->num_shards(), 4u);
   t0->add_peer(1, kHost, t1->local_port());
   t1->add_peer(0, kHost, t0->local_port());
   t1->add_peer(2, kHost, t2->local_port());

@@ -71,7 +71,6 @@ constexpr const char* kUsage =
     "         --bind=HOST:PORT --peers='P=HOST:PORT[;...]'\n"
     "         [--algo=optimal|fullview|interval|ntp|cristian]\n"
     "         [--poll=0.5] [--timeout=2.0] [--skip-retry=1.0]\n"
-    "         [--io-shards=1] [--recv-batch=16] [--send-batch=16]\n"
     "         [--serve [--max-clients=4096] [--client-idle-ms=30000]]\n"
     "         [--checkpoint=PATH] [--stats-interval=0] [--duration=0]\n"
     "         [--trace-buffer=4096] [--trace-out=PATH] [--dynamic-join]\n"
@@ -327,50 +326,17 @@ int run_selftest_join() {
   return failures;
 }
 
-/// --selftest: a 3-node path with drifting clocks; passes iff every node's
-/// estimate contains the true source time, the non-source widths converge,
-/// and the shared trace shows at least one id on both a sender's and a
-/// receiver's stream.  With --io-shards > 1 the nodes talk over real
-/// loopback UDP through the sharded transport (falling back to the
-/// in-process hub, with a note, where sockets are unavailable); otherwise
-/// they use the in-process hub with asymmetric latency and loss.
-int run_selftest(std::size_t trace_buffer, const std::string& trace_out,
-                 const runtime::UdpTransport::Options& udp_opts) {
+/// --selftest: a 3-node path with drifting clocks over the in-process hub
+/// (asymmetric latency, 5% loss); passes iff every node's estimate contains
+/// the true source time, the non-source widths converge, and the shared
+/// trace shows at least one id on both a sender's and a receiver's stream.
+int run_selftest(std::size_t trace_buffer, const std::string& trace_out) {
   // The tracer outlives the mesh: the hub's worker records drops into it.
   Tracer tracer(trace_buffer == 0 ? 4096 : trace_buffer);
   runtime::Mesh mesh(selftest_spec(false), 7);
-  bool use_udp = udp_opts.io_shards > 1;
-  if (use_udp) {
-    try {
-      std::vector<std::unique_ptr<runtime::UdpTransport>> udp;
-      for (ProcId p = 0; p < 3; ++p) {
-        udp.push_back(std::make_unique<runtime::UdpTransport>("127.0.0.1", 0,
-                                                              udp_opts));
-      }
-      for (ProcId p = 0; p < 3; ++p) {
-        for (ProcId q = 0; q < 3; ++q) {
-          if (q != p) udp[p]->add_peer(q, "127.0.0.1", udp[q]->local_port());
-        }
-        udp[p]->set_tracer(&tracer, p);
-      }
-      std::printf("selftest transport: loopback UDP, %zu shard(s)\n",
-                  udp[0]->num_shards());
-      for (ProcId p = 0; p < 3; ++p) {
-        mesh.set_transport(p, std::move(udp[p]));
-      }
-    } catch (const std::runtime_error& e) {
-      std::fprintf(stderr,
-                   "selftest: loopback UDP unavailable (%s); "
-                   "falling back to in-process hub\n",
-                   e.what());
-      use_udp = false;
-    }
-  }
-  if (!use_udp) {
-    mesh.hub().set_tracer(&tracer);
-    mesh.hub().set_link(0, 1, 0.0005, 0.004, 0.05);
-    mesh.hub().set_link(1, 2, 0.001, 0.008, 0.05);
-  }
+  mesh.hub().set_tracer(&tracer);
+  mesh.hub().set_link(0, 1, 0.0005, 0.004, 0.05);
+  mesh.hub().set_link(1, 2, 0.001, 0.008, 0.05);
   NodeConfig cfg;
   cfg.tracer = &tracer;
   for (ProcId p = 0; p < 3; ++p) add_selftest_seat(mesh, p, cfg);
@@ -440,16 +406,9 @@ int main(int argc, char** argv) try {
   const auto trace_buffer =
       static_cast<std::size_t>(flags.get_int("trace-buffer", 4096));
   const std::string trace_out = flags.get_string("trace-out", "");
-  runtime::UdpTransport::Options udp_opts;
-  udp_opts.io_shards =
-      static_cast<std::size_t>(flags.get_uint_range("io-shards", 1, 1, 64));
-  udp_opts.recv_batch =
-      static_cast<std::size_t>(flags.get_uint_range("recv-batch", 16, 1, 64));
-  udp_opts.send_batch =
-      static_cast<std::size_t>(flags.get_uint_range("send-batch", 16, 1, 64));
   if (flags.get_bool("selftest", false)) {
     flags.reject_unknown(kUsage);
-    return run_selftest(trace_buffer, trace_out, udp_opts);
+    return run_selftest(trace_buffer, trace_out);
   }
 
   const auto num_procs = static_cast<std::size_t>(flags.get_int("procs", 0));
@@ -467,7 +426,7 @@ int main(int argc, char** argv) try {
   const auto [bind_host, bind_port] =
       parse_endpoint(flags.get_string("bind", ""));
   auto transport =
-      std::make_unique<runtime::UdpTransport>(bind_host, bind_port, udp_opts);
+      std::make_unique<runtime::UdpTransport>(bind_host, bind_port);
   // The tracer outlives the Node (declared first) and is shared with the
   // transport; its presence also turns on wire trace ids (runtime/node.h).
   std::unique_ptr<Tracer> tracer;

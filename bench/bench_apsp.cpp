@@ -74,6 +74,60 @@ void BM_RemoveNodeAtWindow(bench::State& state) {
 }
 DS_BENCHMARK(apsp, BM_RemoveNodeAtWindow)->arg(8)->arg(32)->arg(128);
 
+// The engine's pattern (SyncEngine::ingest): a chain in which every insert
+// retires its predecessor, beside a window of other live nodes standing in
+// for pending sends.  Half the inserts meet only the predecessor, as a send
+// or internal event does; the other half also take the two transit edges
+// of a receive to a random live send.  Weights are non-negative reduced
+// costs around random potentials, so no insert closes a negative cycle.
+void BM_InsertNodeRetiring(bench::State& state) {
+  struct Point {
+    Handle handle;
+    double phi;
+  };
+  const auto window = static_cast<std::size_t>(state.range(0));
+  Rng rng(13);
+  IncrementalApsp apsp;
+  const auto to = [&](const Point& from, double phi) {
+    return rng.uniform(0.0, 1.0) + phi - from.phi;
+  };
+  std::vector<Point> sends;
+  while (sends.size() + 1 < window) {
+    const double phi = rng.uniform(-1.0, 1.0);
+    if (sends.empty()) {
+      sends.push_back({apsp.insert_node({}, {}), phi});
+      continue;
+    }
+    const Point& other = sends[rng.uniform_index(sends.size())];
+    sends.push_back(
+        {apsp.insert_node({{other.handle, to(other, phi)}},
+                          {{other.handle, to(Point{0, phi}, other.phi)}}),
+         phi});
+  }
+  const Point& first = sends.back();
+  Point prev{apsp.insert_node({{first.handle, to(first, 0.0)}}, {}), 0.0};
+  bool receive = false;
+  for (auto _ : state) {
+    const double phi = rng.uniform(-1.0, 1.0);
+    std::array<IncrementalApsp::HalfEdge, 2> ins;
+    std::array<IncrementalApsp::HalfEdge, 2> outs;
+    ins[0] = {prev.handle, 1e-3 * rng.next_double() + phi - prev.phi};
+    outs[0] = {prev.handle, 1e-3 * rng.next_double() + prev.phi - phi};
+    std::size_t n = 1;
+    if (receive) {
+      const Point& send = sends[rng.uniform_index(sends.size())];
+      ins[1] = {send.handle, to(send, phi)};
+      outs[1] = {send.handle, rng.uniform(0.0, 1.0) + send.phi - phi};
+      n = 2;
+    }
+    receive = !receive;
+    prev = {apsp.insert_node(std::span(ins.data(), n),
+                             std::span(outs.data(), n), prev.handle),
+            phi};
+  }
+}
+DS_BENCHMARK(apsp, BM_InsertNodeRetiring)->arg(8)->arg(32)->arg(128);
+
 void BM_InsertEdge(bench::State& state) {
   const auto window = static_cast<std::size_t>(state.range(0));
   Rng rng(7);

@@ -80,13 +80,15 @@ void Tracer::record(TraceEventKind kind, std::uint64_t trace_id, ProcId node,
   Slot& slot = slots_[i & (capacity_ - 1)];
   // Seqlock publish: odd stamp marks the write in flight for generation i,
   // even stamp (2i+2) marks it complete.  A reader that sees differing or
-  // odd stamps around its copy discards the slot.  The release fence keeps
-  // the odd stamp from sinking past the payload stores.
+  // odd stamps around its copy discards the slot.  The odd stamp is an
+  // acquire read-modify-write, so no payload store moves above it, and a
+  // reader whose closing read-modify-write it reads from synchronizes with
+  // it (Boehm, "Can seqlocks get along with programming language memory
+  // models?", 2012).  Fences would do the same, but TSan cannot model them.
   static_assert(std::is_trivially_copyable_v<TraceEvent>);
   std::uint64_t raw[Slot::kWords] = {};
   std::memcpy(raw, &ev, sizeof(ev));
-  slot.stamp.store(2 * i + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
+  slot.stamp.exchange(2 * i + 1, std::memory_order_acquire);
   for (std::size_t w = 0; w < Slot::kWords; ++w) {
     slot.words[w].store(raw[w], std::memory_order_relaxed);
   }
@@ -104,15 +106,18 @@ std::vector<TraceEvent> Tracer::snapshot() const {
   std::vector<TraceEvent> out;
   out.reserve(static_cast<std::size_t>(live));
   for (std::uint64_t i = head - live; i < head; ++i) {
-    const Slot& slot = slots_[i & (capacity_ - 1)];
+    Slot& slot = slots_[i & (capacity_ - 1)];
     const std::uint64_t before = slot.stamp.load(std::memory_order_acquire);
     if (before != 2 * i + 2) continue;  // Overwritten or mid-write.
     std::uint64_t raw[Slot::kWords];
     for (std::size_t w = 0; w < Slot::kWords; ++w) {
       raw[w] = slot.words[w].load(std::memory_order_relaxed);
     }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    const std::uint64_t after = slot.stamp.load(std::memory_order_relaxed);
+    // A release read-don't-modify-write: the payload loads cannot sink
+    // below it, and it reads the latest stamp, so if a writer's odd stamp
+    // follows it, that writer's payload stores cannot have been read.
+    const std::uint64_t after =
+        slot.stamp.fetch_add(0, std::memory_order_release);
     if (after != before) continue;  // Torn by a concurrent writer.
     TraceEvent ev;
     std::memcpy(&ev, raw, sizeof(ev));

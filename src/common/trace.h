@@ -14,8 +14,8 @@
 // fetch_add and publishes it seqlock-style: the slot's stamp goes odd
 // (write in progress) → even (generation complete).  snapshot() double-reads
 // the stamp around copying the slot and discards torn reads.  Readers are
-// rare (metrics queries, violation dumps), writers are cheap (one RMW, a
-// struct store, two release stores), and a full buffer silently overwrites
+// rare (metrics queries, violation dumps), writers are cheap (two RMWs, a
+// struct store, one release store), and a full buffer silently overwrites
 // the oldest events — tracing must never apply backpressure to the
 // protocol it observes.
 //

@@ -88,7 +88,10 @@ IngestVerdict SyncEngine::ingest(const EventRecord& record) {
 
   // Drift edges to the processor-predecessor (Section 2, clock drift
   // bounds).  The predecessor is live: the last known event of every
-  // processor always is (Definition 3.1).
+  // processor always is (Definition 3.1).  Unless it is a pending send, it
+  // dies with this record, and the new point takes over its slot in the
+  // distance structure.
+  Handle retire = graph::IncrementalApsp::kNoHandle;
   if (prev_id.valid()) {
     const LiveNode& prev = live_at(prev_id);
     const Duration dl = record.lt - prev.rec.lt;
@@ -96,6 +99,7 @@ IngestVerdict SyncEngine::ingest(const EventRecord& record) {
     const ProcEdgeWeights pw = proc_edge_weights(spec_->clock(w), dl);
     in_edges[n_in++] = HalfEdge{prev.handle, pw.forward};
     out_edges[n_out++] = HalfEdge{prev.handle, pw.backward};
+    if (!opts_.keep_dead_nodes && !pending_send(prev)) retire = prev.handle;
   }
 
   // Transit edges to the matching send (Section 2, message transit bounds).
@@ -132,26 +136,37 @@ IngestVerdict SyncEngine::ingest(const EventRecord& record) {
   }
 
   const Handle h = apsp_.insert_node(std::span(in_edges.data(), n_in),
-                                     std::span(out_edges.data(), n_out));
+                                     std::span(out_edges.data(), n_out),
+                                     retire);
   if (h == graph::IncrementalApsp::kNoHandle) {
     return IngestVerdict::kNegativeCycle;  // insert_node changed nothing
   }
 
   // The new event has the highest seq of its processor: appending keeps
-  // the list sorted.
-  live_[w].push_back(LiveNode{record, h});
-  ++live_count_;
+  // the list sorted, and a retired predecessor is the list's last entry.
+  if (retire != graph::IncrementalApsp::kNoHandle) {
+    live_[w].back() = LiveNode{record, h};
+  } else {
+    live_[w].push_back(LiveNode{record, h});
+    ++live_count_;
+  }
   last_id_[w] = record.id;
 
   // Death processing (Definition 3.1): the predecessor is no longer the last
   // point of its processor, and a matched/lost send is no longer pending.
-  if (prev_id.valid()) drop_if_dead(prev_id);
-  if (record.kind == EventKind::kReceive) {
-    find(record.match)->recv_seen = true;
-    drop_if_dead(record.match);
-  } else if (record.kind == EventKind::kLossDecl) {
-    find(record.match)->lost = true;
-    drop_if_dead(record.match);
+  if (prev_id.valid() && retire == graph::IncrementalApsp::kNoHandle) {
+    drop_if_dead(prev_id);
+  }
+  // A loss declaration may name the predecessor itself, a send whose
+  // receive is already in the view; that send died above.
+  if (record.kind == EventKind::kReceive ||
+      record.kind == EventKind::kLossDecl) {
+    LiveNode* const send = find(record.match);
+    if (send != nullptr) {
+      (record.kind == EventKind::kReceive ? send->recv_seen : send->lost) =
+          true;
+      drop_if_dead(record.match);
+    }
   }
 
   max_live_ = std::max(max_live_, live_count_);
@@ -162,9 +177,7 @@ void SyncEngine::drop_if_dead(EventId id) {
   if (opts_.keep_dead_nodes) return;  // ablation mode: no garbage collection
   const LiveNode& node = live_at(id);
   if (last_id_[id.proc] == id) return;  // still the last point at its proc
-  if (node.rec.kind == EventKind::kSend && !node.recv_seen && !node.lost) {
-    return;  // pending send
-  }
+  if (pending_send(node)) return;
   apsp_.remove_node(node.handle);
   std::vector<LiveNode>& nodes = live_[id.proc];
   nodes.erase(nodes.begin() + (&node - nodes.data()));

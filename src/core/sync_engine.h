@@ -14,7 +14,8 @@
 //
 // Each ingested event inserts one node with at most four incident edges
 // (two to the processor-predecessor, two to the matching send), costing
-// O(L^2) by Lemma 3.5; nodes that stop being live are dropped.  Queries
+// O(L^2) by Lemma 3.5; nodes that stop being live are dropped (a
+// predecessor that dies with the record hands its slot to it).  Queries
 // read distances to/from the latest known source point, giving the optimal
 // bounds of Theorem 2.1.
 #pragma once
@@ -112,8 +113,7 @@ class SyncEngine {
   /// lost (Section 3.3) or must be treated as delivered.
   [[nodiscard]] bool send_pending(EventId id) const {
     const LiveNode* node = find(id);
-    return node != nullptr && node->rec.kind == EventKind::kSend &&
-           !node->recv_seen && !node->lost;
+    return node != nullptr && pending_send(*node);
   }
   /// Live points in canonical (EventId) order.
   [[nodiscard]] std::vector<EventId> live_points() const;
@@ -155,10 +155,10 @@ class SyncEngine {
   [[nodiscard]] std::size_t saved_size() const;
   void load(std::span<const std::uint8_t> bytes, std::size_t& offset);
 
-  /// Resident bytes of the save() scratch.  Not protocol state, so not
-  /// part of matrix_bytes().
+  /// Resident bytes of the save() and insert scratch.  Not protocol state,
+  /// so not part of matrix_bytes().
   [[nodiscard]] std::size_t scratch_bytes() const {
-    return save_encoder_.memory_bytes();
+    return save_encoder_.memory_bytes() + apsp_.scratch_bytes();
   }
 
  private:
@@ -168,6 +168,10 @@ class SyncEngine {
     bool recv_seen = false;  ///< For sends: matching receive ingested.
     bool lost = false;       ///< For sends: loss declaration ingested.
   };
+
+  [[nodiscard]] static bool pending_send(const LiveNode& node) {
+    return node.rec.kind == EventKind::kSend && !node.recv_seen && !node.lost;
+  }
 
   /// The live node `id`, or nullptr.
   [[nodiscard]] const LiveNode* find(EventId id) const;

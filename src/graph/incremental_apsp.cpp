@@ -30,8 +30,8 @@ void relax_row(double* row, const double* via, double head, std::size_t n) {
 
 /// The relaxation trip count over n live slots, padded to even.  capacity_
 /// is an even power of two, so the padding column exists; it is a dead
-/// column (or, in insert_node, the new node's still-unset diagonal), which
-/// holds kNoBound in the via row and therefore never changes.
+/// column, which holds kNoBound in the via row (in insert_node, the scratch
+/// row's padding entry) and therefore never changes.
 std::size_t padded(std::size_t n) { return (n + 1) & ~std::size_t{1}; }
 
 }  // namespace
@@ -83,62 +83,87 @@ void IncrementalApsp::wipe_slot(std::uint32_t slot) {
 }
 
 IncrementalApsp::Handle IncrementalApsp::insert_node(
-    std::span<const HalfEdge> in_edges, std::span<const HalfEdge> out_edges) {
+    std::span<const HalfEdge> in_edges, std::span<const HalfEdge> out_edges,
+    Handle retire) {
   for (const HalfEdge& e : in_edges) DS_CHECK(is_live(e.node));
   for (const HalfEdge& e : out_edges) DS_CHECK(is_live(e.node));
+  const bool takeover = retire != kNoHandle;
+  DS_CHECK(!takeover || is_live(retire));
 
   const auto n = static_cast<std::uint32_t>(size());
-  if (n == capacity_) grow(n + 1);
-  const std::uint32_t slot = n;
-
-  // Distances from each live node x to the new node: every path ends with an
-  // in-edge (a, new); its prefix cannot revisit the new node, so it is an
-  // old distance.  Symmetrically for distances from the new node.  The new
-  // column and row start at kNoBound and take a running minimum, edge by
-  // edge in the given order.
-  for (const HalfEdge& e : in_edges) {
-    const std::uint32_t es = slot_of(e.node);
-    for (std::uint32_t sx = 0; sx < n; ++sx) {
-      const double via = (es == sx ? 0.0 : at(sx, es));
-      if (via != kNoBound && via + e.weight < at(sx, slot)) {
-        at(sx, slot) = via + e.weight;
-      }
-    }
+  if (!takeover && n == capacity_) grow(n + 1);
+  // Sized with the matrix: after a growth, and on a copy's first insert.
+  if (scratch_.dist.size() < 2 * capacity_) {
+    scratch_.dist.resize(2 * capacity_);
   }
+  const std::uint32_t slot = takeover ? slot_of(retire) : n;
+  const std::size_t trip = padded(n);
+  double* const col = scratch_.dist.data();
+  double* const row_new = col + capacity_;
+
+  // Distances from the new node to each live node y: every path starts
+  // with an out-edge (new, b), and its suffix cannot revisit the new node,
+  // so it is an old distance; the diagonal d(b,b) = 0 covers y = b.
+  // Symmetrically for distances to the new node.  Both are built in
+  // scratch, each entry a running minimum taken edge by edge in the given
+  // order; the matrix is not written until the insert is accepted.  The
+  // row's padding entry stays kNoBound.
+  std::fill_n(row_new, trip, kNoBound);
   for (const HalfEdge& e : out_edges) {
-    const std::uint32_t es = slot_of(e.node);
+    relax_row(row_new, row(slot_of(e.node)), e.weight, trip);
+  }
+  std::fill_n(col, n, kNoBound);
+  for (const HalfEdge& e : in_edges) {
+    const double* const to_a = &matrix_[slot_of(e.node)];
+    for (std::size_t sx = 0; sx < n; ++sx) {
+      const double t = to_a[sx * capacity_] + e.weight;
+      col[sx] = t < col[sx] ? t : col[sx];
+    }
+  }
+
+  // A negative cycle through the new node shows up as a negative round
+  // trip (an unreachable side is +inf, never negative).
+  bool negative = false;
+  for (std::size_t sx = 0; sx < n; ++sx) {
+    negative |= row_new[sx] + col[sx] < 0.0;
+  }
+  if (negative) return kNoHandle;
+
+  // Relax the pairs through the new node (Ausiello et al. [2]), in the
+  // rows it can shorten.  Every path new -> y leaves by an out-edge
+  // (new, b), so if d(x,new) + d(new,b) >= d(x,b) for each head b, then
+  // d(x,new) + d(new,y) = d(x,new) + w(new,b) + d(b,y)
+  //                    >= d(x,b) + d(b,y) >= d(x,y)
+  // and row x cannot improve.  A relaxed row fails every later head's
+  // test, so no row is relaxed twice.  A retired row is about to be
+  // replaced, and whatever its column receives here is overwritten below.
+  for (const HalfEdge& e : out_edges) {
+    const std::uint32_t sb = slot_of(e.node);
+    const double* const to_b = &matrix_[sb];
+    const double via = row_new[sb];
     for (std::uint32_t sx = 0; sx < n; ++sx) {
-      const double via = (es == sx ? 0.0 : at(es, sx));
-      if (via != kNoBound && e.weight + via < at(slot, sx)) {
-        at(slot, sx) = e.weight + via;
+      if (col[sx] + via < to_b[sx * capacity_] && sx != slot) {
+        relax_row(row(sx), row_new, col[sx], trip);
+        relaxations_ += n;
       }
     }
   }
 
-  // A negative cycle through the new node shows up as a negative round trip.
-  for (std::uint32_t sx = 0; sx < n; ++sx) {
-    const double out = at(slot, sx);
-    const double back = at(sx, slot);
-    if (out != kNoBound && back != kNoBound && out + back < 0.0) {
-      // The tentative distances were already written; wipe them so the
-      // slot's next occupant starts from kNoBound.
-      wipe_slot(slot);
-      return kNoHandle;
-    }
+  // Commit the new node's column and row.  A fresh slot already rests at
+  // kNoBound, so an empty edge list leaves it alone; a retired slot is
+  // overwritten in full.
+  if (takeover || !in_edges.empty()) {
+    for (std::uint32_t sx = 0; sx < n; ++sx) at(sx, slot) = col[sx];
   }
-
-  // Relax every existing pair through the new node (Ausiello et al. [2]).
-  const double* const row_new = row(slot);
-  for (std::uint32_t sx = 0; sx < n; ++sx) {
-    const double xs = at(sx, slot);
-    if (xs == kNoBound) continue;
-    relax_row(row(sx), row_new, xs, padded(n));
-    relaxations_ += n;
-  }
+  if (takeover || !out_edges.empty()) std::copy_n(row_new, n, row(slot));
   at(slot, slot) = 0.0;
 
   const Handle handle = next_handle_++;
-  handle_of_.push_back(handle);
+  if (takeover) {
+    handle_of_[slot] = handle;
+  } else {
+    handle_of_.push_back(handle);
+  }
   index_handle(handle, slot);
   return handle;
 }

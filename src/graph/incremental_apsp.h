@@ -8,7 +8,11 @@
 //    existing live nodes to it (in either direction).  Distances are updated
 //    in O(L^2 + L*deg) time by first computing distances to/from the new
 //    node and then relaxing every pair through it — the observation of
-//    Ausiello et al. [2] cited in the proof of Lemma 3.5.
+//    Ausiello et al. [2] cited in the proof of Lemma 3.5.  Only the rows the
+//    new node can shorten are relaxed: row x is skipped when no out-edge
+//    head b has d(x,new) + d(new,b) < d(x,b), since then by the triangle
+//    inequality no path x -> new -> y beats d(x,y) either.  When the insert
+//    also kills a node (`retire`), the new node takes over its slot.
 //
 //  * remove_node: a node is unmarked live ("dies").  Because the matrix
 //    stores *distances* (not the original edges), dead nodes can simply be
@@ -50,13 +54,20 @@ class IncrementalApsp {
   /// out_edges: new->existing).  Returns the new node's handle.  Throws if
   /// any referenced handle is not live.  If the insertion would create a
   /// negative cycle, returns kNoHandle and leaves the structure unchanged.
+  ///
+  /// A live `retire` is dropped in the same step: the edges may still meet
+  /// it, and the result equals inserting and then remove_node(retire), but
+  /// the new node is written straight into retire's slot, so there is no
+  /// slot move and no wipe.  A refused insert leaves `retire` live.
   Handle insert_node(std::span<const HalfEdge> in_edges,
-                     std::span<const HalfEdge> out_edges);
+                     std::span<const HalfEdge> out_edges,
+                     Handle retire = kNoHandle);
   /// The same, for literal edge lists: insert_node({{a, 1.0}}, {}).
   Handle insert_node(std::initializer_list<HalfEdge> in_edges,
-                     std::initializer_list<HalfEdge> out_edges) {
+                     std::initializer_list<HalfEdge> out_edges,
+                     Handle retire = kNoHandle) {
     return insert_node(std::span(in_edges.begin(), in_edges.size()),
-                       std::span(out_edges.begin(), out_edges.size()));
+                       std::span(out_edges.begin(), out_edges.size()), retire);
   }
 
   /// Adds an edge between two live nodes, updating all pairwise distances
@@ -100,9 +111,16 @@ class IncrementalApsp {
     return matrix_.capacity() * sizeof(double);
   }
 
+  /// Bytes of per-insert work space (the new node's row and column).  Not
+  /// structure state: copies and moves leave it behind.
+  [[nodiscard]] std::size_t scratch_bytes() const {
+    return scratch_.dist.capacity() * sizeof(double);
+  }
+
   /// Total pair-relaxation attempts performed by insert_node/insert_edge
   /// since construction — the algorithm's O(L^2) work term, exported so
   /// the runtime can report how much APSP work a node has actually done.
+  /// Rows insert_node skips are not attempted and not counted.
   [[nodiscard]] std::uint64_t relaxations() const { return relaxations_; }
 
   /// Storage-hygiene invariant, O(capacity^2) — for tests.  Verifies the
@@ -143,6 +161,19 @@ class IncrementalApsp {
   /// Wipes row and column `slot` over the live prefix 0..size()-1.
   void wipe_slot(std::uint32_t slot);
 
+  /// insert_node's work space: the new node's distances to (the first
+  /// capacity_ doubles) and from (the next capacity_) every slot, built
+  /// before anything in the matrix is written.  Each object keeps its own
+  /// buffer: a copy or move of the structure (the engine's undo shadow is
+  /// assigned from the live engine on every message) neither copies nor
+  /// steals it.
+  struct Scratch {
+    Scratch() = default;
+    Scratch(const Scratch& /*other*/) {}
+    Scratch& operator=(const Scratch& /*other*/) { return *this; }
+    std::vector<double> dist;
+  };
+
   // matrix_ is capacity_^2 doubles; rows and columns 0..L-1 belong to the
   // live nodes and everything else rests at kNoBound.  handle_of_[slot] is
   // the handle living there.  slot_index_ maps a handle to its slot by the
@@ -155,6 +186,7 @@ class IncrementalApsp {
   std::vector<std::uint32_t> slot_index_;  // handle low bits -> slot
   Handle next_handle_ = 0;
   std::uint64_t relaxations_ = 0;
+  Scratch scratch_;
 };
 
 }  // namespace driftsync::graph

@@ -182,6 +182,24 @@ TEST(SyncEngineTest, LossDeclarationKillsPendingSend) {
   EXPECT_EQ(h.engine().live_count(), 1u);  // just the declaration point
 }
 
+// A sender's loss declaration can reach a view that already holds the
+// receive, and then names the sender's last event, a send no longer
+// pending.  The declaration takes that point's slot; the engine used to
+// dereference the dropped send.
+TEST(SyncEngineTest, LossDeclarationOfAReceivedPredecessor) {
+  const SystemSpec spec = line_spec(2, 1e-4, 0.0, 1.0);
+  EngineHarness h(spec, 1);
+  EventFactory fac(2);
+  const EventRecord s = fac.send(0, 1.0, 1);
+  h.ingest(s);
+  h.ingest(fac.receive(1, 1.5, s));
+  h.ingest(fac.loss_decl(0, 2.0, s));
+  h.check_liveness();
+  h.check_distances();
+  EXPECT_FALSE(h.engine().is_live(s.id));
+  EXPECT_EQ(h.engine().live_count(), 2u);
+}
+
 // The engine's checkpoint image: a refused record must leave it unchanged.
 std::vector<std::uint8_t> image_of(const SyncEngine& engine) {
   std::vector<std::uint8_t> out;

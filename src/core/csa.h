@@ -88,9 +88,9 @@ struct CsaStats {
   /// zero for statically meshed hosts.
   std::uint64_t peer_joins = 0;
   std::uint64_t peer_leaves = 0;
-  /// Messages whose ingestion was rolled back by cross-path validation
-  /// (the batch turned out inconsistent with the view mid-merge); zero for
-  /// CSAs without cross-validation.
+  /// Messages on_receive_validated refused (the batch turned out
+  /// inconsistent with the view mid-merge) and rolled back; zero for CSAs
+  /// that apply every message.
   std::uint64_t cross_check_failures = 0;
 };
 

@@ -23,14 +23,11 @@ class OptimalCsa : public Csa {
     /// ABLATION ONLY: disable AGDP dead-node garbage collection (see
     /// SyncEngine::Options::keep_dead_nodes).
     bool ablate_keep_dead_nodes = false;
-    /// Byzantine defense (screen_message / on_receive_validated): cross-path
-    /// validation of inbound messages against the APSP-fused view.  Off by
-    /// default so the simulator and the micro-bench baselines keep the
-    /// historical single-edge screen; the runtime Node turns it on.  When
-    /// on, a payload whose ingestion would make the constraint system
-    /// inconsistent (a sub-slack lie that slipped past every screen) is
-    /// rolled back wholesale instead of crashing or poisoning the view;
-    /// the engine's rollback point costs one copy of its state per message.
+    /// Byzantine defense, screen only: screen_message adds the cross-path
+    /// suspicion band and the payload screen to the single-edge envelope.
+    /// Off by default so the simulator and the micro-bench baselines keep
+    /// the historical single-edge screen.  on_receive_validated refuses and
+    /// rolls back an inconsistent payload whatever this says.
     bool cross_validation = false;
   };
 
@@ -116,7 +113,8 @@ class OptimalCsa : public Csa {
   ProcId self_ = kInvalidProc;
   std::optional<HistoryProtocol> history_;
   std::optional<SyncEngine> engine_;
-  /// cross_validation: the engine as it was before the receive in progress.
+  /// on_receive_validated's rollback point: the engine as it was before
+  /// the receive in progress.
   std::optional<SyncEngine> engine_undo_;
   /// screen_message's per-processor scratch.  Mutable like the history's
   /// image cache: screen_message must not run concurrently with any other

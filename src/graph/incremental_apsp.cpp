@@ -48,6 +48,29 @@ void IncrementalApsp::grow(std::size_t min_capacity) {
   capacity_ = new_capacity;
 }
 
+IncrementalApsp& IncrementalApsp::operator=(const IncrementalApsp& other) {
+  if (this == &other) return *this;
+  if (matrix_.size() != other.matrix_.size()) {
+    matrix_ = std::vector<double>(other.matrix_);  // Exactly capacity^2.
+    capacity_ = other.capacity_;
+  } else {
+    // Outside the old live block everything already rests at kNoBound.
+    const std::size_t n = other.size();
+    const std::size_t old_n = size();
+    for (std::size_t x = 0; x < std::max(n, old_n); ++x) {
+      double* const dst = &matrix_[x * capacity_];
+      const std::size_t copied = x < n ? n : 0;
+      std::copy_n(&other.matrix_[x * capacity_], copied, dst);
+      std::fill(dst + copied, dst + std::max(copied, old_n), kNoBound);
+    }
+  }
+  handle_of_ = other.handle_of_;
+  slot_index_ = other.slot_index_;
+  next_handle_ = other.next_handle_;
+  relaxations_ = other.relaxations_;
+  return *this;
+}
+
 void IncrementalApsp::rebuild_index(std::size_t index_size) {
   slot_index_.assign(index_size, kNoSlot);
   for (std::uint32_t s = 0; s < handle_of_.size(); ++s) {
@@ -93,12 +116,10 @@ IncrementalApsp::Handle IncrementalApsp::insert_node(
   const auto n = static_cast<std::uint32_t>(size());
   if (!takeover && n == capacity_) grow(n + 1);
   // Sized with the matrix: after a growth, and on a copy's first insert.
-  if (scratch_.dist.size() < 2 * capacity_) {
-    scratch_.dist.resize(2 * capacity_);
-  }
+  if (scratch_.size() < 2 * capacity_) scratch_.resize(2 * capacity_);
   const std::uint32_t slot = takeover ? slot_of(retire) : n;
   const std::size_t trip = padded(n);
-  double* const col = scratch_.dist.data();
+  double* const col = scratch_.data();
   double* const row_new = col + capacity_;
 
   // Distances from the new node to each live node y: every path starts

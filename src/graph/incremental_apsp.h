@@ -49,6 +49,14 @@ class IncrementalApsp {
   };
 
   IncrementalApsp() = default;
+  /// Copies the live L x L block and the live set, and rests the rows and
+  /// columns the destination held beyond L at kNoBound: O(L^2) when both
+  /// sides have the same capacity, one full matrix copy when they do not.
+  /// The insert scratch is not copied.
+  IncrementalApsp(const IncrementalApsp& other) { *this = other; }
+  IncrementalApsp& operator=(const IncrementalApsp& other);
+  IncrementalApsp(IncrementalApsp&&) noexcept = default;
+  IncrementalApsp& operator=(IncrementalApsp&&) noexcept = default;
 
   /// Inserts a node with the given incident edges (in_edges: existing->new,
   /// out_edges: new->existing).  Returns the new node's handle.  Throws if
@@ -112,9 +120,9 @@ class IncrementalApsp {
   }
 
   /// Bytes of per-insert work space (the new node's row and column).  Not
-  /// structure state: copies and moves leave it behind.
+  /// structure state: copies leave it behind.
   [[nodiscard]] std::size_t scratch_bytes() const {
-    return scratch_.dist.capacity() * sizeof(double);
+    return scratch_.capacity() * sizeof(double);
   }
 
   /// Total pair-relaxation attempts performed by insert_node/insert_edge
@@ -163,16 +171,8 @@ class IncrementalApsp {
 
   /// insert_node's work space: the new node's distances to (the first
   /// capacity_ doubles) and from (the next capacity_) every slot, built
-  /// before anything in the matrix is written.  Each object keeps its own
-  /// buffer: a copy or move of the structure (the engine's undo shadow is
-  /// assigned from the live engine on every message) neither copies nor
-  /// steals it.
-  struct Scratch {
-    Scratch() = default;
-    Scratch(const Scratch& /*other*/) {}
-    Scratch& operator=(const Scratch& /*other*/) { return *this; }
-    std::vector<double> dist;
-  };
+  /// before anything in the matrix is written.
+  std::vector<double> scratch_;
 
   // matrix_ is capacity_^2 doubles; rows and columns 0..L-1 belong to the
   // live nodes and everything else rests at kNoBound.  handle_of_[slot] is
@@ -186,7 +186,6 @@ class IncrementalApsp {
   std::vector<std::uint32_t> slot_index_;  // handle low bits -> slot
   Handle next_handle_ = 0;
   std::uint64_t relaxations_ = 0;
-  Scratch scratch_;
 };
 
 }  // namespace driftsync::graph

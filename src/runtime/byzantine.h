@@ -6,9 +6,10 @@
 // outbound observations so that everything it externalizes is internally
 // well-formed — monotone timestamps, valid sequence numbers, decodable
 // datagrams — yet false.  That is exactly the adversary the single-edge
-// feasibility screen cannot catch and the cross-path validation layer
-// (core/optimal_csa.h Options::cross_validation, runtime/node.h suspicion
-// machine) exists for.
+// feasibility screen cannot catch and the cross-path screen
+// (core/optimal_csa.h Options::cross_validation), the validated receive
+// that refuses whatever contradicts the view (on_receive_validated) and
+// the suspicion machine (runtime/node.h) exist for.
 //
 // Strategies compose (any subset may be active at once):
 //

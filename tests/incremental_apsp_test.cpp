@@ -132,19 +132,81 @@ TEST(IncrementalApspTest, RefusedRetiringInsertChangesNothing) {
   EXPECT_EQ(apsp.distance(c, a), -1.0);
 }
 
-TEST(IncrementalApspTest, CopiesLeaveTheScratchBehind) {
-  IncrementalApsp apsp;
-  const Handle a = apsp.insert_node({}, {});
-  const Handle b = apsp.insert_node({{a, 1.0}}, {{a, 2.0}});
-  EXPECT_GT(apsp.scratch_bytes(), 0u);
-  IncrementalApsp copy = apsp;
-  EXPECT_EQ(copy.scratch_bytes(), 0u);
-  // The copy sizes its own scratch on its first insert.
-  const Handle c = copy.insert_node({{b, 1.0}}, {}, a);
-  EXPECT_DOUBLE_EQ(copy.distance(b, c), 1.0);
-  EXPECT_FALSE(copy.is_live(a));
-  EXPECT_TRUE(apsp.is_live(a));
-  EXPECT_EQ(copy.scratch_bytes(), apsp.scratch_bytes());
+/// Seeded churn with positive weights: `inserts` nodes, each wired to up
+/// to three live nodes, and a random live node removed after every third.
+void churn(IncrementalApsp& apsp, Rng& rng, int inserts) {
+  for (int i = 0; i < inserts; ++i) {
+    const std::vector<Handle>& live = apsp.live_handles();
+    std::vector<HalfEdge> ins;
+    std::vector<HalfEdge> outs;
+    for (std::size_t d = 0; d < std::min<std::size_t>(3, live.size()); ++d) {
+      const Handle other = live[rng.uniform_index(live.size())];
+      (rng.flip(0.5) ? ins : outs).push_back({other, rng.uniform(0.0, 4.0)});
+    }
+    const Handle retire = !live.empty() && rng.flip(0.3)
+                              ? live[rng.uniform_index(live.size())]
+                              : IncrementalApsp::kNoHandle;
+    ASSERT_NE(apsp.insert_node(ins, outs, retire), IncrementalApsp::kNoHandle);
+    if (i % 3 == 2) {
+      apsp.remove_node(live[rng.uniform_index(live.size())]);
+    }
+  }
+}
+
+void expect_same_structure(const IncrementalApsp& a, const IncrementalApsp& b) {
+  ASSERT_TRUE(b.audit_storage());
+  ASSERT_EQ(a.live_handles(), b.live_handles());
+  for (const Handle u : a.live_handles()) {
+    for (const Handle v : a.live_handles()) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.distance(u, v)),
+                std::bit_cast<std::uint64_t>(b.distance(u, v)))
+          << "d(" << u << "," << v << ")";
+    }
+  }
+}
+
+/// Removes random live nodes down to `n`.
+void shrink_to(IncrementalApsp& apsp, Rng& rng, std::size_t n) {
+  while (apsp.size() > n) {
+    apsp.remove_node(apsp.live_handles()[rng.uniform_index(apsp.size())]);
+  }
+}
+
+TEST(IncrementalApspTest, CopyAssignmentReplacesTheLiveBlock) {
+  Rng rng(71);
+  IncrementalApsp source;
+  churn(source, rng, 40);
+  shrink_to(source, rng, 10);
+  // Destinations holding a larger and a smaller live set in a matrix of
+  // the same capacity (the O(L^2) path), and one of a smaller capacity
+  // (the full copy).
+  struct Dest {
+    int inserts;
+    std::size_t live;
+    bool same_capacity;
+  };
+  for (const Dest d : {Dest{40, 14, true}, Dest{40, 3, true},
+                       Dest{6, 2, false}}) {
+    SCOPED_TRACE(d.live);
+    IncrementalApsp dest;
+    churn(dest, rng, d.inserts);
+    shrink_to(dest, rng, d.live);
+    ASSERT_EQ(dest.size(), d.live);
+    ASSERT_EQ(dest.matrix_bytes() == source.matrix_bytes(), d.same_capacity);
+    const std::size_t scratch = dest.scratch_bytes();
+    dest = source;
+    EXPECT_EQ(dest.scratch_bytes(), scratch);  // Not structure state.
+    EXPECT_EQ(dest.matrix_bytes(), source.matrix_bytes());
+    EXPECT_EQ(dest.relaxations(), source.relaxations());
+    expect_same_structure(source, dest);
+    // The same later churn gives the same results on both.
+    IncrementalApsp twin = source;
+    Rng a(d.live);
+    Rng b(d.live);
+    churn(twin, a, 12);
+    churn(dest, b, 12);
+    expect_same_structure(twin, dest);
+  }
 }
 
 TEST(IncrementalApspTest, NegativeCycleOnInsertEdgeRejected) {

@@ -1,5 +1,6 @@
 // Steady-state SyncEngine::ingest allocates nothing, and neither does a
-// warm cross-validated OptimalCsa receive; a warm OptimalCsa::checkpoint()
+// warm validated OptimalCsa receive, applied or refused, with
+// cross_validation on or off; a warm OptimalCsa::checkpoint()
 // allocates only the image it returns.  This binary links the counting
 // operator-new hook (driftsync_allochook), so alloc_stats::allocations()
 // sees every heap allocation in the process.
@@ -90,20 +91,20 @@ TEST(SyncEngineAllocTest, SteadyStateIngestAllocatesNothing) {
 }
 
 /// Seeded gossip on the path 0 - 1 - 2 around a defended (loss-tolerant,
-/// cross-validated) OptimalCsa at processor 2.  The victim reports back to
-/// 1 now and then, so its history buffer stays bounded.  The counters see
-/// only the victim's on_receive and checkpoint calls; payloads are built
-/// by the peers before each call.
+/// validated-receive) OptimalCsa at processor 2.  The victim reports back
+/// to 1 now and then, so its history buffer stays bounded.  The counters
+/// see only the victim's on_receive_validated and checkpoint calls;
+/// payloads, and a forged copy when asked for, are built before each call.
 class DefendedVictim {
  public:
-  explicit DefendedVictim(std::uint64_t seed)
+  explicit DefendedVictim(std::uint64_t seed, bool cross_validation = true)
       : spec_(testing::line_spec(3, 1e-4, 0.001, 0.02)),
         rng_(seed),
         fac_(3),
-        victim_([] {
+        victim_([&] {
           OptimalCsa::Options opts;
           opts.loss_tolerant = true;
-          opts.cross_validation = true;
+          opts.cross_validation = cross_validation;
           return opts;
         }()) {
     p0_.init(spec_, 0);
@@ -111,8 +112,13 @@ class DefendedVictim {
     victim_.init(spec_, 2);
   }
 
-  /// One gossip step; returns true when it delivered to the victim.
-  bool step() {
+  /// One gossip step; returns true when it delivered to the victim.  With
+  /// `forge`, once the victim holds an event of 1, a copy of each message
+  /// to it with the last record (1's send) moved 1000 s back is refused
+  /// first.  The forgery draws nothing from the gossip's generator, so the
+  /// stream, and with it the buffers' high-water marks, are the same with
+  /// and without it.
+  bool step(bool forge = false) {
     now_ += rng_.uniform(0.01, 0.1);
     const auto pick = rng_.uniform_index(4);
     const auto transit = [&] { now_ += rng_.uniform(0.002, 0.019); };
@@ -141,9 +147,18 @@ class DefendedVictim {
     const CsaPayload payload = p1_.on_send(SendContext{1, 2, send, 0});
     transit();
     const RecvContext ctx{2, 1, fac_.receive(2, now_, send), send, 0};
+    if (forge && victim_.engine().last_event_of(1).valid()) {
+      CsaPayload lie = payload;
+      lie.reports.back().lt -= 1000.0;
+      const std::uint64_t before = alloc_stats::allocations();
+      const bool applied = victim_.on_receive_validated(ctx, lie);
+      receive_allocs_ += alloc_stats::allocations() - before;
+      EXPECT_FALSE(applied);
+    }
     const std::uint64_t before = alloc_stats::allocations();
-    victim_.on_receive(ctx, payload);
+    const bool applied = victim_.on_receive_validated(ctx, payload);
     receive_allocs_ += alloc_stats::allocations() - before;
+    EXPECT_TRUE(applied);
     return true;
   }
 
@@ -176,6 +191,24 @@ TEST(OptimalCsaAllocTest, WarmCrossValidatedReceiveAllocatesNothing) {
   EXPECT_EQ(run.receive_allocs() - warm, 0u)
       << "over " << receives << " receives";
   EXPECT_EQ(run.victim().stats().cross_check_failures, 0u);
+}
+
+// The rollback point does not depend on the option: with it off (the
+// daemon's setting), a warm receive and a refused one allocate nothing
+// either.  Warm-up refuses too, so both engines' buffers have grown.
+TEST(OptimalCsaAllocTest,
+     WarmReceiveAndRefusalAllocateNothingWithoutCrossValidation) {
+  ASSERT_TRUE(alloc_stats::hooked());
+  DefendedVictim run(7, /*cross_validation=*/false);
+  for (int i = 0; i < kWarmSteps; ++i) run.step(/*forge=*/true);
+  const std::uint64_t warm = run.receive_allocs();
+  const std::uint64_t refused = run.victim().stats().cross_check_failures;
+  std::size_t receives = 0;
+  for (int i = 0; i < 4000; ++i) receives += run.step(true) ? 1U : 0U;
+  EXPECT_GT(receives, 500u);
+  EXPECT_EQ(run.victim().stats().cross_check_failures - refused, receives);
+  EXPECT_EQ(run.receive_allocs() - warm, 0u)
+      << "over " << receives << " receives and as many refusals";
 }
 
 TEST(OptimalCsaAllocTest, CheckpointAllocatesOnlyTheImage) {

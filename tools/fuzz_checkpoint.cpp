@@ -18,6 +18,17 @@
 //      history the instance keeps stays warm across GC removals.  A twin
 //      restored cold from the same image ingests the same events and
 //      checkpoints once at the end: the two images must be identical.
+//   4. Receive stage: the scenario is run again with every processor an
+//      OptimalCsa{loss_tolerant} that, before each message delivered to
+//      it, is handed seeded lies derived from that message through
+//      on_receive_validated: records moved back or forward in time (clock
+//      backwards, negative cycles), the send re-minted under an id the
+//      receiver already holds (a sender that lost its disk), and a receive
+//      matched to an older event.  Each lie is in range and survives a
+//      wire round trip.  No exception may escape, and a refused lie must
+//      leave checkpoint() byte-identical to the image before it; a lie
+//      that is consistent after all is undone by restoring that image,
+//      and the honest message must then apply.
 //
 //   $ ./fuzz_checkpoint [--iterations=N] [--seconds=S] [--seed0=K]
 //
@@ -25,6 +36,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -34,6 +46,7 @@
 #include "common/flags.h"
 #include "common/rng.h"
 #include "core/optimal_csa.h"
+#include "core/wire.h"
 #include "fuzz_mutate.h"
 #include "sim/simulator.h"
 #include "workloads/apps.h"
@@ -45,9 +58,13 @@ namespace {
 
 constexpr std::size_t kMutationsPerScenario = 64;
 constexpr std::size_t kWarmSteps = 6;
+constexpr std::size_t kLiesPerMessage = 2;
 
 /// Own events ingested by contract 3, over all states (for the summary).
 std::uint64_t warm_events = 0;
+/// Contract 4's lies, refused and consistent after all (for the summary).
+std::uint64_t lies_refused = 0;
+std::uint64_t lies_undone = 0;
 
 [[noreturn]] void die(std::uint64_t seed, const char* what) {
   std::fprintf(stderr, "fuzz_checkpoint FAILURE at seed=%llu: %s\n",
@@ -55,12 +72,103 @@ std::uint64_t warm_events = 0;
   std::abort();
 }
 
-/// Runs a short random scenario and returns one processor's checkpoint
-/// image (with the spec kept alive by the caller-owned Network).
-std::vector<std::uint8_t> random_state(std::uint64_t seed,
-                                       workloads::Network& net, ProcId& self,
-                                       OptimalCsa::Options& opts,
-                                       LocalTime& query_time) {
+/// Contract 4's receiver: lies first, then the honest message.  `seed`
+/// is the scenario's (the reproducer); `index` tells receivers apart.
+class LiedTo final : public OptimalCsa {
+ public:
+  LiedTo(std::uint64_t seed, std::uint64_t index)
+      : OptimalCsa(Options{.loss_tolerant = true}),
+        seed_(seed),
+        rng_(seed * 31 + index) {}
+
+  void init(const SystemSpec& spec, ProcId self) override {
+    OptimalCsa::init(spec, self);
+    spec_ = &spec;
+    self_ = self;
+  }
+
+  void on_receive(const RecvContext& ctx,
+                  const CsaPayload& payload) override {
+    for (std::size_t k = 0; k < kLiesPerMessage; ++k) {
+      RecvContext lie_ctx = ctx;
+      CsaPayload lie = payload;
+      if (!tell_lie(lie_ctx, lie)) continue;
+      const std::vector<std::uint8_t> before = checkpoint();
+      bool applied = false;
+      try {
+        applied = on_receive_validated(lie_ctx, lie);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "escaped: %s\n", e.what());
+        die(seed_, "an exception escaped on_receive_validated");
+      }
+      if (!applied) {
+        if (checkpoint() != before) die(seed_, "a refusal left a trace");
+        ++lies_refused;
+        continue;
+      }
+      ++lies_undone;
+      init(*spec_, self_);
+      restore(before);
+    }
+    if (!on_receive_validated(ctx, payload)) {
+      die(seed_, "the honest message was refused");
+    }
+  }
+
+ private:
+  /// Rewrites the message into one of the lies; false when this message
+  /// offers nothing to rewrite or the lie would not decode.
+  bool tell_lie(RecvContext& ctx, CsaPayload& payload) {
+    EventBatch& reports = payload.reports;
+    if (reports.empty()) return false;
+    EventRecord& any = reports[rng_.uniform_index(reports.size())];
+    switch (rng_.uniform_index(4)) {
+      case 0:
+        any.lt -= rng_.uniform(1e-3, 10.0);
+        break;
+      case 1:
+        any.lt += rng_.uniform(0.05, 10.0);
+        break;
+      case 2: {
+        const EventId send = ctx.recv_event.match;
+        if (send.seq == 0) return false;
+        const auto old =
+            static_cast<std::uint32_t>(rng_.uniform_index(send.seq));
+        for (EventRecord& r : reports) {
+          if (r.id == send) r.id.seq = old;
+        }
+        ctx.recv_event.match.seq = old;
+        ctx.send_event.id.seq = old;
+        break;
+      }
+      default:
+        if (any.kind != EventKind::kReceive || any.match.seq == 0) {
+          return false;
+        }
+        any.match.seq =
+            static_cast<std::uint32_t>(rng_.uniform_index(any.match.seq));
+    }
+    try {
+      reports = wire::decode_batch(wire::encode_batch(reports));
+    } catch (const WireError&) {
+      return false;
+    }
+    return true;
+  }
+
+  std::uint64_t seed_;
+  Rng rng_;
+  const SystemSpec* spec_ = nullptr;
+  ProcId self_ = kInvalidProc;
+};
+
+/// Runs a short random scenario in which every processor runs make() and
+/// returns one processor's checkpoint image (with the spec kept alive by
+/// the caller-owned Network).
+std::vector<std::uint8_t> random_state(
+    std::uint64_t seed, workloads::Network& net, ProcId& self,
+    const std::function<std::unique_ptr<OptimalCsa>()>& make,
+    LocalTime& query_time) {
   Rng rng(seed);
   workloads::TopoParams params;
   params.rho = rng.uniform(0.0, 0.01);
@@ -78,7 +186,7 @@ std::vector<std::uint8_t> random_state(std::uint64_t seed,
   sim::Simulator simulator(net.spec, net.links, cfg);
   for (ProcId p = 0; p < net.spec.num_procs(); ++p) {
     std::vector<std::unique_ptr<Csa>> csas;
-    csas.push_back(std::make_unique<OptimalCsa>(opts));
+    csas.push_back(make());
     const double rho = net.spec.clock(p).rho;
     sim::ClockModel clock = sim::ClockModel::constant(0.0, 1.0);
     if (p != net.spec.source()) {
@@ -173,8 +281,9 @@ std::size_t fuzz_once(std::uint64_t seed) {
   ProcId self = 0;
   OptimalCsa::Options opts;
   LocalTime query_time = 0.0;
-  const std::vector<std::uint8_t> bytes =
-      random_state(seed, net, self, opts, query_time);
+  const std::vector<std::uint8_t> bytes = random_state(
+      seed, net, self, [&] { return std::make_unique<OptimalCsa>(opts); },
+      query_time);
 
   // 1. Pristine image: replay-equivalent restore.
   OptimalCsa reference(opts);
@@ -226,6 +335,15 @@ std::size_t fuzz_once(std::uint64_t seed) {
       die(seed, "restore threw something other than CheckpointError");
     }
   }
+
+  // 4. The same scenario, every receiver lied to first.
+  workloads::Network lied_net;
+  ProcId lied_self = 0;
+  std::uint64_t receiver = 0;
+  (void)random_state(
+      seed, lied_net, lied_self,
+      [&] { return std::make_unique<LiedTo>(seed, receiver++); },
+      query_time);
   return iterations;
 }
 
@@ -257,10 +375,13 @@ int main(int argc, char** argv) try {
   }
   std::printf(
       "fuzz_checkpoint: %llu mutations over %llu states, %llu warm-cache "
-      "events, 0 contract violations\n",
+      "events, %llu lies refused, %llu consistent and undone, 0 contract "
+      "violations\n",
       static_cast<unsigned long long>(done),
       static_cast<unsigned long long>(scenario),
-      static_cast<unsigned long long>(warm_events));
+      static_cast<unsigned long long>(warm_events),
+      static_cast<unsigned long long>(lies_refused),
+      static_cast<unsigned long long>(lies_undone));
   return 0;
 } catch (const driftsync::FlagError& e) {
   std::fprintf(stderr, "%s\n", e.what());

@@ -262,13 +262,20 @@ std::vector<EventId> SyncEngine::live_points() const {
 
 namespace {
 constexpr std::uint64_t kEngineMagic = 0xE5617;
+
+/// save()'s record encoder, cleared: per thread, so engine copies carry none.
+wire::RecordEncoder& save_encoder() {
+  thread_local wire::RecordEncoder encoder;
+  encoder.clear();
+  return encoder;
+}
 }  // namespace
 
 std::size_t SyncEngine::live_records_size() const {
   std::size_t size = wire::varint_size(live_count_);
-  save_encoder_.clear();
+  wire::RecordEncoder& encoder = save_encoder();
   for (const std::vector<LiveNode>& nodes : live_) {
-    for (const LiveNode& node : nodes) size += save_encoder_.measure(node.rec);
+    for (const LiveNode& node : nodes) size += encoder.measure(node.rec);
   }
   return size;
 }
@@ -298,9 +305,9 @@ void SyncEngine::save(std::vector<std::uint8_t>& out) const {
   // is fine — the decoder applies no semantic checks.
   wire::put_varint(out, live_records_size());
   wire::put_varint(out, live_count_);
-  save_encoder_.clear();
+  wire::RecordEncoder& encoder = save_encoder();
   for (const std::vector<LiveNode>& nodes : live_) {
-    for (const LiveNode& node : nodes) save_encoder_.put(out, node.rec);
+    for (const LiveNode& node : nodes) encoder.put(out, node.rec);
   }
   for (const std::vector<LiveNode>& nodes : live_) {
     for (const LiveNode& node : nodes) {
@@ -439,7 +446,8 @@ void SyncEngine::load(std::span<const std::uint8_t> bytes,
   std::vector<std::vector<LiveNode>> live(num_procs);
   for (std::size_t i = 0; i < n; ++i) {
     live[records[i].id.proc].push_back(
-        LiveNode{records[i], i, (flags[i] & 1) != 0, (flags[i] & 2) != 0});
+        LiveNode{records[i], apsp.live_handles()[i], (flags[i] & 1) != 0,
+                 (flags[i] & 2) != 0});
   }
 
   // Everything validated: commit.

@@ -30,7 +30,6 @@
 #include "core/bounds.h"
 #include "core/event.h"
 #include "core/spec.h"
-#include "core/wire.h"
 #include "graph/incremental_apsp.h"
 
 namespace driftsync {
@@ -155,10 +154,10 @@ class SyncEngine {
   [[nodiscard]] std::size_t saved_size() const;
   void load(std::span<const std::uint8_t> bytes, std::size_t& offset);
 
-  /// Resident bytes of the save() and insert scratch.  Not protocol state,
-  /// so not part of matrix_bytes().
+  /// Resident bytes of the insert scratch.  Not protocol state, so not
+  /// part of matrix_bytes().
   [[nodiscard]] std::size_t scratch_bytes() const {
-    return save_encoder_.memory_bytes() + apsp_.scratch_bytes();
+    return apsp_.scratch_bytes();
   }
 
  private:
@@ -199,8 +198,6 @@ class SyncEngine {
   std::size_t live_count_ = 0;
   std::vector<EventId> last_id_;  ///< Per processor; invalid when none.
   std::size_t max_live_ = 0;
-  /// save()'s record encoder, kept so its table keeps its capacity.
-  mutable wire::RecordEncoder save_encoder_;
 };
 
 }  // namespace driftsync

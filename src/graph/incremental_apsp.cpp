@@ -39,6 +39,7 @@ std::size_t padded(std::size_t n) { return (n + 1) & ~std::size_t{1}; }
 void IncrementalApsp::grow(std::size_t min_capacity) {
   std::size_t new_capacity = std::max<std::size_t>(8, capacity_ * 2);
   while (new_capacity < min_capacity) new_capacity *= 2;
+  DS_CHECK(new_capacity <= kIdMask + 1);  // Ids never outnumber slots.
   std::vector<double> fresh(new_capacity * new_capacity, kNoBound);
   const std::size_t n = size();
   for (std::size_t x = 0; x < n; ++x) {
@@ -65,37 +66,11 @@ IncrementalApsp& IncrementalApsp::operator=(const IncrementalApsp& other) {
     }
   }
   handle_of_ = other.handle_of_;
-  slot_index_ = other.slot_index_;
-  next_handle_ = other.next_handle_;
+  slot_of_id_ = other.slot_of_id_;
+  free_ids_ = other.free_ids_;
+  inserts_ = other.inserts_;
   relaxations_ = other.relaxations_;
   return *this;
-}
-
-void IncrementalApsp::rebuild_index(std::size_t index_size) {
-  slot_index_.assign(index_size, kNoSlot);
-  for (std::uint32_t s = 0; s < handle_of_.size(); ++s) {
-    slot_index_[handle_of_[s] & (index_size - 1)] = s;
-  }
-}
-
-void IncrementalApsp::index_handle(Handle h, std::uint32_t slot) {
-  if (!slot_index_.empty()) {
-    const std::size_t mask = slot_index_.size() - 1;
-    const std::uint32_t s = slot_index_[h & mask];
-    const bool taken = s < handle_of_.size() && handle_of_[s] != h &&
-                       ((handle_of_[s] ^ h) & mask) == 0;
-    if (!taken) {
-      slot_index_[h & mask] = slot;
-      return;
-    }
-  }
-  // Live handles lie in [oldest, h]; an index larger than that spread
-  // gives each of them its own entry.
-  Handle oldest = h;
-  for (const Handle g : handle_of_) oldest = std::min(oldest, g);
-  std::size_t index_size = std::max<std::size_t>(8, slot_index_.size());
-  while (index_size <= h - oldest) index_size *= 2;
-  rebuild_index(index_size);
 }
 
 void IncrementalApsp::wipe_slot(std::uint32_t slot) {
@@ -112,6 +87,7 @@ IncrementalApsp::Handle IncrementalApsp::insert_node(
   for (const HalfEdge& e : out_edges) DS_CHECK(is_live(e.node));
   const bool takeover = retire != kNoHandle;
   DS_CHECK(!takeover || is_live(retire));
+  DS_CHECK(inserts_ < kNoHandle >> kIdBits);
 
   const auto n = static_cast<std::uint32_t>(size());
   if (!takeover && n == capacity_) grow(n + 1);
@@ -179,13 +155,22 @@ IncrementalApsp::Handle IncrementalApsp::insert_node(
   if (takeover || !out_edges.empty()) std::copy_n(row_new, n, row(slot));
   at(slot, slot) = 0.0;
 
-  const Handle handle = next_handle_++;
+  // A takeover keeps its predecessor's id; else a freed id, else a new one.
+  Handle id = retire & kIdMask;
+  if (!takeover && !free_ids_.empty()) {
+    id = free_ids_.back();
+    free_ids_.pop_back();
+    slot_of_id_[id] = slot;
+  } else if (!takeover) {
+    id = slot_of_id_.size();
+    slot_of_id_.push_back(slot);
+  }
+  const Handle handle = (inserts_++ << kIdBits) | id;
   if (takeover) {
     handle_of_[slot] = handle;
   } else {
     handle_of_.push_back(handle);
   }
-  index_handle(handle, slot);
   return handle;
 }
 
@@ -211,7 +196,7 @@ bool IncrementalApsp::insert_edge(Handle from, Handle to, double weight) {
 }
 
 bool IncrementalApsp::load_matrix(const std::vector<std::vector<double>>& dist) {
-  DS_CHECK_MSG(next_handle_ == 0, "load into a fresh structure");
+  DS_CHECK_MSG(inserts_ == 0, "load into a fresh structure");
   const std::size_t n = dist.size();
   for (std::size_t i = 0; i < n; ++i) {
     DS_CHECK(dist[i].size() == n);
@@ -226,14 +211,13 @@ bool IncrementalApsp::load_matrix(const std::vector<std::vector<double>>& dist) 
   }
   if (n > capacity_) grow(n);
   handle_of_.resize(n);
+  slot_of_id_.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    handle_of_[i] = i;
+    handle_of_[i] = (Handle{i} << kIdBits) | i;
+    slot_of_id_[i] = i;
     std::copy(dist[i].begin(), dist[i].end(), row(i));
   }
-  next_handle_ = n;
-  std::size_t index_size = 8;
-  while (index_size < n) index_size *= 2;
-  rebuild_index(index_size);
+  inserts_ = n;
   return true;
 }
 
@@ -249,21 +233,31 @@ void IncrementalApsp::remove_node(Handle h) {
     for (std::uint32_t sx = 0; sx <= last; ++sx) at(sx, slot) = at(sx, last);
     const Handle moved = handle_of_[last];
     handle_of_[slot] = moved;
-    slot_index_[moved & (slot_index_.size() - 1)] = slot;
+    slot_of_id_[moved & kIdMask] = slot;
   }
   wipe_slot(last);
   handle_of_.pop_back();
+  free_ids_.push_back(static_cast<std::uint32_t>(h & kIdMask));
 }
 
 bool IncrementalApsp::audit_storage() const {
   const std::size_t n = size();
-  if (n > capacity_) return false;
-  if ((slot_index_.size() & (slot_index_.size() - 1)) != 0) return false;
   // Every live handle resolves to the slot that holds it; together with
   // handle_of_ being indexed by slot, that is a bijection onto 0..L-1.
+  // Each id handed out is live or free, never both and never twice.
+  if (n > capacity_ || slot_of_id_.size() > capacity_ ||
+      slot_of_id_.size() != n + free_ids_.size()) {
+    return false;
+  }
+  std::vector<bool> used(slot_of_id_.size());
   for (std::uint32_t s = 0; s < n; ++s) {
     const Handle h = handle_of_[s];
-    if (h >= next_handle_ || slot_of(h) != s) return false;
+    if ((h >> kIdBits) >= inserts_ || slot_of(h) != s) return false;
+    used[h & kIdMask] = true;
+  }
+  for (const std::uint32_t id : free_ids_) {
+    if (id >= used.size() || used[id]) return false;
+    used[id] = true;
   }
   // Rows and columns >= L must rest at kNoBound: a finite entry there is a
   // stale distance waiting to leak into the slot's next occupant or into a

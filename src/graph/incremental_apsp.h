@@ -21,8 +21,10 @@
 //
 // Storage is dense: the L live nodes occupy matrix slots 0..L-1, so every
 // relaxation runs over contiguous row prefixes.  remove_node moves the last
-// slot into the hole (one O(L) row and column copy).  Handles are stable
-// across those moves and never reused; the matrix grows geometrically.
+// slot into the hole (one O(L) row and column copy); the matrix grows
+// geometrically.  A handle is its node's id, which a removed node frees and
+// a retiring insert passes on, under a count of inserts: handles are stable
+// across slot moves and never reused.
 // Negative edges are fine; a negative *cycle* is reported by insert_*
 // returning false, leaving the structure unchanged logically (callers treat
 // this as an inconsistent specification).
@@ -86,10 +88,10 @@ class IncrementalApsp {
   /// dist[i][j] = shortest path i -> j, kNoBound for unreachable).  Entries
   /// are installed verbatim — no relaxation — so a save/load round trip is
   /// bit-exact even where recomputation would differ in the last ulp.
-  /// Handles are assigned 0..n-1 in row order.  Must be called on an empty
-  /// structure.  Returns false (leaving the structure empty) if the matrix
-  /// cannot be an APSP closure: a non-zero diagonal entry or a negative
-  /// round trip between any pair (a negative cycle).
+  /// Row i gets slot i, so live_handles() lists the handles in row order.
+  /// Must be called on an empty structure.  Returns false (leaving the
+  /// structure empty) if the matrix cannot be an APSP closure: a non-zero
+  /// diagonal entry or a negative round trip between any pair.
   bool load_matrix(const std::vector<std::vector<double>>& dist);
 
   /// Drops a live node.  O(L): the last slot moves into its place.
@@ -101,9 +103,7 @@ class IncrementalApsp {
     return at(slot_of(from), slot_of(to));
   }
 
-  [[nodiscard]] bool is_live(Handle h) const {
-    return h < next_handle_ && slot_of(h) != kNoSlot;
-  }
+  [[nodiscard]] bool is_live(Handle h) const { return slot_of(h) != kNoSlot; }
 
   /// Number of live nodes.
   [[nodiscard]] std::size_t size() const { return handle_of_.size(); }
@@ -132,8 +132,9 @@ class IncrementalApsp {
   [[nodiscard]] std::uint64_t relaxations() const { return relaxations_; }
 
   /// Storage-hygiene invariant, O(capacity^2) — for tests.  Verifies the
-  /// dense layout: the live handles map one-to-one onto slots 0..L-1, every
-  /// live diagonal entry is exactly zero, and every row and column >= L
+  /// dense layout: the live handles map one-to-one onto slots 0..L-1, the
+  /// live and the free ids are each id once and no more than the capacity,
+  /// every live diagonal entry is exactly zero, and every row and column >= L
   /// rests at kNoBound, so a slot's next occupant (or the padding column a
   /// relaxation sweeps) can never observe a previous occupant's or a
   /// rejected candidate's distances.
@@ -141,6 +142,10 @@ class IncrementalApsp {
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  /// A handle is (insert count << kIdBits) | id.  2^20 ids exceed any matrix
+  /// that can be allocated; 2^44 inserts take months at millions a second.
+  static constexpr unsigned kIdBits = 20;
+  static constexpr Handle kIdMask = (Handle{1} << kIdBits) - 1;
 
   [[nodiscard]] double& at(std::uint32_t slot_from, std::uint32_t slot_to) {
     return matrix_[static_cast<std::size_t>(slot_from) * capacity_ + slot_to];
@@ -153,19 +158,16 @@ class IncrementalApsp {
     return &matrix_[static_cast<std::size_t>(slot) * capacity_];
   }
 
-  /// The live slot of `h`, or kNoSlot.  An index entry is trusted only
-  /// when the slot it names still holds `h`.
+  /// The live slot of `h`, or kNoSlot.  An id's entry is trusted only when
+  /// the slot it names still holds `h`, since the id may have passed on.
   [[nodiscard]] std::uint32_t slot_of(Handle h) const {
-    if (slot_index_.empty()) return kNoSlot;
-    const std::uint32_t s = slot_index_[h & (slot_index_.size() - 1)];
+    const Handle id = h & kIdMask;
+    if (id >= slot_of_id_.size()) return kNoSlot;
+    const std::uint32_t s = slot_of_id_[id];
     return s < handle_of_.size() && handle_of_[s] == h ? s : kNoSlot;
   }
 
   void grow(std::size_t min_capacity);
-  /// Gives `h` its own slot_index_ entry, resizing the index if a live
-  /// handle already owns that entry.
-  void index_handle(Handle h, std::uint32_t slot);
-  void rebuild_index(std::size_t size);
   /// Wipes row and column `slot` over the live prefix 0..size()-1.
   void wipe_slot(std::uint32_t slot);
 
@@ -176,15 +178,15 @@ class IncrementalApsp {
 
   // matrix_ is capacity_^2 doubles; rows and columns 0..L-1 belong to the
   // live nodes and everything else rests at kNoBound.  handle_of_[slot] is
-  // the handle living there.  slot_index_ maps a handle to its slot by the
-  // handle's low bits: its size is a power of two kept larger than the
-  // spread of live handles, so it stops growing once the live set's age
-  // span does, and ingest allocates nothing in steady state.
+  // the handle living there.  Every id ever handed out is either live or on
+  // free_ids_, so both tables stop growing once the live set does, and
+  // ingest allocates nothing in steady state.
   std::vector<double> matrix_;
   std::size_t capacity_ = 0;
-  std::vector<Handle> handle_of_;           // slot -> handle, dense
-  std::vector<std::uint32_t> slot_index_;  // handle low bits -> slot
-  Handle next_handle_ = 0;
+  std::vector<Handle> handle_of_;          // slot -> handle, dense
+  std::vector<std::uint32_t> slot_of_id_;  // id -> slot while the id is live
+  std::vector<std::uint32_t> free_ids_;    // ids of removed nodes
+  std::uint64_t inserts_ = 0;              // the count above the id bits
   std::uint64_t relaxations_ = 0;
 };
 

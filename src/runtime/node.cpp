@@ -216,6 +216,7 @@ Node::Node(NodeConfig config, std::unique_ptr<Csa> csa,
            cfg_.skip_retry > 0.0);
   DS_CHECK(cfg_.clock_max_slew >= 0.0 && cfg_.clock_max_slew < 1.0);
   DS_CHECK(cfg_.clock_steer_horizon > 0.0);
+  DS_CHECK(cfg_.quarantine_threshold > 0);
   // Jitter decorrelates peers' retry storms; it never touches protocol
   // state, so an arbitrary per-process seed is fine.
   std::uint64_t jitter_seed = 0x9E3779B97F4A7C15ULL;
@@ -249,8 +250,7 @@ void Node::start() {
   membership_.reserve(cfg_.peers.size());
   for (const ProcId p : cfg_.peers) membership_.admit(p);
   if (!cfg_.checkpoint_path.empty()) {
-    checkpoint_supported_ = !csa_->checkpoint().empty();
-    if (!checkpoint_supported_) {
+    if (csa_->checkpoint().empty()) {
       throw CheckpointError(std::string(csa_->name()) +
                             " does not support checkpointing; start without "
                             "a checkpoint path");
@@ -668,68 +668,65 @@ void Node::handle_data(const DataMsg& msg, LocalTime arrival_lt) {
   // Spec-violation screen (see NodeConfig).  A renounced observation never
   // reaches ingestion, so the view is never poisoned and the sender soundly
   // resolves the datagram as a loss; verdicts drive the decaying suspicion
-  // score, which drives the quarantine state machine.
-  if (cfg_.quarantine_threshold > 0) {
-    // Feasibility is judged at ARRIVAL, not at processing: a datagram that
-    // waited out a lock convoy is not thereby "too old", and a forged
-    // send_lt from the future is compared against the earlier (stricter)
-    // reading the claim had to be feasible at.
-    const ObservationScreen screen =
-        csa_->screen_message(msg.from, msg.send_lt, arrival_lt, msg.payload);
-    if (screen.implicated != kInvalidProc) {
-      // Equivocation evidence: the implicated peer told someone else a
-      // different story about the same event.  When the carrier is an
-      // honest relay the message itself may still be kOk — only the
-      // equivocator's score is raised.
-      ++stats_.equivocations_detected;
-      PeerState* imp = membership_.find(screen.implicated);
-      if (imp != nullptr && screen.implicated != msg.from) {
-        raise_suspicion(*imp, screen.implicated, msg.trace_id);
-      }
+  // score, which drives the quarantine state machine.  Feasibility is
+  // judged at ARRIVAL, not at processing: a datagram that waited out a lock
+  // convoy is not thereby "too old", and a forged send_lt from the future
+  // is compared against the earlier (stricter) reading the claim had to be
+  // feasible at.
+  const ObservationScreen screen =
+      csa_->screen_message(msg.from, msg.send_lt, arrival_lt, msg.payload);
+  if (screen.implicated != kInvalidProc) {
+    // Equivocation evidence: the implicated peer told someone else a
+    // different story about the same event.  When the carrier is an
+    // honest relay the message itself may still be kOk — only the
+    // equivocator's score is raised.
+    ++stats_.equivocations_detected;
+    PeerState* imp = membership_.find(screen.implicated);
+    if (imp != nullptr && screen.implicated != msg.from) {
+      raise_suspicion(*imp, screen.implicated, msg.trace_id);
     }
-    if (screen.verdict != ObservationVerdict::kOk) {
-      if (screen.verdict == ObservationVerdict::kInfeasible) {
-        ++stats_.infeasible_rejected;
-      } else {
-        ++stats_.suspect_rejected;
-      }
-      // When the evidence implicates a THIRD party (inconsistent records
-      // the sender merely relays), the message is still renounced — it
-      // cannot be ingested without contradiction — but the honest carrier
-      // is not punished: its score stays, its readmission streak is not
-      // reset.  The implicated peer's score was raised above.
-      if (screen.implicated == kInvalidProc ||
-          screen.implicated == msg.from) {
-        state.feasible_streak = 0;
-        raise_suspicion(state, msg.from, msg.trace_id);
-      }
+  }
+  if (screen.verdict != ObservationVerdict::kOk) {
+    if (screen.verdict == ObservationVerdict::kInfeasible) {
+      ++stats_.infeasible_rejected;
+    } else {
+      ++stats_.suspect_rejected;
+    }
+    // When the evidence implicates a THIRD party (inconsistent records
+    // the sender merely relays), the message is still renounced — it
+    // cannot be ingested without contradiction — but the honest carrier
+    // is not punished: its score stays, its readmission streak is not
+    // reset.  The implicated peer's score was raised above.
+    if (screen.implicated == kInvalidProc || screen.implicated == msg.from) {
+      state.feasible_streak = 0;
+      raise_suspicion(state, msg.from, msg.trace_id);
+    }
+    renounce_data(msg, state);
+    return;
+  }
+  state.suspicion *= cfg_.suspicion_decay;
+  if (state.suspicion < 1e-6) state.suspicion = 0.0;
+  if (state.quarantined) {
+    const std::uint32_t need = state.readmission_cost != 0
+                                   ? state.readmission_cost
+                                   : cfg_.quarantine_threshold;
+    if (++state.feasible_streak < need) {
+      // Feasible, but the peer has not re-earned trust yet: renounce,
+      // keep probing.
       renounce_data(msg, state);
       return;
     }
-    state.suspicion *= cfg_.suspicion_decay;
-    if (state.suspicion < 1e-6) state.suspicion = 0.0;
-    if (state.quarantined) {
-      const std::uint32_t need = state.readmission_cost != 0
-                                     ? state.readmission_cost
-                                     : cfg_.quarantine_threshold;
-      if (++state.feasible_streak < need) {
-        // Feasible, but the peer has not re-earned trust yet: renounce,
-        // keep probing.
-        renounce_data(msg, state);
-        return;
-      }
-      state.quarantined = false;
-      state.feasible_streak = 0;
-      // Escalating readmission: the next one costs twice as many feasible
-      // probes, and the residual suspicion means a peer that resumes lying
-      // is re-quarantined after fewer lies than the first time.
-      state.readmission_cost =
-          std::min<std::uint32_t>(need * 2, cfg_.quarantine_threshold * 64);
-      state.suspicion = 0.5 * static_cast<double>(cfg_.quarantine_threshold);
-      ++stats_.peer_readmissions;
-      trace(TraceEventKind::kQuarantineExit, msg.trace_id, msg.from);
-      // Fall through: this observation is the first one readmitted.
-    }
+    state.quarantined = false;
+    state.feasible_streak = 0;
+    // Escalating readmission: the next one costs twice as many feasible
+    // probes, and the residual suspicion means a peer that resumes lying
+    // is re-quarantined after fewer lies than the first time.
+    state.readmission_cost =
+        std::min<std::uint32_t>(need * 2, cfg_.quarantine_threshold * 64);
+    state.suspicion = 0.5 * static_cast<double>(cfg_.quarantine_threshold);
+    ++stats_.peer_readmissions;
+    trace(TraceEventKind::kQuarantineExit, msg.trace_id, msg.from);
+    // Fall through: this observation is the first one readmitted.
   }
   // Mint the receive event and attempt validated ingestion.  A rollback
   // (the CSA found the batch inconsistent with the view mid-merge) un-mints
@@ -772,7 +769,7 @@ void Node::raise_suspicion(PeerState& state, ProcId peer,
                            std::uint64_t trace_id) {
   state.suspicion += 1.0;
   trace(TraceEventKind::kSuspect, trace_id, peer, state.suspicion);
-  if (cfg_.quarantine_threshold > 0 && !state.quarantined &&
+  if (!state.quarantined &&
       state.suspicion >= static_cast<double>(cfg_.quarantine_threshold)) {
     state.quarantined = true;
     state.feasible_streak = 0;
@@ -1252,7 +1249,7 @@ void Node::load_checkpoint(std::span<const std::uint8_t> bytes) {
 }
 
 void Node::persist() {
-  if (cfg_.checkpoint_path.empty() || !checkpoint_supported_) return;
+  if (cfg_.checkpoint_path.empty()) return;
   // The image is the node's header followed by the CSA's image, which is
   // written as checkpoint() returned it rather than copied behind the
   // header first.

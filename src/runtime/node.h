@@ -91,7 +91,7 @@ struct NodeConfig {
   /// a still-lying peer is re-quarantined faster each round.  The decaying
   /// score (rather than a consecutive-streak counter) is what catches a
   /// flapping attacker that alternates feasible and infeasible messages.
-  /// quarantine_threshold = 0 disables the screen entirely.
+  /// Must be positive: the screen is always on.
   std::uint32_t quarantine_threshold = 2;
   double suspicion_decay = 0.7;  ///< Score multiplier per accepted message.
   /// Dynamic membership (DESIGN.md decision 19).  When true, a kJoinReq
@@ -376,7 +376,6 @@ class Node {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   bool running_ = false;
-  bool checkpoint_supported_ = false;
   /// persist()'s buffers, reused so a checkpoint allocates only the CSA's
   /// image: the encoded node header and the temporary file's path.
   std::vector<std::uint8_t> checkpoint_header_;

@@ -299,6 +299,45 @@ TEST(IncrementalApspTest, DeadHandleAccessThrows) {
   EXPECT_THROW(apsp.insert_node({{b, 1.0}}, {}), std::logic_error);
 }
 
+// One node stays live while 100 000 others pass through, each taking over
+// its predecessor's slot and id, with now and then a transient node that
+// takes a freed id and gives it back: the shape of a view in which one
+// processor went quiet.  The tables stay the size of the live set, and a
+// handle whose id went on to a newer node stays dead.
+TEST(IncrementalApspTest, TakeoversBesideAnOldNodeRecycleIds) {
+  IncrementalApsp apsp;
+  const Handle old = apsp.insert_node({}, {});
+  Handle prev = apsp.insert_node({{old, 1.0}}, {{old, 1.0}});
+  std::vector<Handle> dead;
+  dead.reserve(120000);
+  for (int i = 0; i < 100000; ++i) {
+    const Handle h = apsp.insert_node({{prev, 1e-3}}, {{prev, 1e-3}}, prev);
+    ASSERT_NE(h, IncrementalApsp::kNoHandle) << "insert " << i;
+    dead.push_back(prev);
+    prev = h;
+    if (i % 5 == 0) {
+      const Handle transient = apsp.insert_node({{prev, 1.0}}, {{old, 1.0}});
+      apsp.remove_node(transient);
+      dead.push_back(transient);
+    }
+    if (i % 1000 == 0) {
+      ASSERT_TRUE(apsp.audit_storage()) << "insert " << i;
+    }
+  }
+  EXPECT_TRUE(apsp.audit_storage());
+  EXPECT_EQ(apsp.size(), 2u);
+  EXPECT_EQ(apsp.matrix_bytes(), 8u * 8u * sizeof(double));
+  EXPECT_TRUE(apsp.is_live(old));
+  EXPECT_TRUE(apsp.is_live(prev));
+  for (const Handle h : dead) ASSERT_FALSE(apsp.is_live(h)) << h;
+  EXPECT_NEAR(apsp.distance(old, prev), 1.0 + 100000 * 1e-3, 1e-6);
+  // A copy carries the same bounded tables.
+  IncrementalApsp copy;
+  copy = apsp;
+  EXPECT_TRUE(copy.audit_storage());
+  for (const Handle h : dead) ASSERT_FALSE(copy.is_live(h)) << h;
+}
+
 TEST(IncrementalApspTest, MatrixBytesGrowQuadratically) {
   IncrementalApsp apsp;
   std::vector<Handle> nodes;
@@ -332,15 +371,17 @@ TEST(IncrementalApspTest, LoadMatrixInstallsEntriesVerbatim) {
   IncrementalApsp apsp;
   ASSERT_TRUE(apsp.load_matrix(dist));
   EXPECT_EQ(apsp.size(), 3u);
+  const std::vector<Handle> row = apsp.live_handles();  // In row order.
   for (std::uint32_t i = 0; i < 3; ++i) {
     for (std::uint32_t j = 0; j < 3; ++j) {
-      EXPECT_EQ(apsp.distance(i, j), dist[i][j]) << i << "," << j;
+      EXPECT_EQ(apsp.distance(row[i], row[j]), dist[i][j]) << i << "," << j;
     }
   }
   // The loaded structure keeps working incrementally.
-  const Handle d = apsp.insert_node({{0, 1.0}}, {{2, -0.05}});
-  EXPECT_DOUBLE_EQ(apsp.distance(0, d), 1.0);
-  EXPECT_DOUBLE_EQ(apsp.distance(d, 2), -0.05);
+  const Handle d = apsp.insert_node({{row[0], 1.0}}, {{row[2], -0.05}});
+  EXPECT_DOUBLE_EQ(apsp.distance(row[0], d), 1.0);
+  EXPECT_DOUBLE_EQ(apsp.distance(d, row[2]), -0.05);
+  EXPECT_TRUE(apsp.audit_storage());
 }
 
 TEST(IncrementalApspTest, LoadMatrixRejectsImpossibleClosures) {
@@ -609,7 +650,9 @@ class GatheredApsp {
 // extra slot the reference's insert-then-remove does, so its matrix may
 // stay smaller.
 void expect_bit_identical(const IncrementalApsp& dense,
-                          const GatheredApsp& ref, bool retiring, int step) {
+                          const GatheredApsp& ref,
+                          const std::unordered_map<Handle, Handle>& ref_of,
+                          bool retiring, int step) {
   ASSERT_TRUE(dense.audit_storage()) << "step " << step;
   EXPECT_LE(dense.relaxations(), ref.relaxations()) << "step " << step;
   if (retiring) {
@@ -617,12 +660,14 @@ void expect_bit_identical(const IncrementalApsp& dense,
   } else {
     EXPECT_EQ(dense.matrix_bytes(), ref.matrix_bytes()) << "step " << step;
   }
+  ASSERT_EQ(ref_of.size(), dense.size()) << "step " << step;
   for (const Handle u : dense.live_handles()) {
     for (const Handle v : dense.live_handles()) {
+      const double r = ref.distance(ref_of.at(u), ref_of.at(v));
       EXPECT_EQ(std::bit_cast<std::uint64_t>(dense.distance(u, v)),
-                std::bit_cast<std::uint64_t>(ref.distance(u, v)))
+                std::bit_cast<std::uint64_t>(r))
           << "d(" << u << "," << v << ") dense=" << dense.distance(u, v)
-          << " reference=" << ref.distance(u, v) << " step " << step;
+          << " reference=" << r << " step " << step;
     }
   }
 }
@@ -638,11 +683,17 @@ void run_seeded_churn(int seed, bool retiring) {
   Rng rng(static_cast<std::uint64_t>(seed) * 104729 + 17);
   IncrementalApsp dense;
   GatheredApsp ref;
-  std::vector<Handle> live;
+  std::vector<Handle> live;  // Dense handles.
+  std::unordered_map<Handle, Handle> ref_of;  // Dense handle -> reference.
   std::unordered_map<Handle, double> phi;
   int step = 0;
   Handle inserted = IncrementalApsp::kNoHandle;  // by the last insert
 
+  // The same edges for the reference, its endpoints translated.
+  const auto to_ref = [&](std::vector<HalfEdge> edges) {
+    for (HalfEdge& e : edges) e.node = ref_of.at(e.node);
+    return edges;
+  };
   const auto insert = [&](std::vector<HalfEdge> ins,
                           std::vector<HalfEdge> outs) {
     Handle retire = IncrementalApsp::kNoHandle;
@@ -651,7 +702,10 @@ void run_seeded_churn(int seed, bool retiring) {
     }
     const Handle h = dense.insert_node(ins, outs, retire);
     inserted = h;
-    ASSERT_EQ(h, ref.insert_node(ins, outs)) << "step " << step;
+    const Handle ref_h = ref.insert_node(to_ref(ins), to_ref(outs));
+    ASSERT_EQ(h == IncrementalApsp::kNoHandle,
+              ref_h == IncrementalApsp::kNoHandle)
+        << "step " << step;
     if (h == IncrementalApsp::kNoHandle) {
       if (retire != IncrementalApsp::kNoHandle) {
         ASSERT_TRUE(dense.is_live(retire)) << "step " << step;
@@ -659,9 +713,11 @@ void run_seeded_churn(int seed, bool retiring) {
       return;
     }
     live.push_back(h);
+    ref_of[h] = ref_h;
     if (retire != IncrementalApsp::kNoHandle) {
       ASSERT_FALSE(dense.is_live(retire)) << "step " << step;
-      ref.remove_node(retire);
+      ref.remove_node(ref_of.at(retire));
+      ref_of.erase(retire);
       live.erase(std::find(live.begin(), live.end(), retire));
     }
   };
@@ -704,7 +760,8 @@ void run_seeded_churn(int seed, bool retiring) {
         const Handle victim =
             action < 0.3 ? slots.back() : slots[rng.uniform_index(slots.size())];
         dense.remove_node(victim);
-        ref.remove_node(victim);
+        ref.remove_node(ref_of.at(victim));
+        ref_of.erase(victim);
         live.erase(std::find(live.begin(), live.end(), victim));
       }
       if (live.size() >= 2 && rng.flip(0.2)) {
@@ -712,12 +769,15 @@ void run_seeded_churn(int seed, bool retiring) {
         const Handle v = live[rng.uniform_index(live.size())];
         if (u != v) {
           const double w = rng.uniform(0.0, 4.0) - phi.at(u) + phi.at(v);
-          ASSERT_EQ(dense.insert_edge(u, v, w), ref.insert_edge(u, v, w));
+          ASSERT_EQ(dense.insert_edge(u, v, w),
+                    ref.insert_edge(ref_of.at(u), ref_of.at(v), w));
         }
       }
-      if (step % 7 == 0) expect_bit_identical(dense, ref, retiring, step);
+      if (step % 7 == 0) {
+        expect_bit_identical(dense, ref, ref_of, retiring, step);
+      }
     }
-    expect_bit_identical(dense, ref, retiring, step);
+    expect_bit_identical(dense, ref, ref_of, retiring, step);
   }
   EXPECT_LT(dense.relaxations(), ref.relaxations());
 }

@@ -8,9 +8,13 @@
 // The stream is a seeded gossip round on a 6-processor clique: each round
 // every processor sends to a random peer, and every message of the previous
 // round is received in a random order.  The live set (each processor's last
-// event plus its pending sends) and the live handles' age span are both
-// bounded, so once the engine has warmed up its matrix, slot index and
-// per-processor live lists have all stopped growing.
+// event plus its pending sends) is bounded, so once the engine has warmed up
+// its matrix, id tables and per-processor live lists have all stopped
+// growing.  The steady-state ingest and the option-off receive also run
+// beside one processor that reports once and then goes quiet: its last
+// event stays live for good (Definition 3.1), so the live points' ages
+// spread without bound while their number does not, and nothing may be
+// sized by that spread.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,8 +34,10 @@ using testing::clique_spec;
 
 class GossipStream {
  public:
-  GossipStream(std::size_t n, std::uint64_t seed)
-      : n_(n), rng_(seed), fac_(n) {
+  /// With `last_goes_quiet`, processor n-1 sends once, in the first round,
+  /// and nobody sends to it.
+  GossipStream(std::size_t n, std::uint64_t seed, bool last_goes_quiet)
+      : n_(n), active_(last_goes_quiet ? n - 1 : n), rng_(seed), fac_(n) {
     in_flight_.reserve(2 * n);
     next_.reserve(2 * n);
   }
@@ -41,10 +47,12 @@ class GossipStream {
   /// happen in [r, r + 0.1) and receives in [r + 0.5, r + 0.6), a transit
   /// of ~1.5 s inside the spec's [0.05, 2] bounds.
   std::size_t round(SyncEngine& engine) {
+    const bool first = round_ == 0;
     const auto t = static_cast<double>(round_++);
     std::size_t fed = 0;
     for (ProcId p = 0; p < n_; ++p) {
-      auto q = static_cast<ProcId>(rng_.uniform_index(n_ - 1));
+      if (p >= active_ && !first) continue;
+      auto q = static_cast<ProcId>(rng_.uniform_index(active_ - 1));
       if (q >= p) ++q;
       next_.push_back(fac_.send(p, t + 0.01 * p, q));
       EXPECT_EQ(engine.ingest(next_.back()), IngestVerdict::kApplied);
@@ -65,6 +73,7 @@ class GossipStream {
 
  private:
   std::size_t n_;
+  std::size_t active_;  ///< Processors 0..active_-1 keep gossiping.
   Rng rng_;
   EventFactory fac_;
   std::uint64_t round_ = 0;
@@ -72,11 +81,11 @@ class GossipStream {
   std::vector<EventRecord> next_;
 };
 
-TEST(SyncEngineAllocTest, SteadyStateIngestAllocatesNothing) {
+void expect_steady_ingest_allocates_nothing(bool last_goes_quiet) {
   ASSERT_TRUE(alloc_stats::hooked());
   const SystemSpec spec = clique_spec(6, 1e-3, 0.05, 2.0);
   SyncEngine engine(spec, 1);
-  GossipStream stream(6, 2024);
+  GossipStream stream(6, 2024, last_goes_quiet);
   for (int r = 0; r < 200; ++r) stream.round(engine);
 
   const std::uint64_t before = alloc_stats::allocations();
@@ -84,10 +93,22 @@ TEST(SyncEngineAllocTest, SteadyStateIngestAllocatesNothing) {
   for (int r = 0; r < 2000; ++r) fed += stream.round(engine);
   const std::uint64_t allocs = alloc_stats::allocations() - before;
 
-  EXPECT_EQ(fed, 2000u * 12u);
+  EXPECT_EQ(fed, 2000u * (last_goes_quiet ? 10u : 12u));
   EXPECT_EQ(allocs, 0u) << "over " << fed << " ingests";
   EXPECT_TRUE(engine.knows_source());
   EXPECT_LE(engine.max_live_count(), 2u * 6u + 1u);
+  if (last_goes_quiet) {
+    EXPECT_TRUE(engine.is_live(EventId{5, 0}));
+  }
+}
+
+TEST(SyncEngineAllocTest, SteadyStateIngestAllocatesNothing) {
+  expect_steady_ingest_allocates_nothing(/*last_goes_quiet=*/false);
+}
+
+TEST(SyncEngineAllocTest,
+     SteadyStateIngestBesideASilentProcessorAllocatesNothing) {
+  expect_steady_ingest_allocates_nothing(/*last_goes_quiet=*/true);
 }
 
 /// Seeded gossip on the path 0 - 1 - 2 around a defended (loss-tolerant,
@@ -95,12 +116,16 @@ TEST(SyncEngineAllocTest, SteadyStateIngestAllocatesNothing) {
 /// to 1 now and then, so its history buffer stays bounded.  The counters
 /// see only the victim's on_receive_validated and checkpoint calls;
 /// payloads, and a forged copy when asked for, are built before each call.
+/// With `zero_goes_quiet`, 0 and 1 exchange one message, 0 to 1, and no
+/// more, so 0's one event stays live in the victim's view for good.
 class DefendedVictim {
  public:
-  explicit DefendedVictim(std::uint64_t seed, bool cross_validation = true)
+  explicit DefendedVictim(std::uint64_t seed, bool cross_validation = true,
+                          bool zero_goes_quiet = false)
       : spec_(testing::line_spec(3, 1e-4, 0.001, 0.02)),
         rng_(seed),
         fac_(3),
+        zero_goes_quiet_(zero_goes_quiet),
         victim_([&] {
           OptimalCsa::Options opts;
           opts.loss_tolerant = true;
@@ -123,7 +148,9 @@ class DefendedVictim {
     const auto pick = rng_.uniform_index(4);
     const auto transit = [&] { now_ += rng_.uniform(0.002, 0.019); };
     if (pick < 2) {
-      const ProcId from = pick == 0 ? 0 : 1;
+      if (zero_goes_quiet_ && zero_spoke_) return false;
+      zero_spoke_ = true;
+      const ProcId from = pick == 0 || zero_goes_quiet_ ? 0 : 1;
       const ProcId to = 1 - from;
       OptimalCsa& s = from == 0 ? p0_ : p1_;
       OptimalCsa& r = from == 0 ? p1_ : p0_;
@@ -169,6 +196,8 @@ class DefendedVictim {
   SystemSpec spec_;
   Rng rng_;
   EventFactory fac_;
+  bool zero_goes_quiet_;
+  bool zero_spoke_ = false;
   OptimalCsa p0_;
   OptimalCsa p1_;
   OptimalCsa victim_;
@@ -177,7 +206,7 @@ class DefendedVictim {
 };
 
 // Warm-up lets every buffer reach the run's high-water marks: the live
-// set, the batch length, |H_v| and the live handles' age span.
+// set, the batch length and |H_v|.
 constexpr int kWarmSteps = 2000;
 
 TEST(OptimalCsaAllocTest, WarmCrossValidatedReceiveAllocatesNothing) {
@@ -196,10 +225,9 @@ TEST(OptimalCsaAllocTest, WarmCrossValidatedReceiveAllocatesNothing) {
 // The rollback point does not depend on the option: with it off (the
 // daemon's setting), a warm receive and a refused one allocate nothing
 // either.  Warm-up refuses too, so both engines' buffers have grown.
-TEST(OptimalCsaAllocTest,
-     WarmReceiveAndRefusalAllocateNothingWithoutCrossValidation) {
+void expect_warm_receive_and_refusal_allocate_nothing(bool zero_goes_quiet) {
   ASSERT_TRUE(alloc_stats::hooked());
-  DefendedVictim run(7, /*cross_validation=*/false);
+  DefendedVictim run(7, /*cross_validation=*/false, zero_goes_quiet);
   for (int i = 0; i < kWarmSteps; ++i) run.step(/*forge=*/true);
   const std::uint64_t warm = run.receive_allocs();
   const std::uint64_t refused = run.victim().stats().cross_check_failures;
@@ -209,6 +237,19 @@ TEST(OptimalCsaAllocTest,
   EXPECT_EQ(run.victim().stats().cross_check_failures - refused, receives);
   EXPECT_EQ(run.receive_allocs() - warm, 0u)
       << "over " << receives << " receives and as many refusals";
+  if (zero_goes_quiet) {
+    EXPECT_TRUE(run.victim().engine().is_live(EventId{0, 0}));
+  }
+}
+
+TEST(OptimalCsaAllocTest,
+     WarmReceiveAndRefusalAllocateNothingWithoutCrossValidation) {
+  expect_warm_receive_and_refusal_allocate_nothing(/*zero_goes_quiet=*/false);
+}
+
+TEST(OptimalCsaAllocTest,
+     WarmReceiveAndRefusalBesideASilentProcessorAllocateNothing) {
+  expect_warm_receive_and_refusal_allocate_nothing(/*zero_goes_quiet=*/true);
 }
 
 TEST(OptimalCsaAllocTest, CheckpointAllocatesOnlyTheImage) {

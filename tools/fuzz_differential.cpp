@@ -1,7 +1,10 @@
 // Differential fuzzer: endless random scenarios, OptimalCsa vs the
 // full-view oracle after every event, plus ground-truth containment and
-// live-set equality.  Runs until the iteration budget (or --seconds) is
-// exhausted; any divergence aborts with a reproducer seed.
+// live-set equality.  In about a third of the scenarios one processor other
+// than the source sends a single message and then falls silent, so its
+// last event stays live beside points whose kernel ids are recycled.  Runs
+// until the iteration budget (or --seconds) is exhausted; any divergence
+// aborts with a reproducer seed.
 //
 //   $ ./fuzz_differential [--iterations=N] [--seconds=S] [--seed0=K]
 #include <algorithm>
@@ -54,6 +57,19 @@ struct DiffObserver : sim::SimObserver {
   std::size_t events = 0;
 };
 
+/// Sends one message to a random neighbor and is silent after it.
+class OneMessageApp : public sim::App {
+ public:
+  void on_start(sim::NodeApi& api) override {
+    api.set_timer(api.rng().uniform(0.0, 0.5), 0);
+  }
+  void on_timer(sim::NodeApi& api, std::uint32_t tag) override {
+    (void)tag;
+    const auto& nbrs = api.neighbors();
+    if (!nbrs.empty()) api.send(nbrs[api.rng().uniform_index(nbrs.size())], 0);
+  }
+};
+
 std::size_t fuzz_once(std::uint64_t seed) {
   Rng rng(seed);
   workloads::TopoParams params;
@@ -71,7 +87,13 @@ std::size_t fuzz_once(std::uint64_t seed) {
   sim::SimConfig cfg;
   cfg.seed = seed * 977 + 3;
   sim::Simulator simulator(net.spec, net.links, cfg);
-  for (ProcId p = 0; p < net.spec.num_procs(); ++p) {
+  const std::size_t procs = net.spec.num_procs();
+  ProcId silent = kInvalidProc;
+  if (rng.flip(1.0 / 3.0)) {
+    silent = static_cast<ProcId>(
+        (net.spec.source() + 1 + rng.uniform_index(procs - 1)) % procs);
+  }
+  for (ProcId p = 0; p < procs; ++p) {
     std::vector<std::unique_ptr<Csa>> csas;
     csas.push_back(std::make_unique<OptimalCsa>());
     csas.push_back(std::make_unique<FullViewCsa>());
@@ -87,7 +109,9 @@ std::size_t fuzz_once(std::uint64_t seed) {
       }
     }
     std::unique_ptr<sim::App> app;
-    if (rng.flip(0.5)) {
+    if (p == silent) {
+      app = std::make_unique<OneMessageApp>();
+    } else if (rng.flip(0.5)) {
       app = std::make_unique<workloads::GossipApp>(workloads::GossipApp::Config{
           rng.uniform(0.05, 0.5), rng.uniform(0.0, 1.0)});
     } else {

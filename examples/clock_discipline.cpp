@@ -3,10 +3,12 @@
 // External synchronization gives an *interval*; real systems usually need a
 // point estimate ("what time is it?").  This example runs a small system
 // with the optimal CSA and disciplines a per-node software clock toward the
-// interval midpoint with a slew-rate limiter (no steps, like ntpd's
-// disciplined clock), then reports the achieved offset from true time —
-// which lands well inside the interval half-width, the theoretical bound
-// any discipline could guarantee.
+// interval midpoint with the library's clock::DisciplinedClock (the one a
+// runtime Node externalizes): proportional steering, slew-limited at
+// 500 ppm, never a step after the first snap, like ntpd's disciplined
+// clock.  It then reports the achieved offset from true time — which lands
+// well inside the interval half-width, the theoretical bound any
+// discipline could guarantee.
 //
 //   $ ./clock_discipline [seconds=60]
 #include <cmath>
@@ -14,6 +16,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "clock/disciplined_clock.h"
 #include "common/stats.h"
 #include "core/optimal_csa.h"
 #include "sim/simulator.h"
@@ -21,39 +24,6 @@
 #include "workloads/topology.h"
 
 using namespace driftsync;
-
-namespace {
-
-/// A software clock slewed toward the CSA's midpoint at <= 500 ppm.
-class DisciplinedClock {
- public:
-  void update(LocalTime hw_now, const Interval& source_estimate) {
-    if (!initialized_) {
-      if (!source_estimate.bounded()) return;
-      soft_ = source_estimate.midpoint();
-      hw_ref_ = hw_now;
-      initialized_ = true;
-      return;
-    }
-    const double elapsed = hw_now - hw_ref_;
-    soft_ += elapsed;  // free-run on the hardware clock
-    hw_ref_ = hw_now;
-    if (source_estimate.bounded()) {
-      const double error = source_estimate.midpoint() - soft_;
-      const double max_slew = 500e-6 * elapsed;
-      soft_ += std::clamp(error, -max_slew, max_slew);
-    }
-  }
-  [[nodiscard]] bool initialized() const { return initialized_; }
-  [[nodiscard]] double read() const { return soft_; }
-
- private:
-  bool initialized_ = false;
-  double soft_ = 0.0;
-  LocalTime hw_ref_ = 0.0;
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const double duration = argc > 1 ? std::atof(argv[1]) : 60.0;
@@ -84,7 +54,10 @@ int main(int argc, char** argv) {
                           std::move(csas));
   }
 
-  std::vector<DisciplinedClock> soft(net.spec.num_procs());
+  clock::DisciplineOptions dopts;
+  dopts.max_slew = 500e-6;
+  std::vector<clock::DisciplinedClock> soft(net.spec.num_procs(),
+                                            clock::DisciplinedClock(dopts));
   std::vector<RunningStats> abs_err(net.spec.num_procs());
   std::vector<RunningStats> half_width(net.spec.num_procs());
   for (double t = 0.1; t <= duration; t += 0.1) {
@@ -92,9 +65,9 @@ int main(int argc, char** argv) {
     for (ProcId p = 1; p < net.spec.num_procs(); ++p) {
       const LocalTime hw = simulator.clock(p).lt_at(t);
       const Interval est = simulator.csa(p, 0).estimate(hw);
-      soft[p].update(hw, est);
+      soft[p].steer(hw, est);
       if (soft[p].initialized() && t > duration / 4) {
-        abs_err[p].add(std::fabs(soft[p].read() - t));
+        abs_err[p].add(std::fabs(soft[p].now(hw) - t));
         if (est.bounded()) half_width[p].add(est.width() / 2);
       }
     }

@@ -2,44 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "common/check.h"
 
 namespace driftsync::clock {
 
-namespace {
-
-/// Fixed-format double for the journal: %.9g is enough to round-trip the
-/// magnitudes steering produces (seconds, rates near 1, sub-second errors)
-/// and renders identically across libcs for finite values.
-void append_g9(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
-}
-
-const char* kind_name(SteerDecision::Kind kind) {
-  switch (kind) {
-    case SteerDecision::Kind::kInit:
-      return "init";
-    case SteerDecision::Kind::kSteer:
-      return "steer";
-    case SteerDecision::Kind::kHold:
-      return "hold";
-  }
-  return "?";
-}
-
-}  // namespace
-
 DisciplinedClock::DisciplinedClock(DisciplineOptions opts) : opts_(opts) {
   DS_CHECK(opts_.max_slew > 0.0 && opts_.max_slew < 1.0);
   DS_CHECK(opts_.steer_horizon > 0.0);
-  DS_CHECK(opts_.drift_window > 0.0);
-  DS_CHECK(opts_.journal_capacity >= 1);
-  ring_.resize(opts_.journal_capacity);
-  // Sized so a full drift_window of decisions at the Node's externalization
+  // Sized so a full kDriftWindow of decisions at the Node's externalization
   // cadence fits; old spans simply age out of the estimate when it doesn't.
   spans_.resize(256);
 }
@@ -59,7 +30,6 @@ double DisciplinedClock::now(LocalTime lt) const {
 SteerDecision DisciplinedClock::steer(LocalTime lt, const Interval& est) {
   if (initialized_ && lt < lt_ref_) lt = lt_ref_;
   SteerDecision d;
-  d.seq = ++seq_;
   d.lt = lt;
   d.width = est.empty() ? kNoBound : est.width();
   const bool steerable = !est.empty() && est.bounded();
@@ -72,7 +42,6 @@ SteerDecision DisciplinedClock::steer(LocalTime lt, const Interval& est) {
     d.out = initialized_ ? now(lt) : lt;
     d.rate = rate_;
     ++holds_;
-    journal_push(d);
     return d;
   }
   const double mid = est.midpoint();
@@ -106,43 +75,34 @@ SteerDecision DisciplinedClock::steer(LocalTime lt, const Interval& est) {
     d.out = out;
     d.rate = rate_;
     d.error = err;
-    const double jump = std::fabs(err);
-    if (jumps_ == 0 || jump < jump_min_) jump_min_ = jump;
-    if (jumps_ == 0 || jump > jump_max_) jump_max_ = jump;
-    jump_sum_ += jump;
-    ++jumps_;
   }
   ++resteers_;
-  worst_case_error_ =
-      std::max(std::fabs(d.out - est.lo), std::fabs(est.hi - d.out));
-  deficit_ = std::max({0.0, est.lo - d.out, d.out - est.hi});
   // Record the applied rate span for the sliding-window drift integral.
   RateSpan& span = spans_[spans_head_];
   span.lt = lt;
   span.rate = rate_;
   spans_head_ = (spans_head_ + 1) % spans_.size();
   if (spans_size_ < spans_.size()) ++spans_size_;
-  journal_push(d);
   return d;
 }
 
-void DisciplinedClock::journal_push(const SteerDecision& d) {
-  ring_[ring_head_] = d;
-  ring_head_ = (ring_head_ + 1) % ring_.size();
-  if (ring_size_ < ring_.size()) ++ring_size_;
+DisciplinedReading DisciplinedClock::reading(LocalTime lt,
+                                             const Interval& est) const {
+  DisciplinedReading r;
+  r.initialized = initialized_;
+  if (!initialized_) return r;
+  r.out = now(lt);
+  r.max_slew = opts_.max_slew;
+  if (!est.empty() && est.bounded()) {
+    r.deficit = std::max({0.0, est.lo - r.out, r.out - est.hi});
+    r.err_bound =
+        std::max(std::fabs(r.out - est.lo), std::fabs(est.hi - r.out));
+  }
+  return r;
 }
 
 AccuracyStats DisciplinedClock::accuracy() const {
   AccuracyStats a;
-  a.initialized = initialized_;
-  a.worst_case_error = worst_case_error_;
-  a.deficit = deficit_;
-  a.jumps = jumps_;
-  if (jumps_ > 0) {
-    a.jump_min = jump_min_;
-    a.jump_max = jump_max_;
-    a.jump_avg = jump_sum_ / static_cast<double>(jumps_);
-  }
   a.resteers = resteers_;
   a.holds = holds_;
   a.slew_clamps = slew_clamps_;
@@ -153,7 +113,7 @@ AccuracyStats DisciplinedClock::accuracy() const {
   if (spans_size_ >= 2) {
     const std::size_t newest =
         (spans_head_ + spans_.size() - 1) % spans_.size();
-    const LocalTime horizon = spans_[newest].lt - opts_.drift_window;
+    const LocalTime horizon = spans_[newest].lt - kDriftWindow;
     double weighted = 0.0;
     double total = 0.0;
     for (std::size_t i = 1; i < spans_size_; ++i) {
@@ -171,52 +131,6 @@ AccuracyStats DisciplinedClock::accuracy() const {
     if (total > 0.0) a.drift = weighted / total;
   }
   return a;
-}
-
-void DisciplinedClock::reset_jump_window() {
-  jump_min_ = 0.0;
-  jump_max_ = 0.0;
-  jump_sum_ = 0.0;
-  jumps_ = 0;
-}
-
-std::vector<SteerDecision> DisciplinedClock::journal() const {
-  std::vector<SteerDecision> out;
-  out.reserve(ring_size_);
-  for (std::size_t i = 0; i < ring_size_; ++i) {
-    const std::size_t idx =
-        (ring_head_ + ring_.size() - ring_size_ + i) % ring_.size();
-    out.push_back(ring_[idx]);
-  }
-  return out;
-}
-
-std::string DisciplinedClock::journal_text() const {
-  std::string out;
-  for (const SteerDecision& d : journal()) {
-    out += "{\"seq\":";
-    out += std::to_string(d.seq);
-    out += ",\"kind\":\"";
-    out += kind_name(d.kind);
-    out += "\",\"lt\":";
-    append_g9(out, d.lt);
-    out += ",\"out\":";
-    append_g9(out, d.out);
-    out += ",\"rate\":";
-    append_g9(out, d.rate);
-    out += ",\"err\":";
-    append_g9(out, d.error);
-    out += ",\"width\":";
-    if (std::isfinite(d.width)) {
-      append_g9(out, d.width);
-    } else {
-      out += "\"inf\"";
-    }
-    out += ",\"clamped\":";
-    out += d.clamped ? "true" : "false";
-    out += "}\n";
-  }
-  return out;
 }
 
 }  // namespace driftsync::clock

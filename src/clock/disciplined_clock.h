@@ -28,24 +28,20 @@
 // interval collapses — a good exchange can shrink 50 ms of uncertainty to
 // 2 ms in one ingest — the slew-limited output may legally sit OUTSIDE the
 // new interval until it slews back in.  That is the price of the rate
-// bound, and it is observable: accuracy() reports the containment deficit
-// and the worst-case error against the last interval, and the chaos
+// bound, and it is observable: reading() reports the containment deficit
+// and the worst-case error against the interval it is given, and the chaos
 // oracle's disciplined-clock check (runtime/oracle.h, invariant 6) holds
 // the deficit to exactly the geometry-permitted envelope.
 //
-// Every steering decision is journaled (fixed ring, no allocation after
-// construction) with a byte-stable text rendering, so a seeded test pins
-// the controller's behavior to the byte.  The accuracy API follows
-// DRIFTsync: min/max/avg steering jump since the last query, plus a
+// accuracy() is the stats-path report: the steering counters and a
 // sliding-window integration of the applied rate offset (the measured
-// drift the discipline is currently countering).
+// drift the discipline is currently countering, DRIFTsync-style).
 //
 // Not thread-safe; the owning Node serializes access under its mutex.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/interval.h"
@@ -62,21 +58,19 @@ struct DisciplineOptions {
   /// observed error; errors beyond max_slew * steer_horizon saturate the
   /// slew budget.  Smaller = snappier but noisier rate.
   double steer_horizon = 1.0;
-  /// Sliding window (local seconds) for the drift integration in
-  /// accuracy(); decisions older than this fall out of the estimate.
-  double drift_window = 30.0;
-  /// Steering decisions retained for journal_text(); ring, oldest evicted.
-  std::size_t journal_capacity = 32;
 };
 
-/// What a re-steer decided and why — one journal entry.
+/// Sliding window (local seconds) for the drift integration in
+/// accuracy(); decisions older than this fall out of the estimate.
+inline constexpr double kDriftWindow = 30.0;
+
+/// What a re-steer decided and why.
 struct SteerDecision {
   enum class Kind : std::uint8_t {
     kInit = 0,   ///< First bounded interval: output snapped to midpoint.
     kSteer = 1,  ///< Rate set toward the midpoint, possibly clamped.
     kHold = 2,   ///< Unbounded/empty interval: nothing to steer toward.
   };
-  std::uint64_t seq = 0;  ///< 1-based decision number.
   Kind kind = Kind::kHold;
   LocalTime lt = 0.0;     ///< Local time of the decision (new lt_ref).
   double out = 0.0;       ///< Output at lt after continuity (new out_ref).
@@ -86,24 +80,26 @@ struct SteerDecision {
   bool clamped = false;   ///< Proportional term exceeded the slew budget.
 };
 
-/// DRIFTsync-style accuracy report.  "Jump" is the steering error |err|
-/// observed at each re-steer — the step a naive snapping clock would have
-/// taken; the disciplined clock slews it out instead.
-struct AccuracyStats {
+/// The disciplined reading at one local time against one interval: what
+/// a Node externalizes (NodeSample, NodeStats, the ClientResp extension)
+/// and what the oracle's invariant 6 checks.  `initialized` is false until
+/// the first bounded estimate snapped the clock; pre-init "readings" are
+/// raw local time and carry no contract.
+struct DisciplinedReading {
   bool initialized = false;
-  /// max(|out - lo|, |out - hi|) against the last bounded interval: the
-  /// worst-case error against true source time, from interval geometry
-  /// alone.  +inf before initialization.
-  double worst_case_error = kNoBound;
-  /// Distance from the output to the last bounded interval (0 = inside).
-  double deficit = 0.0;
-  /// Steering-jump distribution since the last reset_jump_window().
-  double jump_min = 0.0;
-  double jump_max = 0.0;
-  double jump_avg = 0.0;
-  std::uint64_t jumps = 0;
-  /// Time-weighted mean of (rate - 1) over the sliding drift_window: the
-  /// local oscillator's measured drift the discipline is countering.
+  double out = 0.0;       ///< Disciplined reading at lt.
+  double max_slew = 0.0;  ///< Configured rate bound |rate - 1| <= max_slew.
+  double deficit = 0.0;   ///< Distance to the interval (0 = inside).
+  /// Worst-case error vs true time, max(|out - lo|, |hi - out|), from
+  /// interval geometry alone; +inf before init and while the interval is
+  /// unbounded or empty.
+  double err_bound = kNoBound;
+};
+
+/// The stats-path report.
+struct AccuracyStats {
+  /// Time-weighted mean of (rate - 1) over the last kDriftWindow seconds:
+  /// the local oscillator's measured drift the discipline is countering.
   double drift = 0.0;
   std::uint64_t resteers = 0;     ///< kInit + kSteer decisions.
   std::uint64_t holds = 0;        ///< kHold decisions.
@@ -123,31 +119,21 @@ class DisciplinedClock {
   [[nodiscard]] double now(LocalTime lt) const;
 
   [[nodiscard]] bool initialized() const { return initialized_; }
-  [[nodiscard]] double rate() const { return rate_; }
-  [[nodiscard]] const DisciplineOptions& options() const { return opts_; }
 
-  /// Re-steers toward `est`'s midpoint at local time `lt` and journals the
-  /// decision.  Bounded est: the first call snaps (kInit), later calls set
-  /// the rate (kSteer).  Unbounded or empty est: kHold, rate kept.
-  /// Non-decreasing lt expected; an earlier lt is clamped to the last ref.
+  /// Re-steers toward `est`'s midpoint at local time `lt`.  Bounded est:
+  /// the first call snaps (kInit), later calls set the rate (kSteer).
+  /// Unbounded or empty est: kHold, rate kept.  Non-decreasing lt
+  /// expected; an earlier lt is clamped to the last ref.
   SteerDecision steer(LocalTime lt, const Interval& est);
 
-  [[nodiscard]] AccuracyStats accuracy() const;
-  /// Starts a fresh jump min/max/avg window (the "since last query" in the
-  /// accuracy API; metrics scrapes deliberately do NOT reset).
-  void reset_jump_window();
+  /// now(lt) with its deficit and error bound against `est`.
+  [[nodiscard]] DisciplinedReading reading(LocalTime lt,
+                                           const Interval& est) const;
 
-  /// The retained steering journal, oldest first, as newline-separated
-  /// fixed-format JSON lines.  Byte-stable: depends only on the (lt, est)
-  /// sequence fed to steer(), never on wall clock or platform — what the
-  /// golden test pins.
-  [[nodiscard]] std::string journal_text() const;
-  /// Decisions currently retained (≤ journal_capacity), oldest first.
-  [[nodiscard]] std::vector<SteerDecision> journal() const;
+  /// Walks the drift span ring; the stats path's, not the read path's.
+  [[nodiscard]] AccuracyStats accuracy() const;
 
  private:
-  void journal_push(const SteerDecision& d);
-
   DisciplineOptions opts_;
   bool initialized_ = false;
   LocalTime lt_ref_ = 0.0;
@@ -155,11 +141,6 @@ class DisciplinedClock {
   double rate_ = 1.0;
   /// Monotonicity backstop for defensive now() calls at regressing lt.
   mutable double last_out_ = kNegInf;
-
-  /// Journal ring (preallocated; steady state allocates nothing).
-  std::vector<SteerDecision> ring_;
-  std::size_t ring_head_ = 0;  ///< Next write slot.
-  std::size_t ring_size_ = 0;
 
   /// Drift-integration ring of (lt, rate) spans, preallocated.
   struct RateSpan {
@@ -170,14 +151,6 @@ class DisciplinedClock {
   std::size_t spans_head_ = 0;
   std::size_t spans_size_ = 0;
 
-  /// Accuracy state.
-  double worst_case_error_ = kNoBound;
-  double deficit_ = 0.0;
-  double jump_min_ = 0.0;
-  double jump_max_ = 0.0;
-  double jump_sum_ = 0.0;
-  std::uint64_t jumps_ = 0;
-  std::uint64_t seq_ = 0;
   std::uint64_t resteers_ = 0;
   std::uint64_t holds_ = 0;
   std::uint64_t slew_clamps_ = 0;

@@ -293,8 +293,11 @@ void Node::stop() {
   transport_->stop();
 }
 
-void Node::note_externalize(const Interval& est, LocalTime now) const {
-  const double width = est.width();
+NodeSample Node::externalize_locked(LocalTime now) const {
+  NodeSample s;
+  s.lt = now;
+  s.est = csa_->estimate(now);
+  const double width = s.est.width();
   // An unbounded estimate (infinite width) is still an externalization
   // event, but poisoning the histogram's sum with inf would break the
   // Prometheus exposition — only finite widths are binned.
@@ -303,47 +306,23 @@ void Node::note_externalize(const Interval& est, LocalTime now) const {
   // Every externalized estimate re-steers the disciplined output clock
   // (decision 21): the scalar timestamp consumers read tracks exactly what
   // the node has published, never a fresher private view.
-  const clock::SteerDecision d = disc_clock_.steer(now, est);
+  const clock::SteerDecision d = disc_clock_.steer(now, s.est);
   if (d.kind == clock::SteerDecision::Kind::kSteer) {
     clock_jump_hist_.add(std::fabs(d.error));
   }
-  const double err = disc_clock_.accuracy().worst_case_error;
-  if (std::isfinite(err)) clock_error_hist_.add(err);
-}
-
-DisciplinedReading Node::disciplined_locked(const Interval& est,
-                                            LocalTime now) const {
-  DisciplinedReading d;
-  d.initialized = disc_clock_.initialized();
-  if (!d.initialized) return d;
-  d.out = disc_clock_.now(now);
-  d.max_slew = disc_clock_.options().max_slew;
-  if (!est.empty() && est.bounded()) {
-    d.deficit = std::max({0.0, est.lo - d.out, d.out - est.hi});
-    d.err_bound = std::max(std::fabs(d.out - est.lo), std::fabs(est.hi - d.out));
-  } else {
-    d.deficit = 0.0;
-    d.err_bound = kNoBound;
-  }
-  return d;
+  s.disc = disc_clock_.reading(now, s.est);
+  if (std::isfinite(s.disc.err_bound)) clock_error_hist_.add(s.disc.err_bound);
+  return s;
 }
 
 Interval Node::estimate() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  const LocalTime now = query_time_locked();
-  const Interval est = csa_->estimate(now);
-  note_externalize(est, now);
-  return est;
+  return externalize_locked(query_time_locked()).est;
 }
 
 NodeSample Node::sample() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  NodeSample s;
-  s.lt = query_time_locked();
-  s.est = csa_->estimate(s.lt);
-  note_externalize(s.est, s.lt);
-  s.disc = disciplined_locked(s.est, s.lt);
-  return s;
+  return externalize_locked(query_time_locked());
 }
 
 LocalTime Node::local_time() const {
@@ -372,7 +351,7 @@ NodeStats Node::stats_locked(LocalTime now) const {
   s.lt = now;
   s.est = csa_->estimate(s.lt);
   s.width = s.est.width();
-  s.disc = disciplined_locked(s.est, s.lt);
+  s.disc = disc_clock_.reading(s.lt, s.est);
   const clock::AccuracyStats acc = disc_clock_.accuracy();
   s.clock_drift = acc.drift;
   s.clock_resteers = acc.resteers;
@@ -857,19 +836,17 @@ void Node::handle_skip(const SkipMsg& msg) {
 }
 
 void Node::handle_probe(const ProbeReq& msg) {
-  const LocalTime now = query_time_locked();
-  const Interval est = csa_->estimate(now);
   // Steer before rendering stats so the probe reply's disciplined reading
   // reflects this very externalization; the stats are rendered at the same
   // reading, so their lt/lo/hi equal the reply's own.
-  note_externalize(est, now);
+  const NodeSample s = externalize_locked(query_time_locked());
   ProbeResp resp;
   resp.nonce = msg.nonce;
   resp.from = cfg_.self;
-  resp.local_time = now;
-  resp.lo = est.lo;
-  resp.hi = est.hi;
-  resp.stats_json = stats_json_locked(now);
+  resp.local_time = s.lt;
+  resp.lo = s.est.lo;
+  resp.hi = s.est.hi;
+  resp.stats_json = stats_json_locked(s.lt);
   // No state changed, so no checkpoint; the requester is not a configured
   // peer, so the reply addresses the transport's reply slot (kReplyPeer =
   // "origin of the datagram being handled").
@@ -907,21 +884,20 @@ void Node::handle_client_req(const ClientReq& msg) {
           : 0;
   trace(TraceEventKind::kClientReq, trace_id, kInvalidProc,
         static_cast<double>(msg.req_seq));
-  const LocalTime now = query_time_locked();
-  const Interval est = csa_->estimate(now);
-  // The client's disciplined reading rides the reply next to the raw
-  // interval (optional wire extension): the server's monotone output at
-  // `now` plus its worst-case error bound, attached once the clock has
+  // Serving an estimate externalizes it, exactly like a probe reply, and
+  // the client's disciplined reading rides the reply next to the raw
+  // interval (optional wire extension): the server's post-steer output
+  // plus its worst-case error bound, attached once the clock has
   // initialized against a bounded estimate.
-  const DisciplinedReading disc = disciplined_locked(est, now);
+  const NodeSample s = externalize_locked(query_time_locked());
   serve::DisciplinedPoint point;
-  if (disc.initialized && std::isfinite(disc.err_bound)) {
+  if (std::isfinite(s.disc.err_bound)) {
     point.valid = true;
-    point.time = disc.out;
-    point.err_bound = disc.err_bound;
+    point.time = s.disc.out;
+    point.err_bound = s.disc.err_bound;
   }
   ClientResp resp;
-  if (!serve_->handle(msg, cfg_.self, est, now, steady_seconds(), &resp,
+  if (!serve_->handle(msg, cfg_.self, s.est, s.lt, steady_seconds(), &resp,
                       point)) {
     // Rejected at the cap: drop the request silently (the client's retry
     // lands once the grace window or the idle reaper frees a slot).  The
@@ -929,9 +905,7 @@ void Node::handle_client_req(const ClientReq& msg) {
     return;
   }
   ++stats_.serve_requests;
-  // Serving an estimate externalizes it, exactly like a probe reply.
-  note_externalize(est, now);
-  trace(TraceEventKind::kClientResp, trace_id, kInvalidProc, est.width());
+  trace(TraceEventKind::kClientResp, trace_id, kInvalidProc, s.est.width());
   transmit(kReplyPeer, Datagram{resp});
 }
 

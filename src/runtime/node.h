@@ -132,20 +132,6 @@ struct NodeConfig {
   double clock_steer_horizon = 1.0;
 };
 
-/// The disciplined clock's reading as captured in a NodeSample (and in
-/// NodeStats): everything the oracle's invariant-6 check needs, coherent
-/// with the interval it was steered against.  `initialized` is false until the first bounded
-/// estimate snapped the clock; pre-init "readings" are raw local time and
-/// carry no contract.
-struct DisciplinedReading {
-  bool initialized = false;
-  double out = 0.0;       ///< Disciplined reading at the sample's lt.
-  double max_slew = 0.0;  ///< Configured rate bound |rate - 1| <= max_slew.
-  double deficit = 0.0;   ///< Distance to the sample's est (0 = inside).
-  double err_bound = 0.0; ///< Worst-case error vs true time (interval
-                          ///< geometry); +inf while est is unbounded.
-};
-
 /// Everything a node exports, as one lock-coherent snapshot (stats()).
 /// stats_json() and metrics_text() render this snapshot and nothing else
 /// apart from the histograms, from one list in node.cpp that names each
@@ -220,7 +206,7 @@ struct NodeStats {
   LocalTime lt = 0.0;
   Interval est;
   double width = 0.0;
-  DisciplinedReading disc;
+  clock::DisciplinedReading disc;
   /// Seconds since each configured peer was last heard from (any
   /// well-formed datagram); negative = never heard.
   std::map<ProcId, double> last_heard;
@@ -241,7 +227,7 @@ struct NodeStats {
 struct NodeSample {
   LocalTime lt = 0.0;
   Interval est;
-  DisciplinedReading disc;
+  clock::DisciplinedReading disc;
 };
 
 class Node {
@@ -333,14 +319,12 @@ class Node {
       cfg_.tracer->record(kind, trace_id, cfg_.self, peer, value);
     }
   }
-  /// Externalization bookkeeping: width histogram, kExternalize event, and
-  /// a re-steer of the disciplined clock toward `est` (decision 21) — every
-  /// estimate that leaves the node pulls the output clock with it.
-  void note_externalize(const Interval& est, LocalTime now) const;
-  /// The disciplined clock's coherent reading at `now` against `est`
-  /// (mu_ held, post-steer).
-  [[nodiscard]] DisciplinedReading disciplined_locked(const Interval& est,
-                                                      LocalTime now) const;
+  /// One externalization at `now` (mu_ held): the estimate, its width
+  /// histogram and kExternalize event, a re-steer of the disciplined clock
+  /// toward it (decision 21), then the clock's reading against it — every
+  /// estimate that leaves the node pulls the output clock with it, and the
+  /// reading it leaves with is the post-steer one.
+  [[nodiscard]] NodeSample externalize_locked(LocalTime now) const;
   void poll_peer(ProcId peer, PeerState& state);
   void send_skip(ProcId peer, PeerState& state);
   void send_ack(ProcId peer, const PeerState& state);

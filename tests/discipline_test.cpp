@@ -3,16 +3,17 @@
 //
 // Three layers of lockdown:
 //   * Unit behaviors: init snap, proportional steering, slew clamping,
-//     continuity across re-steers, hold on unbounded input, the accuracy
-//     API's jump window and drift integration.
+//     continuity across re-steers, hold on unbounded input, the reading's
+//     error bound and the stats-path drift integration.
 //   * Randomized properties: 1000+ seeded sequences of interval updates —
 //     adversarial midpoint jumps, quarantine-style widenings, collapses,
 //     unbounded spells, and clock steps through a FaultyTimeSource — assert
 //     monotonicity, the per-pair rate bound, and containment-when-feasible
 //     via the production oracle check (InvariantOracle::disciplined_check),
 //     so the test and the chaos harness share one definition of "legal".
-//   * A golden journal: one seeded sequence pins journal_text() to the
-//     byte, so any steering-policy change is a deliberate diff.
+//   * A golden transcript: one seeded sequence pins the steer() decisions,
+//     rendered here, to the byte, so any steering-policy change is a
+//     deliberate diff.
 //
 // The oracle check itself gets a teeth test: a NaiveSteppingClock double
 // that snaps to the midpoint (what the disciplined clock refuses to do)
@@ -21,9 +22,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <memory>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "clock/disciplined_clock.h"
 #include "common/interval.h"
@@ -50,7 +52,7 @@ TEST(DisciplinedClockTest, FreeRunsUntilFirstBoundedInterval) {
   const SteerDecision d = clk.steer(4.0, Interval::everything());
   EXPECT_EQ(d.kind, SteerDecision::Kind::kHold);
   EXPECT_FALSE(clk.initialized());
-  EXPECT_FALSE(clk.accuracy().initialized);
+  EXPECT_FALSE(clk.reading(4.0, Interval{1.0, 2.0}).initialized);
 }
 
 TEST(DisciplinedClockTest, InitSnapsToMidpointOnce) {
@@ -124,36 +126,17 @@ TEST(DisciplinedClockTest, ReadingFreezesAtRegressingLocalTime) {
   EXPECT_GE(clk.now(11.0), at_ref);
 }
 
-TEST(DisciplinedClockTest, JumpWindowTracksAndResets) {
-  DisciplineOptions opts;
-  opts.steer_horizon = 1.0;
-  DisciplinedClock clk(opts);
-  clk.steer(0.0, Interval{0.0, 0.0});
-  clk.steer(1.0, Interval{2.0, 2.0});
-  clk.steer(2.0, Interval{3.5, 3.5});
-  const AccuracyStats a = clk.accuracy();
-  EXPECT_EQ(a.jumps, 2u);
-  EXPECT_GT(a.jump_max, a.jump_min);
-  EXPECT_GT(a.jump_avg, 0.0);
-  clk.reset_jump_window();
-  const AccuracyStats b = clk.accuracy();
-  EXPECT_EQ(b.jumps, 0u);
-  EXPECT_DOUBLE_EQ(b.jump_max, 0.0);
-  // Lifetime counters survive the window reset.
-  EXPECT_EQ(b.resteers, a.resteers);
-}
-
 TEST(DisciplinedClockTest, DriftIntegrationMeasuresAppliedRate) {
   DisciplineOptions opts;
   opts.max_slew = 1e-3;
   opts.steer_horizon = 1.0;
-  // Window covering only the saturated spans: the init-era rate-1 span has
-  // aged out, so the integral reads pure applied slew.
-  opts.drift_window = 10.0;
   DisciplinedClock clk(opts);
   clk.steer(0.0, Interval{0.0, 0.0});
-  // Keep the midpoint running away so every steer saturates at +1e-3.
-  for (int i = 1; i <= 20; ++i) {
+  // Keep the midpoint running away so every steer saturates at +1e-3, for
+  // longer than the window: the init-era rate-1 span has aged out, so the
+  // integral reads pure applied slew.
+  const int steers = static_cast<int>(kDriftWindow) + 10;
+  for (int i = 1; i <= steers; ++i) {
     clk.steer(static_cast<double>(i),
               Interval{static_cast<double>(i) + 10.0,
                        static_cast<double>(i) + 10.0});
@@ -163,15 +146,20 @@ TEST(DisciplinedClockTest, DriftIntegrationMeasuresAppliedRate) {
 
 TEST(DisciplinedClockTest, WorstCaseErrorFollowsIntervalGeometry) {
   DisciplinedClock clk;
-  clk.steer(0.0, Interval{10.0, 14.0});  // Snap to 12.
-  AccuracyStats a = clk.accuracy();
-  EXPECT_DOUBLE_EQ(a.worst_case_error, 2.0);
-  EXPECT_DOUBLE_EQ(a.deficit, 0.0);
+  const Interval first{10.0, 14.0};
+  clk.steer(0.0, first);  // Snap to 12.
+  DisciplinedReading r = clk.reading(0.0, first);
+  EXPECT_DOUBLE_EQ(r.err_bound, 2.0);
+  EXPECT_DOUBLE_EQ(r.deficit, 0.0);
   // The interval jumps away; the slew-limited output is now outside it.
-  clk.steer(1.0, Interval{20.0, 21.0});
-  a = clk.accuracy();
-  EXPECT_GT(a.deficit, 0.0);
-  EXPECT_NEAR(a.worst_case_error, 21.0 - clk.now(1.0), 1e-9);
+  const Interval second{20.0, 21.0};
+  clk.steer(1.0, second);
+  r = clk.reading(1.0, second);
+  EXPECT_GT(r.deficit, 0.0);
+  EXPECT_NEAR(r.deficit, 20.0 - clk.now(1.0), 1e-9);
+  EXPECT_NEAR(r.err_bound, 21.0 - clk.now(1.0), 1e-9);
+  // An unbounded interval bounds nothing.
+  EXPECT_EQ(clk.reading(1.0, Interval::everything()).err_bound, kNoBound);
 }
 
 // ---------------------------------------------------------------------------
@@ -190,12 +178,7 @@ NodeSample make_sample(const DisciplinedClock& clk, LocalTime lt,
   NodeSample s;
   s.lt = lt;
   s.est = est;
-  s.disc.initialized = clk.initialized();
-  s.disc.out = clk.now(lt);
-  s.disc.max_slew = clk.options().max_slew;
-  if (est.bounded() && !est.empty()) {
-    s.disc.deficit = std::max({0.0, est.lo - s.disc.out, s.disc.out - est.hi});
-  }
+  s.disc = clk.reading(lt, est);
   return s;
 }
 
@@ -415,22 +398,48 @@ TEST(DisciplineOracleTest, UninitializedPairsClaimNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden journal: one fixed sequence pins the steering controller — kinds,
-// rates, clamps, and the byte-stable rendering — so any behavior change is
-// a deliberate diff against this literal.
+// Golden transcript: one fixed sequence pins the steering controller —
+// kinds, rates, clamps — through a fixed-format rendering of the returned
+// decisions, so any behavior change is a deliberate diff against this
+// literal.
+
+/// %.9g round-trips the magnitudes steering produces (seconds, rates near
+/// 1, sub-second errors) and renders identically across libcs for finite
+/// values.
+std::string g9(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.9g", v);
+  return buf;
+}
+
+std::string render(std::uint64_t seq, const SteerDecision& d) {
+  static const char* const kKinds[] = {"init", "steer", "hold"};
+  return "{\"seq\":" + std::to_string(seq) + ",\"kind\":\"" +
+         kKinds[static_cast<int>(d.kind)] + "\",\"lt\":" + g9(d.lt) +
+         ",\"out\":" + g9(d.out) + ",\"rate\":" + g9(d.rate) +
+         ",\"err\":" + g9(d.error) + ",\"width\":" +
+         (std::isfinite(d.width) ? g9(d.width) : "\"inf\"") +
+         ",\"clamped\":" + (d.clamped ? "true" : "false") + "}\n";
+}
 
 TEST(DisciplinedClockTest, GoldenJournalIsByteStable) {
   DisciplineOptions opts;
   opts.max_slew = 5e-4;
   opts.steer_horizon = 2.0;
-  opts.journal_capacity = 8;
   DisciplinedClock clk(opts);
-  clk.steer(0.5, Interval::everything());        // Pre-init hold.
-  clk.steer(1.0, Interval{100.0, 100.5});        // Init: snap to 100.25.
-  clk.steer(2.0, Interval{101.25, 101.35});      // Small chase.
-  clk.steer(3.0, Interval{104.0, 104.5});        // Saturating error.
-  clk.steer(4.0, Interval::everything());        // Hold mid-chase.
-  clk.steer(5.0, Interval{102.0, 108.0});        // Wide, gentle pull.
+  const std::pair<LocalTime, Interval> inputs[] = {
+      {0.5, Interval::everything()},    // Pre-init hold.
+      {1.0, Interval{100.0, 100.5}},    // Init: snap to 100.25.
+      {2.0, Interval{101.25, 101.35}},  // Small chase.
+      {3.0, Interval{104.0, 104.5}},    // Saturating error.
+      {4.0, Interval::everything()},    // Hold mid-chase.
+      {5.0, Interval{102.0, 108.0}},    // Wide, gentle pull.
+  };
+  std::string transcript;
+  std::uint64_t seq = 0;
+  for (const auto& [lt, est] : inputs) {
+    transcript += render(++seq, clk.steer(lt, est));
+  }
   const std::string expected =
       "{\"seq\":1,\"kind\":\"hold\",\"lt\":0.5,\"out\":0.5,\"rate\":1,"
       "\"err\":0,\"width\":\"inf\",\"clamped\":false}\n"
@@ -444,20 +453,7 @@ TEST(DisciplinedClockTest, GoldenJournalIsByteStable) {
       "\"rate\":1.0005,\"err\":0,\"width\":\"inf\",\"clamped\":false}\n"
       "{\"seq\":6,\"kind\":\"steer\",\"lt\":5,\"out\":104.2515,"
       "\"rate\":1.0005,\"err\":0.7485,\"width\":6,\"clamped\":true}\n";
-  EXPECT_EQ(clk.journal_text(), expected);
-}
-
-TEST(DisciplinedClockTest, JournalRingEvictsOldestFirst) {
-  DisciplineOptions opts;
-  opts.journal_capacity = 3;
-  DisciplinedClock clk(opts);
-  for (int i = 0; i < 7; ++i) {
-    clk.steer(static_cast<double>(i), Interval{0.0, 1.0});
-  }
-  const std::vector<SteerDecision> j = clk.journal();
-  ASSERT_EQ(j.size(), 3u);
-  EXPECT_EQ(j.front().seq, 5u);
-  EXPECT_EQ(j.back().seq, 7u);
+  EXPECT_EQ(transcript, expected);
 }
 
 }  // namespace

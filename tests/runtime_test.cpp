@@ -895,6 +895,53 @@ TEST(NodeProbe, ReplyStatsShareTheReplyReading) {
   EXPECT_EQ(stats.at("hi").as_number(), resp.hi);
 }
 
+// A client reply steers before it reads, like a probe reply: the first
+// request after the estimate becomes bounded already carries the
+// disciplined reading, because serving it is what initializes the clock.
+// The node is quiescent and nothing else externalizes first.
+TEST(NodeServe, FirstBoundedClientReplyCarriesTheDisciplinedReading) {
+  const SystemSpec spec = driftsync::testing::two_node_spec();
+  const auto clock = std::make_shared<std::atomic<double>>(0.0);
+  DatagramHandler handler;
+  std::vector<std::uint8_t> sent;
+  NodeConfig cfg = node_config(1, spec, 1e9, 1e9, 1e9);
+  cfg.serve_max_clients = 4;
+  Node node(std::move(cfg), driftsync::testing::loss_tolerant_csa(),
+            std::make_unique<ManualTimeSource>(clock),
+            std::make_unique<DirectTransport>(&handler, &sent));
+  node.start();
+  OptimalCsa source;
+  source.init(spec, 0);
+  EventRecord send;
+  send.id = EventId{0, 0};
+  send.lt = 10.0;
+  send.kind = EventKind::kSend;
+  send.peer = 1;
+  DataMsg msg;
+  msg.from = 0;
+  msg.dgram_seq = 1;
+  msg.send_seq = 0;
+  msg.send_lt = 10.0;
+  msg.payload = source.on_send(SendContext{0, 1, send, 0});
+  clock->store(10.01 + 40.0);
+  handler(encode_datagram(Datagram{msg}));
+  sent.clear();
+  handler(encode_datagram(Datagram{ClientReq{7, 1, 3.0, 0.0}}));
+  node.stop();
+
+  ASSERT_FALSE(sent.empty()) << "no client reply";
+  const Datagram reply = decode_datagram(sent);
+  ASSERT_TRUE(std::holds_alternative<ClientResp>(reply));
+  const ClientResp& resp = std::get<ClientResp>(reply);
+  ASSERT_TRUE(std::isfinite(resp.lo) && std::isfinite(resp.hi));
+  EXPECT_TRUE(resp.has_disc);
+  EXPECT_TRUE(std::isfinite(resp.disc_time));
+  EXPECT_TRUE(std::isfinite(resp.disc_err));
+  EXPECT_GE(resp.disc_err, 0.0);
+  EXPECT_GE(resp.disc_time, resp.lo);
+  EXPECT_LE(resp.disc_time, resp.hi);
+}
+
 // ---------------------------------------------------------------------------
 // Chaos layer and peer health
 

@@ -99,5 +99,47 @@ void BM_BatchedGcExchange(bench::State& state) {
 }
 DS_BENCHMARK(history, BM_BatchedGcExchange)->arg(1);
 
+// A send whose sweep can remove nothing, beside H records pinned in the
+// buffer.  Relay 1 (neighbors 0 and 2, loss-tolerant) holds H records of
+// processor 3, relayed by 2 and owed to 0, which never hears them.  0 once
+// reported 1's events far ahead (a report whose predecessors were lost),
+// so 1's own events are owed only to 2.  Each iteration sends to 2: the
+// sweep after the send can remove nothing, since 2 has not confirmed it.
+// Then 2 confirms, and that sweep removes the send, at the tail.  The
+// buffer stays at H or H + 1, and neither sweep, nor the send's scan for
+// owed records, needs to visit the pinned records.
+void BM_SendBesidePinnedHistory(bench::State& state) {
+  const auto h = static_cast<std::uint32_t>(state.range(0));
+  const SystemSpec spec(std::vector<ClockSpec>{{0.0}, {1e-4}, {1e-4}, {1e-4}},
+                        std::vector<LinkSpec>{{0, 1, 0.001, 0.02},
+                                              {1, 2, 0.001, 0.02},
+                                              {2, 3, 0.001, 0.02}},
+                        0);
+  HistoryProtocol::Options opts;
+  opts.loss_tolerant = true;
+  HistoryProtocol relay(spec, 1, opts);
+  EventBatch pinned;
+  for (std::uint32_t i = 0; i < h; ++i) {
+    pinned.push_back(mk(3, i, 3000.0 + 1e-3 * i, EventKind::kInternal));
+  }
+  DS_CHECK(relay.receive_message(2, pinned) == MergeVerdict::kMerged);
+  DS_CHECK(relay.receive_message(
+               0, {mk(1, 1U << 31, 0.0, EventKind::kInternal)}) ==
+           MergeVerdict::kMerged);
+  std::uint32_t seq = 0;
+  double t = 1.0;
+  for (auto _ : state) {
+    t += 0.01;
+    bench::do_not_optimize(
+        relay.fill_message(2, mk(1, seq++, t, EventKind::kSend, 2)));
+    relay.confirm_delivery(2);
+  }
+  state.counters["H"] = static_cast<double>(relay.history_size());
+}
+DS_BENCHMARK(history, BM_SendBesidePinnedHistory)
+    ->arg(256)
+    ->arg(1024)
+    ->arg(4096);
+
 }  // namespace
 }  // namespace driftsync

@@ -15,6 +15,8 @@ HistoryProtocol::HistoryProtocol(const SystemSpec& spec, ProcId self,
     : spec_(&spec), self_(self), opts_(opts) {
   DS_CHECK(self < spec.num_procs());
   known_seq_.assign(spec.num_procs(), -1);
+  held_.assign(spec.num_procs(), Held{});
+  gc_known_to_all_.assign(spec.num_procs(), 0);
   neighbors_.reserve(spec.neighbors(self).size());
   for (const ProcId u : spec.neighbors(self)) {
     NeighborState ns;
@@ -38,8 +40,19 @@ void HistoryProtocol::record_own_event(const EventRecord& event) {
       static_cast<std::int64_t>(event.id.seq) == known_seq_[self_] + 1,
       "own events must be recorded in sequence order");
   known_seq_[self_] = event.id.seq;
-  history_.push_back(event);
+  hold(event);
   max_history_size_ = std::max(max_history_size_, history_.size());
+}
+
+void HistoryProtocol::hold(const EventRecord& p) {
+  // p extends its processor's known seq by one, so it never lowers the
+  // lowest held seq.
+  Held& h = held_[p.id.proc];
+  if (h.count++ == 0) {
+    h.oldest = history_.size();
+    h.low_seq = p.id.seq;
+  }
+  history_.push_back(p);
 }
 
 EventBatch HistoryProtocol::fill_message(ProcId dest,
@@ -58,10 +71,28 @@ EventBatch HistoryProtocol::fill_message(ProcId dest,
     }
     ++ns.n_pending;
   }
+  // dest is owed records only of processors whose known seq is past its
+  // C entry, none of them before such a processor's oldest record.  A
+  // processor's held records carry consecutive seqs from low_seq on, so
+  // dest is owed the last count - (c - low_seq + 1) of them.
+  std::size_t start = history_.size();
+  std::size_t owed = 0;
+  for (std::size_t w = 0; w < held_.size(); ++w) {
+    const Held& h = held_[w];
+    if (h.count == 0 || known_seq_[w] <= ns.c[w]) continue;
+    start = std::min(start, h.oldest);
+    const std::int64_t known = std::clamp<std::int64_t>(
+        ns.c[w] - h.low_seq + 1, 0, static_cast<std::int64_t>(h.count));
+    owed += h.count - static_cast<std::size_t>(known);
+  }
   EventBatch batch;
-  for (const EventRecord& p : history_) {
+  batch.reserve(owed);
+  sizer_.reset(known_seq_.size());
+  for (std::size_t i = start; i < history_.size(); ++i) {
+    const EventRecord& p = history_[i];
     if (static_cast<std::int64_t>(p.id.seq) > ns.c[p.id.proc]) {
       batch.push_back(p);
+      sizer_.add(p);
       if (opts_.audit) {
         if (++ns.reported[p.id.pack()] > 1) ++audit_repeat_reports_;
       }
@@ -79,6 +110,10 @@ MergeVerdict HistoryProtocol::receive_message(ProcId from,
                                               const EventBatch& batch) {
   const MergeVerdict verdict = begin_receive(from, batch);
   if (verdict == MergeVerdict::kMerged) {
+    // The sweep moves H_v's tail, so fresh() outlives it as a copy.
+    fresh_.assign(history_.begin() +
+                      static_cast<std::ptrdiff_t>(undo_.history_size),
+                  history_.end());
     undo_.open = false;
     garbage_collect();
   }
@@ -98,11 +133,13 @@ MergeVerdict HistoryProtocol::begin_receive(ProcId from,
   undo_.c_from = ns.c;
   fresh_.clear();
   const std::size_t num_procs = known_seq_.size();
+  sizer_.reset(num_procs);
   for (const EventRecord& p : batch) {
     if (!procs_in_range(p, num_procs)) {
       rollback_receive();
       return MergeVerdict::kOutOfRange;
     }
+    sizer_.add(p);
     const auto seq = static_cast<std::int64_t>(p.id.seq);
     // Whatever the sender reports, the sender knows.
     ns.c[p.id.proc] = std::max(ns.c[p.id.proc], seq);
@@ -127,8 +164,7 @@ MergeVerdict HistoryProtocol::begin_receive(ProcId from,
       continue;  // a predecessor report was lost; rollback will resend
     }
     known_seq_[p.id.proc] = seq;
-    history_.push_back(p);
-    fresh_.push_back(p);
+    hold(p);
   }
   max_history_size_ = std::max(max_history_size_, history_.size());
   return MergeVerdict::kMerged;
@@ -144,6 +180,12 @@ void HistoryProtocol::commit_receive(const EventRecord& recv_event) {
 void HistoryProtocol::rollback_receive() {
   DS_CHECK_MSG(undo_.open, "rollback_receive without begin_receive");
   undo_.open = false;
+  // The merged records were appended after everything their processors
+  // held, so dropping them leaves each processor's oldest record and
+  // lowest seq as they were.
+  for (std::size_t i = undo_.history_size; i < history_.size(); ++i) {
+    --held_[history_[i].id.proc].count;
+  }
   history_.erase(history_.begin() +
                      static_cast<std::ptrdiff_t>(undo_.history_size),
                  history_.end());
@@ -186,33 +228,51 @@ std::int64_t HistoryProtocol::confirmed_c(const NeighborState& ns,
 
 void HistoryProtocol::garbage_collect() {
   if (opts_.disable_gc) return;  // ablation mode
+  ++gc_passes_;
   // Keep p while some neighbor may not (confirmably) know it yet.  With a
   // single neighbor and no loss this empties the buffer after every send.
-  // Each processor's threshold, the minimum confirmed C over the neighbors,
-  // is worked out when the sweep first meets one of its records and then
-  // reused, instead of asking every neighbor about every record.
-  constexpr std::int64_t kUnset = std::numeric_limits<std::int64_t>::min();
-  gc_known_to_all_.assign(known_seq_.size(), kUnset);
-  const auto known_to_all = [this](const EventRecord& p) {
-    std::int64_t& known = gc_known_to_all_[p.id.proc];
-    if (known == kUnset) {
-      known = std::numeric_limits<std::int64_t>::max();
-      for (const NeighborState& ns : neighbors_) {
-        known = std::min(known, confirmed_c(ns, p.id.proc));
-      }
+  // The removable records of a processor are those at or below its
+  // threshold, the minimum confirmed C over the neighbors; none of them
+  // lies before the processor's oldest record.
+  const std::size_t n = history_.size();
+  std::size_t first = n;
+  for (std::size_t w = 0; w < held_.size(); ++w) {
+    const Held& h = held_[w];
+    if (h.count == 0) continue;
+    std::int64_t known = std::numeric_limits<std::int64_t>::max();
+    for (const NeighborState& ns : neighbors_) {
+      known = std::min(known, confirmed_c(ns, static_cast<ProcId>(w)));
     }
-    return static_cast<std::int64_t>(p.id.seq) <= known;
-  };
-  const auto first =
-      std::find_if(history_.begin(), history_.end(), known_to_all);
+    gc_known_to_all_[w] = known;
+    if (h.low_seq <= known) first = std::min(first, h.oldest);
+  }
+  if (first == n) return;  // Nothing can go.
   // Every record from the first removed one on shifts and may change its
   // delta encoding, so the checkpoint image is valid only before it.
-  history_image_.truncate(std::min(
-      history_image_.size(),
-      static_cast<std::size_t>(first - history_.begin())));
-  history_.erase(std::remove_if(first, history_.end(), known_to_all),
-                 history_.end());
-  ++gc_passes_;
+  history_image_.truncate(std::min(history_image_.size(), first));
+  // A processor whose oldest record lies before `first` is not removable:
+  // it loses nothing and keeps its bounds.  The others' are rebuilt as
+  // the kept records move down.
+  for (Held& h : held_) {
+    if (h.count > 0 && h.oldest >= first) h.count = 0;
+  }
+  std::size_t out = first;
+  for (std::size_t i = first; i < n; ++i) {
+    const EventRecord& p = history_[i];
+    const auto seq = static_cast<std::int64_t>(p.id.seq);
+    if (seq <= gc_known_to_all_[p.id.proc]) continue;
+    Held& h = held_[p.id.proc];
+    if (h.oldest >= first) {
+      if (h.count++ == 0) {
+        h.oldest = out;
+        h.low_seq = seq;
+      } else {
+        h.low_seq = std::min(h.low_seq, seq);
+      }
+    }
+    history_[out++] = p;
+  }
+  history_.resize(out);
 }
 
 std::int64_t HistoryProtocol::c_entry(ProcId neighbor, ProcId proc) const {
@@ -230,7 +290,40 @@ std::size_t HistoryProtocol::scratch_bytes() const {
   return fresh_.capacity() * sizeof(EventRecord) +
          (undo_.known_seq.capacity() + undo_.c_from.capacity() +
           gc_known_to_all_.capacity()) *
-             sizeof(std::int64_t);
+             sizeof(std::int64_t) +
+         held_.capacity() * sizeof(Held) + sizer_.memory_bytes();
+}
+
+std::vector<HistoryProtocol::Held> HistoryProtocol::scan_held(
+    std::span<const EventRecord> history, std::size_t num_procs) {
+  std::vector<Held> held(num_procs);
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    const auto seq = static_cast<std::int64_t>(history[i].id.seq);
+    Held& h = held[history[i].id.proc];
+    if (h.count++ == 0) {
+      h.oldest = i;
+      h.low_seq = seq;
+    } else {
+      h.low_seq = std::min(h.low_seq, seq);
+    }
+  }
+  return held;
+}
+
+std::string HistoryProtocol::audit() const {
+  const std::vector<Held> scan = scan_held(history_, held_.size());
+  for (std::size_t w = 0; w < held_.size(); ++w) {
+    const Held& have = held_[w];
+    const Held& want = scan[w];
+    if (have.count != want.count ||
+        (want.count > 0 &&
+         (have.oldest != want.oldest || have.low_seq != want.low_seq))) {
+      return "processor " + std::to_string(w) + ": bounds hold " +
+             std::to_string(have.count) + " records, H_v " +
+             std::to_string(want.count);
+    }
+  }
+  return {};
 }
 
 std::size_t HistoryProtocol::state_bytes() const {
@@ -409,6 +502,7 @@ void HistoryProtocol::load(std::span<const std::uint8_t> bytes,
     neighbors_[i].n_pending = loaded[i].n_pending;
   }
   history_ = std::move(history);
+  held_ = scan_held(history_, num_procs);
   history_image_.clear();
   max_history_size_ = max_history;
   reports_sent_ = reports;

@@ -23,6 +23,19 @@
 //    prints the complemented predicate, which would discard exactly the
 //    events still owed to a neighbor; we implement the rule consistent with
 //    Lemmas 3.1-3.3.)
+//  * What a message costs does not grow with |H_v| while nothing leaves
+//    it.  Beside H_v the protocol keeps, per processor w, how many records
+//    of w it holds, the lowest held seq and the position of w's oldest
+//    record.  A sweep costs O(V*deg) to work out each held processor's
+//    threshold (the minimum confirmed C over the neighbors); when no
+//    lowest held seq is at or below its threshold nothing can go and it
+//    returns.  Otherwise it compacts H_v from the oldest removable record
+//    on, O(|H_v| - that position).  A processor's held records carry
+//    consecutive seqs (an append extends known_seq by one, a sweep cuts a
+//    prefix, a rollback a suffix), so fill_message sizes its batch from
+//    the bounds, allocates it once, and scans H_v only from the oldest
+//    record of a processor the recipient may be owed.  The encoded size of
+//    each batch sent or merged is counted in the loop that walks it.
 //
 // Message loss (Section 3.3).  The paper assumes reliable links for the
 // protocol and adds a detection mechanism that eventually flags a message
@@ -42,6 +55,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -112,8 +126,19 @@ class HistoryProtocol {
   void commit_receive(const EventRecord& recv_event);
   void rollback_receive();
 
-  /// The records the last merged batch contributed, in merge order.
-  [[nodiscard]] std::span<const EventRecord> fresh() const { return fresh_; }
+  /// The records the merged batch contributed, in merge order: while a
+  /// transaction is open, the tail of H_v it appended (valid until the
+  /// transaction ends); after receive_message, a copy.  Empty after
+  /// commit_receive or rollback_receive.
+  [[nodiscard]] std::span<const EventRecord> fresh() const {
+    if (!undo_.open) return fresh_;
+    return std::span<const EventRecord>(history_).subspan(undo_.history_size);
+  }
+
+  /// wire::encoded_size of the last batch fill_message returned or
+  /// begin_receive / receive_message merged (the whole batch, duplicates
+  /// and dropped records included), counted while the batch was walked.
+  [[nodiscard]] std::size_t batch_bytes() const { return sizer_.size(); }
 
   /// Loss-tolerant mode: the detection mechanism reports that the earliest
   /// outstanding message to `dest` was delivered / was lost.
@@ -156,8 +181,15 @@ class HistoryProtocol {
   /// Loss-tolerant mode: records dropped because a predecessor was lost.
   [[nodiscard]] std::size_t gap_dropped() const { return gap_dropped_; }
   /// GC sweeps performed: one after every send, merged receive and
-  /// delivery confirmation (none with disable_gc).
+  /// delivery confirmation (none with disable_gc), whether or not they
+  /// removed anything.
   [[nodiscard]] std::size_t gc_passes() const { return gc_passes_; }
+
+  /// Checks the per-processor bounds kept beside H_v against a full scan
+  /// of it: each processor's count, lowest seq and oldest position.
+  /// Returns an empty string when they agree, else what is wrong.  O(|H_v|
+  /// + V); for tests.
+  [[nodiscard]] std::string audit() const;
 
   /// Approximate resident bytes (H_v + C arrays), for EXP-10.
   [[nodiscard]] std::size_t state_bytes() const;
@@ -166,8 +198,9 @@ class HistoryProtocol {
   [[nodiscard]] std::size_t checkpoint_cache_bytes() const {
     return history_image_.memory_bytes();
   }
-  /// Resident bytes of the receive and sweep buffers (fresh(), the undo
-  /// state, the sweep's table).  Not protocol state either.
+  /// Resident bytes of the receive and sweep buffers (receive_message's
+  /// copy of fresh(), the undo state, the per-processor bounds and the
+  /// sweep's and the batch sizer's tables).  Not protocol state either.
   [[nodiscard]] std::size_t scratch_bytes() const;
 
   /// Checkpointing: appends the full protocol state (buffer, C arrays,
@@ -202,7 +235,20 @@ class HistoryProtocol {
     std::unordered_map<std::uint64_t, char> reported;  // audit only
   };
 
+  /// What H_v holds of one processor (count 0: nothing; `oldest` and
+  /// `low_seq` are then stale).
+  struct Held {
+    std::size_t count = 0;
+    std::size_t oldest = 0;    ///< Position of its first record in H_v.
+    std::int64_t low_seq = 0;  ///< Its lowest held seq.
+  };
+
   NeighborState& neighbor_state(ProcId u);
+  /// Appends `p` to H_v and counts it in its processor's bounds.
+  void hold(const EventRecord& p);
+  /// Every processor's bounds, from a scan of `history`.
+  static std::vector<Held> scan_held(std::span<const EventRecord> history,
+                                     std::size_t num_procs);
   /// Encodes the records appended since the last save into the cache.
   void update_image() const;
   void garbage_collect();
@@ -214,6 +260,7 @@ class HistoryProtocol {
   ProcId self_ = kInvalidProc;
   Options opts_;
   std::vector<EventRecord> history_;            // arrival order
+  std::vector<Held> held_;                      // per processor
   std::vector<std::int64_t> known_seq_;         // per processor
   std::vector<NeighborState> neighbors_;
   std::size_t max_history_size_ = 0;
@@ -222,16 +269,19 @@ class HistoryProtocol {
   std::size_t audit_repeat_reports_ = 0;
   std::size_t gap_dropped_ = 0;
   std::size_t gc_passes_ = 0;
-  /// The sweep's scratch: per processor, the highest seq every neighbor
-  /// confirmably knows (filled on first use in each sweep).
+  /// The sweep's scratch: per held processor, the highest seq every
+  /// neighbor confirmably knows.
   std::vector<std::int64_t> gc_known_to_all_;
+  /// Sizes the batch fill_message or begin_receive walks.
+  wire::BatchSizer sizer_;
   /// Encoding of history_[0, history_image_.size()) as save() writes it.
   mutable wire::IncrementalBatch history_image_;
 
-  // The open receive: the last merge's new records, and what
-  // rollback_receive restores.  H_v's merged suffix starts at
-  // undo_.history_size; the two arrays are swapped back, not copied.
+  /// receive_message's copy of the records it merged.
   EventBatch fresh_;
+  // The open receive: what rollback_receive restores.  H_v's merged suffix
+  // starts at undo_.history_size; the two arrays are swapped back, not
+  // copied.
   struct ReceiveUndo {
     bool open = false;
     std::size_t from = 0;  ///< Index of the sender in neighbors_.

@@ -200,7 +200,7 @@ CsaPayload OptimalCsa::on_send(const SendContext& ctx) {
   payload.reports = history_->fill_message(ctx.dest, ctx.send_event);
   // Account what would actually cross the wire (compact encoding; see
   // core/wire.h), not the in-memory record size.
-  stats_.payload_bytes_sent += wire::encoded_size(payload.reports);
+  stats_.payload_bytes_sent += history_->batch_bytes();
   return payload;
 }
 
@@ -244,8 +244,9 @@ bool OptimalCsa::on_receive_validated(const RecvContext& ctx,
     ++stats_.cross_check_failures;
     return false;
   }
+  // The merge sized the whole batch; a refused one counts nothing.
+  stats_.payload_bytes_received += history_->batch_bytes();
   history_->commit_receive(ctx.recv_event);
-  stats_.payload_bytes_received += wire::encoded_size(payload.reports);
   return true;
 }
 

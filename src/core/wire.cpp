@@ -57,15 +57,6 @@ SeqTracker& seq_scratch() {
 
 }  // namespace
 
-std::size_t varint_size(std::uint64_t value) {
-  std::size_t n = 1;
-  while (value >= 0x80) {
-    value >>= 7;
-    ++n;
-  }
-  return n;
-}
-
 void put_varint(std::vector<std::uint8_t>& out, std::uint64_t value) {
   while (value >= 0x80) {
     out.push_back(static_cast<std::uint8_t>(value) | 0x80);
@@ -151,20 +142,10 @@ void RecordEncoder::put(std::vector<std::uint8_t>& out, const EventRecord& r) {
 }
 
 std::size_t RecordEncoder::measure(const EventRecord& r) {
-  std::size_t size = 1 + 8;  // flags + local time
-  if (r.id.proc != prev_proc_) size += varint_size(r.id.proc);
   const std::uint32_t* expected = next_seq_.find(r.id.proc);
-  if (expected == nullptr || *expected != r.id.seq) {
-    size += varint_size(r.id.seq);
-  }
-  if (r.kind == EventKind::kSend || r.kind == EventKind::kReceive ||
-      r.kind == EventKind::kLossDecl) {
-    size += varint_size(r.peer);
-  }
-  if (r.kind == EventKind::kReceive || r.kind == EventKind::kLossDecl) {
-    size += varint_size(r.match.proc) + varint_size(r.match.seq);
-  }
-  if (r.kind == EventKind::kReceive && r.slack != 0.0) size += 8;
+  const std::size_t size =
+      record_size(r, r.id.proc == prev_proc_,
+                  expected != nullptr && *expected == r.id.seq);
   prev_proc_ = r.id.proc;
   next_seq_.set(r.id.proc, r.id.seq + 1);
   return size;

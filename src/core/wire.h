@@ -32,6 +32,7 @@
 //     size).
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -86,6 +87,72 @@ class SeqTracker {
 
  private:
   std::vector<std::pair<ProcId, std::uint32_t>> entries_;
+};
+
+/// varint_size(v) is the number of bytes put_varint(out, v) appends: one
+/// per started group of seven bits.
+inline std::size_t varint_size(std::uint64_t value) {
+  return 1 + static_cast<std::size_t>(std::bit_width(value | 1) - 1) / 7;
+}
+
+/// The size of `r`'s encoding given its two delta flags: `same_proc` (its
+/// processor is the previous record's) and `next_seq` (its sequence number
+/// follows its processor's previous one in the batch).  Every sizing path
+/// (RecordEncoder::measure, BatchSizer) goes through this one rule.
+inline std::size_t record_size(const EventRecord& r, bool same_proc,
+                               bool next_seq) {
+  std::size_t size = 1 + 8;  // flags + local time
+  if (!same_proc) size += varint_size(r.id.proc);
+  if (!next_seq) size += varint_size(r.id.seq);
+  if (r.kind == EventKind::kSend || r.kind == EventKind::kReceive ||
+      r.kind == EventKind::kLossDecl) {
+    size += varint_size(r.peer);
+  }
+  if (r.kind == EventKind::kReceive || r.kind == EventKind::kLossDecl) {
+    size += varint_size(r.match.proc) + varint_size(r.match.seq);
+  }
+  if (r.kind == EventKind::kReceive && r.slack != 0.0) size += 8;
+  return size;
+}
+
+/// encoded_size() of a batch, counted while a caller walks the batch in
+/// order anyway.  The per-processor next-seq table is indexed by processor
+/// id, so add() is O(1) and reset() O(V); every record added must name a
+/// processor below reset()'s `num_procs` (the caller range-checks).
+class BatchSizer {
+ public:
+  /// Starts an empty batch of a system of `num_procs` processors.
+  void reset(std::size_t num_procs) {
+    prev_proc_ = kInvalidProc;
+    next_seq_.assign(num_procs, kNoSeq);
+    records_ = 0;
+    bytes_ = 0;
+  }
+
+  void add(const EventRecord& r) {
+    std::uint64_t& next = next_seq_[r.id.proc];
+    bytes_ += record_size(r, r.id.proc == prev_proc_, next == r.id.seq);
+    prev_proc_ = r.id.proc;
+    next = static_cast<std::uint32_t>(r.id.seq + 1);
+    ++records_;
+  }
+
+  /// The encoded size of the records added since reset().
+  [[nodiscard]] std::size_t size() const {
+    return varint_size(records_) + bytes_;
+  }
+
+  [[nodiscard]] std::size_t memory_bytes() const {
+    return next_seq_.capacity() * sizeof(std::uint64_t);
+  }
+
+ private:
+  /// No record of the processor yet: matches no 32-bit sequence number.
+  static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
+  ProcId prev_proc_ = kInvalidProc;
+  std::vector<std::uint64_t> next_seq_;
+  std::size_t records_ = 0;
+  std::size_t bytes_ = 0;
 };
 
 /// The canonical record encoder, one record at a time.  Its state is that
@@ -192,13 +259,12 @@ CsaPayload decode_payload(std::span<const std::uint8_t> bytes,
                           std::size_t& offset);
 CsaPayload decode_payload(std::span<const std::uint8_t> bytes);
 
-// Low-level primitives (exposed for tests and the checkpoint module).
-// varint_size(v) is the number of bytes put_varint(out, v) appends.
-// The getters throw WireError on truncation; get_varint additionally
-// rejects over-long (non-minimal) and 64-bit-overflowing encodings, so
-// every accepted varint re-encodes to the exact bytes consumed.
+// Low-level primitives (exposed for tests and the checkpoint module; see
+// varint_size above).  The getters throw WireError on truncation;
+// get_varint additionally rejects over-long (non-minimal) and
+// 64-bit-overflowing encodings, so every accepted varint re-encodes to the
+// exact bytes consumed.
 void put_varint(std::vector<std::uint8_t>& out, std::uint64_t value);
-std::size_t varint_size(std::uint64_t value);
 std::uint64_t get_varint(std::span<const std::uint8_t> bytes,
                          std::size_t& offset);
 void put_double(std::vector<std::uint8_t>& out, double v);

@@ -49,9 +49,13 @@ void InvariantOracle::note_restart(const std::string& name, const Node* node) {
   DS_CHECK(node != nullptr);
   Tracked& t = nodes_.at(name);
   t.node = node;
-  // The baseline survives on purpose: the next observe() checks the
-  // restarted estimate against the pre-restart one (invariant 3).  A
-  // restart aborts in-flight fates on both ends, so losses become legal.
+  // The interval baseline survives on purpose: the next observe() checks
+  // the restarted estimate against the pre-restart one (invariant 3).  The
+  // disciplined clock does not: the Node persists only its CSA, so the new
+  // process's clock re-snaps to its first bounded estimate (DESIGN.md
+  // decision 21), and invariant 6 starts a new chain there.  A restart
+  // aborts in-flight fates on both ends, so losses become legal.
+  t.baseline.disc = {};
   t.lossish = true;
 }
 

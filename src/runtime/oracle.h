@@ -23,9 +23,9 @@
 //  3. Checkpoint-prefix consistency: the Node persists write-ahead (every
 //     own event is durable before anything derived from it is visible), so
 //     a restarted node resumes with exactly the knowledge it had.  The
-//     oracle keeps the pre-restart baseline across note_restart() and
-//     applies check 2 straight through the restart boundary: a restart that
-//     forgot anything shows up as a width-dynamics violation.
+//     oracle keeps the pre-restart interval baseline across note_restart()
+//     and applies check 2 straight through the restart boundary: a restart
+//     that forgot anything shows up as a width-dynamics violation.
 //
 //  4. Loss soundness: the skip-commit protocol declares a loss only after
 //     the receiver durably renounced the datagram.  On links where the
@@ -49,7 +49,10 @@
 //     the interval (the deficit) may grow only by what the interval itself
 //     moved away faster than a slew-limited clock can chase.  The oracle
 //     also folds the reading into a ground-truth error bracket
-//     (disciplined_worst_error()), which the chaos verdict reports.
+//     (disciplined_worst_error()), which the chaos verdict reports.  The
+//     clock is not persisted, so a restart starts a new chain: the
+//     restarted clock re-snaps, and its first sample is checked against
+//     nothing before the restart.
 //
 // Violations are dumped as JSON lines (the fault journal and per-node stats
 // alongside them, so a failure is diagnosable from its log alone) and
@@ -101,9 +104,11 @@ class InvariantOracle {
   void mark_lossish(const std::string& name);
 
   /// Rebinds `name` to the post-restart Node instance.  The pre-restart
-  /// baseline sample is KEPT, which is what turns the next observe() into
-  /// the checkpoint-prefix check (invariant 3).  Restarting implies
-  /// in-flight datagrams may abort, so the node is also marked lossish.
+  /// baseline interval is KEPT, which is what turns the next observe()
+  /// into the checkpoint-prefix check (invariant 3); its disciplined
+  /// reading is dropped, so invariant 6 starts over with the new process's
+  /// clock.  Restarting implies in-flight datagrams may abort, so the node
+  /// is also marked lossish.
   void note_restart(const std::string& name, const Node* node);
 
   /// Registers a neighbor pair for the gradient envelope check (invariant

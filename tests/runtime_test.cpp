@@ -32,6 +32,7 @@
 #include "runtime/datagram.h"
 #include "runtime/mesh.h"
 #include "runtime/node.h"
+#include "runtime/oracle.h"
 #include "runtime/thread_transport.h"
 #include "runtime/time_source.h"
 #include "runtime/transport.h"
@@ -940,6 +941,92 @@ TEST(NodeServe, FirstBoundedClientReplyCarriesTheDisciplinedReading) {
   EXPECT_GE(resp.disc_err, 0.0);
   EXPECT_GE(resp.disc_time, resp.lo);
   EXPECT_LE(resp.disc_time, resp.hi);
+}
+
+// A restart re-snaps the disciplined clock (DESIGN.md decision 21): the
+// Node persists its CSA, not its clock.  The clock snaps to the midpoint
+// of a wide first estimate; a second message collapses the estimate
+// ~90 ms ahead of it, further than a 500 ppm slew closes before the
+// restart, and the restored node snaps straight to the new midpoint.  The
+// oracle checks the restarted estimate against the old interval
+// (invariant 3) and starts its disciplined-clock chain over (invariant
+// 6), so the snap is no violation.  Ground truth here is virtual, so the
+// containment lines the oracle prints are beside the point.
+TEST(NodeRestart, ReSnappedClockStartsANewOracleChain) {
+  const CheckpointFile ckpt("runtime_test_resnap.ckpt");
+  const SystemSpec spec(std::vector<ClockSpec>{{0.0}, {5e-4}},
+                        std::vector<LinkSpec>{{0, 1, 0.0, 0.2}}, 0);
+  const auto clock = std::make_shared<std::atomic<double>>(0.0);
+  DatagramHandler handler;
+  const auto make = [&] {
+    NodeConfig cfg = node_config(1, spec, 1e9, 1e9, 1e9);
+    cfg.checkpoint_path = ckpt.path;
+    return std::make_unique<Node>(
+        std::move(cfg), driftsync::testing::loss_tolerant_csa(),
+        std::make_unique<ManualTimeSource>(clock),
+        std::make_unique<DirectTransport>(&handler));
+  };
+  std::FILE* log = std::tmpfile();
+  ASSERT_NE(log, nullptr);
+  InvariantOracle::Options oracle_opts;
+  oracle_opts.out = log;
+  InvariantOracle oracle(oracle_opts);
+  auto node = make();
+  node->start();
+  oracle.track("n1", node.get(), 5e-4);
+
+  // The source's clock is real time; node 1 reads real time + 40.
+  OptimalCsa source;
+  source.init(spec, 0);
+  const auto deliver = [&](std::uint32_t k, double send_rt, double transit) {
+    EventRecord send;
+    send.id = EventId{0, k};
+    send.lt = send_rt;
+    send.kind = EventKind::kSend;
+    send.peer = 1;
+    DataMsg msg;
+    msg.from = 0;
+    msg.dgram_seq = 1 + k;
+    msg.send_seq = k;
+    msg.send_lt = send_rt;
+    msg.payload = source.on_send(SendContext{0, 1, send, 0});
+    clock->store(send_rt + transit + 40.0);
+    handler(encode_datagram(Datagram{msg}));
+  };
+  deliver(0, 10.0, 0.19);  // [10, 10.2]: the clock snaps to 10.1.
+  oracle.observe();
+  deliver(1, 11.0, 0.0);  // [11, ~11.01] while the clock reads ~10.91.
+  oracle.observe();
+  const NodeSample before = node->sample();
+  ASSERT_TRUE(before.disc.initialized);
+  ASSERT_GT(before.disc.deficit, 0.05);
+  node->stop();
+
+  node = make();
+  node->start();
+  oracle.note_restart("n1", node.get());
+  const std::uint64_t checks = oracle.checks();
+  oracle.observe();
+  const NodeSample after = node->sample();
+  node->stop();
+
+  EXPECT_EQ(after.est, before.est);  // Nothing was forgotten ...
+  ASSERT_TRUE(after.disc.initialized);
+  EXPECT_EQ(after.disc.deficit, 0.0);  // ... but the clock snapped.
+  EXPECT_GT(after.disc.out - before.disc.out, 0.05);
+  // Containment and width dynamics ran; the disciplined check did not.
+  EXPECT_EQ(oracle.checks() - checks, 2u);
+  std::string lines;
+  std::rewind(log);
+  for (int c = std::fgetc(log); c != EOF; c = std::fgetc(log)) {
+    lines += static_cast<char>(c);
+  }
+  std::fclose(log);
+  EXPECT_EQ(lines.find("\"invariant\":\"disciplined-"), std::string::npos)
+      << lines;
+  EXPECT_EQ(lines.find("\"invariant\":\"width-dynamics\""),
+            std::string::npos)
+      << lines;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // Steady-state SyncEngine::ingest allocates nothing, and neither does a
 // warm validated OptimalCsa receive, applied or refused, with
-// cross_validation on or off; a warm OptimalCsa::checkpoint()
-// allocates only the image it returns.  This binary links the counting
+// cross_validation on or off; a warm OptimalCsa::on_send allocates only
+// the payload it returns, and a warm OptimalCsa::checkpoint() only the
+// image it returns.  This binary links the counting
 // operator-new hook (driftsync_allochook), so alloc_stats::allocations()
 // sees every heap allocation in the process.
 //
@@ -163,7 +164,10 @@ class DefendedVictim {
     }
     if (pick == 2) {
       const EventRecord send = fac_.send(2, now_, 1);
+      const std::uint64_t before = alloc_stats::allocations();
       const CsaPayload payload = victim_.on_send(SendContext{2, 1, send, 0});
+      last_send_allocs_ = alloc_stats::allocations() - before;
+      ++sends_;
       transit();
       const EventRecord recv = fac_.receive(1, now_, send);
       p1_.on_receive(RecvContext{1, 2, recv, send, 0}, payload);
@@ -191,6 +195,9 @@ class DefendedVictim {
 
   const OptimalCsa& victim() const { return victim_; }
   std::uint64_t receive_allocs() const { return receive_allocs_; }
+  std::size_t sends() const { return sends_; }
+  /// Allocations made by the victim's last on_send.
+  std::uint64_t last_send_allocs() const { return last_send_allocs_; }
 
  private:
   SystemSpec spec_;
@@ -203,6 +210,8 @@ class DefendedVictim {
   OptimalCsa victim_;
   double now_ = 1.0;
   std::uint64_t receive_allocs_ = 0;
+  std::size_t sends_ = 0;
+  std::uint64_t last_send_allocs_ = 0;
 };
 
 // Warm-up lets every buffer reach the run's high-water marks: the live
@@ -250,6 +259,23 @@ TEST(OptimalCsaAllocTest,
 TEST(OptimalCsaAllocTest,
      WarmReceiveAndRefusalBesideASilentProcessorAllocateNothing) {
   expect_warm_receive_and_refusal_allocate_nothing(/*zero_goes_quiet=*/true);
+}
+
+// A warm send allocates exactly its payload's record vector: the batch is
+// sized before it is filled, and its byte count comes from the loop that
+// fills it.
+TEST(OptimalCsaAllocTest, WarmSendAllocatesOnlyThePayload) {
+  ASSERT_TRUE(alloc_stats::hooked());
+  DefendedVictim run(7);
+  for (int i = 0; i < kWarmSteps; ++i) run.step();
+  const std::size_t warm = run.sends();
+  for (int i = 0; i < 4000; ++i) {
+    const std::size_t sends = run.sends();
+    run.step();
+    if (run.sends() == sends) continue;
+    ASSERT_EQ(run.last_send_allocs(), 1u) << "send " << run.sends() - warm;
+  }
+  EXPECT_GT(run.sends() - warm, 500u);
 }
 
 TEST(OptimalCsaAllocTest, CheckpointAllocatesOnlyTheImage) {

@@ -29,7 +29,8 @@ EventRecord mk(ProcId p, std::uint32_t seq, LocalTime lt, EventKind kind,
 }
 
 // One full exchange cycle over a relay node: receive a batch from the left
-// neighbor, forward to the right neighbor.
+// neighbor, forward to the right neighbor, and report back to the left, so
+// both neighbors learn the relay's events and H_v stays bounded.
 void BM_RelayExchange(bench::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const SystemSpec spec = path_spec(n);
@@ -50,7 +51,14 @@ void BM_RelayExchange(bench::State& state) {
         mk(1, seq_relay++, t + 0.02, EventKind::kSend, 2);
     const EventBatch fwd = relay.fill_message(2, s2);
     bench::do_not_optimize(fwd.size());
+    const EventRecord s3 =
+        mk(1, seq_relay++, t + 0.03, EventKind::kSend, 0);
+    DS_CHECK(left.receive_message(1, relay.fill_message(0, s3)) ==
+             MergeVerdict::kMerged);
+    left.record_own_event(
+        mk(0, seq_left++, t + 0.04, EventKind::kReceive, 1, s3.id));
   }
+  state.counters["H"] = static_cast<double>(relay.history_size());
 }
 DS_BENCHMARK(history, BM_RelayExchange)->arg(4)->arg(16)->arg(64);
 

@@ -1,35 +1,20 @@
 // Micro-benchmark: the UDP transport engine (DESIGN.md §7).
 //
-// The engine A/B is the number this file exists for.  On a 1-core machine
-// syscall time is identical for both engines (a sendto is a sendto), so the
-// honest comparison stubs the kernel behind UdpIoOps and measures what the
-// rewrite actually changed: per-datagram wake writes vs transition-only
-// wakes, fresh-vector sends vs recycled pool buffers, per-datagram
-// reply-context locking vs a thread_local, deque shuffling vs fixed rings,
-// and per-datagram engine turns vs recv_batch/send_batch amortization.
-// BM_LegacyEnginePath is a faithful replica of the pre-§7 engine (the
-// unbatched loop: per-send pipe wake, per-datagram recv turns with two
-// reply locks, whole-backlog drain under one lock) driven through the same
-// StubKernel as BM_ShardEnginePath, so every syscall either engine still
-// makes for real (wake pipe / eventfd) is paid for real, and everything
-// else is the engine itself.
+// BM_EnginePath stubs the kernel behind UdpIoOps and measures the engine
+// itself: recycled pool buffers, transition-only eventfd wakes, fixed
+// backlog rings and recv_batch/send_batch amortization.  The wake eventfd
+// is the one syscall it pays for real.
 //
 // BM_UdpLoopbackPump keeps the benchmark honest about real sockets: full
 // transport over loopback UDP, real poll/recvmmsg/sendmmsg, where the
 // kernel dominates and batching mostly buys fewer receive-side turns.  It
 // is also the allocs/op = 0 proof on the production syscall path.
-#include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <deque>
-#include <map>
-#include <mutex>
 #include <stdexcept>
 #include <vector>
 
-#include <fcntl.h>
 #include <poll.h>
-#include <unistd.h>
 
 #include "bench/harness.h"
 #include "common/ids.h"
@@ -49,10 +34,9 @@ constexpr std::size_t kDatagrams = 256; ///< Datagrams per timed iteration.
 constexpr std::size_t kPeers = 4;
 constexpr std::size_t kMaxDgram = 2048;
 
-/// In-memory "kernel": one loopback queue of fixed byte slots, shared by
-/// both engines so their stubbed syscalls cost exactly the same memcpy.
-/// No allocation after construction — the engines' allocs/op columns stay
-/// about the engines.
+/// In-memory "kernel": one loopback queue of fixed byte slots, so a stubbed
+/// syscall costs one memcpy.  No allocation after construction — the
+/// allocs/op column stays about the engine.
 class StubKernel {
  public:
   StubKernel() : lens_(kDatagrams + 8), data_(lens_.size() * kMaxDgram) {}
@@ -86,9 +70,8 @@ class StubKernel {
   std::size_t count_ = 0;
 };
 
-/// The new engine's syscall seam over the StubKernel.  The wake fd is left
-/// to the real read() the engine issues (reported always-readable, like the
-/// legacy replica's unconditional pipe drain).
+/// The engine's syscall seam over the StubKernel.  The wake fd is left to
+/// the real read() the engine issues (reported always-readable).
 class StubOps final : public UdpIoOps {
  public:
   explicit StubOps(StubKernel* kernel) : kernel_(kernel) {}
@@ -141,150 +124,11 @@ class StubOps final : public UdpIoOps {
   StubKernel* kernel_;
 };
 
-/// Faithful replica of the pre-§7 unbatched engine (git history:
-/// src/runtime/udp_transport.cpp before the batched rewrite), with the
-/// socket syscalls routed through StubKernel.  Everything else is verbatim
-/// behavior: fresh caller vectors, per-queued-send pipe wake, deque
-/// backlogs, whole-backlog drain under one lock, one recv turn per
-/// datagram with reply-context lock/unlock around every handler call.
-class LegacyEngine {
- public:
-  explicit LegacyEngine(StubKernel* kernel) : kernel_(kernel), buf_(kMaxDgram) {
-    if (::pipe2(wake_, O_NONBLOCK | O_CLOEXEC) != 0) {
-      throw std::runtime_error("legacy bench: pipe2 failed");
-    }
-    for (ProcId p = 0; p < kPeers; ++p) peers_[p];
-  }
-  ~LegacyEngine() {
-    ::close(wake_[0]);
-    ::close(wake_[1]);
-  }
-
-  void send(ProcId to, std::vector<std::uint8_t> bytes) {
-    bool need_wake = false;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      PeerState& peer = peers_.find(to)->second;
-      if (peer.backlog.empty() && try_send(bytes)) return;
-      if (peer.backlog.size() >= 256) return;  // Drop (never hit here).
-      peer.backlog.push_back(std::move(bytes));
-      need_wake = true;
-    }
-    if (need_wake) {
-      const char byte = 0;
-      [[maybe_unused]] const ssize_t n = ::write(wake_[1], &byte, 1);
-    }
-  }
-
-  /// One loop cycle: want-write scan, (stubbed) poll, pipe drain, recv
-  /// turns, backlog drain.  Returns datagrams delivered to `handler`.
-  template <typename Handler>
-  std::size_t run_cycle(Handler&& handler) {
-    bool want_write = false;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      for (const auto& [proc, peer] : peers_) {
-        if (!peer.backlog.empty()) {
-          want_write = true;
-          break;
-        }
-      }
-    }
-    const bool can_read = kernel_->pending() > 0;
-    const bool can_write = want_write && !kernel_->blocked;
-    char drain[64];
-    while (::read(wake_[0], drain, sizeof(drain)) > 0) {
-    }
-    std::size_t delivered = 0;
-    if (can_read) {
-      while (true) {
-        const std::size_t n = kernel_->pop(buf_.data(), buf_.size());
-        if (n == 0) break;
-        {
-          const std::lock_guard<std::mutex> lock(mu_);
-          reply_valid_ = true;
-        }
-        handler(buf_.data(), n);
-        ++delivered;
-        {
-          const std::lock_guard<std::mutex> lock(mu_);
-          reply_valid_ = false;
-        }
-      }
-    }
-    if (can_write) {
-      const std::lock_guard<std::mutex> lock(mu_);
-      for (auto& [proc, peer] : peers_) {
-        while (!peer.backlog.empty()) {
-          if (!try_send(peer.backlog.front())) break;
-          peer.backlog.pop_front();
-        }
-      }
-    }
-    return delivered;
-  }
-
-  [[nodiscard]] std::size_t backlog() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    std::size_t total = 0;
-    for (const auto& [proc, peer] : peers_) total += peer.backlog.size();
-    return total;
-  }
-
- private:
-  struct PeerState {
-    std::deque<std::vector<std::uint8_t>> backlog;
-  };
-
-  bool try_send(const std::vector<std::uint8_t>& bytes) {
-    if (kernel_->blocked) return false;
-    return kernel_->push(bytes.data(), bytes.size());
-  }
-
-  StubKernel* kernel_;
-  int wake_[2] = {-1, -1};
-  mutable std::mutex mu_;
-  std::map<ProcId, PeerState> peers_;
-  bool reply_valid_ = false;
-  std::vector<std::uint8_t> buf_;
-};
-
 /// Burst-send kDatagrams against a blocked kernel, unblock, and pump until
 /// every datagram has looped back through the handler — the full
-/// send -> backlog -> flush -> recv -> dispatch cycle, old engine.
-void BM_LegacyEnginePath(bench::State& state) {
-  StubKernel kernel;
-  LegacyEngine engine(&kernel);
-  const std::vector<std::uint8_t> payload(kPayload, 0x5a);
-  std::size_t sink = 0;
-  for (auto _ : state) {
-    kernel.blocked = true;
-    for (std::size_t i = 0; i < kDatagrams; ++i) {
-      // The pre-§7 caller protocol: a fresh vector per datagram.
-      std::vector<std::uint8_t> bytes(payload.begin(), payload.end());
-      engine.send(static_cast<ProcId>(i % kPeers), std::move(bytes));
-    }
-    kernel.blocked = false;
-    std::size_t delivered = 0;
-    while (delivered < kDatagrams) {
-      delivered += engine.run_cycle(
-          [&](const std::uint8_t* data, std::size_t n) {
-            sink += n + data[0];
-          });
-    }
-  }
-  bench::do_not_optimize(sink);
-  state.counters["dgrams_per_op"] = static_cast<double>(kDatagrams);
-  state.counters["ns_per_dgram"] =
-      state.elapsed_seconds() * 1e9 /
-      static_cast<double>(state.iterations() * kDatagrams);
-}
-DS_BENCHMARK(transport, BM_LegacyEnginePath);
-
-/// Same traffic, same stub kernel, new engine: take_buffer recycling,
-/// transition-only eventfd wake, ring backlogs, batched flush/recv turns.
-/// arg = recv_batch = send_batch.
-void BM_ShardEnginePath(bench::State& state) {
+/// send -> backlog -> flush -> recv -> dispatch cycle.  arg = recv_batch =
+/// send_batch.
+void BM_EnginePath(bench::State& state) {
   StubKernel kernel;
   StubOps ops(&kernel);
   UdpTransport::Options opts;
@@ -330,7 +174,7 @@ void BM_ShardEnginePath(bench::State& state) {
       state.elapsed_seconds() * 1e9 /
       static_cast<double>(state.iterations() * kDatagrams);
 }
-DS_BENCHMARK(transport, BM_ShardEnginePath)->arg(8)->arg(32);
+DS_BENCHMARK(transport, BM_EnginePath)->arg(8)->arg(32);
 
 /// Production syscalls over loopback: one transport sends a burst to
 /// another, which pumps it in with recvmmsg (arg = recv_batch).  Kernel

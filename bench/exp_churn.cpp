@@ -2,9 +2,10 @@
 //
 // How much join/leave churn does the mesh absorb while staying correct —
 // and what does churn cost in gradient sharpness and reconvergence time?
-// The experiment runs the real runtime stack (a runtime::Mesh: ThreadHub,
-// Node threads, dynamic membership on) and has one seeded non-source seat
-// cycle through leave/rejoin at a fixed rate, sweeping
+// The experiment runs the real runtime stack (a runtime::Mesh: Hub, Nodes,
+// dynamic membership on, all in the hub's virtual time, so a cell replays
+// from its seed) and has one seeded non-source seat cycle through
+// leave/rejoin at a fixed rate, sweeping
 //
 //   topology  x  churn rate (cycles/second)  x  seed
 //
@@ -33,7 +34,6 @@
 #include "core/optimal_csa.h"
 #include "core/spec.h"
 #include "runtime/mesh.h"
-#include "runtime/time_source.h"
 #include "workloads/topology.h"
 
 using namespace driftsync;
@@ -113,8 +113,7 @@ CellResult run_cell(const SystemSpec& spec, double rate, std::uint64_t seed,
   const double churn_window = duration * 0.6;
   const double period = rate > 0.0 ? 1.0 / rate : 0.0;
   std::vector<double> gradient_widths;
-  const SystemTimeSource wall;
-  const double started = wall.now();
+  const double started = mesh.hub().now();
   bool away = false;
   // First leave early in the cell (after a short warm-up) so even the
   // slowest swept rate completes at least one full cycle inside the churn
@@ -123,7 +122,7 @@ CellResult run_cell(const SystemSpec& spec, double rate, std::uint64_t seed,
   double last_rejoin = started;
   double next_observe = started;
   for (;;) {
-    const double now = wall.now();
+    const double now = mesh.hub().now();
     if (now - started >= duration) break;
     const bool in_window = now - started < churn_window;
     // In the window the churner flips on schedule; once the window has
@@ -155,7 +154,7 @@ CellResult run_cell(const SystemSpec& spec, double rate, std::uint64_t seed,
       mesh.oracle().observe();
       next_observe = now + 0.1;
     }
-    nap(0.02);
+    mesh.hub().run_for(0.02);
   }
   mesh.oracle().observe();
 

@@ -2,9 +2,10 @@
 //
 // How many colluding liars does the mesh absorb before honest nodes stop
 // converging — and does containment survive even past that point?  The
-// experiment runs the real runtime stack (a runtime::Mesh: ThreadHub,
-// Node threads, cross-path validation on) with f of the non-source seats
-// wrapped in ByzantinePeer, sweeping
+// experiment runs the real runtime stack (a runtime::Mesh: Hub, Nodes,
+// cross-path validation on, all in the hub's virtual time, so a cell replays
+// from its seed) with f of the non-source seats wrapped in ByzantinePeer,
+// sweeping
 //
 //   topology  x  f (number of Byzantine seats)  x  strategy  x  seed
 //

@@ -166,4 +166,12 @@ std::string trace_to_chrome_json(const std::vector<TraceEvent>& events) {
   return out;
 }
 
+bool write_chrome_trace(const Tracer& tracer, const std::string& path) {
+  const std::string json = trace_to_chrome_json(tracer.snapshot());
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
+  return std::fclose(f) == 0 && ok;
+}
+
 }  // namespace driftsync

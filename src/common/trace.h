@@ -147,4 +147,8 @@ class Tracer {
 /// for identical input — the determinism tests diff the raw strings.
 std::string trace_to_chrome_json(const std::vector<TraceEvent>& events);
 
+/// Writes `tracer`'s snapshot to `path` as trace_to_chrome_json renders it;
+/// false on an I/O failure, with errno set.
+bool write_chrome_trace(const Tracer& tracer, const std::string& path);
+
 }  // namespace driftsync

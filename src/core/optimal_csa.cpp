@@ -316,11 +316,12 @@ CsaStats OptimalCsa::stats() const {
   if (engine_) {
     s.live_points = engine_->live_count();
     s.max_live_points = engine_->max_live_count();
-    s.state_bytes = engine_->matrix_bytes();
+    s.state_bytes = engine_->matrix_bytes() + engine_->live_bytes();
     s.apsp_relaxations = engine_->apsp_relaxations();
     s.scratch_bytes = engine_->scratch_bytes() +
                       screen_floor_.capacity() * sizeof(LocalTime) +
                       engine_undo_->matrix_bytes() +
+                      engine_undo_->live_bytes() +
                       engine_undo_->scratch_bytes();
   }
   if (history_) {

@@ -18,17 +18,38 @@ using HalfEdge = graph::IncrementalApsp::HalfEdge;
 SyncEngine::SyncEngine(const SystemSpec& spec, ProcId self, Options opts)
     : spec_(&spec), self_(self), opts_(opts) {
   DS_CHECK(self < spec.num_procs());
-  live_.resize(spec.num_procs());
+  head_.assign(spec.num_procs(), kNoEntry);
   last_id_.assign(spec.num_procs(), kInvalidEvent);
 }
 
 const SyncEngine::LiveNode* SyncEngine::find(EventId id) const {
-  if (id.proc >= live_.size()) return nullptr;
-  const std::vector<LiveNode>& nodes = live_[id.proc];
-  const auto it = std::lower_bound(
-      nodes.begin(), nodes.end(), id.seq,
-      [](const LiveNode& n, std::uint32_t seq) { return n.rec.id.seq < seq; });
-  return it != nodes.end() && it->rec.id.seq == id.seq ? &*it : nullptr;
+  if (id.proc >= head_.size()) return nullptr;
+  // A list holds a processor's last event and its pending sends: short.
+  for (std::uint32_t i = head_[id.proc]; i != kNoEntry; i = pool_[i].next) {
+    const LiveNode& node = pool_[i];
+    if (node.rec.id.seq >= id.seq) {
+      return node.rec.id.seq == id.seq ? &node : nullptr;
+    }
+  }
+  return nullptr;
+}
+
+void SyncEngine::push_live(const LiveNode& node) {
+  if (free_ == kNoEntry) {  // Every entry is live: the matrix outgrew them.
+    const auto used = static_cast<std::uint32_t>(pool_.size());
+    pool_.resize(apsp_.capacity());
+    for (auto i = static_cast<std::uint32_t>(pool_.size()); i-- > used;) {
+      pool_[i].next = free_;
+      free_ = i;
+    }
+  }
+  const std::uint32_t i = free_;
+  free_ = pool_[i].next;
+  pool_[i] = node;
+  std::uint32_t* link = &head_[node.rec.id.proc];
+  while (*link != kNoEntry) link = &pool_[*link].next;
+  *link = i;
+  ++live_count_;
 }
 
 const SyncEngine::LiveNode& SyncEngine::live_at(EventId id) const {
@@ -80,7 +101,7 @@ IngestVerdict SyncEngine::ingest(const EventRecord& record) {
   }
 
   // At most two edges each way: built on the stack, so ingest allocates
-  // nothing once the live lists and the distance matrix stop growing.
+  // nothing until the distance matrix grows.
   std::array<HalfEdge, 2> in_edges;
   std::array<HalfEdge, 2> out_edges;
   std::size_t n_in = 0;
@@ -142,13 +163,12 @@ IngestVerdict SyncEngine::ingest(const EventRecord& record) {
     return IngestVerdict::kNegativeCycle;  // insert_node changed nothing
   }
 
-  // The new event has the highest seq of its processor: appending keeps
-  // the list sorted, and a retired predecessor is the list's last entry.
+  // The new event has the highest seq of its processor: it goes at the
+  // back of the list, where a retired predecessor hands it its entry.
   if (retire != graph::IncrementalApsp::kNoHandle) {
-    live_[w].back() = LiveNode{record, h};
+    *find(prev_id) = LiveNode{record, h};
   } else {
-    live_[w].push_back(LiveNode{record, h});
-    ++live_count_;
+    push_live(LiveNode{record, h});
   }
   last_id_[w] = record.id;
 
@@ -175,12 +195,18 @@ IngestVerdict SyncEngine::ingest(const EventRecord& record) {
 
 void SyncEngine::drop_if_dead(EventId id) {
   if (opts_.keep_dead_nodes) return;  // ablation mode: no garbage collection
-  const LiveNode& node = live_at(id);
   if (last_id_[id.proc] == id) return;  // still the last point at its proc
-  if (pending_send(node)) return;
-  apsp_.remove_node(node.handle);
-  std::vector<LiveNode>& nodes = live_[id.proc];
-  nodes.erase(nodes.begin() + (&node - nodes.data()));
+  std::uint32_t* link = &head_[id.proc];
+  while (*link != kNoEntry && pool_[*link].rec.id != id) {
+    link = &pool_[*link].next;
+  }
+  DS_CHECK_MSG(*link != kNoEntry, "not a live point");
+  const std::uint32_t i = *link;
+  if (pending_send(pool_[i])) return;
+  apsp_.remove_node(pool_[i].handle);
+  *link = pool_[i].next;
+  pool_[i].next = free_;
+  free_ = i;
   --live_count_;
 }
 
@@ -251,9 +277,7 @@ double SyncEngine::distance(EventId from, EventId to) const {
 std::vector<EventId> SyncEngine::live_points() const {
   std::vector<EventId> out;
   out.reserve(live_count_);
-  for (const std::vector<LiveNode>& nodes : live_) {
-    for (const LiveNode& node : nodes) out.push_back(node.rec.id);
-  }
+  for_each_live([&](const LiveNode& node) { out.push_back(node.rec.id); });
   return out;
 }
 
@@ -274,9 +298,8 @@ wire::RecordEncoder& save_encoder() {
 std::size_t SyncEngine::live_records_size() const {
   std::size_t size = wire::varint_size(live_count_);
   wire::RecordEncoder& encoder = save_encoder();
-  for (const std::vector<LiveNode>& nodes : live_) {
-    for (const LiveNode& node : nodes) size += encoder.measure(node.rec);
-  }
+  for_each_live(
+      [&](const LiveNode& node) { size += encoder.measure(node.rec); });
   return size;
 }
 
@@ -306,24 +329,16 @@ void SyncEngine::save(std::vector<std::uint8_t>& out) const {
   wire::put_varint(out, live_records_size());
   wire::put_varint(out, live_count_);
   wire::RecordEncoder& encoder = save_encoder();
-  for (const std::vector<LiveNode>& nodes : live_) {
-    for (const LiveNode& node : nodes) encoder.put(out, node.rec);
-  }
-  for (const std::vector<LiveNode>& nodes : live_) {
-    for (const LiveNode& node : nodes) {
-      out.push_back(static_cast<std::uint8_t>((node.recv_seen ? 1 : 0) |
-                                              (node.lost ? 2 : 0)));
-    }
-  }
-  for (const std::vector<LiveNode>& from : live_) {
-    for (const LiveNode& a : from) {
-      for (const std::vector<LiveNode>& to : live_) {
-        for (const LiveNode& b : to) {
-          wire::put_double(out, apsp_.distance(a.handle, b.handle));
-        }
-      }
-    }
-  }
+  for_each_live([&](const LiveNode& node) { encoder.put(out, node.rec); });
+  for_each_live([&](const LiveNode& node) {
+    out.push_back(static_cast<std::uint8_t>((node.recv_seen ? 1 : 0) |
+                                            (node.lost ? 2 : 0)));
+  });
+  for_each_live([&](const LiveNode& a) {
+    for_each_live([&](const LiveNode& b) {
+      wire::put_double(out, apsp_.distance(a.handle, b.handle));
+    });
+  });
   wire::put_varint(out, max_live_);
 }
 
@@ -442,18 +457,15 @@ void SyncEngine::load(std::span<const std::uint8_t> bytes,
   if (!apsp.load_matrix(dist)) {
     throw CheckpointError("inconsistent distance matrix");
   }
-  // Canonical order is (proc, seq): appending keeps every list sorted.
-  std::vector<std::vector<LiveNode>> live(num_procs);
-  for (std::size_t i = 0; i < n; ++i) {
-    live[records[i].id.proc].push_back(
-        LiveNode{records[i], apsp.live_handles()[i], (flags[i] & 1) != 0,
-                 (flags[i] & 2) != 0});
-  }
+  pool_.reserve(apsp.capacity());  // Sized before anything is committed.
 
-  // Everything validated: commit.
+  // Everything validated: commit.  The records are in canonical order, so
+  // each is the newest of its processor so far.
   apsp_ = std::move(apsp);
-  live_ = std::move(live);
-  live_count_ = n;
+  for (std::size_t i = 0; i < n; ++i) {
+    push_live(LiveNode{records[i], apsp_.live_handles()[i],
+                       (flags[i] & 1) != 0, (flags[i] & 2) != 0});
+  }
   for (std::size_t w = 0; w < num_procs; ++w) {
     last_id_[w] = last_seq[w] == 0
                       ? kInvalidEvent

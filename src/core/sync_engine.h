@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <utility>
@@ -159,13 +160,23 @@ class SyncEngine {
   [[nodiscard]] std::size_t scratch_bytes() const {
     return apsp_.scratch_bytes();
   }
+  /// Resident bytes of the live records: one entry per matrix slot and
+  /// one list head per processor.  Not part of matrix_bytes().
+  [[nodiscard]] std::size_t live_bytes() const {
+    return pool_.capacity() * sizeof(LiveNode) +
+           head_.capacity() * sizeof(std::uint32_t);
+  }
 
  private:
+  static constexpr std::uint32_t kNoEntry = ~std::uint32_t{0};
+
   struct LiveNode {
     EventRecord rec;
     graph::IncrementalApsp::Handle handle = graph::IncrementalApsp::kNoHandle;
     bool recv_seen = false;  ///< For sends: matching receive ingested.
     bool lost = false;       ///< For sends: loss declaration ingested.
+    /// The next entry of its processor's list, or of the free chain.
+    std::uint32_t next = kNoEntry;
   };
 
   [[nodiscard]] static bool pending_send(const LiveNode& node) {
@@ -181,6 +192,15 @@ class SyncEngine {
 
   /// Removes a node if it is no longer live per Definition 3.1.
   void drop_if_dead(EventId id);
+  /// Appends a node, the newest of its processor, at its list's back.
+  void push_live(const LiveNode& node);
+  /// Calls f on every live node in canonical (EventId) order.
+  template <typename F>
+  void for_each_live(F&& f) const {
+    for (std::uint32_t i : head_) {
+      for (; i != kNoEntry; i = pool_[i].next) f(pool_[i]);
+    }
+  }
 
   /// Size of the live records' batch image (count, then each record in
   /// canonical order).
@@ -190,11 +210,15 @@ class SyncEngine {
   ProcId self_;
   Options opts_;
   graph::IncrementalApsp apsp_;
-  /// Live nodes per processor, sorted by seq: the processor's last event
-  /// plus its pending sends (every ingested event in the keep_dead_nodes
-  /// ablation).  Lists only ever append at the back and erase in place, so
-  /// their capacity is reused once the live set stops growing.
-  std::vector<std::vector<LiveNode>> live_;
+  /// The live nodes: per processor, its last event plus its pending sends
+  /// (every ingested event in the keep_dead_nodes ablation), linked in seq
+  /// order from head_; the other entries are chained from free_.
+  /// Each live node holds a matrix slot, so the pool has one entry per
+  /// slot: it and a rollback shadow's copy allocate only when the matrix
+  /// grows, however the live set is split among processors.
+  std::vector<LiveNode> pool_;
+  std::vector<std::uint32_t> head_;  ///< Per processor; kNoEntry if none.
+  std::uint32_t free_ = kNoEntry;
   std::size_t live_count_ = 0;
   std::vector<EventId> last_id_;  ///< Per processor; invalid when none.
   std::size_t max_live_ = 0;

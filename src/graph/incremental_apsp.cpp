@@ -47,6 +47,14 @@ void IncrementalApsp::grow(std::size_t min_capacity) {
   }
   matrix_ = std::move(fresh);
   capacity_ = new_capacity;
+  reserve_ids();
+}
+
+void IncrementalApsp::reserve_ids() {
+  handle_of_.reserve(capacity_);
+  slot_of_id_.reserve(capacity_);
+  free_ids_.reserve(capacity_);
+  if (scratch_.size() < 2 * capacity_) scratch_.resize(2 * capacity_);
 }
 
 IncrementalApsp& IncrementalApsp::operator=(const IncrementalApsp& other) {
@@ -65,6 +73,10 @@ IncrementalApsp& IncrementalApsp::operator=(const IncrementalApsp& other) {
       std::fill(dst + copied, dst + std::max(copied, old_n), kNoBound);
     }
   }
+  // Sized before the copy, so a later, longer copy does not grow them; the
+  // insert scratch is only sized, so a shadow swapped in for a refused
+  // receive inserts without allocating.
+  reserve_ids();
   handle_of_ = other.handle_of_;
   slot_of_id_ = other.slot_of_id_;
   free_ids_ = other.free_ids_;
@@ -91,8 +103,6 @@ IncrementalApsp::Handle IncrementalApsp::insert_node(
 
   const auto n = static_cast<std::uint32_t>(size());
   if (!takeover && n == capacity_) grow(n + 1);
-  // Sized with the matrix: after a growth, and on a copy's first insert.
-  if (scratch_.size() < 2 * capacity_) scratch_.resize(2 * capacity_);
   const std::uint32_t slot = takeover ? slot_of(retire) : n;
   const std::size_t trip = padded(n);
   double* const col = scratch_.data();

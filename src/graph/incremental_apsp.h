@@ -107,6 +107,9 @@ class IncrementalApsp {
 
   /// Number of live nodes.
   [[nodiscard]] std::size_t size() const { return handle_of_.size(); }
+  /// Live nodes the matrix holds before it next grows.  Every table here,
+  /// and a copy's, is sized with it: nothing allocates until it grows.
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
   /// Currently live handles, indexed by slot (unordered).
   [[nodiscard]] const std::vector<Handle>& live_handles() const {
@@ -168,6 +171,9 @@ class IncrementalApsp {
   }
 
   void grow(std::size_t min_capacity);
+  /// Sizes the three id tables (none outgrows the capacity) and the insert
+  /// scratch with the capacity.
+  void reserve_ids();
   /// Wipes row and column `slot` over the live prefix 0..size()-1.
   void wipe_slot(std::uint32_t slot);
 

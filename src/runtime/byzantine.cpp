@@ -1,7 +1,6 @@
 #include "runtime/byzantine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 #include <variant>
 
@@ -11,25 +10,16 @@
 
 namespace driftsync::runtime {
 
-namespace {
-
-double steady_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
 ByzantinePeer::ByzantinePeer(std::unique_ptr<Transport> inner, ProcId self,
                              ByzantineStrategy strategy, std::uint64_t seed,
-                             ChaosEventLog* log)
+                             const TimeSource& clock, ChaosEventLog* log)
     : inner_(std::move(inner)),
       self_(self),
       strategy_(strategy),
+      clock_(clock),
       log_(log),
       rng_(seed),
-      start_(steady_seconds()) {}
+      start_(clock.now()) {}
 
 ByzantinePeer::~ByzantinePeer() { stop(); }
 
@@ -41,32 +31,11 @@ void ByzantinePeer::start(DatagramHandler handler) {
 void ByzantinePeer::stop() {
   // Held datagrams die with the transport — by then they are stale enough
   // that releasing them would be a spec violation, not a delay attack.
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    held_.clear();
-  }
+  held_.clear();
   inner_->stop();
 }
 
-void ByzantinePeer::set_active(bool active) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  active_ = active;
-}
-
-std::uint64_t ByzantinePeer::mutations() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return mutations_;
-}
-
-void ByzantinePeer::release_due_locked(std::vector<Held>& out) {
-  const double now = steady_seconds();
-  while (!held_.empty() && now - held_.front().held_at >= strategy_.delay_hold) {
-    out.push_back(std::move(held_.front()));
-    held_.pop_front();
-  }
-}
-
-bool ByzantinePeer::mutate_locked(ProcId to, std::vector<std::uint8_t>& bytes) {
+bool ByzantinePeer::mutate(ProcId to, std::vector<std::uint8_t>& bytes) {
   Datagram dgram;
   try {
     dgram = decode_datagram(bytes);
@@ -87,7 +56,7 @@ bool ByzantinePeer::mutate_locked(ProcId to, std::vector<std::uint8_t>& bytes) {
   double offset = 0.0;
   if (strategy_.skew_rate != 0.0) {
     const double ramp = std::min(strategy_.skew_max,
-                                 strategy_.skew_rate * (steady_seconds() - start_));
+                                 strategy_.skew_rate * (clock_.now() - start_));
     const bool flip = strategy_.equivocate && (to % 2 == 1);
     offset += flip ? -ramp : ramp;
     if (log_ != nullptr && ramp != 0.0) {
@@ -136,53 +105,50 @@ bool ByzantinePeer::mutate_locked(ProcId to, std::vector<std::uint8_t>& bytes) {
 }
 
 void ByzantinePeer::send(ProcId to, std::vector<std::uint8_t> bytes) {
-  std::vector<Held> release;
-  std::vector<std::pair<ProcId, std::vector<std::uint8_t>>> extra;
-  bool hold = false;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    release_due_locked(release);
-    if (active_) {
-      const bool is_data = mutate_locked(to, bytes);
-      if (is_data) {
-        // Mutating replayer: re-send the previous observation to this
-        // destination under its original dgram_seq, timestamps nudged —
-        // byte-inequal to what the receiver first resolved.
-        if (strategy_.replay > 0.0 && rng_.next_double() < strategy_.replay) {
-          const auto it = last_sent_.find(to);
-          if (it != last_sent_.end()) {
-            try {
-              Datagram old = decode_datagram(it->second);
-              DataMsg& oldd = std::get<DataMsg>(old);
-              oldd.send_lt += rng_.uniform(1e-3, 2e-3);
-              extra.emplace_back(to, encode_datagram(old));
-              ++mutations_;
-              if (log_ != nullptr) {
-                log_->log("byz-replay", self_, to,
-                          static_cast<double>(oldd.dgram_seq), oldd.trace_id);
-              }
-            } catch (const WireError&) {
-            }
-          }
+  // Release every held datagram that is delay_hold old, oldest first.
+  const double now = clock_.now();
+  while (!held_.empty() &&
+         now - held_.front().held_at >= strategy_.delay_hold) {
+    inner_->send(held_.front().to, std::move(held_.front().bytes));
+    held_.pop_front();
+  }
+  if (!active_ || !mutate(to, bytes)) {
+    inner_->send(to, std::move(bytes));
+    return;
+  }
+  // Mutating replayer: re-send the previous observation to this
+  // destination under its original dgram_seq, timestamps nudged —
+  // byte-inequal to what the receiver first resolved.
+  if (strategy_.replay > 0.0 && rng_.next_double() < strategy_.replay) {
+    const auto it = last_sent_.find(to);
+    if (it != last_sent_.end()) {
+      try {
+        Datagram old = decode_datagram(it->second);
+        DataMsg& oldd = std::get<DataMsg>(old);
+        oldd.send_lt += rng_.uniform(1e-3, 2e-3);
+        ++mutations_;
+        if (log_ != nullptr) {
+          log_->log("byz-replay", self_, to,
+                    static_cast<double>(oldd.dgram_seq), oldd.trace_id);
         }
-        last_sent_[to] = bytes;
-        // Delay attack: hold this observation; release_due_locked frees it
-        // once it is delay_hold old (asymmetric extra latency, within the
-        // transit bounds when delay_hold is budgeted against the spec).
-        if (strategy_.delay > 0.0 && rng_.next_double() < strategy_.delay) {
-          hold = true;
-          if (log_ != nullptr) {
-            log_->log("byz-delay", self_, to, strategy_.delay_hold,
-                      peek_trace_id(bytes));
-          }
-          held_.push_back(Held{to, steady_seconds(), std::move(bytes)});
-        }
+        inner_->send(to, encode_datagram(old));
+      } catch (const WireError&) {
       }
     }
   }
-  for (Held& h : release) inner_->send(h.to, std::move(h.bytes));
-  for (auto& [peer, payload] : extra) inner_->send(peer, std::move(payload));
-  if (!hold) inner_->send(to, std::move(bytes));
+  last_sent_[to] = bytes;
+  // Delay attack: hold this observation until it is delay_hold old
+  // (asymmetric extra latency, within the transit bounds when delay_hold is
+  // budgeted against the spec).
+  if (strategy_.delay > 0.0 && rng_.next_double() < strategy_.delay) {
+    if (log_ != nullptr) {
+      log_->log("byz-delay", self_, to, strategy_.delay_hold,
+                peek_trace_id(bytes));
+    }
+    held_.push_back(Held{to, now, std::move(bytes)});
+    return;
+  }
+  inner_->send(to, std::move(bytes));
 }
 
 }  // namespace driftsync::runtime

@@ -15,9 +15,9 @@
 //
 //  * Bounded skew ramp: outbound timestamps (the header send_lt and every
 //    self-owned payload record) drift away from the true clock at
-//    skew_rate seconds per real second, capped at skew_max.  A slow enough
-//    ramp is indistinguishable from legal drift on any single edge; it is
-//    caught only when redundant paths expose the divergence.
+//    skew_rate seconds per second of the peer's clock, capped at skew_max.
+//    A slow enough ramp is indistinguishable from legal drift on any single
+//    edge; it is caught only when redundant paths expose the divergence.
 //  * Equivocation: the skew's sign flips with the destination's parity —
 //    different neighbors are told different lies about the same events.
 //    Honest full-information forwarding then delivers both versions of one
@@ -45,11 +45,11 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/rng.h"
+#include "runtime/time_source.h"
 #include "runtime/transport.h"
 
 namespace driftsync::runtime {
@@ -58,7 +58,8 @@ class ChaosEventLog;
 
 /// Composable attack strategies; all default to "honest".
 struct ByzantineStrategy {
-  /// Skew ramp: seconds of lie added per real second, capped at skew_max.
+  /// Skew ramp: seconds of lie added per second of the peer's clock,
+  /// capped at skew_max.
   double skew_rate = 0.0;
   double skew_max = 0.0;
   /// Equivocate: flip the skew's sign per destination parity (even peers
@@ -89,17 +90,20 @@ struct ByzantineStrategy {
 class ByzantinePeer : public Transport {
  public:
   /// Wraps `inner` (the transport seat of the node turning Byzantine) for
-  /// processor `self`.  `log` may be nullptr; it must outlive this
-  /// transport otherwise.
+  /// processor `self`; the skew ramp and held datagrams age on `clock`.
+  /// `log` may be nullptr.  Both must outlive this transport.
   ByzantinePeer(std::unique_ptr<Transport> inner, ProcId self,
                 ByzantineStrategy strategy, std::uint64_t seed,
-                ChaosEventLog* log = nullptr);
+                const TimeSource& clock, ChaosEventLog* log = nullptr);
   ~ByzantinePeer() override;
 
   void start(DatagramHandler handler) override;
   void stop() override;
   void send(ProcId to, std::vector<std::uint8_t> bytes) override;
 
+  void set_timer(TimerHandler timer) override {
+    inner_->set_timer(std::move(timer));
+  }
   [[nodiscard]] std::vector<std::uint8_t> take_buffer(ProcId to) override {
     return inner_->take_buffer(to);
   }
@@ -109,11 +113,8 @@ class ByzantinePeer : public Transport {
     return inner_->admit_current_sender(peer);
   }
   void retire_peer(ProcId peer) override {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      std::erase_if(held_, [peer](const Held& h) { return h.to == peer; });
-      last_sent_.erase(peer);
-    }
+    std::erase_if(held_, [peer](const Held& h) { return h.to == peer; });
+    last_sent_.erase(peer);
     inner_->retire_peer(peer);
   }
 
@@ -128,32 +129,30 @@ class ByzantinePeer : public Transport {
   /// Turns the attack on or off at runtime (readmission tests: lie, go
   /// quiet long enough to be readmitted, resume lying).  Held datagrams
   /// are still released while inactive.
-  void set_active(bool active);
+  void set_active(bool active) { active_ = active; }
 
   /// Mutated data datagrams so far (any strategy).
-  [[nodiscard]] std::uint64_t mutations() const;
+  [[nodiscard]] std::uint64_t mutations() const { return mutations_; }
 
  private:
   struct Held {
     ProcId to = kInvalidProc;
-    double held_at = 0.0;  ///< steady-clock seconds.
+    double held_at = 0.0;  ///< clock_ reading.
     std::vector<std::uint8_t> bytes;
   };
 
-  /// Applies the active strategies to one decodable data datagram; returns
-  /// true when the bytes were rewritten.  Caller holds mu_.
-  bool mutate_locked(ProcId to, std::vector<std::uint8_t>& bytes);
-  void release_due_locked(std::vector<Held>& out);
+  /// Applies the active strategies to `bytes`; returns whether they hold
+  /// a data datagram (the only kind worth lying in).
+  bool mutate(ProcId to, std::vector<std::uint8_t>& bytes);
 
   std::unique_ptr<Transport> inner_;
   const ProcId self_;
   const ByzantineStrategy strategy_;
+  const TimeSource& clock_;
   ChaosEventLog* log_;
-
-  mutable std::mutex mu_;
   Rng rng_;
   bool active_ = true;
-  double start_;  ///< steady-clock seconds at construction (skew ramp t=0).
+  double start_;  ///< clock_ at construction (skew ramp t=0).
   std::uint64_t data_sends_ = 0;
   std::uint64_t mutations_ = 0;
   /// Last mutated observation per destination, for the mutating replayer.

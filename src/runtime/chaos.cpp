@@ -1,7 +1,6 @@
 #include "runtime/chaos.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <utility>
 
@@ -10,39 +9,22 @@
 
 namespace driftsync::runtime {
 
-namespace {
-
-double steady_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // ChaosEventLog
 
 void ChaosEventLog::log(const char* fault, ProcId node, ProcId peer,
                         double value, std::uint64_t trace_id) {
-  const std::lock_guard<std::mutex> lock(mu_);
   ++total_;
   ++per_fault_[fault];
   if (out_ != nullptr) {
     std::fprintf(out_,
                  "{\"chaos\":\"%s\",\"node\":%u,\"peer\":%u,\"t\":%.6f,"
                  "\"value\":%g,\"trace\":\"0x%" PRIx64 "\"}\n",
-                 fault, node, peer, steady_seconds(), value, trace_id);
+                 fault, node, peer, clock_.now(), value, trace_id);
   }
 }
 
-std::uint64_t ChaosEventLog::total() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return total_;
-}
-
 std::uint64_t ChaosEventLog::count(const std::string& fault) const {
-  const std::lock_guard<std::mutex> lock(mu_);
   const auto it = per_fault_.find(fault);
   return it == per_fault_.end() ? 0 : it->second;
 }
@@ -52,10 +34,11 @@ std::uint64_t ChaosEventLog::count(const std::string& fault) const {
 
 ChaosTransport::ChaosTransport(std::unique_ptr<Transport> inner, ProcId self,
                                ChaosFaults faults, std::uint64_t seed,
-                               ChaosEventLog* log)
+                               const TimeSource& clock, ChaosEventLog* log)
     : inner_(std::move(inner)),
       self_(self),
       faults_(faults),
+      clock_(clock),
       log_(log),
       rng_(seed) {
   DS_CHECK(inner_ != nullptr);
@@ -74,25 +57,17 @@ void ChaosTransport::start(DatagramHandler handler) {
 }
 
 void ChaosTransport::stop() {
-  {
-    // Held-back datagrams die with the transport; count them as drops so
-    // the journal's accounting stays closed.
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [peer, held] : held_) {
-      ++injected_;
-      if (log_ != nullptr) {
-        log_->log("hold-drop", self_, peer, 0.0, held.trace_id);
-      }
-      trace_fault_drop(held.trace_id, peer);
+  // Held-back datagrams die with the transport; count them as drops so the
+  // journal's accounting stays closed.
+  for (const auto& [peer, held] : held_) {
+    ++injected_;
+    if (log_ != nullptr) {
+      log_->log("hold-drop", self_, peer, 0.0, held.trace_id);
     }
-    held_.clear();
+    trace_fault_drop(held.trace_id, peer);
   }
+  held_.clear();
   inner_->stop();
-}
-
-void ChaosTransport::set_tracer(Tracer* tracer) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  tracer_ = tracer;
 }
 
 void ChaosTransport::record(const char* fault, ProcId peer, double value,
@@ -108,10 +83,6 @@ void ChaosTransport::trace_fault_drop(std::uint64_t trace_id, ProcId peer) {
 }
 
 void ChaosTransport::send(ProcId to, std::vector<std::uint8_t> bytes) {
-  // Lock order is Node -> Chaos -> inner transport; the hub never calls
-  // back into the chaos layer, so holding mu_ across inner_->send is safe
-  // and keeps the per-send fault draws atomic (seed-replayable).
-  const std::lock_guard<std::mutex> lock(mu_);
   // Peek the causal id before corruption can mutate the bytes; skip the
   // decode entirely when nobody consumes it.
   const std::uint64_t tid =
@@ -162,7 +133,7 @@ void ChaosTransport::send(ProcId to, std::vector<std::uint8_t> bytes) {
       // A hold that outlived max_hold would no longer be a mere FIFO
       // violation but an out-of-spec transit time; decay it into a drop
       // (see ChaosFaults::max_hold).
-      const double age = steady_seconds() - held->second.since;
+      const double age = clock_.now() - held->second.since;
       if (age > faults_.max_hold) {
         record("hold-drop", to, age, held->second.trace_id);
         trace_fault_drop(held->second.trace_id, to);
@@ -172,7 +143,7 @@ void ChaosTransport::send(ProcId to, std::vector<std::uint8_t> bytes) {
       }
       held_.erase(held);
     } else if (faults_.reorder > 0.0 && rng_.flip(faults_.reorder)) {
-      held_[to] = Held{steady_seconds(), tid, std::move(bytes)};
+      held_[to] = Held{clock_.now(), tid, std::move(bytes)};
       record("hold", to, 0.0, tid);
       return;
     }
@@ -192,7 +163,6 @@ void ChaosTransport::send(ProcId to, std::vector<std::uint8_t> bytes) {
 }
 
 void ChaosTransport::set_partitioned(ProcId peer, bool on) {
-  const std::lock_guard<std::mutex> lock(mu_);
   if (on) {
     partitioned_.insert(peer);
   } else {
@@ -204,16 +174,10 @@ void ChaosTransport::set_partitioned(ProcId peer, bool on) {
 }
 
 void ChaosTransport::set_partitioned_all(bool on) {
-  const std::lock_guard<std::mutex> lock(mu_);
   partitioned_all_ = on;
   if (log_ != nullptr) {
     log_->log(on ? "partition-all" : "heal-all", self_, kInvalidProc);
   }
-}
-
-std::uint64_t ChaosTransport::injected() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return injected_;
 }
 
 // ---------------------------------------------------------------------------
@@ -228,7 +192,6 @@ FaultyTimeSource::FaultyTimeSource(std::unique_ptr<TimeSource> inner)
 }
 
 LocalTime FaultyTimeSource::now() const {
-  const std::lock_guard<std::mutex> lock(mu_);
   double v = acc_ + mult_ * (inner_->now() - base_);
   if (v < last_) v = last_;  // Freeze rather than run backwards.
   last_ = v;
@@ -236,7 +199,6 @@ LocalTime FaultyTimeSource::now() const {
 }
 
 void FaultyTimeSource::inject_step(double delta) {
-  const std::lock_guard<std::mutex> lock(mu_);
   const double raw = inner_->now();
   acc_ += mult_ * (raw - base_) + delta;
   base_ = raw;
@@ -245,21 +207,10 @@ void FaultyTimeSource::inject_step(double delta) {
 
 void FaultyTimeSource::set_rate_multiplier(double mult) {
   DS_CHECK_MSG(mult >= 0.0, "a clock cannot run backwards");
-  const std::lock_guard<std::mutex> lock(mu_);
   const double raw = inner_->now();
   acc_ += mult_ * (raw - base_);
   base_ = raw;
   mult_ = mult;
-}
-
-double FaultyTimeSource::fault_offset() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return step_total_;
-}
-
-double FaultyTimeSource::rate_multiplier() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return mult_;
 }
 
 }  // namespace driftsync::runtime

@@ -1,17 +1,17 @@
 // Deterministic fault injection for the runtime (DESIGN.md S7).
 //
 // The simulator can explore adversarial schedules because it owns the event
-// queue; the runtime cannot — real threads, real sockets, real clocks.  The
-// chaos layer closes that gap with two decorators that sit between a Node
-// and the primitives it trusts:
+// queue; a Node sees only a transport and a clock.  The chaos layer closes
+// that gap with two decorators that sit between a Node and the primitives
+// it trusts:
 //
 //  * ChaosTransport wraps any Transport and perturbs the SEND path with a
 //    seeded fault mix: partitions (total or per-peer), burst loss,
 //    independent drops, duplication, reordering beyond the per-direction
 //    FIFO the hub otherwise guarantees, and byte corruption.  Faults are
-//    injected sender-side only, so wrapping every endpoint of a ThreadHub
-//    covers both directions of every link and the hub's own FIFO/latency
-//    model stays intact underneath.
+//    injected sender-side only, so wrapping every endpoint of a Hub covers
+//    both directions of every link and the hub's own FIFO/latency model
+//    stays intact underneath.
 //
 //  * FaultyTimeSource wraps any TimeSource and perturbs the clock: a rate
 //    multiplier (within-spec drift wobble or a spec-violating rate) and
@@ -20,10 +20,12 @@
 //    TimeSource contract the Node depends on survives every fault.
 //
 // Every injected fault is reported to a shared ChaosEventLog as one JSON
-// line, and every stochastic choice flows through a seeded driftsync::Rng:
-// a failing chaos run is replayed from its --seed alone (the fault
-// schedule is bit-identical; thread scheduling may differ, which is why
-// the oracle asserts invariants, not exact traces).
+// line, every stochastic choice flows through a seeded driftsync::Rng, and
+// holds and journal stamps read a given clock.  Over a Hub that clock is
+// virtual time and the run has one thread, so a failing chaos run replays
+// from its --seed alone: the journal comes out byte-identical, timestamps
+// included.  Like the Hub, the decorators and the journal are not
+// thread-safe: one thread drives a run.
 //
 // Corruption is always *detectable*: at least one flipped bit lands in the
 // datagram header (magic/version), so the receiver counts a decode drop
@@ -37,7 +39,6 @@
 #include <cstdio>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -50,8 +51,8 @@
 
 namespace driftsync::runtime {
 
-/// Thread-safe journal of injected faults.  Each entry is one JSON line
-/// `{"chaos":"<fault>","node":N,"peer":P,"t":<steady-seconds>,"value":V,
+/// Journal of injected faults.  Each entry is one JSON line
+/// `{"chaos":"<fault>","node":N,"peer":P,"t":<clock seconds>,"value":V,
 /// "trace":"0x..."}` written to `out` (pass nullptr to only count).  The
 /// trace field is the causal trace id of the datagram the fault hit ("0x0"
 /// when it carried none), so a fault journal cross-references the Tracer's
@@ -59,16 +60,18 @@ namespace driftsync::runtime {
 /// oracle's loss-soundness bookkeeping.
 class ChaosEventLog {
  public:
-  explicit ChaosEventLog(std::FILE* out = nullptr) : out_(out) {}
+  /// `clock` stamps the entries and must outlive the log.
+  explicit ChaosEventLog(const TimeSource& clock, std::FILE* out = nullptr)
+      : clock_(clock), out_(out) {}
 
   void log(const char* fault, ProcId node, ProcId peer, double value = 0.0,
            std::uint64_t trace_id = 0);
 
-  [[nodiscard]] std::uint64_t total() const;
+  [[nodiscard]] std::uint64_t total() const { return total_; }
   [[nodiscard]] std::uint64_t count(const std::string& fault) const;
 
  private:
-  mutable std::mutex mu_;
+  const TimeSource& clock_;
   std::FILE* out_;
   std::uint64_t total_ = 0;
   std::map<std::string, std::uint64_t> per_fault_;
@@ -98,18 +101,23 @@ struct ChaosFaults {
 
 class ChaosTransport : public Transport {
  public:
-  /// Wraps `inner` (typically a ThreadHub endpoint) for processor `self`.
-  /// `log` may be nullptr; it must outlive this transport otherwise.
+  /// Wraps `inner` (typically a Hub endpoint) for processor `self`; holds
+  /// age on `clock`.  `log` may be nullptr.  Both must outlive this
+  /// transport.
   ChaosTransport(std::unique_ptr<Transport> inner, ProcId self,
                  ChaosFaults faults, std::uint64_t seed,
-                 ChaosEventLog* log = nullptr);
+                 const TimeSource& clock, ChaosEventLog* log = nullptr);
   ~ChaosTransport() override;
 
   void start(DatagramHandler handler) override;
   void stop() override;
   void send(ProcId to, std::vector<std::uint8_t> bytes) override;
 
-  /// Buffer recycling passes straight through to the wrapped transport.
+  /// The timer and buffer recycling pass straight through to the wrapped
+  /// transport.
+  void set_timer(TimerHandler timer) override {
+    inner_->set_timer(std::move(timer));
+  }
   [[nodiscard]] std::vector<std::uint8_t> take_buffer(ProcId to) override {
     return inner_->take_buffer(to);
   }
@@ -120,11 +128,8 @@ class ChaosTransport : public Transport {
     return inner_->admit_current_sender(peer);
   }
   void retire_peer(ProcId peer) override {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      held_.erase(peer);
-      partitioned_.erase(peer);
-    }
+    held_.erase(peer);
+    partitioned_.erase(peer);
     inner_->retire_peer(peer);
   }
 
@@ -146,34 +151,33 @@ class ChaosTransport : public Transport {
   void set_partitioned_all(bool on);
 
   /// Total faults this transport injected (drops, dups, holds, flips).
-  [[nodiscard]] std::uint64_t injected() const;
+  [[nodiscard]] std::uint64_t injected() const { return injected_; }
 
   /// Records a kDrop trace event for every fault that loses a datagram
   /// (partition-drop, burst-drop, drop, hold-drop).  Non-drop faults
   /// (corrupt, duplicate, hold/reorder) appear only in the journal.  Null
   /// disables.  Not owned; must outlive this transport.
-  void set_tracer(Tracer* tracer);
+  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
  private:
   void record(const char* fault, ProcId peer, double value = 0.0,
               std::uint64_t trace_id = 0);
-  /// kDrop trace hook for datagram-losing faults (mu_ held).
+  /// kDrop trace hook for datagram-losing faults.
   void trace_fault_drop(std::uint64_t trace_id, ProcId peer);
 
   std::unique_ptr<Transport> inner_;
   const ProcId self_;
   const ChaosFaults faults_;
+  const TimeSource& clock_;
   ChaosEventLog* log_;
   Tracer* tracer_ = nullptr;
-
-  mutable std::mutex mu_;
   Rng rng_;
   bool partitioned_all_ = false;
   std::set<ProcId> partitioned_;
   std::uint32_t burst_remaining_ = 0;
   /// One held-back datagram per destination (the reorder fault).
   struct Held {
-    double since = 0.0;  ///< steady_seconds() at hold time (max_hold cap).
+    double since = 0.0;  ///< clock_ at hold time (max_hold cap).
     std::uint64_t trace_id = 0;  ///< Peeked at hold time (bytes move away).
     std::vector<std::uint8_t> bytes;
   };
@@ -181,8 +185,7 @@ class ChaosTransport : public Transport {
   std::uint64_t injected_ = 0;
 };
 
-/// TimeSource decorator injecting clock faults.  Thread-safe: the chaos
-/// schedule pokes it while the Node reads it.
+/// TimeSource decorator injecting clock faults.
 class FaultyTimeSource : public TimeSource {
  public:
   explicit FaultyTimeSource(std::unique_ptr<TimeSource> inner);
@@ -201,12 +204,12 @@ class FaultyTimeSource : public TimeSource {
   void set_rate_multiplier(double mult);
 
   /// Ground-truth introspection for the harness/oracle.
-  [[nodiscard]] double fault_offset() const;     ///< Sum of injected steps.
-  [[nodiscard]] double rate_multiplier() const;  ///< Current multiplier.
+  /// Sum of injected steps, and the current multiplier.
+  [[nodiscard]] double fault_offset() const { return step_total_; }
+  [[nodiscard]] double rate_multiplier() const { return mult_; }
 
  private:
   std::unique_ptr<TimeSource> inner_;
-  mutable std::mutex mu_;
   double base_ = 0.0;        ///< Inner reading at the last fault change.
   double acc_ = 0.0;         ///< Our reading at the last fault change.
   double mult_ = 1.0;

@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/ids.h"
@@ -66,9 +67,11 @@ struct PeerState {
   // deliberately NOT checkpointed — a restarted node re-learns liveness
   // and re-derives quarantine from fresh observations, so a stale verdict
   // can never outlive its evidence). ---
-  double fate_deadline = 0.0;  ///< steady-clock seconds.
-  double next_poll = 0.0;
-  double last_heard = -1.0;       ///< steady-clock seconds; < 0 = never.
+  // Local times; -inf is "due at once" for the first two, "never" for the
+  // last.
+  double fate_deadline = -std::numeric_limits<double>::infinity();
+  double next_poll = -std::numeric_limits<double>::infinity();
+  double last_heard = -std::numeric_limits<double>::infinity();
   std::uint32_t backoff_exp = 0;  ///< Consecutive-timeout doublings.
   bool quarantined = false;
   /// Decaying suspicion score (see NodeConfig::suspicion_decay): +1 per
@@ -82,9 +85,9 @@ struct PeerState {
 
   /// Forgets everything except the identity and the wire frontier.
   void reset_health() {
-    fate_deadline = 0.0;
-    next_poll = 0.0;
-    last_heard = -1.0;
+    fate_deadline = -std::numeric_limits<double>::infinity();
+    next_poll = -std::numeric_limits<double>::infinity();
+    last_heard = -std::numeric_limits<double>::infinity();
     backoff_exp = 0;
     quarantined = false;
     suspicion = 0.0;

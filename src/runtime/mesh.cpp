@@ -1,10 +1,8 @@
 #include "runtime/mesh.h"
 
-#include <atomic>
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <thread>
 #include <utility>
 
 #include <unistd.h>
@@ -14,12 +12,7 @@
 
 namespace driftsync::runtime {
 
-void nap(double seconds) {
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-}
-
-TruthBracket contains_truth(const Node& node) {
-  const SystemTimeSource truth;
+TruthBracket contains_truth(const Node& node, const TimeSource& truth) {
   // Braced initializers evaluate left to right: t0, estimate, t1.
   return {truth.now(), node.estimate(), truth.now()};
 }
@@ -27,9 +20,9 @@ TruthBracket contains_truth(const Node& node) {
 Mesh::Mesh(SystemSpec spec, std::uint64_t hub_seed,
            InvariantOracle::Options oracle, std::FILE* journal)
     : spec_(std::move(spec)),
-      log_(journal),
-      oracle_(oracle),
       hub_(hub_seed),
+      log_(hub_, journal),
+      oracle_(hub_, oracle),
       seats_(spec_.num_procs()) {
   for (const LinkSpec& link : spec_.links()) {
     hub_.set_link(link.a, link.b, 0.0005, 0.004);
@@ -90,19 +83,18 @@ Node& Mesh::add(NodeConfig cfg, const OptimalCsa::Options& opts,
 }
 
 void Mesh::build(Seat& s, ProcId p) {
-  auto chaos = std::make_unique<ChaosTransport>(hub_.endpoint(p), p, s.faults,
-                                                s.fault_seed, &log_);
+  auto chaos = std::make_unique<ChaosTransport>(
+      hub_.endpoint(p), p, s.faults, s.fault_seed, hub_, &log_);
   s.chaos = chaos.get();
   std::unique_ptr<Transport> transport = std::move(chaos);
   if (s.strategy) {
-    auto liar = std::make_unique<ByzantinePeer>(std::move(transport), p,
-                                                *s.strategy, s.liar_seed,
-                                                &log_);
+    auto liar = std::make_unique<ByzantinePeer>(
+        std::move(transport), p, *s.strategy, s.liar_seed, hub_, &log_);
     s.liar = liar.get();
     transport = std::move(liar);
   }
   auto clock = std::make_unique<FaultyTimeSource>(
-      std::make_unique<ScaledTimeSource>(s.offset, s.rate));
+      std::make_unique<ScaledTimeSource>(hub_, s.offset, s.rate));
   s.clock = clock.get();
   s.node = std::make_unique<Node>(s.cfg, std::make_unique<OptimalCsa>(s.opts),
                                   std::move(clock), std::move(transport));
@@ -135,7 +127,7 @@ Node& Mesh::restart(ProcId p) {
 }
 
 const std::string& Mesh::checkpoint_path(ProcId p) {
-  static std::atomic<std::uint64_t> next_file{0};
+  static std::uint64_t next_file = 0;
   std::string& path = seats_.at(p).scratch_checkpoint;
   if (path.empty()) {
     path = (std::filesystem::temp_directory_path() /
@@ -149,7 +141,7 @@ const std::string& Mesh::checkpoint_path(ProcId p) {
 
 void Mesh::observe_for(double seconds) {
   for (double t = 0.0; t < seconds; t += 0.1) {
-    nap(0.1);
+    hub_.run_for(std::min(0.1, seconds - t));
     oracle_.observe();
   }
 }

@@ -1,14 +1,19 @@
 // One N-node runtime mesh over the in-process hub (DESIGN.md S7), the
 // harness every chaos scenario, EXP-16/17 sweep, --selftest leg and runtime
 // test runs on.  Seat p is a Node over an OptimalCsa on
-// ScaledTimeSource(offset, rate) behind a FaultyTimeSource, talking through
-// a ChaosTransport over its hub endpoint, and through a ByzantinePeer on
-// top if declared Byzantine; undecorated, a seat behaves as a bare
-// endpoint.  Every spec edge starts as a 0.5-4 ms hub link and every seat
-// is tracked by the oracle as name(p).  restart(p) rebuilds a seat from the
-// same recipe while the oracle keeps its pre-crash baseline, so a restart
-// that forgot anything fails the width-dynamics envelope.  Protocol values
-// and seeds all come from the caller.
+// ScaledTimeSource(hub, offset, rate) behind a FaultyTimeSource, talking
+// through a ChaosTransport over its hub endpoint, and through a
+// ByzantinePeer on top if declared Byzantine; undecorated, a seat behaves
+// as a bare endpoint.  Every spec edge starts as a 0.5-4 ms hub link and
+// every seat is tracked by the oracle as name(p).  restart(p) rebuilds a
+// seat from the same recipe while the oracle keeps its pre-crash baseline,
+// so a restart that forgot anything fails the width-dynamics envelope.
+// Protocol values and seeds all come from the caller.
+//
+// The hub is the mesh's one clock: seats, journal, oracle (true source time
+// is hub time) and any tracer the caller builds over hub() read it, and it
+// moves only in observe_for() or hub().run_for().  A mesh run therefore
+// takes one thread and replays exactly from its seeds.
 #pragma once
 
 #include <cstdint>
@@ -23,26 +28,24 @@
 #include "core/spec.h"
 #include "runtime/byzantine.h"
 #include "runtime/chaos.h"
+#include "runtime/hub.h"
 #include "runtime/node.h"
 #include "runtime/oracle.h"
-#include "runtime/thread_transport.h"
 
 namespace driftsync::runtime {
 
-/// Sleeps for `seconds` of wall-clock time.
-void nap(double seconds);
-
 /// `node`'s estimate read between two readings t0 <= t1 of true source
-/// time (SystemTimeSource: every source runs on ScaledTimeSource(0, 1)).
-/// True iff the estimate overlaps [t0, t1], so sampling latency never
-/// reads as a miss.
+/// time `truth` (a Mesh's hub, or CLOCK_MONOTONIC over real sockets, where
+/// every source runs on ScaledTimeSource(0, 1)).  True iff the estimate
+/// overlaps [t0, t1], so sampling latency never reads as a miss.
 struct TruthBracket {
   double t0 = 0.0;
   Interval est;
   double t1 = 0.0;
   explicit operator bool() const { return est.lo <= t1 && est.hi >= t0; }
 };
-[[nodiscard]] TruthBracket contains_truth(const Node& node);
+[[nodiscard]] TruthBracket contains_truth(const Node& node,
+                                          const TimeSource& truth);
 
 class Mesh {
  public:
@@ -83,7 +86,8 @@ class Mesh {
   /// Seat p's scratch checkpoint file (one per seat), removed with the mesh.
   const std::string& checkpoint_path(ProcId p);
 
-  /// Sleeps `seconds` in ~100 ms slices, sampling the oracle each slice.
+  /// Advances virtual time by `seconds` in 100 ms slices, sampling the
+  /// oracle after each slice.
   void observe_for(double seconds);
 
   [[nodiscard]] Node& node(ProcId p) const { return *live(p).node; }
@@ -95,7 +99,7 @@ class Mesh {
   }
   [[nodiscard]] ByzantinePeer& byzantine(ProcId p) const;
   [[nodiscard]] const SystemSpec& spec() const { return spec_; }
-  [[nodiscard]] ThreadHub& hub() { return hub_; }
+  [[nodiscard]] Hub& hub() { return hub_; }
   [[nodiscard]] InvariantOracle& oracle() { return oracle_; }
   [[nodiscard]] ChaosEventLog& log() { return log_; }
 
@@ -121,9 +125,9 @@ class Mesh {
   void build(Seat& s, ProcId p);
 
   SystemSpec spec_;
+  Hub hub_;  // First: the journal and the oracle read its clock.
   ChaosEventLog log_;
   InvariantOracle oracle_;
-  ThreadHub hub_;
   bool started_ = false;
   std::vector<Seat> seats_;  // Last: nodes die before the hub and log.
 };

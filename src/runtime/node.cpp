@@ -1,7 +1,6 @@
 #include "runtime/node.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -32,16 +31,14 @@ constexpr std::uint64_t kCkptVersion = 2;
 /// return equal readings back to back, so we nudge by this much.
 constexpr double kMinTimeStep = 1e-9;
 
-double steady_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// Peer health: the poll-cadence multiplier of a quarantined peer, and the
 /// cap on the backoff exponent (cadences back off to at most 2^6 = 64x).
 constexpr double kQuarantineProbeFactor = 16.0;
 constexpr std::uint32_t kBackoffCap = 6;
+
+/// The longest a timer call puts off the next one (local seconds): the
+/// wait of a node with no peers and nothing to reap.
+constexpr double kIdleTimer = 3600.0;
 
 /// The export list: every scalar a node exports, named once.  Each row is
 /// f(json_key, prometheus_series, value) with an integer value (printed as
@@ -218,10 +215,11 @@ Node::Node(NodeConfig config, std::unique_ptr<Csa> csa,
   DS_CHECK(cfg_.clock_steer_horizon > 0.0);
   DS_CHECK(cfg_.quarantine_threshold > 0);
   // Jitter decorrelates peers' retry storms; it never touches protocol
-  // state, so an arbitrary per-process seed is fine.
+  // state.  The node's id and its first clock reading seed it, so a daemon
+  // restart draws afresh while a virtual-time run replays.
   std::uint64_t jitter_seed = 0x9E3779B97F4A7C15ULL;
   jitter_seed ^= static_cast<std::uint64_t>(cfg_.self) << 32;
-  jitter_seed ^= static_cast<std::uint64_t>(::getpid());
+  jitter_seed ^= double_bits(time_source_->now());
   jitter_rng_.reseed(jitter_seed);
   if (cfg_.peers.empty()) cfg_.peers = cfg_.spec.neighbors(cfg_.self);
   for (const ProcId p : cfg_.peers) {
@@ -268,7 +266,7 @@ void Node::start() {
     }
   }
   // Stagger initial polls so an n-node restart does not burst.
-  const double now = steady_seconds();
+  const double now = time_source_->now();
   std::size_t i = 0;
   const double denom = static_cast<double>(membership_.active_count() + 1);
   membership_.for_each_active([&](PeerState& state) {
@@ -277,9 +275,9 @@ void Node::start() {
   });
   running_ = true;
   lock.unlock();
+  transport_->set_timer([this] { return on_timer(); });
   transport_->start(
       [this](std::span<const std::uint8_t> bytes) { on_datagram(bytes); });
-  timer_ = std::thread([this] { timer_loop(); });
 }
 
 void Node::stop() {
@@ -288,8 +286,6 @@ void Node::stop() {
     if (!running_) return;
     running_ = false;
   }
-  cv_.notify_all();
-  timer_.join();
   transport_->stop();
 }
 
@@ -363,11 +359,10 @@ NodeStats Node::stats_locked(LocalTime now) const {
     s.trace_recorded = cfg_.tracer->recorded();
     s.trace_dropped = cfg_.tracer->dropped();
   }
-  const double steady_now = steady_seconds();
   membership_.for_each_active([&](const PeerState& state) {
     const ProcId peer = state.peer;
-    s.last_heard[peer] = state.last_heard < 0.0 ? -1.0
-                                                : steady_now - state.last_heard;
+    s.last_heard[peer] =
+        std::isinf(state.last_heard) ? -1.0 : now - state.last_heard;
     if (state.quarantined) s.quarantined.push_back(peer);
     s.suspicion[peer] = state.suspicion;
     s.readmission_cost[peer] = state.readmission_cost != 0
@@ -522,7 +517,7 @@ void Node::poll_peer(ProcId peer, PeerState& state) {
   state.fate = PeerFate::kAwaitingAck;
   state.pending_seq = state.out_seq_next++;
   state.pending_send_seq = send_event.id.seq;
-  state.fate_deadline = steady_seconds() + cfg_.fate_timeout;
+  state.fate_deadline = time_source_->now() + cfg_.fate_timeout;
   persist();  // Write-ahead: the event exists durably before it is visible.
   DataMsg msg;
   msg.from = cfg_.self;
@@ -545,7 +540,8 @@ void Node::poll_peer(ProcId peer, PeerState& state) {
 
 void Node::send_skip(ProcId peer, PeerState& state) {
   DS_CHECK(state.fate == PeerFate::kAborting);
-  state.fate_deadline = steady_seconds() + backed_off(cfg_.skip_retry, state);
+  state.fate_deadline =
+      time_source_->now() + backed_off(cfg_.skip_retry, state);
   ++stats_.skips_sent;
   transmit(peer, Datagram{SkipMsg{cfg_.self, state.pending_seq}});
 }
@@ -578,7 +574,7 @@ void Node::on_datagram(std::span<const std::uint8_t> bytes) {
   const std::lock_guard<std::mutex> lock(mu_);
   const std::uint64_t allocs_before = alloc_stats::allocations();
   const std::uint64_t alloc_bytes_before = alloc_stats::allocated_bytes();
-  const double handle_start = steady_seconds();
+  const double handle_start = time_source_->now();
   ++stats_.dgrams_in;
   stats_.bytes_in += bytes.size();
   if (const auto* data = std::get_if<DataMsg>(&dgram)) {
@@ -606,7 +602,7 @@ void Node::on_datagram(std::span<const std::uint8_t> bytes) {
   } else {
     ++stats_.ignored_dgrams;  // Responses: nodes never consume them.
   }
-  handle_hist_.add(steady_seconds() - handle_start);
+  handle_hist_.add(time_source_->now() - handle_start);
   stats_.msg_path_allocs += alloc_stats::allocations() - allocs_before;
   stats_.msg_path_alloc_bytes +=
       alloc_stats::allocated_bytes() - alloc_bytes_before;
@@ -769,7 +765,7 @@ void Node::handle_ack(ProcId from, std::uint64_t processed_hw,
   PeerState* sp = membership_.find(from);
   if (sp == nullptr) return;  // Raced with a retirement.
   PeerState& state = *sp;
-  state.last_heard = steady_seconds();
+  state.last_heard = time_source_->now();
   if (state.fate == PeerFate::kNone) return;
   const std::uint64_t n = state.pending_seq;
   if (processed_hw >= n) {
@@ -819,7 +815,7 @@ void Node::handle_skip(const SkipMsg& msg) {
     return;
   }
   PeerState& state = *sp;
-  state.last_heard = steady_seconds();
+  state.last_heard = time_source_->now();
   if (msg.skip_to > state.last_seen) {
     // Commit: datagrams up to skip_to will never be processed here.  The
     // commit must be durable before the ack that announces it.
@@ -897,8 +893,7 @@ void Node::handle_client_req(const ClientReq& msg) {
     point.err_bound = s.disc.err_bound;
   }
   ClientResp resp;
-  if (!serve_->handle(msg, cfg_.self, s.est, s.lt, steady_seconds(), &resp,
-                      point)) {
+  if (!serve_->handle(msg, cfg_.self, s.est, s.lt, s.lt, &resp, point)) {
     // Rejected at the cap: drop the request silently (the client's retry
     // lands once the grace window or the idle reaper frees a slot).  The
     // rejection is visible through the serve_rejected counter.
@@ -926,15 +921,16 @@ PeerState& Node::admit_locked(ProcId peer, bool bind_sender) {
       // expired deadline re-resolves it through the skip-commit path on the
       // next timer pass instead.
       state.fate = PeerFate::kAborting;
-      state.fate_deadline = 0.0;
+      state.fate_deadline = -std::numeric_limits<double>::infinity();
     }
     csa_->on_peer_join(peer);
     ++stats_.peer_joins;
-    // state.next_poll is 0 (reset_health / fresh entry): the timer polls
-    // this peer on its next pass, which cv_ wakes now.
-    cv_.notify_all();
+    // state.next_poll is -inf (reset_health / fresh entry): the next timer
+    // call polls this peer, and the transport makes one after every
+    // delivery (or before it next advances, for a Hub).
+    next_timer_ = -std::numeric_limits<double>::infinity();
   }
-  state.last_heard = steady_seconds();
+  state.last_heard = time_source_->now();
   return state;
 }
 
@@ -966,7 +962,7 @@ void Node::handle_join_ack(const JoinAckMsg& msg) {
     ++stats_.ignored_dgrams;  // Never solicited, or already retired again.
     return;
   }
-  sp->last_heard = steady_seconds();
+  sp->last_heard = time_source_->now();
 }
 
 void Node::handle_leave(const LeaveMsg& msg) {
@@ -1007,58 +1003,56 @@ Interval Node::peer_clock_bounds(ProcId peer) const {
   return csa_->peer_clock_estimate(peer, query_time_locked());
 }
 
-void Node::timer_loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (running_) {
-    const double now = steady_seconds();
-    double next = now + 3600.0;
-    membership_.for_each_active([&](PeerState& state) {
-      const ProcId peer = state.peer;
-      switch (state.fate) {
-        case PeerFate::kAwaitingAck:
-          if (now >= state.fate_deadline) {
-            // Timeout: abort the datagram's fate via a skip commit.  No
-            // persist needed — a restart maps kAwaitingAck to kAborting.
-            if (state.backoff_exp < kBackoffCap) ++state.backoff_exp;
-            state.fate = PeerFate::kAborting;
-            send_skip(peer, state);
-          }
+double Node::on_timer() {
+  const std::lock_guard<std::mutex> lock(mu_);
+  const double now = time_source_->now();
+  if (!running_) return kIdleTimer;  // Stopping: the transport stops next.
+  if (now < next_timer_) return next_timer_ - now;
+  double next = now + kIdleTimer;
+  membership_.for_each_active([&](PeerState& state) {
+    const ProcId peer = state.peer;
+    switch (state.fate) {
+      case PeerFate::kAwaitingAck:
+        if (now >= state.fate_deadline) {
+          // Timeout: abort the datagram's fate via a skip commit.  No
+          // persist needed — a restart maps kAwaitingAck to kAborting.
+          if (state.backoff_exp < kBackoffCap) ++state.backoff_exp;
+          state.fate = PeerFate::kAborting;
+          send_skip(peer, state);
+        }
+        next = std::min(next, state.fate_deadline);
+        break;
+      case PeerFate::kAborting:
+        if (now >= state.fate_deadline) send_skip(peer, state);
+        next = std::min(next, state.fate_deadline);
+        break;
+      case PeerFate::kNone:
+        if (now >= state.next_poll) {
+          const double period =
+              cfg_.poll_period *
+              (state.quarantined ? kQuarantineProbeFactor : 1.0);
+          state.next_poll = now + backed_off(period, state);
+          poll_peer(peer, state);
           next = std::min(next, state.fate_deadline);
-          break;
-        case PeerFate::kAborting:
-          if (now >= state.fate_deadline) send_skip(peer, state);
-          next = std::min(next, state.fate_deadline);
-          break;
-        case PeerFate::kNone:
-          if (now >= state.next_poll) {
-            const double period =
-                cfg_.poll_period *
-                (state.quarantined ? kQuarantineProbeFactor : 1.0);
-            state.next_poll = now + backed_off(period, state);
-            poll_peer(peer, state);
-            next = std::min(next, state.fate_deadline);
-          } else {
-            next = std::min(next, state.next_poll);
-          }
-          break;
-      }
-    });
-    if (serve_ != nullptr && now >= next_reap_) {
+        } else {
+          next = std::min(next, state.next_poll);
+        }
+        break;
+    }
+  });
+  if (serve_ != nullptr) {
+    if (now >= next_reap_) {
       serve_->reap_idle(now);
       // Reap a few times per idle window: precise enough for bounded
       // memory without waking a mostly-idle server constantly.
       next_reap_ =
           now + std::clamp(cfg_.serve_idle_timeout / 4.0, 0.05, 1.0);
-      next = std::min(next, next_reap_);
-    } else if (serve_ != nullptr) {
-      next = std::min(next, next_reap_);
     }
-    csa_->on_tick(query_time_locked());
-    const double wait = next - steady_seconds();
-    if (wait > 0.0) {
-      cv_.wait_for(lock, std::chrono::duration<double>(wait));
-    }
+    next = std::min(next, next_reap_);
   }
+  csa_->on_tick(query_time_locked());
+  next_timer_ = next;
+  return next - now;
 }
 
 void Node::encode_checkpoint_header(std::size_t csa_image_size) {
@@ -1217,7 +1211,7 @@ void Node::load_checkpoint(std::span<const std::uint8_t> bytes) {
       // resume by aborting it (skip commit), immediately.  Journaled
       // entries keep theirs — admission performs the same mapping then.
       cur->fate = PeerFate::kAborting;
-      cur->fate_deadline = 0.0;
+      cur->fate_deadline = -std::numeric_limits<double>::infinity();
     }
   }
 }

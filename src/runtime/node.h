@@ -38,12 +38,13 @@
 //    One insane clock therefore costs its own link's accuracy, not the
 //    containment of every estimate downstream.  See NodeConfig.
 //
-// Threading: one mutex guards the CSA and all protocol state.  The
-// transport's delivery thread and the Node's timer thread (polls, fate
-// timeouts) both take it; neither holds it while blocking.
+// Threading and time: the Node owns no thread and reads no clock but its
+// TimeSource (Section 2), so deadlines, cadences and stamps are local time.
+// Its timer work is one call the transport's loop makes beside the handler
+// (Transport::set_timer).  One mutex guards the CSA and all protocol state,
+// since the public readers may run on other threads than that loop.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -51,7 +52,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "clock/disciplined_clock.h"
@@ -207,7 +207,7 @@ struct NodeStats {
   Interval est;
   double width = 0.0;
   clock::DisciplinedReading disc;
-  /// Seconds since each configured peer was last heard from (any
+  /// Local seconds since each configured peer was last heard from (any
   /// well-formed datagram); negative = never heard.
   std::map<ProcId, double> last_heard;
   /// Currently quarantined peers.
@@ -242,12 +242,12 @@ class Node {
 
   /// Initializes the CSA, restores the checkpoint if one exists (throwing
   /// driftsync::CheckpointError on a rejected image — a node must not
-  /// silently restart fresh next to peers that remember it), then starts
-  /// the transport and the poll/timeout timer.
+  /// silently restart fresh next to peers that remember it), then hands
+  /// the transport its handler and timer and starts it.
   void start();
 
-  /// Stops the timer and the transport; idempotent.  The destructor calls
-  /// it too.
+  /// Stops the transport (and with it the timer); idempotent.  The
+  /// destructor calls it too.
   void stop();
 
   /// The external-synchronization output at the current local time.
@@ -343,7 +343,11 @@ class Node {
   /// CSA image's length, into checkpoint_header_.
   void encode_checkpoint_header(std::size_t csa_image_size);
   void load_checkpoint(std::span<const std::uint8_t> bytes);
-  void timer_loop();
+  /// The timer work (Transport::set_timer): polls, fate timeouts, skip
+  /// retries and session reaping that are due at the current local time.
+  /// Returns the local seconds until the next of them.  A call before
+  /// next_timer_ finds nothing due and does nothing.
+  double on_timer();
   /// The export snapshot at local time `now` (one query_time_locked()
   /// reading), built under mu_; the two renderers below read it and the
   /// histograms, and no other node state.
@@ -358,8 +362,10 @@ class Node {
   std::unique_ptr<Transport> transport_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   bool running_ = false;
+  /// Local time of the next timer pass; -inf makes the next call run one
+  /// (an admission must poll at once).
+  LocalTime next_timer_ = -std::numeric_limits<double>::infinity();
   /// persist()'s buffers, reused so a checkpoint allocates only the CSA's
   /// image: the encoded node header and the temporary file's path.
   std::vector<std::uint8_t> checkpoint_header_;
@@ -393,9 +399,9 @@ class Node {
   /// Serving tier; null unless cfg_.serve_max_clients > 0.  Guarded by mu_
   /// like all protocol state.
   std::unique_ptr<serve::Server> serve_;
-  double next_reap_ = 0.0;  ///< steady-clock seconds; idle-reap cadence.
+  /// Local time of the next idle reap.
+  LocalTime next_reap_ = -std::numeric_limits<double>::infinity();
   Rng jitter_rng_;  ///< Backoff jitter only; never touches protocol state.
-  std::thread timer_;
 };
 
 }  // namespace driftsync::runtime

@@ -1,7 +1,6 @@
 #include "runtime/oracle.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "common/check.h"
@@ -16,16 +15,10 @@ namespace {
 /// observation may legally be ingested) plus scheduling noise.
 constexpr double kTolerance = 0.02;
 
-/// Ground truth: true source time is the monotonic clock itself.
-double mono_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 }  // namespace
 
-InvariantOracle::InvariantOracle(Options opts) : opts_(opts) {}
+InvariantOracle::InvariantOracle(const TimeSource& truth, Options opts)
+    : truth_(truth), opts_(opts) {}
 
 void InvariantOracle::track(const std::string& name, const Node* node,
                             double rho) {
@@ -215,9 +208,9 @@ const char* InvariantOracle::disciplined_check(const NodeSample& prev,
 void InvariantOracle::observe() {
   for (auto& [name, t] : nodes_) {
     if (t.clock_violated) continue;  // The paper promises nothing here.
-    const double t0 = mono_seconds();
+    const double t0 = truth_.now();
     const NodeSample s = t.node->sample();
-    const double t1 = mono_seconds();
+    const double t1 = truth_.now();
     const double tol = kTolerance;
 
     ++checks_;

@@ -1,10 +1,9 @@
 // Ground-truth invariant oracle for chaos runs (DESIGN.md S7).
 //
-// A chaos run cannot assert exact traces — thread scheduling differs between
-// replays even with an identical fault schedule — so it asserts the
-// *invariants* the paper guarantees whenever the spec holds, against the
-// ground truth only the harness has (every node's clock is a ScaledTimeSource
-// or FaultyTimeSource over CLOCK_MONOTONIC, so true source time is knowable):
+// A chaos run asserts the *invariants* the paper guarantees whenever the
+// spec holds, not one trace, against the ground truth only the harness has
+// (every node's clock is a ScaledTimeSource or FaultyTimeSource over one
+// base clock, a Hub's virtual time, so true source time is knowable):
 //
 //  1. Containment (Theorem 3.1): a node whose own clock never violated its
 //     drift spec must output an estimate containing true source time.  The
@@ -76,16 +75,15 @@ class ChaosEventLog;
 
 class InvariantOracle {
  public:
-  /// Every comparison allows 0.02 s of slack; ground truth is the
-  /// monotonic clock, matching the harness convention of running the source
-  /// on ScaledTimeSource(0, 1).
+  /// Every comparison allows 0.02 s of slack.
   struct Options {
     /// Violation / verdict sink; nullptr silences output (counts only).
     std::FILE* out = stderr;
   };
 
-  InvariantOracle() : InvariantOracle(Options{}) {}
-  explicit InvariantOracle(Options opts);
+  /// `truth` is true source time (the harness runs the source on
+  /// ScaledTimeSource(truth, 0, 1)); it must outlive the oracle.
+  InvariantOracle(const TimeSource& truth, Options opts);
 
   /// Registers `node` under `name`.  `rho` is the drift bound of the node's
   /// clock spec (width dynamics extrapolate with it).  The pointer must stay
@@ -176,6 +174,7 @@ class InvariantOracle {
   void check_gradient(const std::string& a_name, const Tracked& a,
                       const Tracked& b);
 
+  const TimeSource& truth_;
   Options opts_;
   std::map<std::string, Tracked> nodes_;
   std::vector<std::pair<std::string, std::string>> gradient_pairs_;

@@ -18,7 +18,8 @@ double monotonic_seconds() {
 LocalTime SystemTimeSource::now() const { return monotonic_seconds(); }
 
 LocalTime ScaledTimeSource::now() const {
-  return offset_ + rate_ * monotonic_seconds();
+  return offset_ +
+         rate_ * (base_ != nullptr ? base_->now() : monotonic_seconds());
 }
 
 }  // namespace driftsync::runtime

@@ -34,17 +34,22 @@ class SystemTimeSource : public TimeSource {
   [[nodiscard]] LocalTime now() const override;
 };
 
-/// offset + rate * CLOCK_MONOTONIC: emulates a drifting clock on one
-/// machine, so multi-node tests (and --selftest) get distinct clocks with a
-/// known ground truth.  rate must lie within the SystemSpec's drift bound
-/// [1 - rho, 1 + rho] for that processor or containment is forfeit.
+/// offset + rate * base: emulates a drifting clock over a shared base, so
+/// multi-node tests (and --selftest) get distinct clocks with a known ground
+/// truth.  The base is CLOCK_MONOTONIC, or a given TimeSource (a Hub's
+/// virtual time) that must outlive this one.  rate must lie within the
+/// SystemSpec's drift bound [1 - rho, 1 + rho] for that processor or
+/// containment is forfeit.
 class ScaledTimeSource : public TimeSource {
  public:
   ScaledTimeSource(double offset, double rate) : offset_(offset), rate_(rate) {}
+  ScaledTimeSource(const TimeSource& base, double offset, double rate)
+      : base_(&base), offset_(offset), rate_(rate) {}
 
   [[nodiscard]] LocalTime now() const override;
 
  private:
+  const TimeSource* base_ = nullptr;  ///< Null: CLOCK_MONOTONIC.
   double offset_;
   double rate_;
 };

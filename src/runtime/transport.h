@@ -18,13 +18,16 @@
 
 namespace driftsync::runtime {
 
-/// Receive callback.  Invoked from a transport delivery thread; the span is
-/// valid only for the duration of the call.  Transports (ThreadHub
-/// endpoints, UdpTransport's one event loop) never invoke it concurrently
-/// with itself, but the delivery thread is not the owner's, so handlers
-/// must synchronize with the rest of their owner (the Node driver does: one
-/// mutex guards all protocol state).
+/// Receive callback, valid span for the duration of the call.  A transport
+/// never invokes it concurrently with itself or with the timer below, but
+/// its loop need not run on the owner's thread (UDP: the loop thread), so
+/// handlers synchronize with the rest of their owner (the Node: one mutex).
 using DatagramHandler = std::function<void(std::span<const std::uint8_t>)>;
+
+/// Timer callback: does whatever work of its owner is due and returns how
+/// many seconds (on the owner's clock) until it next wants to run.  Called
+/// from the same loop as the DatagramHandler, never concurrently with it.
+using TimerHandler = std::function<double()>;
 
 /// Transport-level counters, all monotonic.  A transport without the
 /// corresponding machinery reports zeros — the fields exist so the Node can
@@ -54,10 +57,17 @@ class Transport {
   /// before the first send().
   virtual void start(DatagramHandler handler) = 0;
 
-  /// Stops delivery and returns only after any in-flight handler call has
-  /// completed (so the handler's captures may be destroyed afterwards).
+  /// Stops delivery and returns only after any in-flight handler or timer
+  /// call has completed (so their captures may be destroyed afterwards).
   /// Idempotent.
   virtual void stop() = 0;
+
+  /// Registers the owner's timer work, before start().  A transport that
+  /// runs a loop calls it at start, after every delivery, and once the
+  /// delay it last returned has passed (on the transport's own clock; an
+  /// early call finds nothing due and returns the rest).  The default does
+  /// nothing: a transport driven by hand never runs its owner's timers.
+  virtual void set_timer(TimerHandler timer) { (void)timer; }
 
   /// Best-effort datagram to `to`.  Never blocks for long; may drop the
   /// datagram silently (unknown peer, full queue, down link).

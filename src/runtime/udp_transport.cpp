@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -299,7 +300,14 @@ void UdpTransport::start(DatagramHandler handler) {
   start_manual(std::move(handler));
   thread_ = std::thread([this] {
     while (running_.load(std::memory_order_relaxed)) {
-      if (!run_once(-1)) break;  // Dead fd: the loop stops serving.
+      int timeout_ms = -1;
+      if (timer_) {
+        const double delay = timer_();
+        timeout_ms = delay > 0.0 ? static_cast<int>(std::ceil(
+                                       std::min(delay, 1.0) * 1e3))
+                                 : 0;
+      }
+      if (!run_once(timeout_ms)) break;  // Dead fd: the loop stops serving.
     }
   });
 }

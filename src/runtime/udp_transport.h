@@ -10,7 +10,9 @@
 // single-message fallback where the batched calls are unavailable.
 //
 // Inbound datagrams go to the handler on the loop thread (see
-// runtime/transport.h); outbound datagrams that would block queue per peer
+// runtime/transport.h), and the owner's timer runs there too, its next
+// deadline folded into the poll timeout, so a Node over this transport
+// runs on one thread.  Outbound datagrams that would block queue per peer
 // (bounded ring) and flush round-robin across the peers when the socket
 // becomes writable, so no peer's backlog can starve another's.  Oversized
 // inbound datagrams (> max_datagram, detected via MSG_TRUNC) are dropped
@@ -147,6 +149,12 @@ class UdpTransport : public Transport {
 
   void start(DatagramHandler handler) override;
 
+  /// The loop calls `timer` before every poll and makes the poll's timeout
+  /// its delay, rounded up to whole milliseconds and capped at one second
+  /// (so work another thread hands the owner, an admit_peer, starts within
+  /// a second).  Call before start(); manual-pump mode never calls it.
+  void set_timer(TimerHandler timer) override { timer_ = std::move(timer); }
+
   /// Manual-pump mode: registers the handler without spawning the loop
   /// thread; the caller drives the loop with run_once().  Deterministic
   /// single-threaded operation for tests and benches.
@@ -259,6 +267,7 @@ class UdpTransport : public Transport {
   std::uint64_t send_datagrams_ = 0;
   std::thread thread_;
   DatagramHandler handler_;
+  TimerHandler timer_;
   std::atomic<bool> running_{false};
   bool started_ = false;
   std::atomic<std::uint64_t> send_drops_{0};

@@ -17,14 +17,11 @@
 // attack actor.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <thread>
 #include <variant>
 #include <vector>
 
@@ -36,9 +33,9 @@
 #include "runtime/byzantine.h"
 #include "runtime/chaos.h"
 #include "runtime/datagram.h"
+#include "runtime/hub.h"
 #include "runtime/mesh.h"
 #include "runtime/node.h"
-#include "runtime/thread_transport.h"
 #include "runtime/time_source.h"
 #include "test_util.h"
 
@@ -318,11 +315,12 @@ OptimalCsa::Options defended() {
   return opts;
 }
 
-/// Polls `pred` every 5 ms for up to `timeout_ms`.
-bool wait_until(const std::function<bool()>& pred, int timeout_ms) {
+/// Advances `hub` in 5 ms steps until `pred` holds, for up to `timeout_ms`
+/// of virtual time.
+bool wait_until(Hub& hub, const std::function<bool()>& pred, int timeout_ms) {
   for (int waited = 0; waited < timeout_ms; waited += 5) {
     if (pred()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    hub.run_for(0.005);
   }
   return pred();
 }
@@ -346,7 +344,7 @@ TEST(ByzantineRuntime, MutatedReplayRejectedHonestDuplicateIgnored) {
                                   0.0, 1.0, faults, /*fault_seed=*/43);
   mesh.start();
   EXPECT_TRUE(wait_until(
-      [&] {
+      mesh.hub(), [&] {
         const NodeStats s = victim.stats();
         return s.replay_rejected >= 1 && s.duplicate_dgrams >= 1;
       },
@@ -356,8 +354,8 @@ TEST(ByzantineRuntime, MutatedReplayRejectedHonestDuplicateIgnored) {
   EXPECT_GE(s.duplicate_dgrams, 1u);
   // The attacker's replayed timestamps never entered the view; the honest
   // direction keeps both nodes containing true source time.
-  EXPECT_TRUE(brackets_truth(victim));
-  EXPECT_TRUE(brackets_truth(attacker));
+  EXPECT_TRUE(brackets_truth(victim, mesh.hub()));
+  EXPECT_TRUE(brackets_truth(attacker, mesh.hub()));
 }
 
 TEST(ByzantineRuntime, FlappingAttackerIsQuarantined) {
@@ -376,12 +374,12 @@ TEST(ByzantineRuntime, FlappingAttackerIsQuarantined) {
   mesh.add(node_config(1, mesh.spec()), defended(), 0.0, 1.0);
   mesh.start();
   EXPECT_TRUE(wait_until(
-      [&] { return victim.stats().peer_quarantines >= 1; }, 4000));
+      mesh.hub(), [&] { return victim.stats().peer_quarantines >= 1; }, 4000));
   const NodeStats s = victim.stats();
   EXPECT_GE(s.infeasible_rejected, 2u);
   ASSERT_EQ(s.quarantined.size(), 1u);
   EXPECT_EQ(s.quarantined[0], 1u);
-  EXPECT_TRUE(brackets_truth(victim));
+  EXPECT_TRUE(brackets_truth(victim, mesh.hub()));
 }
 
 TEST(ByzantineRuntime, ReadmissionEscalatesAgainstRepeatOffender) {
@@ -414,7 +412,7 @@ TEST(ByzantineRuntime, ReadmissionEscalatesAgainstRepeatOffender) {
 
   // Phase 1: quarantine at the configured threshold.
   ASSERT_TRUE(wait_until(
-      [&] { return victim.stats().peer_quarantines >= 1; }, 8000));
+      mesh.hub(), [&] { return victim.stats().peer_quarantines >= 1; }, 8000));
   {
     const NodeStats s = victim.stats();
     ASSERT_EQ(s.quarantined.size(), 1u);
@@ -424,7 +422,7 @@ TEST(ByzantineRuntime, ReadmissionEscalatesAgainstRepeatOffender) {
   // Phase 2: honesty buys readmission, at escalating cost.
   attacker_hand.set_active(false);
   ASSERT_TRUE(wait_until(
-      [&] { return victim.stats().peer_readmissions >= 1; }, 8000));
+      mesh.hub(), [&] { return victim.stats().peer_readmissions >= 1; }, 8000));
   const NodeStats readmitted = victim.stats();
   EXPECT_TRUE(readmitted.quarantined.empty());
   EXPECT_EQ(readmitted.readmission_cost.at(1), 8u);  // Doubled.
@@ -433,12 +431,12 @@ TEST(ByzantineRuntime, ReadmissionEscalatesAgainstRepeatOffender) {
   // Phase 3: resumed lying is caught faster than the first offense.
   attacker_hand.set_active(true);
   ASSERT_TRUE(wait_until(
-      [&] { return victim.stats().peer_quarantines >= 2; }, 8000));
+      mesh.hub(), [&] { return victim.stats().peer_quarantines >= 2; }, 8000));
   const NodeStats again = victim.stats();
   const std::uint64_t lies_this_round =
       again.infeasible_rejected - readmitted.infeasible_rejected;
   EXPECT_LE(lies_this_round, 3u);  // < threshold (4) thanks to residual.
-  EXPECT_TRUE(brackets_truth(victim));
+  EXPECT_TRUE(brackets_truth(victim, mesh.hub()));
 }
 
 TEST(ByzantineRuntime, LeaveAndRejoinDoesNotInheritOldSuspicion) {
@@ -464,7 +462,7 @@ TEST(ByzantineRuntime, LeaveAndRejoinDoesNotInheritOldSuspicion) {
   mesh.add(node_config(1, mesh.spec()), defended(), 0.0, 1.0);
   mesh.start();
   ASSERT_TRUE(wait_until(
-      [&] { return victim.stats().peer_quarantines >= 1; }, 8000));
+      mesh.hub(), [&] { return victim.stats().peer_quarantines >= 1; }, 8000));
   {
     const NodeStats s = victim.stats();
     ASSERT_EQ(s.quarantined.size(), 1u);
@@ -498,13 +496,13 @@ TEST(ByzantineRuntime, LeaveAndRejoinDoesNotInheritOldSuspicion) {
 
   // The now-honest peer is actually heard again through the new seat.
   EXPECT_TRUE(wait_until(
-      [&] {
+      mesh.hub(), [&] {
         const NodeStats s = victim.stats();
         const auto it = s.last_heard.find(1);
         return it != s.last_heard.end() && it->second >= 0.0;
       },
       4000));
-  EXPECT_TRUE(brackets_truth(victim));
+  EXPECT_TRUE(brackets_truth(victim, mesh.hub()));
 }
 
 TEST(ByzantineRuntime, OutOfRangeReportIsRenouncedAndNodeKeepsServing) {
@@ -513,25 +511,22 @@ TEST(ByzantineRuntime, OutOfRangeReportIsRenouncedAndNodeKeepsServing) {
   // cross-validation, the quarantine screen on): renounced as infeasible,
   // and the next honest datagram is processed.
   const SystemSpec spec = driftsync::testing::line_spec(3, 5e-4, 0.0, 0.05);
-  ThreadHub hub(53);
+  Hub hub(53);
   hub.set_link(0, 1, 0.0, 0.001);
   OptimalCsa::Options opts;
   opts.loss_tolerant = true;
   Node victim(node_config(1, spec, /*poll_period=*/1000.0),
               std::make_unique<OptimalCsa>(opts),
-              std::make_unique<ScaledTimeSource>(0.0, 1.0), hub.endpoint(1));
-  std::mutex mu;
+              std::make_unique<ScaledTimeSource>(hub, 0.0, 1.0),
+              hub.endpoint(1));
   AckMsg last_ack;
   auto peer = hub.endpoint(0);
   peer->start([&](std::span<const std::uint8_t> bytes) {
     const Datagram dgram = decode_datagram(bytes);
-    if (const auto* ack = std::get_if<AckMsg>(&dgram)) {
-      const std::lock_guard<std::mutex> lock(mu);
-      last_ack = *ack;
-    }
+    if (const auto* ack = std::get_if<AckMsg>(&dgram)) last_ack = *ack;
   });
   victim.start();
-  const ScaledTimeSource clock(0.0, 1.0);
+  const ScaledTimeSource clock(hub, 0.0, 1.0);
   const auto send_data = [&](std::uint64_t dgram_seq,
                              std::vector<EventRecord> reports) {
     DataMsg msg;
@@ -550,8 +545,8 @@ TEST(ByzantineRuntime, OutOfRangeReportIsRenouncedAndNodeKeepsServing) {
   };
   const auto acked = [&](std::uint64_t seen, std::uint64_t processed) {
     return wait_until(
+        hub,
         [&] {
-          const std::lock_guard<std::mutex> lock(mu);
           return last_ack.seen_hw >= seen &&
                  last_ack.processed_hw >= processed;
         },
@@ -564,7 +559,6 @@ TEST(ByzantineRuntime, OutOfRangeReportIsRenouncedAndNodeKeepsServing) {
     const NodeStats s = victim.stats();
     EXPECT_EQ(s.infeasible_rejected, 1u);
     EXPECT_EQ(s.cross_check_failures, 0u);
-    const std::lock_guard<std::mutex> lock(mu);
     EXPECT_EQ(last_ack.processed_hw, 0u);  // Renounced, not processed.
   }
   send_data(2, {});

@@ -5,17 +5,15 @@
 // another.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdio>
 #include <limits>
 #include <memory>
-#include <thread>
 
 #include "common/errors.h"
 #include "common/rng.h"
 #include "core/optimal_csa.h"
+#include "runtime/hub.h"
 #include "runtime/node.h"
-#include "runtime/thread_transport.h"
 #include "runtime/time_source.h"
 #include "test_util.h"
 
@@ -287,7 +285,7 @@ struct CheckpointFile {
 TEST(NodeCheckpointRoster, SmallerRosterLoadsIntersectionAndJournalsRest) {
   const CheckpointFile ckpt("checkpoint_test_roster.ckpt");
   const SystemSpec spec = testing::line_spec(3, 5e-4, 0.0, 0.05);
-  runtime::ThreadHub hub(7);
+  runtime::Hub hub(7);
   hub.set_link(0, 1, 0.0005, 0.003);
 
   auto make = [&](std::vector<ProcId> roster) {
@@ -296,7 +294,7 @@ TEST(NodeCheckpointRoster, SmallerRosterLoadsIntersectionAndJournalsRest) {
     cfg.checkpoint_path = ckpt.path;
     return std::make_unique<runtime::Node>(
         std::move(cfg), testing::loss_tolerant_csa(),
-        std::make_unique<runtime::ScaledTimeSource>(3.0, 1.0),
+        std::make_unique<runtime::ScaledTimeSource>(hub, 3.0, 1.0),
         hub.endpoint(1));
   };
 
@@ -305,13 +303,14 @@ TEST(NodeCheckpointRoster, SmallerRosterLoadsIntersectionAndJournalsRest) {
   runtime::NodeConfig cfg0 = testing::node_config(0, spec);
   cfg0.peers = {1};
   runtime::Node source(std::move(cfg0), testing::loss_tolerant_csa(),
-                       std::make_unique<runtime::ScaledTimeSource>(0.0, 1.0),
+                       std::make_unique<runtime::ScaledTimeSource>(hub, 0.0,
+                                                                   1.0),
                        hub.endpoint(0));
   source.start();
 
   auto node = make({0, 2});
   node->start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  hub.run_for(0.25);
   ASSERT_GT(node->stats().checkpoints_written, 0u);
   node->stop();
   node.reset();
@@ -324,7 +323,7 @@ TEST(NodeCheckpointRoster, SmallerRosterLoadsIntersectionAndJournalsRest) {
   EXPECT_NE(shrunk->stats_json().find("\"membership_journal\":1"),
             std::string::npos);
   // Run long enough to write a v2 image carrying the journaled entry.
-  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  hub.run_for(0.25);
   ASSERT_GT(shrunk->stats().checkpoints_written, 0u);
   shrunk->stop();
   shrunk.reset();

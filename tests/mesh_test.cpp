@@ -60,7 +60,7 @@ TEST(MeshTest, TriangleConvergesWithZeroOracleViolations) {
   EXPECT_EQ(mesh.oracle().violations(), 0u);
   for (ProcId p = 0; p < 3; ++p) {
     SCOPED_TRACE(Mesh::name(p));
-    EXPECT_TRUE(brackets_truth(mesh.node(p)));
+    EXPECT_TRUE(brackets_truth(mesh.node(p), mesh.hub()));
     EXPECT_LT(mesh.node(p).estimate().width(), 0.5);
   }
 }
@@ -74,7 +74,7 @@ TEST(MeshTest, RestartKeepsTheOracleBaselineAndRemovesTheCheckpoint) {
     const std::uint64_t checks = mesh.oracle().checks();
 
     mesh.kill(1);
-    nap(0.2);
+    mesh.hub().run_for(0.2);
     mesh.restart(1);
     mesh.observe_for(0.8);
     mesh.oracle().observe();
@@ -118,7 +118,7 @@ TEST(MeshTest, RestartThatLostItsCheckpointFailsTheOracle) {
 std::string amnesiac_restart_with_links_up() {
   Mesh mesh(triangle(), 7, silent_oracle());
   seat_and_start(mesh);
-  InvariantOracle neighbours(silent_oracle());
+  InvariantOracle neighbours(mesh.hub(), silent_oracle());
   for (const ProcId p : {0U, 2U}) {
     neighbours.track(Mesh::name(p), &mesh.node(p), mesh.spec().clock(p).rho);
   }
@@ -127,7 +127,7 @@ std::string amnesiac_restart_with_links_up() {
            mesh.node(2).stats().cross_check_failures;
   };
   for (int i = 0; i < 8; ++i) {
-    nap(0.1);
+    mesh.hub().run_for(0.1);
     neighbours.observe();
   }
   const std::uint64_t refused_before = refused();
@@ -135,23 +135,23 @@ std::string amnesiac_restart_with_links_up() {
   std::remove(mesh.checkpoint_path(1).c_str());
   mesh.restart(1);
   // Its first datagrams reuse sequence numbers the peers have seen and are
-  // dropped as duplicates, so the first refusal comes a few seconds after
-  // the restart (0.4-5.7 s unloaded).  The wait ends on that refusal; its
+  // dropped as duplicates, so the first refusal comes a few (virtual)
+  // seconds after the restart.  The wait ends on that refusal; its
   // one-minute cap only stops a hang.  Then the peers must go on serving
   // for a while.
   for (int i = 0; i < 600 && refused() == refused_before; ++i) {
-    nap(0.1);
+    mesh.hub().run_for(0.1);
     neighbours.observe();
   }
   for (int i = 0; i < 5; ++i) {
-    nap(0.1);
+    mesh.hub().run_for(0.1);
     neighbours.observe();
   }
   std::string failed;
   if (neighbours.violations() != 0) failed += "oracle violations on 0/2; ";
   if (refused() <= refused_before) failed += "nothing was refused; ";
   for (const ProcId p : {0U, 2U}) {
-    if (!brackets_truth(mesh.node(p)) ||
+    if (!brackets_truth(mesh.node(p), mesh.hub()) ||
         !(mesh.node(p).estimate().width() < 0.5)) {
       failed += Mesh::name(p) + " lost the truth; ";
     }
@@ -159,9 +159,9 @@ std::string amnesiac_restart_with_links_up() {
   return failed;
 }
 
-// A refusal that escaped as an exception would end the whole process from
-// a handler thread, so the scenario runs in a child process and must exit
-// cleanly.
+// A refusal that escaped as an exception would unwind out of a handler
+// (in a daemon, out of the transport's loop thread, ending the process),
+// so the scenario runs in a child process and must exit cleanly.
 TEST(MeshDeathTest, AmnesiacRestartWithLinksUpIsRefusedNotFatal) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   EXPECT_EXIT(
@@ -178,7 +178,7 @@ TEST(MeshTest, ScratchCheckpointIsRemovedWhenARestartThrows) {
   try {
     Mesh mesh(triangle(), 7, silent_oracle());
     seat_and_start(mesh);
-    nap(0.3);
+    mesh.hub().run_for(0.3);
     ckpt = mesh.checkpoint_path(1);
     mesh.kill(1);
     std::FILE* f = std::fopen(ckpt.c_str(), "wb");
@@ -197,10 +197,10 @@ TEST(MeshTest, ScratchCheckpointIsRemovedWhenARestartThrows) {
 TEST(MeshTest, PartitionThroughTheChaosHandleDropsTraffic) {
   Mesh mesh(triangle(), 7);
   seat_and_start(mesh);
-  nap(0.3);
+  mesh.hub().run_for(0.3);
   mesh.chaos(0).set_partitioned(1, true);
   mesh.chaos(1).set_partitioned(0, true);
-  nap(0.5);
+  mesh.hub().run_for(0.5);
 
   EXPECT_GT(mesh.log().count("partition-drop"), 0u);
   EXPECT_GT(mesh.chaos(0).injected() + mesh.chaos(1).injected(), 0u);

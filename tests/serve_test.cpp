@@ -5,10 +5,7 @@
 // source time without the client ever joining the peer mesh.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/errors.h"
@@ -333,9 +330,9 @@ TEST(ClientEstimatorTest, ExtrapolationWidensThroughDriftEnvelope) {
 
 // End-to-end: a client exchanging datagrams with a serving source node in
 // the 3-node path mesh obtains a bounded interval bracketing true source
-// time.  The client's clock is SystemTimeSource — identical to the ground
-// truth the fixture's source node runs on — so the bracket is checkable
-// directly.
+// time.  The client's clock is the hub's virtual time — identical to the
+// ground truth the fixture's source node runs on — so the bracket is
+// checkable directly.
 TEST(ServeIntegrationTest, ClientBracketsTruthThroughServingNode) {
   runtime::Mesh mesh = three_node_path();
   mesh.hub().set_link(1, 2, 0.001, 0.008);
@@ -350,11 +347,10 @@ TEST(ServeIntegrationTest, ClientBracketsTruthThroughServingNode) {
   mesh.start();
 
   ClientEstimator est(estimator_opts(4242, 5e-4));
-  const runtime::SystemTimeSource clock;
-  std::mutex mu;
+  const runtime::Hub& clock = mesh.hub();
   std::unique_ptr<runtime::Transport> endpoint =
       mesh.hub().endpoint(kClientProc);
-  endpoint->start([&est, &clock, &mu](std::span<const std::uint8_t> bytes) {
+  endpoint->start([&est, &clock](std::span<const std::uint8_t> bytes) {
     runtime::Datagram dgram;
     try {
       dgram = runtime::decode_datagram(bytes);
@@ -362,30 +358,23 @@ TEST(ServeIntegrationTest, ClientBracketsTruthThroughServingNode) {
       return;
     }
     if (const auto* resp = std::get_if<runtime::ClientResp>(&dgram)) {
-      const std::lock_guard<std::mutex> lock(mu);
       est.on_response(*resp, clock.now());
     }
   });
 
   for (int round = 0; round < 100; ++round) {
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      if (est.accepted() >= 3 && est.estimate(clock.now()).bounded()) break;
-      endpoint->send(0, runtime::encode_datagram(runtime::Datagram{
-                            est.make_request(clock.now())}));
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    if (est.accepted() >= 3 && est.estimate(clock.now()).bounded()) break;
+    endpoint->send(0, runtime::encode_datagram(runtime::Datagram{
+                          est.make_request(clock.now())}));
+    mesh.hub().run_for(0.04);
   }
 
-  {
-    const std::lock_guard<std::mutex> lock(mu);
-    ASSERT_GE(est.accepted(), 3u);
-    const Interval e = est.estimate(clock.now());
-    ASSERT_TRUE(e.bounded());
-    const double truth = clock.now();
-    EXPECT_LE(e.lo, truth);
-    EXPECT_GE(e.hi, truth);
-  }
+  ASSERT_GE(est.accepted(), 3u);
+  const Interval e = est.estimate(clock.now());
+  ASSERT_TRUE(e.bounded());
+  const double truth = clock.now();
+  EXPECT_LE(e.lo, truth);
+  EXPECT_GE(e.hi, truth);
 
   const runtime::NodeStats stats = mesh.node(0).stats();
   EXPECT_GT(stats.serve_requests, 0u);
@@ -408,14 +397,14 @@ TEST(ServeIntegrationTest, ServeCountersSurfaceInStatsAndMetrics) {
   mesh.start();
 
   ClientEstimator est(estimator_opts(99));
-  const runtime::SystemTimeSource clock;
+  const runtime::Hub& clock = mesh.hub();
   std::unique_ptr<runtime::Transport> endpoint =
       mesh.hub().endpoint(kClientProc);
   endpoint->start([](std::span<const std::uint8_t>) {});
   for (int round = 0; round < 50; ++round) {
     endpoint->send(0, runtime::encode_datagram(runtime::Datagram{
                           est.make_request(clock.now())}));
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    mesh.hub().run_for(0.01);
     if (node0.stats().serve_requests > 0) break;
   }
   EXPECT_GT(node0.stats().serve_requests, 0u);
@@ -450,7 +439,7 @@ TEST(ServeIntegrationTest, DisabledNodeIgnoresClientRequests) {
   endpoint->start([](std::span<const std::uint8_t>) {});
   endpoint->send(0, runtime::encode_datagram(
                         runtime::Datagram{est.make_request(1.0)}));
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  mesh.hub().run_for(0.1);
 
   const runtime::NodeStats stats = node0.stats();
   EXPECT_EQ(stats.serve_requests, 0u);

@@ -10,8 +10,7 @@
 // every processor sends to a random peer, and every message of the previous
 // round is received in a random order.  The live set (each processor's last
 // event plus its pending sends) is bounded, so once the engine has warmed up
-// its matrix, id tables and per-processor live lists have all stopped
-// growing.  The steady-state ingest and the option-off receive also run
+// its matrix, id tables and live records have all stopped growing.  The steady-state ingest and the option-off receive also run
 // beside one processor that reports once and then goes quiet: its last
 // event stays live for good (Definition 3.1), so the live points' ages
 // spread without bound while their number does not, and nothing may be
@@ -112,21 +111,53 @@ TEST(SyncEngineAllocTest,
   expect_steady_ingest_allocates_nothing(/*last_goes_quiet=*/true);
 }
 
+// The live records take one entry per matrix slot, however many
+// processors share them, plus one list head per processor; the copy a
+// rollback shadow takes is sized the same way.  A matrix of capacity c
+// holds at most c live points and grows only when they fill it, so
+// c < 2 * max_live once past its first 8 slots.
+TEST(SyncEngineAllocTest, LiveRecordsTakeOneEntryPerMatrixSlot) {
+  const std::size_t n = 24;  // The most the stream's timing fits in a round.
+  const SystemSpec spec = clique_spec(n, 1e-3, 0.05, 2.0);
+  SyncEngine engine(spec, 1);
+  SyncEngine shadow(spec, 1);
+  GossipStream stream(n, 2024, /*last_goes_quiet=*/false);
+  for (int r = 0; r < 20; ++r) {
+    stream.round(engine);
+    shadow = engine;
+  }
+  EXPECT_GT(engine.max_live_count(), n);
+  // A record plus its handle, two flags and a list link.
+  const std::size_t per_entry = sizeof(EventRecord) + 16;
+  EXPECT_LE(engine.live_bytes(),
+            2 * engine.max_live_count() * per_entry + n * 4);
+  EXPECT_EQ(shadow.live_bytes(), engine.live_bytes());
+}
+
 /// Seeded gossip on the path 0 - 1 - 2 around a defended (loss-tolerant,
 /// validated-receive) OptimalCsa at processor 2.  The victim reports back
 /// to 1 now and then, so its history buffer stays bounded.  The counters
-/// see only the victim's on_receive_validated and checkpoint calls;
-/// payloads, and a forged copy when asked for, are built before each call.
-/// With `zero_goes_quiet`, 0 and 1 exchange one message, 0 to 1, and no
-/// more, so 0's one event stays live in the victim's view for good.
+/// see only the victim's on_send, on_receive_validated and checkpoint
+/// calls; payloads, and a forged copy when asked for, are built before
+/// each call.  With `zero_goes_quiet`, 0 and 1 exchange one message, 0 to
+/// 1, and no more, so 0's one event stays live in the victim's view for
+/// good.
+///
+/// With `exempt_resizes`, a call during which one of the victim's resident
+/// byte counts changed (a buffer grew, or the rollback shadow took over a
+/// grown distance matrix) is counted in resizing_calls() and its
+/// allocations are not: a stream's live set may still outgrow the matrix
+/// long after warm-up.  Without it every call counts.
 class DefendedVictim {
  public:
   explicit DefendedVictim(std::uint64_t seed, bool cross_validation = true,
-                          bool zero_goes_quiet = false)
+                          bool zero_goes_quiet = false,
+                          bool exempt_resizes = false)
       : spec_(testing::line_spec(3, 1e-4, 0.001, 0.02)),
         rng_(seed),
         fac_(3),
         zero_goes_quiet_(zero_goes_quiet),
+        exempt_resizes_(exempt_resizes),
         victim_([&] {
           OptimalCsa::Options opts;
           opts.loss_tolerant = true;
@@ -164,9 +195,11 @@ class DefendedVictim {
     }
     if (pick == 2) {
       const EventRecord send = fac_.send(2, now_, 1);
+      const CsaStats was = victim_.stats();
       const std::uint64_t before = alloc_stats::allocations();
       const CsaPayload payload = victim_.on_send(SendContext{2, 1, send, 0});
       last_send_allocs_ = alloc_stats::allocations() - before;
+      last_send_resized_ = resized(was);
       ++sends_;
       transit();
       const EventRecord recv = fac_.receive(1, now_, send);
@@ -181,29 +214,50 @@ class DefendedVictim {
     if (forge && victim_.engine().last_event_of(1).valid()) {
       CsaPayload lie = payload;
       lie.reports.back().lt -= 1000.0;
-      const std::uint64_t before = alloc_stats::allocations();
-      const bool applied = victim_.on_receive_validated(ctx, lie);
-      receive_allocs_ += alloc_stats::allocations() - before;
-      EXPECT_FALSE(applied);
+      EXPECT_FALSE(receive(ctx, lie));
     }
-    const std::uint64_t before = alloc_stats::allocations();
-    const bool applied = victim_.on_receive_validated(ctx, payload);
-    receive_allocs_ += alloc_stats::allocations() - before;
-    EXPECT_TRUE(applied);
+    EXPECT_TRUE(receive(ctx, payload));
     return true;
   }
 
   const OptimalCsa& victim() const { return victim_; }
   std::uint64_t receive_allocs() const { return receive_allocs_; }
   std::size_t sends() const { return sends_; }
-  /// Allocations made by the victim's last on_send.
+  /// Allocations made by the victim's last on_send, and whether they are
+  /// exempt because the call resized a buffer.
   std::uint64_t last_send_allocs() const { return last_send_allocs_; }
+  bool last_send_resized() const { return last_send_resized_; }
+  std::uint64_t resizing_calls() const { return resizing_calls_; }
 
  private:
+  /// Whether the call that found the victim's stats at `was` changed one
+  /// of its resident byte counts, when resizes are exempt.
+  bool resized(const CsaStats& was) {
+    if (!exempt_resizes_) return false;
+    const CsaStats now = victim_.stats();
+    const bool changed =
+        now.state_bytes != was.state_bytes ||
+        now.scratch_bytes != was.scratch_bytes ||
+        now.checkpoint_cache_bytes != was.checkpoint_cache_bytes;
+    resizing_calls_ += changed ? 1 : 0;
+    return changed;
+  }
+
+  /// One measured validated receive; returns its verdict.
+  bool receive(const RecvContext& ctx, const CsaPayload& payload) {
+    const CsaStats was = victim_.stats();
+    const std::uint64_t before = alloc_stats::allocations();
+    const bool applied = victim_.on_receive_validated(ctx, payload);
+    const std::uint64_t allocs = alloc_stats::allocations() - before;
+    if (!resized(was)) receive_allocs_ += allocs;
+    return applied;
+  }
+
   SystemSpec spec_;
   Rng rng_;
   EventFactory fac_;
   bool zero_goes_quiet_;
+  bool exempt_resizes_;
   bool zero_spoke_ = false;
   OptimalCsa p0_;
   OptimalCsa p1_;
@@ -212,23 +266,42 @@ class DefendedVictim {
   std::uint64_t receive_allocs_ = 0;
   std::size_t sends_ = 0;
   std::uint64_t last_send_allocs_ = 0;
+  bool last_send_resized_ = false;
+  std::uint64_t resizing_calls_ = 0;
 };
 
 // Warm-up lets every buffer reach the run's high-water marks: the live
 // set, the batch length and |H_v|.
 constexpr int kWarmSteps = 2000;
 
+/// The gossip seeds the zero-allocation tests run: a table that grows after
+/// warm-up on one stream only (seed 9 once did) fails one of them.  Seed 7
+/// holds every warm call to the count; the others exempt the calls that
+/// resize a buffer, which must stay rare: fewer than one call in
+/// kCallsPerResize, or the run is not warm and the exemption proves
+/// nothing.
+constexpr std::uint64_t kSeeds[] = {7, 9, 11, 13};
+constexpr std::uint64_t kStrictSeed = 7;
+constexpr std::uint64_t kCallsPerResize = 100;
+
 TEST(OptimalCsaAllocTest, WarmCrossValidatedReceiveAllocatesNothing) {
   ASSERT_TRUE(alloc_stats::hooked());
-  DefendedVictim run(7);
-  for (int i = 0; i < kWarmSteps; ++i) run.step();
-  const std::uint64_t warm = run.receive_allocs();
-  std::size_t receives = 0;
-  for (int i = 0; i < 4000; ++i) receives += run.step() ? 1U : 0U;
-  EXPECT_GT(receives, 500u);
-  EXPECT_EQ(run.receive_allocs() - warm, 0u)
-      << "over " << receives << " receives";
-  EXPECT_EQ(run.victim().stats().cross_check_failures, 0u);
+  for (const std::uint64_t seed : kSeeds) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    DefendedVictim run(seed, /*cross_validation=*/true,
+                       /*zero_goes_quiet=*/false, seed != kStrictSeed);
+    for (int i = 0; i < kWarmSteps; ++i) run.step();
+    const std::uint64_t warm = run.receive_allocs();
+    const std::uint64_t warm_resizes = run.resizing_calls();
+    std::size_t receives = 0;
+    for (int i = 0; i < 4000; ++i) receives += run.step() ? 1U : 0U;
+    EXPECT_GT(receives, 500u);
+    EXPECT_EQ(run.receive_allocs() - warm, 0u)
+        << "over " << receives << " receives";
+    EXPECT_LT((run.resizing_calls() - warm_resizes) * kCallsPerResize,
+              receives);
+    EXPECT_EQ(run.victim().stats().cross_check_failures, 0u);
+  }
 }
 
 // The rollback point does not depend on the option: with it off (the
@@ -236,18 +309,25 @@ TEST(OptimalCsaAllocTest, WarmCrossValidatedReceiveAllocatesNothing) {
 // either.  Warm-up refuses too, so both engines' buffers have grown.
 void expect_warm_receive_and_refusal_allocate_nothing(bool zero_goes_quiet) {
   ASSERT_TRUE(alloc_stats::hooked());
-  DefendedVictim run(7, /*cross_validation=*/false, zero_goes_quiet);
-  for (int i = 0; i < kWarmSteps; ++i) run.step(/*forge=*/true);
-  const std::uint64_t warm = run.receive_allocs();
-  const std::uint64_t refused = run.victim().stats().cross_check_failures;
-  std::size_t receives = 0;
-  for (int i = 0; i < 4000; ++i) receives += run.step(true) ? 1U : 0U;
-  EXPECT_GT(receives, 500u);
-  EXPECT_EQ(run.victim().stats().cross_check_failures - refused, receives);
-  EXPECT_EQ(run.receive_allocs() - warm, 0u)
-      << "over " << receives << " receives and as many refusals";
-  if (zero_goes_quiet) {
-    EXPECT_TRUE(run.victim().engine().is_live(EventId{0, 0}));
+  for (const std::uint64_t seed : kSeeds) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    DefendedVictim run(seed, /*cross_validation=*/false, zero_goes_quiet,
+                       seed != kStrictSeed);
+    for (int i = 0; i < kWarmSteps; ++i) run.step(/*forge=*/true);
+    const std::uint64_t warm = run.receive_allocs();
+    const std::uint64_t warm_resizes = run.resizing_calls();
+    const std::uint64_t refused = run.victim().stats().cross_check_failures;
+    std::size_t receives = 0;
+    for (int i = 0; i < 4000; ++i) receives += run.step(true) ? 1U : 0U;
+    EXPECT_GT(receives, 500u);
+    EXPECT_EQ(run.victim().stats().cross_check_failures - refused, receives);
+    EXPECT_EQ(run.receive_allocs() - warm, 0u)
+        << "over " << receives << " receives and as many refusals";
+    EXPECT_LT((run.resizing_calls() - warm_resizes) * kCallsPerResize,
+              receives);
+    if (zero_goes_quiet) {
+      EXPECT_TRUE(run.victim().engine().is_live(EventId{0, 0}));
+    }
   }
 }
 
@@ -266,16 +346,23 @@ TEST(OptimalCsaAllocTest,
 // fills it.
 TEST(OptimalCsaAllocTest, WarmSendAllocatesOnlyThePayload) {
   ASSERT_TRUE(alloc_stats::hooked());
-  DefendedVictim run(7);
-  for (int i = 0; i < kWarmSteps; ++i) run.step();
-  const std::size_t warm = run.sends();
-  for (int i = 0; i < 4000; ++i) {
-    const std::size_t sends = run.sends();
-    run.step();
-    if (run.sends() == sends) continue;
-    ASSERT_EQ(run.last_send_allocs(), 1u) << "send " << run.sends() - warm;
+  for (const std::uint64_t seed : kSeeds) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    DefendedVictim run(seed, /*cross_validation=*/true,
+                       /*zero_goes_quiet=*/false, seed != kStrictSeed);
+    for (int i = 0; i < kWarmSteps; ++i) run.step();
+    const std::size_t warm = run.sends();
+    const std::uint64_t warm_resizes = run.resizing_calls();
+    for (int i = 0; i < 4000; ++i) {
+      const std::size_t sends = run.sends();
+      run.step();
+      if (run.sends() == sends || run.last_send_resized()) continue;
+      ASSERT_EQ(run.last_send_allocs(), 1u) << "send " << run.sends() - warm;
+    }
+    EXPECT_GT(run.sends() - warm, 500u);
+    EXPECT_LT((run.resizing_calls() - warm_resizes) * kCallsPerResize,
+              run.sends() - warm);
   }
-  EXPECT_GT(run.sends() - warm, 500u);
 }
 
 TEST(OptimalCsaAllocTest, CheckpointAllocatesOnlyTheImage) {

@@ -108,8 +108,8 @@ inline SystemSpec two_node_spec() {
                     std::vector<LinkSpec>{{0, 1, 0.0, 0.05}}, 0);
 }
 
-/// Uniform NodeConfig for short wall-clock integration runs; callers that
-/// need slower fate resolution (e.g. real sockets) override the periods.
+/// Uniform NodeConfig for short integration runs; callers that need slower
+/// fate resolution (e.g. real sockets) override the periods.
 inline runtime::NodeConfig node_config(ProcId self, const SystemSpec& spec,
                                        double poll_period = 0.04,
                                        double fate_timeout = 0.2,
@@ -125,23 +125,25 @@ inline runtime::NodeConfig node_config(ProcId self, const SystemSpec& spec,
 
 /// runtime::contains_truth as a gtest assertion: the estimate, read
 /// between two readings of true source time, must overlap them.
-inline ::testing::AssertionResult brackets_truth(const runtime::Node& node) {
-  const runtime::TruthBracket b = runtime::contains_truth(node);
+inline ::testing::AssertionResult brackets_truth(
+    const runtime::Node& node, const runtime::TimeSource& truth) {
+  const runtime::TruthBracket b = runtime::contains_truth(node, truth);
   if (b) return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure()
          << "estimate [" << b.est.lo << ", " << b.est.hi
          << "] misses true source time in [" << b.t0 << ", " << b.t1 << "]";
 }
 
+
 /// The canonical 3-node path (source - relay - leaf) as a runtime mesh:
-/// spec rho 5e-4, 50 ms link bounds, hub seed 11.  Tests re-shape the
-/// hub's per-direction latency/loss themselves.
-inline runtime::Mesh three_node_path() {
+/// spec rho 5e-4, 50 ms link bounds, hub seed 11 unless given.  Tests
+/// re-shape the hub's per-direction latency/loss themselves.
+inline runtime::Mesh three_node_path(std::uint64_t hub_seed = 11) {
   return runtime::Mesh(
       workloads::make_path(
           3, {.rho = 5e-4, .latency = sim::LatencyModel::uniform(0.0, 0.05)})
           .spec,
-      11);
+      hub_seed);
 }
 
 }  // namespace driftsync::testing

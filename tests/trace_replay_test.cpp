@@ -1,10 +1,12 @@
 // Trace-replay determinism suite (DESIGN.md §8): the chaos layer promises
 // that its fault schedule is a pure function of the seed and the send
-// sequence.  This suite locks that down end to end: a scripted, synchronous
-// scenario is pushed through a seeded ChaosTransport twice, and the two
-// runs must produce byte-identical Chrome trace documents, identical fault
-// journals (modulo wall-clock timestamps), and identical delivery streams.
-// A third test closes the accounting loop: the journal alone must predict
+// sequence, and a Mesh runs in its hub's virtual time.  This suite locks
+// both down end to end: a scripted, synchronous scenario is pushed through
+// a seeded ChaosTransport twice, and the two runs must produce
+// byte-identical Chrome trace documents, fault journals (timestamps
+// included) and delivery streams; and a whole chaos-laden Mesh run, done
+// twice, must write byte-identical journals, traces and node stats.  A
+// third test closes the accounting loop: the journal alone must predict
 // the delivery count and reconcile with the ChaosEventLog counters, which
 // is what lets a failing chaos run be replayed and diagnosed from its seed
 // and journal.
@@ -25,7 +27,11 @@
 #include "common/trace.h"
 #include "runtime/chaos.h"
 #include "runtime/datagram.h"
+#include "runtime/hub.h"
+#include "runtime/mesh.h"
 #include "runtime/transport.h"
+#include "test_util.h"
+#include "workloads/topology.h"
 
 namespace driftsync::runtime {
 namespace {
@@ -83,7 +89,8 @@ RunResult run_scenario(std::uint64_t seed) {
 
   RunResult result;
   {
-    ChaosEventLog log(mem);
+    Hub clock;  // Virtual time: the journal's stamps; 1 ms per send.
+    ChaosEventLog log(clock, mem);
     auto inner = std::make_unique<CaptureTransport>();
     CaptureTransport* capture = inner.get();
     ChaosFaults faults;
@@ -93,12 +100,11 @@ RunResult run_scenario(std::uint64_t seed) {
     faults.corrupt = 0.05;
     faults.duplicate = 0.08;
     faults.reorder = 0.15;
-    // Holds must never age out mid-run: steady_seconds() is the one
-    // wall-clock input to the fault schedule, and a huge cap removes it.
-    // The holds still alive at stop() decay into hold-drops, which IS
-    // deterministic (it depends only on which sends were held).
+    // Holds never age out mid-run; the holds still alive at stop() decay
+    // into hold-drops, which depends only on which sends were held.
     faults.max_hold = 1e9;
-    ChaosTransport chaos(std::move(inner), /*self=*/0, faults, seed, &log);
+    ChaosTransport chaos(std::move(inner), /*self=*/0, faults, seed, clock,
+                         &log);
     Tracer tracer(512, counter_clock());
     chaos.set_tracer(&tracer);
 
@@ -115,6 +121,7 @@ RunResult run_scenario(std::uint64_t seed) {
       msg.send_lt = 0.001 * static_cast<double>(i);
       msg.trace_id = mint_trace_id(0, to, msg.dgram_seq);
       chaos.send(to, encode_datagram(msg));
+      clock.run_for(0.001);
     }
     chaos.stop();  // Flushes surviving holds as hold-drops.
 
@@ -136,15 +143,6 @@ RunResult run_scenario(std::uint64_t seed) {
   return result;
 }
 
-/// Journal lines embed a steady-clock timestamp; determinism claims ignore
-/// it.  Everything else in the line must match byte for byte.
-std::string strip_time(const std::string& line) {
-  const std::size_t start = line.find("\"t\":");
-  if (start == std::string::npos) return line;
-  const std::size_t end = line.find(',', start);
-  return line.substr(0, start) + line.substr(end + 1);
-}
-
 TEST(TraceReplay, SameSeedSameStreams) {
   const RunResult a = run_scenario(0xc10c5);
   const RunResult b = run_scenario(0xc10c5);
@@ -154,12 +152,8 @@ TEST(TraceReplay, SameSeedSameStreams) {
   EXPECT_EQ(a.trace_json, b.trace_json);
   EXPECT_NE(a.trace_json, "{\"traceEvents\":[]}");
 
-  // The fault journal is identical modulo the wall-clock "t" field.
-  ASSERT_EQ(a.journal.size(), b.journal.size());
-  for (std::size_t i = 0; i < a.journal.size(); ++i) {
-    EXPECT_EQ(strip_time(a.journal[i]), strip_time(b.journal[i]))
-        << "journal line " << i;
-  }
+  // The fault journal is identical, "t" stamps included.
+  EXPECT_EQ(a.journal, b.journal);
 
   // The delivery stream (destinations and payload bytes, in order) is
   // identical too — corruption flips the same bits in the same datagrams.
@@ -171,6 +165,68 @@ TEST(TraceReplay, SameSeedSameStreams) {
   }
   EXPECT_EQ(a.injected, b.injected);
   EXPECT_EQ(a.counts, b.counts);
+}
+
+/// What one Mesh-level run leaves behind: its fault journal, its Chrome
+/// trace and every node's final stats line.
+struct MeshRun {
+  std::string journal;
+  std::string trace_json;
+  std::string stats;
+};
+
+/// The chaos tool's triangle (source 0, links specced [0, 50 ms]) under
+/// drops, corruption, duplicates and reorders on every seat for 1.5
+/// virtual seconds, traced on the hub's clock.
+MeshRun run_mesh(std::uint64_t seed) {
+  char* buf = nullptr;
+  std::size_t len = 0;
+  std::FILE* mem = open_memstream(&buf, &len);
+  EXPECT_NE(mem, nullptr);
+  MeshRun run;
+  {
+    Mesh mesh(workloads::make_ring(
+                  3, {.rho = 5e-4,
+                      .latency = sim::LatencyModel::uniform(0.0, 0.05)})
+                  .spec,
+              seed, {.out = nullptr}, mem);
+    // The mesh stops before the tracer goes away; nothing records after.
+    Tracer tracer(1 << 14, [&mesh] { return mesh.hub().now(); });
+    mesh.hub().set_tracer(&tracer);
+    ChaosFaults faults;
+    faults.drop = 0.1;
+    faults.corrupt = 0.05;
+    faults.duplicate = 0.1;
+    faults.reorder = 0.1;
+    const double offsets[3] = {0.0, 41.5, -13.25};
+    const double rates[3] = {1.0, 1.0 + 3e-4, 1.0 - 2e-4};
+    for (ProcId p = 0; p < 3; ++p) {
+      NodeConfig cfg = testing::node_config(p, mesh.spec(), 0.04, 0.25, 0.08);
+      cfg.tracer = &tracer;
+      mesh.add(std::move(cfg), testing::loss_tolerant(), offsets[p], rates[p],
+               faults, seed + p);
+    }
+    mesh.start();
+    mesh.observe_for(1.5);
+    mesh.stop();
+    run.trace_json = trace_to_chrome_json(tracer.snapshot());
+    for (ProcId p = 0; p < 3; ++p) run.stats += mesh.node(p).stats_json();
+  }
+  std::fclose(mem);
+  run.journal.assign(buf, len);
+  std::free(buf);
+  return run;
+}
+
+TEST(TraceReplay, MeshRunReplaysByteForByte) {
+  const MeshRun a = run_mesh(7);
+  const MeshRun b = run_mesh(7);
+  EXPECT_NE(a.journal.find("\"chaos\":\"hold"), std::string::npos);
+  EXPECT_NE(a.trace_json.find("\"name\":\"deliver\""), std::string::npos);
+  EXPECT_EQ(a.journal, b.journal);
+  EXPECT_EQ(a.trace_json, b.trace_json);
+  EXPECT_EQ(a.stats, b.stats);
+  EXPECT_NE(run_mesh(8).journal, a.journal);
 }
 
 TEST(TraceReplay, DifferentSeedsDiverge) {

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -108,7 +107,7 @@ TEST(Tracer, ConcurrentWritersNeverTearOrLoseCounts) {
       EXPECT_NE(ev.trace_id, 0u);
       EXPECT_LE(ev.trace_id & 0xffffffffULL, kPerThread);
     }
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    std::this_thread::yield();
   }
   for (auto& t : writers) t.join();
   EXPECT_EQ(tracer.recorded(), kThreads * kPerThread);
@@ -191,11 +190,10 @@ TEST(ChromeExport, KindNamesAreStable) {
 // End-to-end propagation: a minted id must cross the wire.
 
 TEST(TraceIntegration, IdPropagatesAcrossThreeNodeNetwork) {
-  // The tracer must outlive the mesh: the hub's worker thread records drops
-  // until ~Mesh joins it (TSan catches the reverse order as a
-  // use-after-scope race).
-  Tracer tracer(8192);
   runtime::Mesh mesh = three_node_path();
+  // Stamped in the hub's virtual time; the mesh stops before the tracer
+  // goes away, and nothing records after that.
+  Tracer tracer(8192, [&mesh] { return mesh.hub().now(); });
   mesh.hub().set_tracer(&tracer);
   mesh.hub().set_link(0, 1, 0.0005, 0.003);
   mesh.hub().set_link(1, 2, 0.0005, 0.003);
@@ -208,7 +206,7 @@ TEST(TraceIntegration, IdPropagatesAcrossThreeNodeNetwork) {
     mesh.add(std::move(cfg), loss_tolerant(), offsets[p], rates[p]);
   }
   mesh.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(800));
+  mesh.hub().run_for(0.8);
   // Externalize an estimate on each node so the lifecycle event is traced.
   for (ProcId p = 0; p < 3; ++p) (void)mesh.node(p).estimate();
   mesh.stop();
@@ -235,10 +233,8 @@ TEST(TraceIntegration, IdPropagatesAcrossThreeNodeNetwork) {
     paired_senders.insert(ev.peer);
   }
   EXPECT_GT(deliveries, 0u);
-  // Both middle-link directions carried traced traffic (0->1 and 1->0 at
-  // minimum; 1<->2 too on any healthy run, but scheduling may starve it
-  // in 800 ms, so only assert what is deterministic).
-  EXPECT_GE(paired_senders.size(), 2u);
+  // Every node's sends were delivered somewhere.
+  EXPECT_EQ(paired_senders.size(), 3u);
   // Externalize/checkpoint-style lifecycle events flow to the same buffer.
   bool saw_externalize = false;
   for (const TraceEvent& ev : events) {

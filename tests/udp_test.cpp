@@ -45,6 +45,10 @@ using driftsync::testing::brackets_truth;
 using driftsync::testing::loss_tolerant_csa;
 using driftsync::testing::two_node_spec;
 
+/// Over real sockets true source time is CLOCK_MONOTONIC: every source
+/// runs on ScaledTimeSource(0, 1).
+const SystemTimeSource kTruth;
+
 constexpr const char* kHost = "127.0.0.1";
 
 /// Binds an ephemeral loopback port, or null if sockets are unavailable.
@@ -154,8 +158,8 @@ TEST(UdpNode, TwoNodeLoopbackSmoke) {
   n1.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(1200));
 
-  EXPECT_TRUE(brackets_truth(n0));
-  EXPECT_TRUE(brackets_truth(n1));
+  EXPECT_TRUE(brackets_truth(n0, kTruth));
+  EXPECT_TRUE(brackets_truth(n1, kTruth));
   EXPECT_EQ(n0.estimate().width(), 0.0);
   // Loopback latency is microseconds; anything near the 50 ms spec bound
   // would mean the protocol never exchanged fresh information.
@@ -226,8 +230,8 @@ TEST(UdpNode, MalformedDatagramStormLeavesNodeServing) {
   std::this_thread::sleep_for(std::chrono::milliseconds(800));
   const NodeStats s1 = n1.stats();
   EXPECT_GT(s1.decode_drops, 0u);  // The storm was actually seen.
-  EXPECT_TRUE(brackets_truth(n0));
-  EXPECT_TRUE(brackets_truth(n1));
+  EXPECT_TRUE(brackets_truth(n0, kTruth));
+  EXPECT_TRUE(brackets_truth(n1, kTruth));
   EXPECT_LT(n1.estimate().width(), 0.05);
   n1.stop();
   n0.stop();
@@ -664,9 +668,9 @@ TEST(UdpNode, ThreeNodeLoopbackConverges) {
   n2.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(1500));
 
-  EXPECT_TRUE(brackets_truth(n0));
-  EXPECT_TRUE(brackets_truth(n1));
-  EXPECT_TRUE(brackets_truth(n2));
+  EXPECT_TRUE(brackets_truth(n0, kTruth));
+  EXPECT_TRUE(brackets_truth(n1, kTruth));
+  EXPECT_TRUE(brackets_truth(n2, kTruth));
   EXPECT_LT(n1.estimate().width(), 0.05);
   EXPECT_LT(n2.estimate().width(), 0.10);  // Two hops from the source.
   const NodeStats s1 = n1.stats();

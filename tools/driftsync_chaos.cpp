@@ -5,10 +5,13 @@
 // runtime::Mesh — every endpoint behind a ChaosTransport, every clock
 // behind a FaultyTimeSource — drives a named fault schedule against it, and
 // checks the paper's invariants with an InvariantOracle the whole time.
-// Every stochastic choice flows through --seed, so a failing run is
-// replayed bit-identically (fault-schedule-wise) from its verdict line
-// alone; the fault journal streams to stderr as JSON for offline diagnosis
-// (--quiet silences the journal; oracle violations still print).
+// The mesh runs on one thread in the hub's virtual time (--duration is
+// virtual seconds) and every stochastic choice flows through --seed, so a
+// failing run replays byte-for-byte from its verdict line alone, journal
+// timestamps included.  The fault journal streams to stderr as JSON
+// (--quiet silences it; oracle violations still print); --trace-out=PATH
+// writes the causal trace of every node, the hub and the oracle as Chrome
+// trace JSON.
 //
 // Scenarios:
 //   partition-heal   cut the 0-1 link both ways mid-run, heal it, require
@@ -63,7 +66,8 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -71,6 +75,7 @@
 #include "common/flags.h"
 #include "common/interval.h"
 #include "common/rng.h"
+#include "common/trace.h"
 #include "core/optimal_csa.h"
 #include "core/spec.h"
 #include "runtime/byzantine.h"
@@ -92,7 +97,8 @@ constexpr const char* kUsage =
     "crash-restart|client-storm|random|\n"
     "           byzantine-skew|byzantine-replay|byzantine-equivocate|"
     "churn|join-flap]\n"
-    "         [--seed=1] [--duration=3.0] [--faults=0.2] [--quiet]";
+    "         [--seed=1] [--duration=3.0] [--faults=0.2] [--quiet]\n"
+    "         [--trace-out=PATH]";
 
 constexpr double kRho = 5e-4;
 constexpr std::size_t kProcs = 3;
@@ -100,15 +106,16 @@ constexpr double kOffsets[kProcs] = {0.0, 41.5, -13.25};
 constexpr double kRates[kProcs] = {1.0, 1.0 + 3e-4, 1.0 - 2e-4};
 
 /// Seats the triangle on `mesh` (not started): every seat injects `faults`
-/// from fault stream seed + 1000 * (p + 1), and `tweak` (if any) adjusts a
-/// seat's config before it is built.  The 1-2 link is slower than the two
-/// links to the source.
+/// from fault stream seed + 1000 * (p + 1), records into the hub's tracer
+/// when it has one, and `tweak` (if any) adjusts a seat's config before it
+/// is built.  The 1-2 link is slower than the two links to the source.
 void seat_triangle(Mesh& mesh, std::uint64_t seed, const ChaosFaults& faults,
                    const std::function<void(NodeConfig&)>& tweak = {}) {
   mesh.hub().set_link(1, 2, 0.001, 0.008);
   for (ProcId p = 0; p < kProcs; ++p) {
     NodeConfig cfg;
     cfg.self = p;
+    cfg.tracer = mesh.hub().tracer();
     cfg.poll_period = 0.04;
     cfg.fate_timeout = 0.25;
     cfg.skip_retry = 0.08;
@@ -214,7 +221,7 @@ std::uint64_t run_crash_restart(Mesh& m, std::uint64_t seed,
   m.kill(1);
   m.oracle().mark_lossish("node0");
   m.oracle().mark_lossish("node2");
-  nap(0.3);
+  m.hub().run_for(0.3);
   m.restart(1);
   m.observe_for(duration * 0.6);
   m.oracle().observe();
@@ -249,18 +256,14 @@ std::uint64_t run_client_storm(Mesh& m, std::uint64_t seed, double duration) {
 
   // One storm client = a hub endpoint outside the mesh (ProcIds from 100)
   // behind its own ChaosTransport, with its own in-spec drifting clock.
-  // The estimators are touched from both the hub delivery thread (the
-  // response handler) and this thread (request minting, bracket checks),
-  // so one mutex guards the whole fleet.
   struct StormClient {
     ScaledTimeSource clock;
     serve::ClientEstimator est;
     std::unique_ptr<ChaosTransport> transport;
-    StormClient(double offset, double rate,
+    StormClient(const TimeSource& base, double offset, double rate,
                 const serve::ClientEstimator::Options& opts)
-        : clock(offset, rate), est(opts) {}
+        : clock(base, offset, rate), est(opts) {}
   };
-  std::mutex storm_mu;
   std::vector<std::unique_ptr<StormClient>> fleet;
   Rng rng(seed ^ 0x5708E);
   for (std::size_t c = 0; c < kFleet; ++c) {
@@ -270,13 +273,14 @@ std::uint64_t run_client_storm(Mesh& m, std::uint64_t seed, double duration) {
     opts.rho = kRho;
     const double offset = rng.uniform(-50.0, 50.0);
     const double rate = 1.0 + rng.uniform(-3e-4, 3e-4);
-    auto client = std::make_unique<StormClient>(offset, rate, opts);
+    auto client = std::make_unique<StormClient>(m.hub(), offset, rate, opts);
     m.hub().set_link(0, proc, 0.0005, 0.004);
     client->transport = std::make_unique<ChaosTransport>(
-        m.hub().endpoint(proc), proc, faults, seed + 5000 * (c + 1), &m.log());
+        m.hub().endpoint(proc), proc, faults, seed + 5000 * (c + 1), m.hub(),
+        &m.log());
     StormClient* self = client.get();
     client->transport->start(
-        [self, &storm_mu](std::span<const std::uint8_t> bytes) {
+        [self](std::span<const std::uint8_t> bytes) {
           runtime::Datagram dgram;
           try {
             dgram = runtime::decode_datagram(bytes);
@@ -285,7 +289,6 @@ std::uint64_t run_client_storm(Mesh& m, std::uint64_t seed, double duration) {
           }
           const auto* resp = std::get_if<runtime::ClientResp>(&dgram);
           if (resp == nullptr) return;
-          const std::lock_guard<std::mutex> lock(storm_mu);
           self->est.on_response(*resp, self->clock.now());
         });
     fleet.push_back(std::move(client));
@@ -296,31 +299,25 @@ std::uint64_t run_client_storm(Mesh& m, std::uint64_t seed, double duration) {
   // aged past the grace window — steady evictions, with rejections filling
   // in whenever a burst lands inside it.  Every ~100 ms, check each
   // bounded client estimate against ground truth (the source clock is
-  // offset 0, rate 1 — i.e. SystemTimeSource).
-  SystemTimeSource truth;
+  // offset 0, rate 1 over the hub — i.e. hub time).
   std::uint64_t bracket_violations = 0;
   std::size_t next_up = 0;
   std::uint64_t ticks = 0;
   for (double t = 0.0; t < duration * 0.7; t += 0.01, ++ticks) {
-    nap(0.01);
+    m.hub().run_for(0.01);
     for (int k = 0; k < 2; ++k) {
       StormClient& client = *fleet[next_up];
       next_up = (next_up + 1) % kFleet;
-      std::vector<std::uint8_t> bytes;
-      {
-        const std::lock_guard<std::mutex> lock(storm_mu);
-        bytes = runtime::encode_datagram(
-            runtime::Datagram{client.est.make_request(client.clock.now())});
-      }
-      client.transport->send(0, std::move(bytes));
+      client.transport->send(
+          0, runtime::encode_datagram(runtime::Datagram{
+                 client.est.make_request(client.clock.now())}));
     }
     if (ticks % 10 == 0) {
       m.oracle().observe();
-      const std::lock_guard<std::mutex> lock(storm_mu);
       for (const auto& client : fleet) {
         const Interval est = client->est.estimate(client->clock.now());
         if (!est.bounded()) continue;
-        const double now = truth.now();
+        const double now = m.hub().now();
         if (now < est.lo - 0.02 || now > est.hi + 0.02) {
           ++bracket_violations;
         }
@@ -350,11 +347,8 @@ std::uint64_t run_client_storm(Mesh& m, std::uint64_t seed, double duration) {
                                 " caused no eviction or rejection");
   }
   std::size_t bounded = 0;
-  {
-    const std::lock_guard<std::mutex> lock(storm_mu);
-    for (const auto& client : fleet) {
-      if (client->est.estimate(client->clock.now()).bounded()) ++bounded;
-    }
+  for (const auto& client : fleet) {
+    if (client->est.estimate(client->clock.now()).bounded()) ++bounded;
   }
   if (bounded < kFleet / 2) {
     failed += expect_failed("clients-bounded",
@@ -623,12 +617,12 @@ std::uint64_t run_join_flap(Mesh& m, std::uint64_t seed, double duration) {
     m.node(2).remove_peer(0);
     m.node(2).remove_peer(1);
     const double out = rng.uniform(0.02, 0.08);
-    nap(out);
+    m.hub().run_for(out);
     m.node(2).admit_peer(0);
     m.node(2).admit_peer(1);
     ++flaps;
     const double in = rng.uniform(0.02, 0.1);
-    nap(in);
+    m.hub().run_for(in);
     m.oracle().observe();
     spent += out + in;
   }
@@ -662,6 +656,7 @@ int main(int argc, char** argv) try {
   const std::uint64_t seed = flags.get_seed("seed", 1);
   const double duration = flags.get_double("duration", 3.0);
   const double intensity = flags.get_double("faults", 0.2);
+  const std::string trace_out = flags.get_string("trace-out", "");
   quiet = flags.get_bool("quiet", quiet);
   flags.reject_unknown(kUsage);
   if (duration <= 0.0) throw FlagError("--duration must be > 0");
@@ -676,6 +671,15 @@ int main(int argc, char** argv) try {
       .rho = kRho, .latency = sim::LatencyModel::uniform(0.0, 0.05)};
   Mesh mesh(workloads::make_ring(kProcs, params).spec, seed ^ 0xC0FFEEULL, {},
             quiet ? nullptr : stderr);
+  // Traced only when asked: an untraced run sends the untraced datagram
+  // format.  The mesh is stopped before the tracer goes away; nothing
+  // records after.
+  std::optional<Tracer> tracer;
+  if (!trace_out.empty()) {
+    tracer.emplace(1 << 16, [&mesh] { return mesh.hub().now(); });
+    mesh.hub().set_tracer(&*tracer);
+    mesh.oracle().attach_tracer(&*tracer);
+  }
   std::uint64_t expectation_failures = 0;
   if (scenario == "partition-heal") {
     expectation_failures = run_partition_heal(mesh, seed, duration);
@@ -701,6 +705,9 @@ int main(int argc, char** argv) try {
     throw FlagError("unknown --scenario: " + scenario);
   }
   mesh.stop();
+  if (tracer && !write_chrome_trace(*tracer, trace_out)) {
+    throw std::runtime_error("cannot write " + trace_out);
+  }
 
   const std::uint64_t violations =
       mesh.oracle().violations() + expectation_failures;

@@ -22,11 +22,12 @@
 // on restart.  --dynamic-join lets the daemon admit spec neighbors that
 // ask in at runtime (kJoinReq/kJoinAck) and honor kLeave; the default is a
 // fixed roster.  --selftest runs a self-contained 3-node in-process
-// network and exits 0 iff containment and convergence hold AND at least
-// one causal trace id shows up on both its sender's and its receiver's
-// event streams (the observability path is part of the daemon's contract,
-// DESIGN.md §8); further legs re-run the check under a Byzantine third
-// seat and under a mid-run dynamic join.
+// network in virtual time (runtime::Mesh over a Hub) and exits 0 iff
+// containment and convergence hold AND at least one causal trace id shows
+// up on both its sender's and its receiver's event streams (the
+// observability path is part of the daemon's contract, DESIGN.md §8);
+// further legs re-run the check under a Byzantine third seat and under a
+// mid-run dynamic join.
 //
 // Observability: every daemon carries a Tracer (--trace-buffer events,
 // 0 disables) and answers kMetricsReq datagrams with Prometheus text plus
@@ -34,6 +35,7 @@
 // --trace.  --trace-out=PATH writes the final trace snapshot as
 // Perfetto-loadable JSON on shutdown (and always, for --selftest).
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -41,6 +43,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/cristian_csa.h"
@@ -197,19 +200,12 @@ std::unique_ptr<Csa> make_csa(const std::string& algo) {
   throw FlagError("unknown --algo: " + algo);
 }
 
-/// Writes a trace snapshot as Chrome/Perfetto JSON; returns false on I/O
-/// failure (the caller decides whether that is fatal).
+/// write_chrome_trace, saying why on stderr when it fails.
 bool write_trace_json(const Tracer& tracer, const std::string& path) {
-  const std::string json = trace_to_chrome_json(tracer.snapshot());
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "driftsyncd: cannot write %s: %s\n", path.c_str(),
-                 std::strerror(errno));
-    return false;
-  }
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  std::fclose(f);
-  return ok;
+  if (write_chrome_trace(tracer, path)) return true;
+  std::fprintf(stderr, "driftsyncd: cannot write %s: %s\n", path.c_str(),
+               std::strerror(errno));
+  return false;
 }
 
 constexpr double kSelftestOffsets[3] = {0.0, 41.5, -13.25};
@@ -257,11 +253,12 @@ int run_selftest_byzantine() {
     add_selftest_seat(mesh, p, cfg, /*cross_validation=*/true);
   }
   mesh.start();
-  runtime::nap(2.0);
+  mesh.hub().run_for(2.0);
 
   int failures = 0;
   for (ProcId p = 0; p < 2; ++p) {
-    const runtime::TruthBracket truth = runtime::contains_truth(mesh.node(p));
+    const runtime::TruthBracket truth =
+        runtime::contains_truth(mesh.node(p), mesh.hub());
     const runtime::NodeStats s = mesh.node(p).stats();
     const std::uint64_t renounced =
         s.infeasible_rejected + s.suspect_rejected + s.replay_rejected;
@@ -300,17 +297,18 @@ int run_selftest_join() {
   add(0, {1});
   add(1, {0});
   mesh.start();
-  runtime::nap(0.8);
+  mesh.hub().run_for(0.8);
 
   // Mid-run, the third seat comes up and asks in.
   add(2, {0, 1});
   mesh.node(2).admit_peer(0);
   mesh.node(2).admit_peer(1);
-  runtime::nap(1.5);
+  mesh.hub().run_for(1.5);
 
   int failures = 0;
   for (ProcId p = 0; p < 3; ++p) {
-    const runtime::TruthBracket truth = runtime::contains_truth(mesh.node(p));
+    const runtime::TruthBracket truth =
+        runtime::contains_truth(mesh.node(p), mesh.hub());
     const runtime::NodeStats s = mesh.node(p).stats();
     // Each incumbent must have admitted the joiner at runtime; the joiner
     // itself was configured with its roster, so its join counter stays 0.
@@ -331,9 +329,11 @@ int run_selftest_join() {
 /// the true source time, the non-source widths converge, and the shared
 /// trace shows at least one id on both a sender's and a receiver's stream.
 int run_selftest(std::size_t trace_buffer, const std::string& trace_out) {
-  // The tracer outlives the mesh: the hub's worker records drops into it.
-  Tracer tracer(trace_buffer == 0 ? 4096 : trace_buffer);
   runtime::Mesh mesh(selftest_spec(false), 7);
+  // Stamped in the hub's virtual time, so the trace file replays exactly.
+  // The mesh is stopped before the tracer goes away; nothing records after.
+  Tracer tracer(trace_buffer == 0 ? 4096 : trace_buffer,
+                [&mesh] { return mesh.hub().now(); });
   mesh.hub().set_tracer(&tracer);
   mesh.hub().set_link(0, 1, 0.0005, 0.004, 0.05);
   mesh.hub().set_link(1, 2, 0.001, 0.008, 0.05);
@@ -341,11 +341,12 @@ int run_selftest(std::size_t trace_buffer, const std::string& trace_out) {
   cfg.tracer = &tracer;
   for (ProcId p = 0; p < 3; ++p) add_selftest_seat(mesh, p, cfg);
   mesh.start();
-  runtime::nap(2.0);
+  mesh.hub().run_for(2.0);
 
   int failures = 0;
   for (ProcId p = 0; p < 3; ++p) {
-    const runtime::TruthBracket truth = runtime::contains_truth(mesh.node(p));
+    const runtime::TruthBracket truth =
+        runtime::contains_truth(mesh.node(p), mesh.hub());
     const bool ok = truth && (p == 0 || truth.est.width() < 0.5);
     if (!ok) ++failures;
     std::printf("selftest node %u: [%.6f, %.6f] width %.6f %s\n", p,
@@ -502,7 +503,7 @@ int main(int argc, char** argv) try {
   double next_stats =
       stats_interval > 0.0 ? started + stats_interval : 0.0;
   while (g_terminate == 0) {
-    runtime::nap(0.2);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
     if (g_dump_stats != 0) {
       g_dump_stats = 0;
       std::printf("%s\n", node.stats_json().c_str());

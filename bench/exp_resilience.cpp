@@ -27,6 +27,12 @@
 // expected to hold at EVERY f; what degrades past the bound is liveness —
 // isolated honest nodes keep drifting wider.  The summary separates the two
 // so a regression in either direction is visible.
+//
+// Output: one JSON object per line, a header line aside.  An honest node
+// that never bounds its estimate has an infinite width, so its cell's
+// mean_width (and width_inflation) is not a number JSON can hold: those
+// fields print null.
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -53,6 +59,15 @@ constexpr const char* kUsage =
 constexpr double kRho = 5e-4;
 constexpr double kSpecMaxTransit = 0.05;
 constexpr double kConvergedWidth = 0.5;
+
+/// `v` printed with `format` as a JSON number, or null when it is not
+/// finite (JSON has no infinity).
+std::string json_number(double v, const char* format) {
+  if (!std::isfinite(v)) return "null";
+  char buf[32];
+  std::snprintf(buf, sizeof buf, format, v);
+  return buf;
+}
 
 /// The swept meshes: ring-6, grid-3x3, star-6, and a dense random-7
 /// (G(7, 0.55), re-drawn until connected, dense enough that its vertex
@@ -202,14 +217,17 @@ int main(int argc, char** argv) try {
               "{\"exp\":\"resilience\",\"topo\":\"%s\",\"n\":%zu,"
               "\"conn\":%zu,\"f_tol\":%zu,\"f\":%zu,\"strategy\":\"%s\","
               "\"seed\":%llu,\"honest\":%zu,\"converged\":%zu,"
-              "\"containment_violations\":%llu,\"mean_width\":%.6f,"
-              "\"width_inflation\":%.3f,\"renounced\":%llu,"
+              "\"containment_violations\":%llu,\"mean_width\":%s,"
+              "\"width_inflation\":%s,\"renounced\":%llu,"
               "\"quarantines\":%llu,\"gated\":%s}\n",
               name.c_str(), spec.num_procs(), conn, f_tol, f,
               f == 0 ? "none" : strategy.c_str(),
               static_cast<unsigned long long>(seed), r.honest, r.converged,
-              static_cast<unsigned long long>(r.violations), r.mean_width,
-              base_width > 0.0 ? r.mean_width / base_width : 1.0,
+              static_cast<unsigned long long>(r.violations),
+              json_number(r.mean_width, "%.6f").c_str(),
+              json_number(base_width > 0.0 ? r.mean_width / base_width : 1.0,
+                          "%.3f")
+                  .c_str(),
               static_cast<unsigned long long>(r.renounced),
               static_cast<unsigned long long>(r.quarantines),
               gated ? "true" : "false");

@@ -29,13 +29,21 @@ namespace driftsync {
 struct CsaPayload {
   EventBatch reports;
   std::vector<double> scalars;
+  /// wire::encoded_size(reports) where a hop has counted it already (the
+  /// sender's batch sizer, or the image decode_payload read), so the
+  /// receiver need not size the batch again; 0 when nobody has (a batch
+  /// image is never empty: its record count takes a byte).  Not content:
+  /// payloads compare by their reports and scalars.
+  std::size_t report_bytes = 0;
 
   [[nodiscard]] std::size_t approx_bytes() const {
     return reports.size() * kEventRecordWireBytes +
            scalars.size() * sizeof(double);
   }
 
-  friend bool operator==(const CsaPayload&, const CsaPayload&) = default;
+  friend bool operator==(const CsaPayload& a, const CsaPayload& b) {
+    return a.reports == b.reports && a.scalars == b.scalars;
+  }
 };
 
 /// Context handed to a CSA when its processor sends a message.  The send

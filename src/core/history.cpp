@@ -133,13 +133,11 @@ MergeVerdict HistoryProtocol::begin_receive(ProcId from,
   undo_.c_from = ns.c;
   fresh_.clear();
   const std::size_t num_procs = known_seq_.size();
-  sizer_.reset(num_procs);
   for (const EventRecord& p : batch) {
     if (!procs_in_range(p, num_procs)) {
       rollback_receive();
       return MergeVerdict::kOutOfRange;
     }
-    sizer_.add(p);
     const auto seq = static_cast<std::int64_t>(p.id.seq);
     // Whatever the sender reports, the sender knows.
     ns.c[p.id.proc] = std::max(ns.c[p.id.proc], seq);

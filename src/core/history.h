@@ -35,7 +35,7 @@
 //    prefix, a rollback a suffix), so fill_message sizes its batch from
 //    the bounds, allocates it once, and scans H_v only from the oldest
 //    record of a processor the recipient may be owed.  The encoded size of
-//    each batch sent or merged is counted in the loop that walks it.
+//    each batch sent is counted in the loop that builds it.
 //
 // Message loss (Section 3.3).  The paper assumes reliable links for the
 // protocol and adds a detection mechanism that eventually flags a message
@@ -135,9 +135,9 @@ class HistoryProtocol {
     return std::span<const EventRecord>(history_).subspan(undo_.history_size);
   }
 
-  /// wire::encoded_size of the last batch fill_message returned or
-  /// begin_receive / receive_message merged (the whole batch, duplicates
-  /// and dropped records included), counted while the batch was walked.
+  /// wire::encoded_size of the last batch fill_message returned, counted
+  /// while the batch was built.  A merged batch is not sized here: the
+  /// sender's count travels with it (CsaPayload::report_bytes).
   [[nodiscard]] std::size_t batch_bytes() const { return sizer_.size(); }
 
   /// Loss-tolerant mode: the detection mechanism reports that the earliest
@@ -272,7 +272,7 @@ class HistoryProtocol {
   /// The sweep's scratch: per held processor, the highest seq every
   /// neighbor confirmably knows.
   std::vector<std::int64_t> gc_known_to_all_;
-  /// Sizes the batch fill_message or begin_receive walks.
+  /// Sizes the batch fill_message builds.
   wire::BatchSizer sizer_;
   /// Encoding of history_[0, history_image_.size()) as save() writes it.
   mutable wire::IncrementalBatch history_image_;

@@ -199,8 +199,10 @@ CsaPayload OptimalCsa::on_send(const SendContext& ctx) {
   CsaPayload payload;
   payload.reports = history_->fill_message(ctx.dest, ctx.send_event);
   // Account what would actually cross the wire (compact encoding; see
-  // core/wire.h), not the in-memory record size.
-  stats_.payload_bytes_sent += history_->batch_bytes();
+  // core/wire.h), not the in-memory record size.  The count travels with
+  // the payload, so the receiving hop does not size the batch again.
+  payload.report_bytes = history_->batch_bytes();
+  stats_.payload_bytes_sent += payload.report_bytes;
   return payload;
 }
 
@@ -244,8 +246,11 @@ bool OptimalCsa::on_receive_validated(const RecvContext& ctx,
     ++stats_.cross_check_failures;
     return false;
   }
-  // The merge sized the whole batch; a refused one counts nothing.
-  stats_.payload_bytes_received += history_->batch_bytes();
+  // The whole batch as it crossed the wire; a refused one counts nothing.
+  // A payload no hop has sized (one a caller built) is sized here.
+  stats_.payload_bytes_received += payload.report_bytes != 0
+                                       ? payload.report_bytes
+                                       : wire::encoded_size(payload.reports);
   history_->commit_receive(ctx.recv_event);
   return true;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <utility>
 
 namespace driftsync {
 
@@ -15,7 +16,8 @@ SystemSpec::SystemSpec(std::vector<ClockSpec> clocks,
   for (const ClockSpec& c : clocks_) {
     DS_CHECK_MSG(c.rho >= 0.0 && c.rho < 1.0, "drift bound must be in [0,1)");
   }
-  adjacency_.resize(clocks_.size());
+  std::vector<std::vector<std::pair<ProcId, std::size_t>>> ends(
+      clocks_.size());
   for (std::size_t i = 0; i < links_.size(); ++i) {
     const LinkSpec& l = links_[i];
     DS_CHECK(l.a < clocks_.size() && l.b < clocks_.size());
@@ -24,14 +26,20 @@ SystemSpec::SystemSpec(std::vector<ClockSpec> clocks,
     // direction's bound interval must merely be non-empty.
     DS_CHECK_MSG(l.max_ab >= l.min_ab && l.max_ba >= l.min_ba,
                  "empty transit bound");
-    DS_CHECK_MSG(link_between(l.a, l.b) == nullptr, "duplicate link");
-    link_index_.emplace(pair_key(l.a, l.b), i);
-    adjacency_[l.a].push_back(l.b);
-    adjacency_[l.b].push_back(l.a);
+    ends[l.a].emplace_back(l.b, i);
+    ends[l.b].emplace_back(l.a, i);
   }
-  for (auto& nbrs : adjacency_) {
-    std::sort(nbrs.begin(), nbrs.end());
-    max_degree_ = std::max(max_degree_, nbrs.size());
+  adjacency_.resize(clocks_.size());
+  link_index_.resize(clocks_.size());
+  for (std::size_t p = 0; p < clocks_.size(); ++p) {
+    std::sort(ends[p].begin(), ends[p].end());
+    for (const auto& [v, i] : ends[p]) {
+      DS_CHECK_MSG(adjacency_[p].empty() || adjacency_[p].back() != v,
+                   "duplicate link");
+      adjacency_[p].push_back(v);
+      link_index_[p].push_back(i);
+    }
+    max_degree_ = std::max(max_degree_, adjacency_[p].size());
   }
 
   // BFS from proc 0 for connectivity and diameter (exact for small systems:
@@ -62,8 +70,15 @@ SystemSpec::SystemSpec(std::vector<ClockSpec> clocks,
 }
 
 const LinkSpec* SystemSpec::link_between(ProcId u, ProcId v) const {
-  const auto it = link_index_.find(pair_key(u, v));
-  return it == link_index_.end() ? nullptr : &links_[it->second];
+  if (u >= adjacency_.size()) return nullptr;
+  // v's rank among u's sorted neighbors, counted without a branch: a
+  // degree is a handful of entries, where a binary search's branches
+  // mispredict.
+  const std::vector<ProcId>& nbrs = adjacency_[u];
+  std::size_t k = 0;
+  for (const ProcId n : nbrs) k += n < v ? 1 : 0;
+  if (k == nbrs.size() || nbrs[k] != v) return nullptr;
+  return &links_[link_index_[u][k]];
 }
 
 }  // namespace driftsync

@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
@@ -102,7 +101,8 @@ class SystemSpec {
   }
   [[nodiscard]] const std::vector<LinkSpec>& links() const { return links_; }
 
-  /// The link between u and v, or nullptr if they are not neighbors.
+  /// The link between u and v, or nullptr if they are not neighbors: a
+  /// scan of u's neighbors.
   [[nodiscard]] const LinkSpec* link_between(ProcId u, ProcId v) const;
 
   [[nodiscard]] const std::vector<ProcId>& neighbors(ProcId p) const {
@@ -122,15 +122,12 @@ class SystemSpec {
   [[nodiscard]] std::size_t max_degree() const { return max_degree_; }
 
  private:
-  static std::uint64_t pair_key(ProcId u, ProcId v) {
-    return (static_cast<std::uint64_t>(u < v ? u : v) << 32) |
-           (u < v ? v : u);
-  }
-
   std::vector<ClockSpec> clocks_;
   std::vector<LinkSpec> links_;
-  std::unordered_map<std::uint64_t, std::size_t> link_index_;
+  /// Per processor: its neighbors in ascending order, and beside each the
+  /// index of the link to it in links_.
   std::vector<std::vector<ProcId>> adjacency_;
+  std::vector<std::vector<std::size_t>> link_index_;
   ProcId source_ = 0;
   std::size_t diameter_ = 0;
   std::size_t max_degree_ = 0;

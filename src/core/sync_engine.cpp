@@ -19,25 +19,29 @@ SyncEngine::SyncEngine(const SystemSpec& spec, ProcId self, Options opts)
     : spec_(&spec), self_(self), opts_(opts) {
   DS_CHECK(self < spec.num_procs());
   head_.assign(spec.num_procs(), kNoEntry);
-  last_id_.assign(spec.num_procs(), kInvalidEvent);
+  tail_.assign(spec.num_procs(), kNoEntry);
 }
 
-const SyncEngine::LiveNode* SyncEngine::find(EventId id) const {
-  if (id.proc >= head_.size()) return nullptr;
+SyncEngine::Found SyncEngine::locate(EventId id) const {
+  Found f;
+  if (id.proc >= head_.size()) return f;
   // A list holds a processor's last event and its pending sends: short.
   for (std::uint32_t i = head_[id.proc]; i != kNoEntry; i = pool_[i].next) {
     const LiveNode& node = pool_[i];
     if (node.rec.id.seq >= id.seq) {
-      return node.rec.id.seq == id.seq ? &node : nullptr;
+      if (node.rec.id.seq == id.seq) f.at = i;
+      return f;
     }
+    f.before = i;
   }
-  return nullptr;
+  return Found{};
 }
 
 void SyncEngine::push_live(const LiveNode& node) {
   if (free_ == kNoEntry) {  // Every entry is live: the matrix outgrew them.
     const auto used = static_cast<std::uint32_t>(pool_.size());
     pool_.resize(apsp_.capacity());
+    save_slots_.resize(pool_.size());
     for (auto i = static_cast<std::uint32_t>(pool_.size()); i-- > used;) {
       pool_[i].next = free_;
       free_ = i;
@@ -46,9 +50,9 @@ void SyncEngine::push_live(const LiveNode& node) {
   const std::uint32_t i = free_;
   free_ = pool_[i].next;
   pool_[i] = node;
-  std::uint32_t* link = &head_[node.rec.id.proc];
-  while (*link != kNoEntry) link = &pool_[*link].next;
-  *link = i;
+  std::uint32_t& tail = tail_[node.rec.id.proc];
+  (tail == kNoEntry ? head_[node.rec.id.proc] : pool_[tail].next) = i;
+  tail = i;
   ++live_count_;
 }
 
@@ -91,10 +95,11 @@ IngestVerdict SyncEngine::ingest(const EventRecord& record) {
     return IngestVerdict::kOutOfRange;
   }
   const ProcId w = record.id.proc;
-  const EventId prev_id = last_id_[w];
-  if (record.id.seq != (prev_id.valid() ? prev_id.seq + 1 : 0)) {
-    return IngestVerdict::kSequenceGap;
-  }
+  // The predecessor is w's last event, the tail of its list.
+  const std::uint32_t prev_at = tail_[w];
+  const std::uint32_t next_seq =
+      prev_at == kNoEntry ? 0 : pool_[prev_at].rec.id.seq + 1;
+  if (record.id.seq != next_seq) return IngestVerdict::kSequenceGap;
   if (!std::isfinite(record.slack) || record.slack < 0.0 ||
       (record.slack != 0.0 && record.kind != EventKind::kReceive)) {
     return IngestVerdict::kBadSlack;
@@ -113,8 +118,8 @@ IngestVerdict SyncEngine::ingest(const EventRecord& record) {
   // dies with this record, and the new point takes over its slot in the
   // distance structure.
   Handle retire = graph::IncrementalApsp::kNoHandle;
-  if (prev_id.valid()) {
-    const LiveNode& prev = live_at(prev_id);
+  if (prev_at != kNoEntry) {
+    const LiveNode& prev = pool_[prev_at];
     const Duration dl = record.lt - prev.rec.lt;
     if (!(dl >= 0.0)) return IngestVerdict::kClockBackwards;
     const ProcEdgeWeights pw = proc_edge_weights(spec_->clock(w), dl);
@@ -125,18 +130,21 @@ IngestVerdict SyncEngine::ingest(const EventRecord& record) {
 
   // Transit edges to the matching send (Section 2, message transit bounds).
   // The send must be live and pending: its receive was not in the view
-  // before this record.
+  // before this record.  It is looked up once; its entry and the one
+  // before it stay put below (the record joins w's list at the back).
+  Found send;
   if (record.kind == EventKind::kReceive) {
-    const LiveNode* const send = find(record.match);
-    if (send == nullptr || send->rec.kind != EventKind::kSend ||
-        send->recv_seen || send->lost) {
+    send = locate(record.match);
+    const LiveNode* const s = send.at == kNoEntry ? nullptr : &pool_[send.at];
+    if (s == nullptr || s->rec.kind != EventKind::kSend || s->recv_seen ||
+        s->lost) {
       return IngestVerdict::kUnmatchedReceive;
     }
     const LinkSpec* link = spec_->link_between(w, record.peer);
     if (link == nullptr) return IngestVerdict::kNoLink;
     const MsgEdgeWeights mw =
-        msg_edge_weights(*link, record.peer, send->rec.lt, record.lt);
-    in_edges[n_in++] = HalfEdge{send->handle, mw.send_to_recv};
+        msg_edge_weights(*link, record.peer, s->rec.lt, record.lt);
+    in_edges[n_in++] = HalfEdge{s->handle, mw.send_to_recv};
     if (mw.recv_to_send != kNoBound) {
       // The spec's max transit bounds the *wire*; the record's local time
       // was read up to `slack` local seconds after the datagram arrived
@@ -144,14 +152,14 @@ IngestVerdict SyncEngine::ingest(const EventRecord& record) {
       // bound by that gap mapped through the receiver's drift envelope,
       // else honest processing delay masquerades as a spec violation.
       out_edges[n_out++] = HalfEdge{
-          send->handle,
+          s->handle,
           mw.recv_to_send + spec_->clock(w).rt_upper(record.slack)};
     }
   } else if (record.kind == EventKind::kLossDecl) {
     // Only the sender declares a message lost.
-    const LiveNode* const send = find(record.match);
-    if (record.match.proc != w || send == nullptr ||
-        send->rec.kind != EventKind::kSend) {
+    send = locate(record.match);
+    if (record.match.proc != w || send.at == kNoEntry ||
+        pool_[send.at].rec.kind != EventKind::kSend) {
       return IngestVerdict::kBadLossDecl;
     }
   }
@@ -164,57 +172,47 @@ IngestVerdict SyncEngine::ingest(const EventRecord& record) {
   }
 
   // The new event has the highest seq of its processor: it goes at the
-  // back of the list, where a retired predecessor hands it its entry.
-  if (retire != graph::IncrementalApsp::kNoHandle) {
-    *find(prev_id) = LiveNode{record, h};
+  // back of the list, where a retired predecessor hands it its entry.  A
+  // predecessor that stays is a pending send, live as such.
+  const bool retired = retire != graph::IncrementalApsp::kNoHandle;
+  if (retired) {
+    pool_[prev_at] = LiveNode{record, h};
   } else {
     push_live(LiveNode{record, h});
   }
-  last_id_[w] = record.id;
 
-  // Death processing (Definition 3.1): the predecessor is no longer the last
-  // point of its processor, and a matched/lost send is no longer pending.
-  if (prev_id.valid() && retire == graph::IncrementalApsp::kNoHandle) {
-    drop_if_dead(prev_id);
-  }
-  // A loss declaration may name the predecessor itself, a send whose
-  // receive is already in the view; that send died above.
-  if (record.kind == EventKind::kReceive ||
-      record.kind == EventKind::kLossDecl) {
-    LiveNode* const send = find(record.match);
-    if (send != nullptr) {
-      (record.kind == EventKind::kReceive ? send->recv_seen : send->lost) =
-          true;
-      drop_if_dead(record.match);
-    }
+  // Death processing (Definition 3.1): a matched or lost send is no longer
+  // pending.  A loss declaration may name the predecessor itself, a send
+  // whose receive is already in the view; that send died above.
+  if (send.at != kNoEntry && !(retired && send.at == prev_at)) {
+    LiveNode& s = pool_[send.at];
+    (record.kind == EventKind::kReceive ? s.recv_seen : s.lost) = true;
+    drop_if_dead(send);
   }
 
   max_live_ = std::max(max_live_, live_count_);
   return IngestVerdict::kApplied;
 }
 
-void SyncEngine::drop_if_dead(EventId id) {
+void SyncEngine::drop_if_dead(const Found& f) {
   if (opts_.keep_dead_nodes) return;  // ablation mode: no garbage collection
-  if (last_id_[id.proc] == id) return;  // still the last point at its proc
-  std::uint32_t* link = &head_[id.proc];
-  while (*link != kNoEntry && pool_[*link].rec.id != id) {
-    link = &pool_[*link].next;
-  }
-  DS_CHECK_MSG(*link != kNoEntry, "not a live point");
-  const std::uint32_t i = *link;
-  if (pending_send(pool_[i])) return;
-  apsp_.remove_node(pool_[i].handle);
-  *link = pool_[i].next;
-  pool_[i].next = free_;
-  free_ = i;
+  LiveNode& node = pool_[f.at];
+  const ProcId p = node.rec.id.proc;
+  if (tail_[p] == f.at) return;  // still the last point at its proc
+  if (pending_send(node)) return;
+  apsp_.remove_node(node.handle);
+  (f.before == kNoEntry ? head_[p] : pool_[f.before].next) = node.next;
+  node.next = free_;
+  free_ = f.at;
   --live_count_;
 }
 
 Interval SyncEngine::estimate(LocalTime now) const {
-  const EventId p_id = last_id_[self_];
-  if (!p_id.valid() || !knows_source()) return Interval::everything();
-  const LiveNode& p = live_at(p_id);
-  const LiveNode& sp = live_at(last_id_[spec_->source()]);
+  if (tail_[self_] == kNoEntry || !knows_source()) {
+    return Interval::everything();
+  }
+  const LiveNode& p = last_of(self_);
+  const LiveNode& sp = last_of(spec_->source());
   DS_CHECK_MSG(now >= p.rec.lt - 1e-12,
                "estimate() queried before the last ingested event");
 
@@ -233,11 +231,11 @@ Interval SyncEngine::estimate(LocalTime now) const {
 Interval SyncEngine::peer_clock_estimate(ProcId w, LocalTime now) const {
   DS_CHECK(w < spec_->num_procs());
   if (w == self_) return Interval::point(now);  // my clock reads `now` now
-  const EventId p_id = last_id_[self_];
-  const EventId q_id = last_id_[w];
-  if (!p_id.valid() || !q_id.valid()) return Interval::everything();
-  const LiveNode& p = live_at(p_id);
-  const LiveNode& q = live_at(q_id);
+  if (tail_[self_] == kNoEntry || tail_[w] == kNoEntry) {
+    return Interval::everything();
+  }
+  const LiveNode& p = last_of(self_);
+  const LiveNode& q = last_of(w);
 
   // Real time elapsed since my last event (my own drift envelope) ...
   const ClockSpec& my_clock = spec_->clock(self_);
@@ -245,7 +243,7 @@ Interval SyncEngine::peer_clock_estimate(ProcId w, LocalTime now) const {
   // ... plus the Theorem 2.1 bounds on RT(p) - RT(q): together, the real
   // time elapsed at w since its last known event q (non-negative, since q
   // is in the causal past of the query).
-  const Interval d = rt_difference_bounds(p_id, q_id);
+  const Interval d = rt_difference_bounds(p, q);
   const double t_lo =
       d.lo == kNegInf ? 0.0 : std::max(0.0, my_clock.rt_lower(dl) + d.lo);
   const double t_hi =
@@ -263,9 +261,14 @@ Interval SyncEngine::rt_difference_bounds(EventId p, EventId q) const {
   const LiveNode* const nq = find(q);
   DS_CHECK_MSG(np != nullptr && nq != nullptr,
                "rt_difference_bounds requires live points");
-  const double vd = np->rec.lt - nq->rec.lt;
-  const double d_pq = apsp_.distance(np->handle, nq->handle);
-  const double d_qp = apsp_.distance(nq->handle, np->handle);
+  return rt_difference_bounds(*np, *nq);
+}
+
+Interval SyncEngine::rt_difference_bounds(const LiveNode& p,
+                                          const LiveNode& q) const {
+  const double vd = p.rec.lt - q.rec.lt;
+  const double d_pq = apsp_.distance(p.handle, q.handle);
+  const double d_qp = apsp_.distance(q.handle, p.handle);
   return Interval{d_qp == kNoBound ? kNegInf : vd - d_qp,
                   d_pq == kNoBound ? kNoBound : vd + d_pq};
 }
@@ -303,12 +306,17 @@ std::size_t SyncEngine::live_records_size() const {
   return size;
 }
 
+std::uint64_t SyncEngine::frontier_code(ProcId p) const {
+  const EventId last = last_event_of(p);
+  return last.valid() ? std::uint64_t{last.seq} + 1 : 0;
+}
+
 std::size_t SyncEngine::saved_size() const {
   std::size_t size = wire::varint_size(kEngineMagic) +
                      wire::varint_size(self_) +
-                     wire::varint_size(last_id_.size());
-  for (const EventId& id : last_id_) {
-    size += wire::varint_size(id.valid() ? std::uint64_t{id.seq} + 1 : 0);
+                     wire::varint_size(tail_.size());
+  for (ProcId p = 0; p < tail_.size(); ++p) {
+    size += wire::varint_size(frontier_code(p));
   }
   const std::size_t records = live_records_size();
   return size + wire::varint_size(records) + records + live_count_ +
@@ -318,27 +326,40 @@ std::size_t SyncEngine::saved_size() const {
 void SyncEngine::save(std::vector<std::uint8_t>& out) const {
   wire::put_varint(out, kEngineMagic);
   wire::put_varint(out, self_);
-  wire::put_varint(out, last_id_.size());
-  for (const EventId& id : last_id_) {
-    wire::put_varint(out, id.valid() ? std::uint64_t{id.seq} + 1 : 0);
+  wire::put_varint(out, tail_.size());
+  for (ProcId p = 0; p < tail_.size(); ++p) {
+    wire::put_varint(out, frontier_code(p));
   }
   // Live nodes in canonical (EventId) order, with flags and the exact
   // pairwise distance matrix in that order.  The canonical order is NOT
   // causally consistent; the record encoder is order-preserving, so this
-  // is fine — the decoder applies no semantic checks.
-  wire::put_varint(out, live_records_size());
+  // is fine — the decoder applies no semantic checks.  The records' batch
+  // image is written before its byte length, so no record is measured
+  // here.
+  const std::size_t batch_at = out.size();
   wire::put_varint(out, live_count_);
   wire::RecordEncoder& encoder = save_encoder();
   for_each_live([&](const LiveNode& node) { encoder.put(out, node.rec); });
+  wire::prefix_length(out, batch_at);
+  // The flags, collecting each node's matrix slot on the way; then the
+  // rows, written straight into the image.
+  std::uint32_t* const slots = save_slots_.data();
+  std::size_t k = 0;
   for_each_live([&](const LiveNode& node) {
     out.push_back(static_cast<std::uint8_t>((node.recv_seen ? 1 : 0) |
                                             (node.lost ? 2 : 0)));
+    slots[k++] = apsp_.slot(node.handle);
   });
-  for_each_live([&](const LiveNode& a) {
-    for_each_live([&](const LiveNode& b) {
-      wire::put_double(out, apsp_.distance(a.handle, b.handle));
-    });
-  });
+  const std::size_t n = live_count_;
+  const std::size_t matrix_at = out.size();
+  out.resize(matrix_at + n * n * 8);
+  std::uint8_t* dst = out.data() + matrix_at;
+  for (std::size_t a = 0; a < n; ++a) {
+    const double* const row = apsp_.distances_from(slots[a]);
+    for (std::size_t b = 0; b < n; ++b, dst += 8) {
+      wire::store_double(dst, row[slots[b]]);
+    }
+  }
   wire::put_varint(out, max_live_);
 }
 
@@ -349,7 +370,7 @@ void SyncEngine::load(std::span<const std::uint8_t> bytes,
   // into locals first, then commit in one shot at the end — a throw on any
   // path below leaves this engine exactly as it was.
   std::size_t cur = offset;
-  const std::size_t num_procs = last_id_.size();
+  const std::size_t num_procs = head_.size();
   EventBatch records;
   std::vector<std::uint8_t> flags;
   std::vector<std::vector<double>> dist;
@@ -457,20 +478,17 @@ void SyncEngine::load(std::span<const std::uint8_t> bytes,
   if (!apsp.load_matrix(dist)) {
     throw CheckpointError("inconsistent distance matrix");
   }
-  pool_.reserve(apsp.capacity());  // Sized before anything is committed.
+  // Sized before anything is committed.
+  pool_.reserve(apsp.capacity());
+  save_slots_.reserve(apsp.capacity());
 
   // Everything validated: commit.  The records are in canonical order, so
-  // each is the newest of its processor so far.
+  // each is the newest of its processor so far, and each processor's last
+  // is its frontier event.
   apsp_ = std::move(apsp);
   for (std::size_t i = 0; i < n; ++i) {
     push_live(LiveNode{records[i], apsp_.live_handles()[i],
                        (flags[i] & 1) != 0, (flags[i] & 2) != 0});
-  }
-  for (std::size_t w = 0; w < num_procs; ++w) {
-    last_id_[w] = last_seq[w] == 0
-                      ? kInvalidEvent
-                      : EventId{static_cast<ProcId>(w),
-                                static_cast<std::uint32_t>(last_seq[w] - 1)};
   }
   max_live_ = max_live;
   offset = cur;

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/interval.h"
@@ -129,12 +128,12 @@ class SyncEngine {
 
   /// Last known event of a processor (invalid EventId when none).
   [[nodiscard]] EventId last_event_of(ProcId p) const {
-    return last_id_[p];
+    return tail_[p] == kNoEntry ? kInvalidEvent : pool_[tail_[p]].rec.id;
   }
 
   /// True once at least one source event has been ingested.
   [[nodiscard]] bool knows_source() const {
-    return last_id_[spec_->source()].valid();
+    return tail_[spec_->source()] != kNoEntry;
   }
 
   /// Checkpointing: appends the engine state (live records with flags, the
@@ -150,21 +149,24 @@ class SyncEngine {
   /// rejection — a failed load leaves the engine exactly as it was.
   ///
   /// saved_size() is the number of bytes save() appends, so a caller can
-  /// reserve the whole image up front.
+  /// reserve the whole image up front.  save() writes the image through a
+  /// work buffer of the engine's, so two saves of one engine must not run
+  /// at once.
   void save(std::vector<std::uint8_t>& out) const;
   [[nodiscard]] std::size_t saved_size() const;
   void load(std::span<const std::uint8_t> bytes, std::size_t& offset);
 
-  /// Resident bytes of the insert scratch.  Not protocol state, so not
-  /// part of matrix_bytes().
+  /// Resident bytes of the insert scratch and save()'s slot list.  Not
+  /// protocol state, so not part of matrix_bytes().
   [[nodiscard]] std::size_t scratch_bytes() const {
-    return apsp_.scratch_bytes();
+    return apsp_.scratch_bytes() +
+           save_slots_.capacity() * sizeof(std::uint32_t);
   }
-  /// Resident bytes of the live records: one entry per matrix slot and
-  /// one list head per processor.  Not part of matrix_bytes().
+  /// Resident bytes of the live records: one entry per matrix slot and a
+  /// list head and tail per processor.  Not part of matrix_bytes().
   [[nodiscard]] std::size_t live_bytes() const {
     return pool_.capacity() * sizeof(LiveNode) +
-           head_.capacity() * sizeof(std::uint32_t);
+           (head_.capacity() + tail_.capacity()) * sizeof(std::uint32_t);
   }
 
  private:
@@ -183,15 +185,29 @@ class SyncEngine {
     return node.rec.kind == EventKind::kSend && !node.recv_seen && !node.lost;
   }
 
+  /// A live node's pool entry and the entry before it in its processor's
+  /// list (kNoEntry: it is the head); `at` is kNoEntry if not live.
+  struct Found {
+    std::uint32_t at = kNoEntry;
+    std::uint32_t before = kNoEntry;
+  };
+  [[nodiscard]] Found locate(EventId id) const;
   /// The live node `id`, or nullptr.
-  [[nodiscard]] const LiveNode* find(EventId id) const;
-  [[nodiscard]] LiveNode* find(EventId id) {
-    return const_cast<LiveNode*>(std::as_const(*this).find(id));
+  [[nodiscard]] const LiveNode* find(EventId id) const {
+    const Found f = locate(id);
+    return f.at == kNoEntry ? nullptr : &pool_[f.at];
   }
   [[nodiscard]] const LiveNode& live_at(EventId id) const;
+  [[nodiscard]] Interval rt_difference_bounds(const LiveNode& p,
+                                              const LiveNode& q) const;
+  /// Processor p's last event, which is always live (Definition 3.1).
+  [[nodiscard]] const LiveNode& last_of(ProcId p) const {
+    return pool_[tail_[p]];
+  }
 
-  /// Removes a node if it is no longer live per Definition 3.1.
-  void drop_if_dead(EventId id);
+  /// Removes the node `f` locates if it is no longer live per
+  /// Definition 3.1.
+  void drop_if_dead(const Found& f);
   /// Appends a node, the newest of its processor, at its list's back.
   void push_live(const LiveNode& node);
   /// Calls f on every live node in canonical (EventId) order.
@@ -205,6 +221,8 @@ class SyncEngine {
   /// Size of the live records' batch image (count, then each record in
   /// canonical order).
   [[nodiscard]] std::size_t live_records_size() const;
+  /// Processor p's frontier as saved: its last seq + 1, 0 when none.
+  [[nodiscard]] std::uint64_t frontier_code(ProcId p) const;
 
   const SystemSpec* spec_;
   ProcId self_;
@@ -212,16 +230,20 @@ class SyncEngine {
   graph::IncrementalApsp apsp_;
   /// The live nodes: per processor, its last event plus its pending sends
   /// (every ingested event in the keep_dead_nodes ablation), linked in seq
-  /// order from head_; the other entries are chained from free_.
-  /// Each live node holds a matrix slot, so the pool has one entry per
-  /// slot: it and a rollback shadow's copy allocate only when the matrix
-  /// grows, however the live set is split among processors.
+  /// order from head_ to tail_; the other entries are chained from free_.
+  /// A processor's tail is its last event.  Each live node holds a matrix
+  /// slot, so the pool has one entry per slot: it and a rollback shadow's
+  /// copy allocate only when the matrix grows, however the live set is
+  /// split among processors.
   std::vector<LiveNode> pool_;
   std::vector<std::uint32_t> head_;  ///< Per processor; kNoEntry if none.
+  std::vector<std::uint32_t> tail_;  ///< Per processor; kNoEntry if none.
   std::uint32_t free_ = kNoEntry;
   std::size_t live_count_ = 0;
-  std::vector<EventId> last_id_;  ///< Per processor; invalid when none.
   std::size_t max_live_ = 0;
+  /// save()'s work space: the live nodes' matrix slots in canonical order.
+  /// Sized with the pool, so save() allocates nothing.
+  mutable std::vector<std::uint32_t> save_slots_;
 };
 
 }  // namespace driftsync

@@ -1,5 +1,6 @@
 #include "core/wire.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -66,17 +67,16 @@ void put_varint(std::vector<std::uint8_t>& out, std::uint64_t value) {
 }
 
 void put_double(std::vector<std::uint8_t>& out, double v) {
-  const auto bits = std::bit_cast<std::uint64_t>(v);
-  if constexpr (std::endian::native == std::endian::little) {
-    // The wire order is little-endian: the bytes as they sit in memory.
-    const std::size_t at = out.size();
-    out.resize(at + 8);
-    std::memcpy(out.data() + at, &bits, 8);
-  } else {
-    for (int i = 0; i < 8; ++i) {
-      out.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
-    }
-  }
+  const std::size_t at = out.size();
+  out.resize(at + 8);
+  store_double(out.data() + at, v);
+}
+
+void prefix_length(std::vector<std::uint8_t>& out, std::size_t at) {
+  const std::size_t length = out.size() - at;
+  put_varint(out, length);
+  const auto first = out.begin() + static_cast<std::ptrdiff_t>(at);
+  std::rotate(first, first + static_cast<std::ptrdiff_t>(length), out.end());
 }
 
 double get_double(std::span<const std::uint8_t> bytes, std::size_t& offset) {
@@ -294,11 +294,10 @@ EventBatch decode_batch(std::span<const std::uint8_t> bytes) {
 }
 
 void append_payload(std::vector<std::uint8_t>& out, const CsaPayload& payload) {
-  // Sizing pass first, then encode straight into `out`: no intermediate
-  // buffer, and the length prefix is exact by the canonicity of the
-  // encoding (encoded_size() and encode_batch_into() walk the same logic).
-  put_varint(out, encoded_size(payload.reports));
+  // Encoded straight into `out`: no intermediate buffer.
+  const std::size_t at = out.size();
   encode_batch_into(out, payload.reports);
+  prefix_length(out, at);
   put_varint(out, payload.scalars.size());
   for (const double s : payload.scalars) {
     DS_CHECK_MSG(!std::isnan(s), "NaN scalar in CSA payload");
@@ -321,6 +320,7 @@ CsaPayload decode_payload(std::span<const std::uint8_t> bytes,
   }
   payload.reports = decode_batch(
       bytes.subspan(offset, static_cast<std::size_t>(reports_len)));
+  payload.report_bytes = static_cast<std::size_t>(reports_len);
   offset += static_cast<std::size_t>(reports_len);
   const std::uint64_t scalar_count = get_varint(bytes, offset);
   if (scalar_count > (bytes.size() - offset) / 8) {

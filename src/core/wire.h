@@ -35,6 +35,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <utility>
 #include <vector>
@@ -268,6 +269,22 @@ void put_varint(std::vector<std::uint8_t>& out, std::uint64_t value);
 std::uint64_t get_varint(std::span<const std::uint8_t> bytes,
                          std::size_t& offset);
 void put_double(std::vector<std::uint8_t>& out, double v);
+/// Puts the byte length of out[at, end) in front of it as a varint, for an
+/// image whose length is known once it is written: no sizing pass.
+void prefix_length(std::vector<std::uint8_t>& out, std::size_t at);
+/// Writes the 8 bytes put_double appends to `dst`, for a caller that has
+/// sized the buffer already.
+inline void store_double(std::uint8_t* dst, double v) {
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  if constexpr (std::endian::native == std::endian::little) {
+    // The wire order is little-endian: the bytes as they sit in memory.
+    std::memcpy(dst, &bits, 8);
+  } else {
+    for (int i = 0; i < 8; ++i) {
+      dst[i] = static_cast<std::uint8_t>(bits >> (8 * i));
+    }
+  }
+}
 double get_double(std::span<const std::uint8_t> bytes, std::size_t& offset);
 
 }  // namespace driftsync::wire

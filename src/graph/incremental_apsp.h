@@ -12,7 +12,11 @@
 //    new node can shorten are relaxed: row x is skipped when no out-edge
 //    head b has d(x,new) + d(new,b) < d(x,b), since then by the triangle
 //    inequality no path x -> new -> y beats d(x,y) either.  When the insert
-//    also kills a node (`retire`), the new node takes over its slot.
+//    also kills a node (`retire`), the new node takes over its slot.  The
+//    new row is built from the out-edge heads' rows; then one strided pass
+//    over the live rows, two at a time, writes the new column in place,
+//    tests for a negative round trip and lists the rows to relax, so each
+//    live row is visited once before its relaxation.
 //
 //  * remove_node: a node is unmarked live ("dies").  Because the matrix
 //    stores *distances* (not the original edges), dead nodes can simply be
@@ -105,6 +109,20 @@ class IncrementalApsp {
 
   [[nodiscard]] bool is_live(Handle h) const { return slot_of(h) != kNoSlot; }
 
+  /// The slot of live node `h`: its index in live_handles() and its row
+  /// and column in the matrix.  Throws if `h` is not live.
+  [[nodiscard]] std::uint32_t slot(Handle h) const {
+    const std::uint32_t s = slot_of(h);
+    DS_CHECK(s != kNoSlot);
+    return s;
+  }
+  /// The distances from the node in `slot`, indexed by slot:
+  /// distance(u, v) == distances_from(slot(u))[slot(v)].
+  [[nodiscard]] const double* distances_from(std::uint32_t slot) const {
+    DS_CHECK(slot < size());
+    return &matrix_[static_cast<std::size_t>(slot) * capacity_];
+  }
+
   /// Number of live nodes.
   [[nodiscard]] std::size_t size() const { return handle_of_.size(); }
   /// Live nodes the matrix holds before it next grows.  Every table here,
@@ -122,10 +140,12 @@ class IncrementalApsp {
     return matrix_.capacity() * sizeof(double);
   }
 
-  /// Bytes of per-insert work space (the new node's row and column).  Not
-  /// structure state: copies leave it behind.
+  /// Bytes of per-insert work space (the new node's row, the column
+  /// entries it overwrites and the rows it relaxes).  Not structure
+  /// state: copies leave it behind.
   [[nodiscard]] std::size_t scratch_bytes() const {
-    return scratch_.capacity() * sizeof(double);
+    return scratch_.capacity() * sizeof(double) +
+           relax_rows_.capacity() * sizeof(std::uint32_t);
   }
 
   /// Total pair-relaxation attempts performed by insert_node/insert_edge
@@ -172,15 +192,18 @@ class IncrementalApsp {
 
   void grow(std::size_t min_capacity);
   /// Sizes the three id tables (none outgrows the capacity) and the insert
-  /// scratch with the capacity.
+  /// scratch and row list with the capacity.
   void reserve_ids();
   /// Wipes row and column `slot` over the live prefix 0..size()-1.
   void wipe_slot(std::uint32_t slot);
 
-  /// insert_node's work space: the new node's distances to (the first
-  /// capacity_ doubles) and from (the next capacity_) every slot, built
+  /// insert_node's work space: the column entries its pass overwrites
+  /// (the first capacity_ doubles, restored if the insert is refused) and
+  /// the new node's distances to every slot (the next capacity_), built
   /// before anything in the matrix is written.
   std::vector<double> scratch_;
+  /// The rows an accepted insert relaxes, listed by the same pass.
+  std::vector<std::uint32_t> relax_rows_;
 
   // matrix_ is capacity_^2 doubles; rows and columns 0..L-1 belong to the
   // live nodes and everything else rests at kNoBound.  handle_of_[slot] is

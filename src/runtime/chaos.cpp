@@ -183,8 +183,9 @@ void ChaosTransport::set_partitioned_all(bool on) {
 // ---------------------------------------------------------------------------
 // FaultyTimeSource
 
-FaultyTimeSource::FaultyTimeSource(std::unique_ptr<TimeSource> inner)
-    : inner_(std::move(inner)) {
+FaultyTimeSource::FaultyTimeSource(std::unique_ptr<TimeSource> inner,
+                                   ProcId node, ChaosEventLog* log)
+    : inner_(std::move(inner)), node_(node), log_(log) {
   DS_CHECK(inner_ != nullptr);
   base_ = inner_->now();
   acc_ = base_;
@@ -203,6 +204,7 @@ void FaultyTimeSource::inject_step(double delta) {
   acc_ += mult_ * (raw - base_) + delta;
   base_ = raw;
   step_total_ += delta;
+  if (log_ != nullptr) log_->log("clock-step", node_, kInvalidProc, delta);
 }
 
 void FaultyTimeSource::set_rate_multiplier(double mult) {
@@ -211,6 +213,7 @@ void FaultyTimeSource::set_rate_multiplier(double mult) {
   acc_ += mult_ * (raw - base_);
   base_ = raw;
   mult_ = mult;
+  if (log_ != nullptr) log_->log("clock-rate", node_, kInvalidProc, mult);
 }
 
 }  // namespace driftsync::runtime

@@ -185,10 +185,14 @@ class ChaosTransport : public Transport {
   std::uint64_t injected_ = 0;
 };
 
-/// TimeSource decorator injecting clock faults.
+/// TimeSource decorator injecting clock faults.  Each fault is journaled
+/// as processor `node`'s ("clock-step", value = the delta; "clock-rate",
+/// value = the multiplier) when a log is given.
 class FaultyTimeSource : public TimeSource {
  public:
-  explicit FaultyTimeSource(std::unique_ptr<TimeSource> inner);
+  explicit FaultyTimeSource(std::unique_ptr<TimeSource> inner,
+                            ProcId node = kInvalidProc,
+                            ChaosEventLog* log = nullptr);
 
   /// Non-decreasing by construction: a fault that would move the reading
   /// backwards freezes it until the underlying clock catches up.
@@ -210,6 +214,8 @@ class FaultyTimeSource : public TimeSource {
 
  private:
   std::unique_ptr<TimeSource> inner_;
+  ProcId node_;
+  ChaosEventLog* log_;
   double base_ = 0.0;        ///< Inner reading at the last fault change.
   double acc_ = 0.0;         ///< Our reading at the last fault change.
   double mult_ = 1.0;

@@ -180,6 +180,7 @@ void Hub::deliver(Pending& item) {
     return;
   }
   ++delivered_;
+  if (tap_) tap_(item.from, item.to, item.bytes);
   it->second.current_from = item.from;
   it->second.handler(std::span<const std::uint8_t>(item.bytes));
   it->second.current_from = kInvalidProc;

@@ -19,9 +19,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <queue>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -85,6 +88,13 @@ class Hub : public TimeSource {
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
   [[nodiscard]] Tracer* tracer() const { return tracer_; }
 
+  /// Called with every datagram the hub delivers, just before its
+  /// destination's handler sees it: an account of what crossed the
+  /// network.  Empty disables (the default).
+  using Tap = std::function<void(ProcId from, ProcId to,
+                                 std::span<const std::uint8_t> bytes)>;
+  void set_tap(Tap tap) { tap_ = std::move(tap); }
+
  private:
   friend class HubEndpoint;
 
@@ -137,6 +147,7 @@ class Hub : public TimeSource {
 
   double now_ = 0.0;
   Tracer* tracer_ = nullptr;
+  Tap tap_;
   Rng rng_;
   std::map<std::uint64_t, DirLink> links_;
   std::map<ProcId, Sink> sinks_;

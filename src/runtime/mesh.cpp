@@ -94,7 +94,7 @@ void Mesh::build(Seat& s, ProcId p) {
     transport = std::move(liar);
   }
   auto clock = std::make_unique<FaultyTimeSource>(
-      std::make_unique<ScaledTimeSource>(hub_, s.offset, s.rate));
+      std::make_unique<ScaledTimeSource>(hub_, s.offset, s.rate), p, &log_);
   s.clock = clock.get();
   s.node = std::make_unique<Node>(s.cfg, std::make_unique<OptimalCsa>(s.opts),
                                   std::move(clock), std::move(transport));

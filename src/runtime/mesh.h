@@ -1,7 +1,8 @@
 // One N-node runtime mesh over the in-process hub (DESIGN.md S7), the
 // harness every chaos scenario, EXP-16/17 sweep, --selftest leg and runtime
 // test runs on.  Seat p is a Node over an OptimalCsa on
-// ScaledTimeSource(hub, offset, rate) behind a FaultyTimeSource, talking
+// ScaledTimeSource(hub, offset, rate) behind a FaultyTimeSource (whose
+// clock faults go to the mesh's journal), talking
 // through a ChaosTransport over its hub endpoint, and through a
 // ByzantinePeer on top if declared Byzantine; undecorated, a seat behaves
 // as a bare endpoint.  Every spec edge starts as a 0.5-4 ms hub link and

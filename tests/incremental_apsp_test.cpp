@@ -197,7 +197,8 @@ TEST(IncrementalApspTest, CopyAssignmentReplacesTheLiveBlock) {
     dest = source;
     // Not structure state: not copied, only sized with the new matrix.
     EXPECT_EQ(dest.scratch_bytes(),
-              std::max(scratch, 2 * source.capacity() * sizeof(double)));
+              std::max(scratch, source.capacity() * (2 * sizeof(double) +
+                                                     sizeof(std::uint32_t))));
     EXPECT_EQ(dest.matrix_bytes(), source.matrix_bytes());
     EXPECT_EQ(dest.relaxations(), source.relaxations());
     expect_same_structure(source, dest);
@@ -795,6 +796,258 @@ TEST_P(DenseKernelDifferentialTest, RetiringMatchesInsertThenRemove) {
 }
 
 INSTANTIATE_TEST_SUITE_P(SeededChurn, DenseKernelDifferentialTest,
+                         ::testing::Range(0, 6));
+
+// ------------------------------------------------------- multi-pass kernel
+
+// The multi-pass insert the one-pass kernel replaced, on the same dense
+// layout and addressed by slot: the new row from a kNoBound fill relaxed
+// by each out-edge head's row, the new column in scratch one strided pass
+// per in-edge, a pass for the round-trip test, one relaxation pass per
+// out-edge, then a separate column commit.  Kept here only as the
+// differential reference: the kernel must give the same verdicts, the
+// same distances to the bit and the same relaxation count.
+class MultiPassApsp {
+ public:
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  struct SlotEdge {
+    std::uint32_t slot;
+    double weight;
+  };
+
+  bool insert_node(const std::vector<SlotEdge>& in_edges,
+                   const std::vector<SlotEdge>& out_edges,
+                   std::uint32_t retire) {
+    const bool takeover = retire != kNoSlot;
+    const std::uint32_t n = size_;
+    if (!takeover && n == capacity_) grow(n + 1);
+    const std::uint32_t slot = takeover ? retire : n;
+    const std::size_t trip = (n + 1) & ~std::size_t{1};
+    std::vector<double> row_new(trip, kNoBound);
+    for (const SlotEdge& e : out_edges) {
+      relax(row_new.data(), row(e.slot), e.weight, trip);
+    }
+    std::vector<double> col(n, kNoBound);
+    for (const SlotEdge& e : in_edges) {
+      for (std::uint32_t sx = 0; sx < n; ++sx) {
+        const double t = at(sx, e.slot) + e.weight;
+        col[sx] = t < col[sx] ? t : col[sx];
+      }
+    }
+    bool negative = false;
+    for (std::uint32_t sx = 0; sx < n; ++sx) {
+      negative |= row_new[sx] + col[sx] < 0.0;
+    }
+    if (negative) return false;
+    for (const SlotEdge& e : out_edges) {
+      const double via = row_new[e.slot];
+      for (std::uint32_t sx = 0; sx < n; ++sx) {
+        if (col[sx] + via < at(sx, e.slot) && sx != slot) {
+          relax(row(sx), row_new.data(), col[sx], trip);
+          relaxations_ += n;
+        }
+      }
+    }
+    if (takeover || !in_edges.empty()) {
+      for (std::uint32_t sx = 0; sx < n; ++sx) at(sx, slot) = col[sx];
+    }
+    if (takeover || !out_edges.empty()) {
+      std::copy_n(row_new.begin(), n, row(slot));
+    }
+    at(slot, slot) = 0.0;
+    if (!takeover) ++size_;
+    return true;
+  }
+
+  void remove_node(std::uint32_t slot) {
+    const std::uint32_t last = size_ - 1;
+    if (slot != last) {
+      std::copy_n(row(last), last + 1, row(slot));
+      for (std::uint32_t sx = 0; sx <= last; ++sx) at(sx, slot) = at(sx, last);
+    }
+    for (std::uint32_t s = 0; s < size_; ++s) {
+      at(last, s) = kNoBound;
+      at(s, last) = kNoBound;
+    }
+    --size_;
+  }
+
+  [[nodiscard]] double at(std::uint32_t a, std::uint32_t b) const {
+    return matrix_[static_cast<std::size_t>(a) * capacity_ + b];
+  }
+  [[nodiscard]] std::uint64_t relaxations() const { return relaxations_; }
+
+ private:
+  static void relax(double* row, const double* via, double head,
+                    std::size_t n) {
+    for (std::size_t y = 0; y < n; ++y) {
+      const double t = head + via[y];
+      row[y] = t < row[y] ? t : row[y];
+    }
+  }
+  [[nodiscard]] double& at(std::uint32_t a, std::uint32_t b) {
+    return matrix_[static_cast<std::size_t>(a) * capacity_ + b];
+  }
+  [[nodiscard]] double* row(std::uint32_t slot) {
+    return &matrix_[static_cast<std::size_t>(slot) * capacity_];
+  }
+  void grow(std::size_t min_capacity) {
+    std::size_t cap = std::max<std::size_t>(8, capacity_ * 2);
+    while (cap < min_capacity) cap *= 2;
+    std::vector<double> fresh(cap * cap, kNoBound);
+    for (std::size_t x = 0; x < size_; ++x) {
+      std::copy_n(&matrix_[x * capacity_], size_, &fresh[x * cap]);
+    }
+    matrix_ = std::move(fresh);
+    capacity_ = cap;
+  }
+
+  std::vector<double> matrix_;
+  std::size_t capacity_ = 0;
+  std::uint32_t size_ = 0;
+  std::uint64_t relaxations_ = 0;
+};
+
+/// The slot of live handle h: its index in live_handles().
+std::uint32_t slot_in(const IncrementalApsp& apsp, Handle h) {
+  const std::vector<Handle>& live = apsp.live_handles();
+  return static_cast<std::uint32_t>(
+      std::find(live.begin(), live.end(), h) - live.begin());
+}
+
+/// Every live distance, row by row in slot order, as bits.
+std::vector<std::uint64_t> live_block(const IncrementalApsp& apsp) {
+  std::vector<std::uint64_t> out;
+  for (const Handle u : apsp.live_handles()) {
+    for (const Handle v : apsp.live_handles()) {
+      out.push_back(std::bit_cast<std::uint64_t>(apsp.distance(u, v)));
+    }
+  }
+  return out;
+}
+
+void expect_same_as_multi_pass(const IncrementalApsp& apsp,
+                               const MultiPassApsp& ref, int step) {
+  ASSERT_TRUE(apsp.audit_storage()) << "step " << step;
+  ASSERT_EQ(apsp.relaxations(), ref.relaxations()) << "step " << step;
+  const std::vector<Handle>& live = apsp.live_handles();
+  for (std::uint32_t a = 0; a < live.size(); ++a) {
+    for (std::uint32_t b = 0; b < live.size(); ++b) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(apsp.distance(live[a], live[b])),
+                std::bit_cast<std::uint64_t>(ref.at(a, b)))
+          << "slots (" << a << "," << b << ") step " << step;
+    }
+  }
+}
+
+// Seeded inserts of every edge shape, 0-3 edges each way (the engine's
+// 1-2 x 1-2 shapes take the specialised passes, the others the general
+// one), around potentials so that accepted inserts stay feasible.  Four
+// in ten retire a live node; one in eight closes a negative round trip
+// through an anchor and must be refused with the matrix untouched.  The
+// live count climbs through 1 and odd and even counts past the 8 and 16
+// slot growth steps, falls back and climbs again.
+void run_multi_pass_differential(int seed) {
+  Rng rng(static_cast<std::uint64_t>(seed) * 7919 + 3);
+  IncrementalApsp apsp;
+  MultiPassApsp ref;
+  std::unordered_map<Handle, double> phi;
+  std::vector<bool> shape_seen(16);
+  bool saw_one = false;
+  bool saw_odd = false;
+  bool saw_even = false;
+  bool grew_mid_sequence = false;
+  std::size_t refused = 0;
+  std::size_t refused_takeovers = 0;
+  int step = 0;
+  for (const std::size_t target : {1u, 2u, 13u, 6u, 21u, 4u, 36u, 9u, 40u}) {
+    while (apsp.size() != target) {
+      ++step;
+      const std::vector<Handle> live = apsp.live_handles();
+      if (apsp.size() > target) {
+        const Handle victim = live[rng.uniform_index(live.size())];
+        ref.remove_node(slot_in(apsp, victim));
+        apsp.remove_node(victim);
+        expect_same_as_multi_pass(apsp, ref, step);
+        continue;
+      }
+      const std::size_t n_in = live.empty() ? 0 : rng.uniform_index(4);
+      const std::size_t n_out = live.empty() ? 0 : rng.uniform_index(4);
+      const double new_phi = rng.uniform(-5.0, 5.0);
+      std::vector<HalfEdge> ins;
+      std::vector<HalfEdge> outs;
+      for (std::size_t e = 0; e < n_in; ++e) {
+        const Handle a = live[rng.uniform_index(live.size())];
+        ins.push_back({a, rng.uniform(0.0, 4.0) - phi.at(a) + new_phi});
+      }
+      for (std::size_t e = 0; e < n_out; ++e) {
+        const Handle b = live[rng.uniform_index(live.size())];
+        outs.push_back({b, rng.uniform(0.0, 4.0) - new_phi + phi.at(b)});
+      }
+      const bool infeasible = !live.empty() && rng.flip(0.125);
+      if (infeasible) {
+        const Handle anchor = live[rng.uniform_index(live.size())];
+        const double leg = rng.uniform(0.0, 2.0);
+        ins.push_back({anchor, leg});
+        outs.push_back({anchor, -leg - 1e-3});
+      }
+      const Handle retire = !live.empty() && rng.flip(0.4)
+                                ? live[rng.uniform_index(live.size())]
+                                : IncrementalApsp::kNoHandle;
+      const auto slots = [&](const std::vector<HalfEdge>& edges) {
+        std::vector<MultiPassApsp::SlotEdge> out;
+        for (const HalfEdge& e : edges) {
+          out.push_back({slot_in(apsp, e.node), e.weight});
+        }
+        return out;
+      };
+      const std::uint32_t retire_slot = retire == IncrementalApsp::kNoHandle
+                                            ? MultiPassApsp::kNoSlot
+                                            : slot_in(apsp, retire);
+      const std::vector<std::uint64_t> before = live_block(apsp);
+      const std::size_t capacity = apsp.capacity();
+      const bool ref_accepted =
+          ref.insert_node(slots(ins), slots(outs), retire_slot);
+      const Handle h = apsp.insert_node(ins, outs, retire);
+      ASSERT_EQ(h != IncrementalApsp::kNoHandle, ref_accepted)
+          << "step " << step;
+      if (h == IncrementalApsp::kNoHandle) {
+        ASSERT_TRUE(infeasible) << "feasible insert refused, step " << step;
+        ASSERT_TRUE(apsp.audit_storage()) << "step " << step;
+        ASSERT_EQ(live_block(apsp), before) << "step " << step;
+        ASSERT_EQ(apsp.live_handles(), live) << "step " << step;
+        ++refused;
+        if (retire != IncrementalApsp::kNoHandle) ++refused_takeovers;
+      } else {
+        phi[h] = new_phi;
+        if (!infeasible) shape_seen[ins.size() * 4 + outs.size()] = true;
+        saw_one |= live.size() == 1;
+        (live.size() % 2 == 0 ? saw_even : saw_odd) = true;
+        grew_mid_sequence |= capacity != 0 && apsp.capacity() != capacity;
+      }
+      expect_same_as_multi_pass(apsp, ref, step);
+    }
+  }
+  for (std::size_t in = 0; in < 4; ++in) {
+    for (std::size_t out = 0; out < 4; ++out) {
+      EXPECT_TRUE(shape_seen[in * 4 + out])
+          << in << " in-edges x " << out << " out-edges never inserted";
+    }
+  }
+  EXPECT_TRUE(saw_one && saw_odd && saw_even);
+  EXPECT_TRUE(grew_mid_sequence);
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(refused_takeovers, 0u);
+}
+
+class MultiPassKernelDifferentialTest : public ::testing::TestWithParam<int> {
+};
+
+TEST_P(MultiPassKernelDifferentialTest, SameVerdictsDistancesAndRelaxations) {
+  run_multi_pass_differential(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(SeededInserts, MultiPassKernelDifferentialTest,
                          ::testing::Range(0, 6));
 
 }  // namespace

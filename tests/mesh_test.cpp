@@ -3,16 +3,22 @@
 // through the mesh resumes from its checkpoint with the oracle's baseline
 // intact (a restart that lost its checkpoint is caught, its peers refuse
 // what it re-mints and keep serving, and the scratch checkpoint never
-// outlives the mesh), and a seat's ChaosTransport handle really cuts its
-// links.
+// outlives the mesh), a seat's ChaosTransport handle really cuts its
+// links, and each node's payload byte counters equal the encoded batches
+// that crossed the hub.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <span>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "common/errors.h"
+#include "core/wire.h"
+#include "runtime/datagram.h"
 #include "runtime/mesh.h"
 #include "test_util.h"
 #include "workloads/topology.h"
@@ -62,6 +68,40 @@ TEST(MeshTest, TriangleConvergesWithZeroOracleViolations) {
     SCOPED_TRACE(Mesh::name(p));
     EXPECT_TRUE(brackets_truth(mesh.node(p), mesh.hub()));
     EXPECT_LT(mesh.node(p).estimate().width(), 0.5);
+  }
+}
+
+// Payload accounting over the runtime path: a sender counts the batch its
+// history sized, a receiver the length of the image decode_payload read.
+// A hub tap re-encodes the reports of every DataMsg delivered; once
+// nothing is in flight, each node's payload_bytes_sent must equal
+// wire::encoded_size summed over the batches it sent, and
+// payload_bytes_received over the batches delivered to it, all of which
+// an honest, fault-free mesh applies.
+TEST(MeshTest, PayloadBytesEqualTheEncodedBatches) {
+  Mesh mesh(triangle(), 11);
+  std::vector<std::uint64_t> sent(3);
+  std::vector<std::uint64_t> received(3);
+  mesh.hub().set_tap(
+      [&](ProcId from, ProcId to, std::span<const std::uint8_t> bytes) {
+        const Datagram dgram = decode_datagram(bytes);
+        if (const auto* msg = std::get_if<DataMsg>(&dgram)) {
+          const std::size_t size = wire::encoded_size(msg->payload.reports);
+          sent[from] += size;
+          received[to] += size;
+        }
+      });
+  seat_and_start(mesh);
+  mesh.observe_for(2.0);
+  while (mesh.hub().backlog_depth() != 0) mesh.hub().run_for(0.001);
+  ASSERT_EQ(mesh.hub().dropped(), 0u);
+  for (ProcId p = 0; p < 3; ++p) {
+    SCOPED_TRACE(Mesh::name(p));
+    const CsaStats s = mesh.node(p).stats().csa;
+    EXPECT_EQ(s.cross_check_failures, 0u);
+    EXPECT_GT(sent[p], 1000u);
+    EXPECT_EQ(s.payload_bytes_sent, sent[p]);
+    EXPECT_EQ(s.payload_bytes_received, received[p]);
   }
 }
 

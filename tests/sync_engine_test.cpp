@@ -6,12 +6,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/sync_engine.h"
 #include "core/view.h"
+#include "core/wire.h"
 #include "graph/shortest_paths.h"
 #include "test_util.h"
 
@@ -376,6 +378,117 @@ TEST_P(SyncEnginePropertyTest, MatchesViewOracle) {
 
 INSTANTIATE_TEST_SUITE_P(RandomHistories, SyncEnginePropertyTest,
                          ::testing::Range(0, 12));
+
+// ------------------------------------------------------- checkpoint image
+
+// The engine image written the plain way, from the public interface: the
+// frontiers, the live records as one encode_batch image behind its byte
+// length, a flag byte each, then every distance through distance(), one
+// put_double at a time, and the high-water mark.  `flags` holds what each
+// send has seen (1: its receive, 2: a loss declaration).
+std::vector<std::uint8_t> reference_image(
+    const SyncEngine& engine, ProcId self, std::size_t num_procs,
+    const std::map<EventId, std::uint8_t>& flags) {
+  std::vector<std::uint8_t> out;
+  wire::put_varint(out, 0xE5617);
+  wire::put_varint(out, self);
+  wire::put_varint(out, num_procs);
+  for (ProcId p = 0; p < num_procs; ++p) {
+    const EventId last = engine.last_event_of(p);
+    wire::put_varint(out, last.valid() ? std::uint64_t{last.seq} + 1 : 0);
+  }
+  const std::vector<EventId> live = engine.live_points();
+  EventBatch records;
+  for (const EventId& id : live) records.push_back(*engine.live_record(id));
+  const std::vector<std::uint8_t> batch = wire::encode_batch(records);
+  wire::put_varint(out, batch.size());
+  out.insert(out.end(), batch.begin(), batch.end());
+  for (const EventId& id : live) {
+    const auto it = flags.find(id);
+    out.push_back(it == flags.end() ? 0 : it->second);
+  }
+  for (const EventId& a : live) {
+    for (const EventId& b : live) {
+      wire::put_double(out, engine.distance(a, b));
+    }
+  }
+  wire::put_varint(out, engine.max_live_count());
+  return out;
+}
+
+// Seeded histories on a 5-clique with sends, receives, loss declarations
+// and internal events: after every record the engine's image must equal
+// the reference byte for byte and be exactly saved_size() long.  In the
+// keep_dead_nodes ablation, sends stay live after a receive or a loss
+// declaration, so both flags reach the image.
+void expect_images_match_reference(std::uint64_t seed, bool keep_dead,
+                                   int steps) {
+  const std::size_t n = 5;
+  const ProcId self = 2;
+  const SystemSpec spec = clique_spec(n, 1e-4, 0.05, 2.0);
+  SyncEngine::Options opts;
+  opts.keep_dead_nodes = keep_dead;
+  SyncEngine engine(spec, self, opts);
+  EventFactory fac(n);
+  Rng rng(seed);
+  std::vector<double> lt(n, 1.0);
+  std::vector<EventRecord> pending;
+  std::map<EventId, std::uint8_t> flags;
+  std::size_t flagged = 0;
+  const auto feed = [&](const EventRecord& r) {
+    ASSERT_EQ(engine.ingest(r), IngestVerdict::kApplied);
+    if (r.kind == EventKind::kReceive) flags[r.match] |= 1;
+    if (r.kind == EventKind::kLossDecl) flags[r.match] |= 2;
+    std::vector<std::uint8_t> image;
+    engine.save(image);
+    ASSERT_EQ(image.size(), engine.saved_size());
+    ASSERT_EQ(image, reference_image(engine, self, n, flags))
+        << "after " << r.id.str();
+    for (const EventId& id : engine.live_points()) {
+      flagged += flags.count(id);
+    }
+  };
+  for (int step = 0; step < steps; ++step) {
+    const auto p = static_cast<ProcId>(rng.uniform_index(n));
+    lt[p] += rng.uniform(0.01, 0.3);
+    const double action = rng.next_double();
+    if (action < 0.4) {
+      auto q = static_cast<ProcId>(rng.uniform_index(n - 1));
+      if (q >= p) ++q;
+      pending.push_back(fac.send(p, lt[p], q));
+      feed(pending.back());
+    } else if (action < 0.75 && !pending.empty()) {
+      const std::size_t k = rng.uniform_index(pending.size());
+      const EventRecord s = pending[k];
+      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(k));
+      if (rng.flip(0.2)) {
+        lt[s.id.proc] += 0.01;
+        feed(fac.loss_decl(s.id.proc, lt[s.id.proc], s));
+        continue;
+      }
+      const ProcId q = s.peer;
+      const double min_transit = std::max(0.05, lt[q] - s.lt);
+      if (min_transit > 2.0) continue;  // Undeliverable: stays pending.
+      lt[q] = s.lt + rng.uniform(min_transit, 2.0);
+      feed(fac.receive(q, lt[q], s));
+    } else {
+      feed(fac.internal(p, lt[p]));
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(flagged, 0u);
+}
+
+TEST(SyncEngineCheckpointTest, ImageMatchesReferenceEncoding) {
+  for (const std::uint64_t seed : {1u, 7u, 23u}) {
+    SCOPED_TRACE(seed);
+    expect_images_match_reference(seed, /*keep_dead=*/false, 300);
+  }
+}
+
+TEST(SyncEngineCheckpointTest, AblationImageMatchesReferenceEncoding) {
+  expect_images_match_reference(5, /*keep_dead=*/true, 120);
+}
 
 }  // namespace
 }  // namespace driftsync

@@ -1,9 +1,8 @@
 // Micro-benchmark: the UDP transport engine (DESIGN.md §7).
 //
 // BM_EnginePath stubs the kernel behind UdpIoOps and measures the engine
-// itself: recycled pool buffers, transition-only eventfd wakes, fixed
-// backlog rings and recv_batch/send_batch amortization.  The wake eventfd
-// is the one syscall it pays for real.
+// itself: recycled pool buffers, fixed backlog rings and
+// recv_batch/send_batch amortization.  It pays for no syscall.
 //
 // BM_UdpLoopbackPump keeps the benchmark honest about real sockets: full
 // transport over loopback UDP, real poll/recvmmsg/sendmmsg, where the
@@ -80,12 +79,8 @@ class StubOps final : public UdpIoOps {
     int ready = 0;
     for (std::size_t i = 0; i < nfds; ++i) {
       short rev = 0;
-      if (i == 0) {
-        if ((fds[i].events & POLLIN) && kernel_->pending() > 0) rev |= POLLIN;
-        if ((fds[i].events & POLLOUT) && !kernel_->blocked) rev |= POLLOUT;
-      } else {
-        rev = POLLIN;  // Wake fd: let the engine pay its real drain read.
-      }
+      if ((fds[i].events & POLLIN) && kernel_->pending() > 0) rev |= POLLIN;
+      if ((fds[i].events & POLLOUT) && !kernel_->blocked) rev |= POLLOUT;
       fds[i].revents = rev;
       if (rev != 0) ++ready;
     }
@@ -144,7 +139,7 @@ void BM_EnginePath(bench::State& state) {
   const std::vector<std::uint8_t> payload(kPayload, 0x5a);
   std::size_t sink = 0;
   std::size_t delivered = 0;
-  transport.start_manual([&](std::span<const std::uint8_t> bytes) {
+  transport.start([&](std::span<const std::uint8_t> bytes) {
     sink += bytes.size() + bytes[0];
     ++delivered;
   });
@@ -202,11 +197,11 @@ void BM_UdpLoopbackPump(bench::State& state) {
   const std::vector<std::uint8_t> payload(kPayload, 0x5a);
   std::size_t sink = 0;
   std::size_t delivered = 0;
-  rx->start_manual([&](std::span<const std::uint8_t> bytes) {
+  rx->start([&](std::span<const std::uint8_t> bytes) {
     sink += bytes.size();
     ++delivered;
   });
-  tx->start_manual([](std::span<const std::uint8_t>) {});
+  tx->start([](std::span<const std::uint8_t>) {});
   auto cycle = [&] {
     delivered = 0;
     for (std::size_t i = 0; i < kBurst; ++i) {

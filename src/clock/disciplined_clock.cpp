@@ -18,7 +18,7 @@ DisciplinedClock::DisciplinedClock(DisciplineOptions opts) : opts_(opts) {
 double DisciplinedClock::now(LocalTime lt) const {
   if (!initialized_) return lt;
   // lt below the ref would read the line backwards; freeze at the ref
-  // instead (the owning Node's query_time_locked already clamps regressing
+  // instead (the owning Node's local_time() already clamps regressing
   // sources, so this is a backstop, not a code path).
   const double dt = lt > lt_ref_ ? lt - lt_ref_ : 0.0;
   double out = out_ref_ + dt * rate_;

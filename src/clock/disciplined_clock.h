@@ -37,7 +37,7 @@
 // sliding-window integration of the applied rate offset (the measured
 // drift the discipline is currently countering, DRIFTsync-style).
 //
-// Not thread-safe; the owning Node serializes access under its mutex.
+// Not thread-safe; the owning Node calls it from its one thread.
 #pragma once
 
 #include <cstddef>

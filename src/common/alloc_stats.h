@@ -11,8 +11,8 @@
 // Counting is two relaxed atomic increments per allocation — cheap enough
 // to leave on in a daemon, but it is still a measurement tool: treat deltas
 // taken around a code region as attribution only when no other thread
-// allocates concurrently (the bench harness runs single-threaded; the Node
-// takes deltas under its own mutex and documents the approximation).
+// allocates concurrently (the bench harness and a driftsyncd process run
+// on one thread; the Node documents the approximation).
 #pragma once
 
 #include <cstddef>

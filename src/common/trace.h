@@ -7,10 +7,12 @@
 // wire format, so the same logical message can be followed across every
 // node and transport hop that touched it.
 //
-// Concurrency model: record() must be callable from the Node driver thread,
-// transport worker threads, and fault-injection paths simultaneously,
-// without a lock (a mutex in record() would serialize exactly the hot paths
-// we want to observe).  Each record() claims a slot with one atomic
+// Concurrency model: the runtime records from one thread (a daemon is one
+// thread, a Mesh runs on its Hub's), but a Tracer is a public utility that
+// several threads may share — say, one tracer across nodes a program runs
+// on threads of its own — so record() is callable from many threads at
+// once, without a lock (a mutex in record() would serialize exactly the
+// hot paths we want to observe).  Each record() claims a slot with one atomic
 // fetch_add and publishes it seqlock-style: the slot's stamp goes odd
 // (write in progress) → even (generation complete).  snapshot() double-reads
 // the stamp around copying the slot and discards torn reads.  Readers are

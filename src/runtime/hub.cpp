@@ -153,7 +153,12 @@ void Hub::send_from(ProcId from, ProcId to, std::vector<std::uint8_t> bytes) {
   if (due < link.last_due) due = link.last_due;  // FIFO per direction.
   link.last_due = due;
   ++link.backlog;
-  queue_.push(Pending{due, next_order_++, from, to, false, std::move(bytes)});
+  push(Pending{due, next_order_++, from, to, false, std::move(bytes)});
+}
+
+void Hub::push(Pending item) {
+  queue_.push_back(std::move(item));
+  std::push_heap(queue_.begin(), queue_.end(), PendingLater{});
 }
 
 void Hub::fire_timer(ProcId p) {
@@ -162,8 +167,8 @@ void Hub::fire_timer(ProcId p) {
   Sink& sink = it->second;
   const double delay = sink.timer();
   sink.timer_order = next_order_++;
-  queue_.push(Pending{now_ + std::max(delay, kMinTimerStep), sink.timer_order,
-                      p, p, true, {}});
+  push(Pending{now_ + std::max(delay, kMinTimerStep), sink.timer_order, p, p,
+              true, {}});
 }
 
 void Hub::deliver(Pending& item) {
@@ -194,9 +199,10 @@ void Hub::run_until(double t) {
   endpoints.reserve(sinks_.size());
   for (const auto& [p, sink] : sinks_) endpoints.push_back(p);
   for (const ProcId p : endpoints) fire_timer(p);
-  while (!queue_.empty() && queue_.top().due <= t) {
-    Pending item = queue_.top();
-    queue_.pop();
+  while (!queue_.empty() && queue_.front().due <= t) {
+    std::pop_heap(queue_.begin(), queue_.end(), PendingLater{});
+    Pending item = std::move(queue_.back());
+    queue_.pop_back();
     now_ = std::max(now_, item.due);
     if (!item.timer) {
       deliver(item);

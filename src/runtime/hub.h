@@ -22,7 +22,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <queue>
 #include <span>
 #include <utility>
 #include <vector>
@@ -138,6 +137,7 @@ class Hub : public TimeSource {
 
   void register_endpoint(ProcId p, DatagramHandler handler,
                          TimerHandler timer);
+  void push(Pending item);
   void unregister_endpoint(ProcId p);
   void send_from(ProcId from, ProcId to, std::vector<std::uint8_t> bytes);
   /// Runs p's timer (if it has one) and queues its next firing.
@@ -151,7 +151,9 @@ class Hub : public TimeSource {
   Rng rng_;
   std::map<std::uint64_t, DirLink> links_;
   std::map<ProcId, Sink> sinks_;
-  std::priority_queue<Pending, std::vector<Pending>, PendingLater> queue_;
+  /// A heap under PendingLater (std::push_heap/pop_heap), so the due item
+  /// moves out, bytes and all, instead of being copied off a const top().
+  std::vector<Pending> queue_;
   std::uint64_t next_order_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;

@@ -41,16 +41,8 @@ PeerState& MembershipTable::admit(ProcId peer, bool* newly_active) {
     if (newly_active != nullptr) *newly_active = true;
     return s;
   }
-  std::uint32_t slot;
-  if (!free_.empty()) {
-    slot = free_.back();
-    free_.pop_back();
-    slots_[slot] = PeerState{};
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  PeerState& s = slots_[slot];
+  const auto slot = static_cast<std::uint32_t>(slots_.size());
+  PeerState& s = slots_.emplace_back();
   s.peer = peer;
   s.active = true;
   index_.insert(index_.begin() + static_cast<std::ptrdiff_t>(pos), slot);
@@ -65,20 +57,6 @@ bool MembershipTable::retire(ProcId peer) {
   s->active = false;
   DS_CHECK(active_ > 0);
   --active_;
-  return true;
-}
-
-bool MembershipTable::forget(ProcId peer) {
-  const std::size_t pos = lower_bound(peer);
-  if (pos == index_.size() || slots_[index_[pos]].peer != peer) return false;
-  const std::uint32_t slot = index_[pos];
-  if (slots_[slot].active) {
-    DS_CHECK(active_ > 0);
-    --active_;
-  }
-  slots_[slot] = PeerState{};
-  index_.erase(index_.begin() + static_cast<std::ptrdiff_t>(pos));
-  free_.push_back(slot);
   return true;
 }
 

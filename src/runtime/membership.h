@@ -19,15 +19,16 @@
 // Health state (suspicion, quarantine, readmission cost, backoff, poll
 // schedule) is deliberately RESET on every admission: it is soft state
 // whose evidence died with the old incarnation.  A quarantined peer that
-// leaves and rejoins starts clean — the alternative (inheriting a decayed
-// score from a recycled slot) punishes an honest restarted peer for its
+// leaves and rejoins starts clean — the alternative (inheriting the old
+// incarnation's decayed score) punishes an honest restarted peer for its
 // predecessor's sins, and is exactly the bug class the quarantine ×
 // membership tests pin down.
 //
 // Slab storage + a ProcId-sorted index keep the hot operations cheap and
 // allocation-free in steady state (bench_membership.cpp): admit of a
 // journaled peer and retire of an active one touch no allocator at all;
-// admit of a brand-new peer allocates only when the slab must grow.
+// admit of a brand-new peer allocates only when the slab must grow.  An
+// entry, once made, is never removed: a peer's wire frontier outlives it.
 #pragma once
 
 #include <cstdint>
@@ -123,10 +124,6 @@ class MembershipTable {
   /// Returns false when the peer was not an active member.
   bool retire(ProcId peer);
 
-  /// Drops a peer's entry entirely — journal included — recycling its slab
-  /// slot.  Returns false when the peer had no entry.
-  bool forget(ProcId peer);
-
   [[nodiscard]] std::size_t active_count() const { return active_; }
   [[nodiscard]] std::size_t size() const { return index_.size(); }
   [[nodiscard]] std::size_t journal_count() const {
@@ -136,12 +133,11 @@ class MembershipTable {
   void reserve(std::size_t n) {
     slots_.reserve(n);
     index_.reserve(n);
-    free_.reserve(n);
   }
 
   /// Iterates entries in ascending ProcId order (canonical checkpoint
   /// order).  for_each_active visits only active members.  The callback
-  /// must not admit/retire/forget during iteration.
+  /// must not admit/retire during iteration.
   template <typename Fn>
   void for_each(Fn&& fn) {
     for (const std::uint32_t slot : index_) fn(slots_[slot]);
@@ -167,9 +163,8 @@ class MembershipTable {
   /// Position in index_ of the first entry with peer id >= `peer`.
   [[nodiscard]] std::size_t lower_bound(ProcId peer) const;
 
-  std::vector<PeerState> slots_;      ///< Slab; holes listed in free_.
+  std::vector<PeerState> slots_;      ///< Slab; an entry is never removed.
   std::vector<std::uint32_t> index_;  ///< Slot ids, sorted by peer id.
-  std::vector<std::uint32_t> free_;
   std::size_t active_ = 0;
 };
 

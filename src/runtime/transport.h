@@ -19,14 +19,15 @@
 namespace driftsync::runtime {
 
 /// Receive callback, valid span for the duration of the call.  A transport
-/// never invokes it concurrently with itself or with the timer below, but
-/// its loop need not run on the owner's thread (UDP: the loop thread), so
-/// handlers synchronize with the rest of their owner (the Node: one mutex).
+/// owns no thread: it calls the handler, and the timer below, from the
+/// thread that drives it (UDP: whoever calls run_once; hub: run_until), the
+/// same thread the owner's other calls come from, so neither side
+/// synchronizes.
 using DatagramHandler = std::function<void(std::span<const std::uint8_t>)>;
 
 /// Timer callback: does whatever work of its owner is due and returns how
 /// many seconds (on the owner's clock) until it next wants to run.  Called
-/// from the same loop as the DatagramHandler, never concurrently with it.
+/// from the same loop as the DatagramHandler.
 using TimerHandler = std::function<double()>;
 
 /// Transport-level counters, all monotonic.  A transport without the
@@ -57,9 +58,9 @@ class Transport {
   /// before the first send().
   virtual void start(DatagramHandler handler) = 0;
 
-  /// Stops delivery and returns only after any in-flight handler or timer
-  /// call has completed (so their captures may be destroyed afterwards).
-  /// Idempotent.
+  /// Stops delivery: no handler or timer call follows, so their captures
+  /// may be destroyed afterwards.  Not called from inside a handler or
+  /// timer call.  Idempotent.
   virtual void stop() = 0;
 
   /// Registers the owner's timer work, before start().  A transport that

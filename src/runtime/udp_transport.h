@@ -1,42 +1,41 @@
 // Batched, nonblocking IPv4/UDP transport (DESIGN.md S7, §7).
 //
-// One socket and one event-loop thread.  The loop owns the peers' backlog
-// rings, an eventfd wake, a reusable receive arena (recv_batch slots of
-// max_datagram bytes each) and a free-list of send buffers, so the
-// steady-state receive->decode->handle->reply path and the uncontended send
-// path perform zero heap allocations (bench_transport verifies this with
-// the counting operator-new hook).  recvmmsg/sendmmsg amortize syscalls
-// over up to recv_batch/send_batch datagrams, with a graceful
-// single-message fallback where the batched calls are unavailable.
+// One socket and no thread: the owner pumps the event loop with run_once()
+// on its own thread, the only thread that touches the transport, so
+// nothing here synchronizes.  The transport owns the peers' backlog rings,
+// a reusable receive arena (recv_batch slots of max_datagram bytes each)
+// and a free-list of send buffers, so the steady-state
+// receive->decode->handle->reply path and the uncontended send path
+// perform zero heap allocations (bench_transport verifies this with the
+// counting operator-new hook).  recvmmsg/sendmmsg amortize syscalls over
+// up to recv_batch/send_batch datagrams, with a graceful single-message
+// fallback where the batched calls are unavailable.
 //
-// Inbound datagrams go to the handler on the loop thread (see
-// runtime/transport.h), and the owner's timer runs there too, its next
-// deadline folded into the poll timeout, so a Node over this transport
-// runs on one thread.  Outbound datagrams that would block queue per peer
-// (bounded ring) and flush round-robin across the peers when the socket
-// becomes writable, so no peer's backlog can starve another's.  Oversized
-// inbound datagrams (> max_datagram, detected via MSG_TRUNC) are dropped
-// and counted, never delivered truncated.  Membership is dynamic
-// (DESIGN.md decision 19): add_peer / admit_current_sender register a
-// peer's address at any time, and retire_peer releases its backlog ring,
-// pooled buffers, and round-robin slot without restarting the loop.  The
-// datagram's own `from` field — not the UDP source address — identifies
-// the sender, which makes the socket an untrusted-input surface in full
-// (DESIGN.md §6): any host that can reach the port can inject bytes, and
-// the Node above survives arbitrary garbage by construction (WireError =>
-// counted drop).
+// run_once() calls the owner's timer, polls for at most the timer's delay,
+// hands each datagram that arrived to the handler and flushes the backlog,
+// so a Node over this transport runs on the thread that pumps it (a
+// driftsyncd process is that one thread).  Outbound datagrams that would
+// block queue per peer (bounded ring) and flush round-robin across the
+// peers when the socket becomes writable, so no peer's backlog can starve
+// another's.  Oversized inbound datagrams (> max_datagram, detected via
+// MSG_TRUNC) are dropped and counted, never delivered truncated.
+// Membership is dynamic (DESIGN.md decision 19): add_peer /
+// admit_current_sender register a peer's address at any time, and
+// retire_peer releases its backlog ring, pooled buffers, and round-robin
+// slot without restarting the loop.  The datagram's own `from` field — not
+// the UDP source address — identifies the sender, which makes the socket
+// an untrusted-input surface in full (DESIGN.md §6): any host that can
+// reach the port can inject bytes, and the Node above survives arbitrary
+// garbage by construction (WireError => counted drop).
 //
 // The raw syscall layer sits behind UdpIoOps so tests can script socket
 // readiness/errors deterministically and benches can measure the engine
 // with the kernel stubbed out; production uses the real-syscall singleton.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <netinet/in.h>
@@ -132,13 +131,13 @@ class UdpTransport : public Transport {
   UdpTransport(const UdpTransport&) = delete;
   UdpTransport& operator=(const UdpTransport&) = delete;
 
-  /// Registers (or re-addresses) a peer.  Safe before or after start(): a
-  /// running loop picks the new peer up on its next flush pass.  Throws
-  /// std::runtime_error on an unparsable host.
+  /// Registers (or re-addresses) a peer, before or after start(): the next
+  /// flush pass picks the new peer up.  Throws std::runtime_error on an
+  /// unparsable host.
   void add_peer(ProcId proc, const std::string& host, std::uint16_t port);
 
   /// Binds `peer` to the source address of the datagram currently being
-  /// handled (loop thread only); false outside a handler call.
+  /// handled; false outside a handler call.
   [[nodiscard]] bool admit_current_sender(ProcId peer) override;
 
   /// Releases `peer`: queued ring entries are dropped (counted in
@@ -147,24 +146,22 @@ class UdpTransport : public Transport {
   /// forgotten.  Idempotent; unknown peers are ignored.
   void retire_peer(ProcId peer) override;
 
+  /// Registers the handler; nothing is delivered until run_once().
   void start(DatagramHandler handler) override;
 
-  /// The loop calls `timer` before every poll and makes the poll's timeout
-  /// its delay, rounded up to whole milliseconds and capped at one second
-  /// (so work another thread hands the owner, an admit_peer, starts within
-  /// a second).  Call before start(); manual-pump mode never calls it.
+  /// run_once() calls `timer` before it polls.  Call before start().
   void set_timer(TimerHandler timer) override { timer_ = std::move(timer); }
 
-  /// Manual-pump mode: registers the handler without spawning the loop
-  /// thread; the caller drives the loop with run_once().  Deterministic
-  /// single-threaded operation for tests and benches.
-  void start_manual(DatagramHandler handler);
+  /// One turn of the loop, on the caller's thread: calls the timer, polls
+  /// for at most the smaller of the timer's delay (rounded up to whole
+  /// milliseconds) and `max_wait_ms` (-1: no limit of its own), then
+  /// receives and dispatches what arrived and flushes the backlog.  A
+  /// signal that interrupts the poll ends the turn early.  Returns false
+  /// when the loop cannot serve: not started (or stopped), the fd is
+  /// invalid, or poll failed for another reason.
+  bool run_once(int max_wait_ms);
 
-  /// Runs one poll/recv/flush cycle (timeout_ms as in poll(2); -1 blocks).
-  /// Returns false when the loop can no longer serve (invalid fd or
-  /// unrecoverable poll failure).
-  bool run_once(int timeout_ms);
-
+  /// Ends delivery: run_once() returns false and calls nothing.
   void stop() override;
   void send(ProcId to, std::vector<std::uint8_t> bytes) override;
 
@@ -178,24 +175,18 @@ class UdpTransport : public Transport {
   [[nodiscard]] std::uint16_t local_port() const { return local_port_; }
 
   /// Outbound datagrams dropped (unknown peer, full queue, send error).
-  [[nodiscard]] std::uint64_t send_drops() const {
-    return send_drops_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t send_drops() const { return send_drops_; }
 
   /// Inbound datagrams dropped (oversized/truncated).
-  [[nodiscard]] std::uint64_t recv_drops() const {
-    return recv_drops_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t recv_drops() const { return recv_drops_; }
 
   /// POLLERR/POLLHUP/POLLNVAL conditions consumed off the socket.
-  [[nodiscard]] std::uint64_t socket_errors() const {
-    return socket_errors_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t socket_errors() const { return socket_errors_; }
 
   /// Datagrams queued behind the blocked socket, summed over peers.  Every
   /// queued datagram leaves via the flush path (sent, or consumed by a hard
   /// send error), so this returns to 0 once the socket drains.
-  [[nodiscard]] std::size_t backlog_depth() const;
+  [[nodiscard]] std::size_t backlog_depth() const { return backlog_total_; }
 
   [[nodiscard]] TransportStats transport_stats() const override;
 
@@ -220,34 +211,23 @@ class UdpTransport : public Transport {
     std::size_t count = 0;
   };
 
-  /// kReplyPeer routing: while a handler runs on the loop thread, this
-  /// names the transport and the source address to reply to.
-  struct ReplyContext {
-    const UdpTransport* owner = nullptr;
-    sockaddr_in addr{};
-  };
-  static thread_local ReplyContext reply_ctx_;
-
-  /// Registers or re-addresses `proc` (mu_ held).
-  void admit_locked(ProcId proc, const sockaddr_in& addr);
-  /// Receives and dispatches until the socket runs dry (loop thread only;
-  /// mu_ is NOT held across handler calls).
+  /// Registers or re-addresses `proc`.
+  void admit(ProcId proc, const sockaddr_in& addr);
+  /// Receives and dispatches until the socket runs dry.
   void recv_dispatch();
-  /// One round-robin pass over the backlogged peers (mu_ held).
-  void flush_locked();
-  /// Returns `bytes` to the buffer pool (mu_ held).
-  void recycle_locked(std::vector<std::uint8_t>&& bytes);
-  void enqueue_locked(PeerState& peer, ProcId to,
-                      std::vector<std::uint8_t>&& bytes);
-  void wake();
+  /// One round-robin pass over the backlogged peers.
+  void flush();
+  /// Returns `bytes` to the buffer pool.
+  void recycle(std::vector<std::uint8_t>&& bytes);
+  void enqueue(PeerState& peer, ProcId to, std::vector<std::uint8_t>&& bytes);
+  /// Counts one dropped outbound datagram and traces it.
+  void drop_send(ProcId to, std::span<const std::uint8_t> bytes);
   void trace_drop(ProcId to, std::uint64_t trace_id);
 
   std::uint16_t local_port_ = 0;
   Options opts_;
   UdpIoOps* ops_ = nullptr;  ///< opts_.ops or the real-syscall singleton.
   int fd_ = -1;
-  int wake_fd_ = -1;  ///< eventfd: wakes the loop for stop/new-backlog.
-  mutable std::mutex mu_;  ///< Guards everything below plus fd_ sends.
   std::map<ProcId, PeerState> peers_;
   /// Round-robin flush state: peers in registration order, with the cursor
   /// persisting across flush calls so the next call resumes where
@@ -257,7 +237,7 @@ class UdpTransport : public Transport {
   std::size_t backlog_total_ = 0;  ///< Queued datagrams across peers.
   std::vector<std::vector<std::uint8_t>> pool_;  ///< Recycled send buffers.
   std::vector<std::uint8_t> arena_;  ///< recv_batch * max_datagram bytes.
-  std::vector<UdpRecvSlot> slots_;   ///< Point into arena_; loop-thread only.
+  std::vector<UdpRecvSlot> slots_;   ///< Point into arena_.
   std::vector<UdpSendItem> scratch_;  ///< Flush staging (send_batch items).
   Histogram recv_hist_;  ///< Datagrams per productive recv_batch call.
   Histogram send_hist_;  ///< Datagrams per productive send_batch call.
@@ -265,14 +245,16 @@ class UdpTransport : public Transport {
   std::uint64_t recv_datagrams_ = 0;
   std::uint64_t send_batches_ = 0;
   std::uint64_t send_datagrams_ = 0;
-  std::thread thread_;
   DatagramHandler handler_;
   TimerHandler timer_;
-  std::atomic<bool> running_{false};
   bool started_ = false;
-  std::atomic<std::uint64_t> send_drops_{0};
-  std::atomic<std::uint64_t> recv_drops_{0};
-  std::atomic<std::uint64_t> socket_errors_{0};
+  /// kReplyPeer routing: the source of the datagram the handler is being
+  /// called with; `replying_` is false outside a handler call.
+  bool replying_ = false;
+  sockaddr_in reply_addr_{};
+  std::uint64_t send_drops_ = 0;
+  std::uint64_t recv_drops_ = 0;
+  std::uint64_t socket_errors_ = 0;
   Tracer* tracer_ = nullptr;
   ProcId trace_self_ = kInvalidProc;
 };

@@ -51,7 +51,7 @@ struct ClientSession {
 };
 
 /// Slab + open-addressed index + intrusive LRU over ClientSession.  Not
-/// thread-safe; the owner (Node) serializes access under its own mutex.
+/// thread-safe; the owner (Node) calls it from its one thread.
 class SessionTable {
  public:
   struct Options {

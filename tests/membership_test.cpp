@@ -32,7 +32,6 @@ TEST(MembershipTable, StartsEmpty) {
   EXPECT_EQ(t.find(3), nullptr);
   EXPECT_EQ(t.find_any(3), nullptr);
   EXPECT_FALSE(t.retire(3));
-  EXPECT_FALSE(t.forget(3));
 }
 
 TEST(MembershipTable, AdmitFindRetireLifecycle) {
@@ -117,29 +116,10 @@ TEST(MembershipTable, IterationIsSortedByProcId) {
   EXPECT_EQ(t.journal_count(), 2u);
 }
 
-TEST(MembershipTable, ForgetRecyclesSlotAndFreshEntryIsPristine) {
-  MembershipTable t;
-  PeerState& s = t.admit(4);
-  s.out_seq_next = 99;
-  s.suspicion = 2.0;
-  ASSERT_TRUE(t.retire(4));
-  ASSERT_TRUE(t.forget(4));  // Journal entries can be dropped outright.
-  EXPECT_EQ(t.size(), 0u);
-  EXPECT_EQ(t.find_any(4), nullptr);
-
-  // The recycled slot must not leak the previous tenant's frontier.
-  PeerState& n = t.admit(6);
-  EXPECT_EQ(n.peer, 6u);
-  EXPECT_EQ(n.out_seq_next, 1u);
-  EXPECT_EQ(n.suspicion, 0.0);
-  EXPECT_EQ(n.fate, PeerFate::kNone);
-  EXPECT_FALSE(t.forget(6) && t.forget(6));  // Second forget reports false.
-}
-
 TEST(MembershipTable, ChurnStressKeepsCountsAndOrderConsistent) {
   MembershipTable t;
   t.reserve(64);
-  // Deterministic churn: admit/retire/forget in a braided pattern, checking
+  // Deterministic churn: admit/retire in a braided pattern, checking
   // the invariants (sorted order, active + journal == size) throughout.
   std::uint64_t x = 0x9e3779b97f4a7c15ULL;
   std::vector<bool> admitted(64, false);
@@ -148,19 +128,12 @@ TEST(MembershipTable, ChurnStressKeepsCountsAndOrderConsistent) {
     x ^= x >> 7;
     x ^= x << 17;
     const ProcId p = static_cast<ProcId>(x % 64);
-    switch (x % 3) {
-      case 0:
-        t.admit(p);
-        admitted[p] = true;
-        break;
-      case 1:
-        t.retire(p);
-        admitted[p] = false;
-        break;
-      default:
-        t.forget(p);
-        admitted[p] = false;
-        break;
+    if (x % 2 == 0) {
+      t.admit(p);
+      admitted[p] = true;
+    } else {
+      t.retire(p);
+      admitted[p] = false;
     }
     ASSERT_EQ(t.active_count() + t.journal_count(), t.size());
   }

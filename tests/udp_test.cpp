@@ -4,6 +4,10 @@
 // anyone, so a node must survive arbitrary garbage without crashing or
 // corrupting its estimate.
 //
+// A transport owns no thread: every test pumps its transports with
+// run_once() from the test thread, as driftsyncd's main loop does, until a
+// condition holds or a wall-clock deadline passes.
+//
 // Environments without loopback sockets (restricted sandboxes) make the
 // UdpTransport constructor throw; every test here skips in that case
 // rather than failing.
@@ -13,11 +17,11 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
+#include <functional>
+#include <initializer_list>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -66,6 +70,32 @@ std::unique_ptr<UdpTransport> try_bind() {
                     "environment";                                     \
   }
 
+/// Pumps `transports` from this thread, a turn of at most 1 ms each in
+/// rotation, until `done()` holds or `seconds` of wall-clock time pass.
+/// Returns done().
+bool pump_until(std::initializer_list<UdpTransport*> transports,
+                double seconds, const std::function<bool()>& done) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(seconds);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    for (UdpTransport* t : transports) t->run_once(1);
+  }
+  return true;
+}
+
+/// True when `fd` has a datagram waiting.
+bool readable(int fd) {
+  pollfd pfd{fd, POLLIN, 0};
+  return ::poll(&pfd, 1, 0) > 0;
+}
+
+/// Pumps `transports` for `seconds` of wall-clock time.
+void pump_for(std::initializer_list<UdpTransport*> transports,
+              double seconds) {
+  pump_until(transports, seconds, [] { return false; });
+}
+
 /// Real sockets need a slower fate timeout than the hub-based tests.
 NodeConfig node_config(ProcId self, const SystemSpec& spec) {
   return driftsync::testing::node_config(self, spec, /*poll_period=*/0.04,
@@ -81,23 +111,15 @@ TEST(UdpTransport, RawDatagramRoundTrip) {
   a->add_peer(1, kHost, b->local_port());
   b->add_peer(0, kHost, a->local_port());
 
-  std::mutex mu;
   std::vector<std::uint8_t> got;
   b->start([&](std::span<const std::uint8_t> bytes) {
-    const std::lock_guard<std::mutex> lock(mu);
     got.assign(bytes.begin(), bytes.end());
   });
   a->start([](std::span<const std::uint8_t>) {});
 
   const std::vector<std::uint8_t> sent{0x11, 0x22, 0x33};
   a->send(1, sent);
-  bool delivered = false;
-  for (int spins = 0; spins < 400 && !delivered; ++spins) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    const std::lock_guard<std::mutex> lock(mu);
-    delivered = got == sent;
-  }
-  EXPECT_TRUE(delivered);
+  EXPECT_TRUE(pump_until({a.get(), b.get()}, 2.0, [&] { return got == sent; }));
   EXPECT_EQ(a->send_drops(), 0u);
   a->stop();
   b->stop();
@@ -128,12 +150,8 @@ TEST(UdpTransport, FloodBacklogReturnsToZero) {
 
   const std::vector<std::uint8_t> payload(512, 0xab);
   for (int i = 0; i < 2000; ++i) a->send(1, payload);
-  bool drained = false;
-  for (int spins = 0; spins < 400 && !drained; ++spins) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    drained = a->backlog_depth() == 0;
-  }
-  EXPECT_TRUE(drained);
+  EXPECT_TRUE(pump_until({a.get(), b.get()}, 2.0,
+                         [&] { return a->backlog_depth() == 0; }));
   a->stop();
   b->stop();
 }
@@ -147,6 +165,8 @@ TEST(UdpNode, TwoNodeLoopbackSmoke) {
   REQUIRE_SOCKETS(t1);
   t0->add_peer(1, kHost, t1->local_port());
   t1->add_peer(0, kHost, t0->local_port());
+  UdpTransport* const net0 = t0.get();
+  UdpTransport* const net1 = t1.get();
 
   const SystemSpec spec = two_node_spec();
   Node n0(node_config(0, spec), loss_tolerant_csa(),
@@ -156,7 +176,7 @@ TEST(UdpNode, TwoNodeLoopbackSmoke) {
           std::move(t1));
   n0.start();
   n1.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(1200));
+  pump_for({net0, net1}, 1.2);
 
   EXPECT_TRUE(brackets_truth(n0, kTruth));
   EXPECT_TRUE(brackets_truth(n1, kTruth));
@@ -183,6 +203,8 @@ TEST(UdpNode, MalformedDatagramStormLeavesNodeServing) {
   const std::uint16_t victim_port = t1->local_port();
   t0->add_peer(1, kHost, victim_port);
   t1->add_peer(0, kHost, t0->local_port());
+  UdpTransport* const net0 = t0.get();
+  UdpTransport* const net1 = t1.get();
 
   const SystemSpec spec = two_node_spec();
   Node n0(node_config(0, spec), loss_tolerant_csa(),
@@ -192,7 +214,7 @@ TEST(UdpNode, MalformedDatagramStormLeavesNodeServing) {
           std::move(t1));
   n0.start();
   n1.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  pump_for({net0, net1}, 0.4);
 
   const int attacker = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
   ASSERT_GE(attacker, 0);
@@ -219,15 +241,13 @@ TEST(UdpNode, MalformedDatagramStormLeavesNodeServing) {
                  sizeof(victim)) >= 0) {
       ++storm_sent;
     }
-    if (i % 50 == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    if (i % 50 == 0) pump_for({net0, net1}, 0.001);
   }
   ::close(attacker);
   ASSERT_GT(storm_sent, 0u);
 
   // Let the storm drain and the protocol keep running through it.
-  std::this_thread::sleep_for(std::chrono::milliseconds(800));
+  pump_for({net0, net1}, 0.8);
   const NodeStats s1 = n1.stats();
   EXPECT_GT(s1.decode_drops, 0u);  // The storm was actually seen.
   EXPECT_TRUE(brackets_truth(n0, kTruth));
@@ -244,6 +264,7 @@ TEST(UdpNode, ProbeRoundTrip) {
   auto t1 = try_bind();
   REQUIRE_SOCKETS(t1);
   const std::uint16_t node_port = t1->local_port();
+  UdpTransport* const net1 = t1.get();
 
   const SystemSpec spec = two_node_spec();
   Node n1(node_config(1, spec), loss_tolerant_csa(),
@@ -265,8 +286,7 @@ TEST(UdpNode, ProbeRoundTrip) {
                        reinterpret_cast<const sockaddr*>(&addr),
                        sizeof(addr)),
               0);
-    pollfd pfd{client, POLLIN, 0};
-    if (::poll(&pfd, 1, 500) <= 0) continue;
+    if (!pump_until({net1}, 0.5, [&] { return readable(client); })) continue;
     std::uint8_t buf[65536];
     const ssize_t n = ::recv(client, buf, sizeof(buf), 0);
     ASSERT_GT(n, 0);
@@ -298,6 +318,7 @@ TEST(UdpNode, MetricsRoundTrip) {
   auto t1 = try_bind();
   REQUIRE_SOCKETS(t1);
   const std::uint16_t node_port = t1->local_port();
+  UdpTransport* const net1 = t1.get();
 
   Tracer tracer(256);
   t1->set_tracer(&tracer, 1);
@@ -323,8 +344,7 @@ TEST(UdpNode, MetricsRoundTrip) {
                        reinterpret_cast<const sockaddr*>(&addr),
                        sizeof(addr)),
               0);
-    pollfd pfd{client, POLLIN, 0};
-    if (::poll(&pfd, 1, 500) <= 0) continue;
+    if (!pump_until({net1}, 0.5, [&] { return readable(client); })) continue;
     std::uint8_t buf[65536];
     const ssize_t n = ::recv(client, buf, sizeof(buf), 0);
     ASSERT_GT(n, 0);
@@ -361,9 +381,9 @@ std::unique_ptr<UdpTransport> try_bind_opts(UdpTransport::Options opts) {
 }
 
 /// Deterministic syscall seam: scripted poll revents, an in-memory inbox
-/// for receives, and a send recorder.  Drives the engine's event loop from
-/// the test thread via start_manual()/run_once() — no real readiness, no
-/// real sends, no timing dependence.
+/// for receives, and a send recorder.  The test thread drives the engine's
+/// event loop with run_once() — no real readiness, no real sends, no
+/// timing dependence.
 class ScriptedOps final : public UdpIoOps {
  public:
   /// Revents handed out for the socket fd on successive poll calls; once
@@ -435,11 +455,9 @@ TEST(UdpTransport, TruncatedDatagramsAreDroppedAndCounted) {
   REQUIRE_SOCKETS(t);
   const std::uint16_t port = t->local_port();
 
-  std::mutex mu;
   std::uint64_t small_delivered = 0;
   std::uint64_t oversized_delivered = 0;
   t->start([&](std::span<const std::uint8_t> bytes) {
-    const std::lock_guard<std::mutex> lock(mu);
     // 'S' marks the in-bounds payloads, 'B' the oversized ones.
     if (!bytes.empty() && bytes.front() == 'S' && bytes.size() == 100) {
       ++small_delivered;
@@ -462,17 +480,13 @@ TEST(UdpTransport, TruncatedDatagramsAreDroppedAndCounted) {
              reinterpret_cast<const sockaddr*>(&victim), sizeof(victim));
     ::sendto(attacker, small.data(), small.size(), 0,
              reinterpret_cast<const sockaddr*>(&victim), sizeof(victim));
-    if (i % 8 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (i % 8 == 0) t->run_once(0);
   }
   ::close(attacker);
 
-  bool settled = false;
-  for (int spins = 0; spins < 400 && !settled; ++spins) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    const std::lock_guard<std::mutex> lock(mu);
-    settled = small_delivered + t->recv_drops() >= 2 * kPairs;
-  }
-  const std::lock_guard<std::mutex> lock(mu);
+  pump_until({t.get()}, 2.0, [&] {
+    return small_delivered + t->recv_drops() >= 2 * kPairs;
+  });
   EXPECT_EQ(oversized_delivered, 0u);  // Never delivered, truncated or not.
   EXPECT_GT(small_delivered, 0u);      // In-bounds traffic kept flowing.
   EXPECT_GT(t->recv_drops(), 0u);      // And the drops were accounted for.
@@ -495,7 +509,7 @@ TEST(UdpTransport, BacklogFlushIsRoundRobinAcrossPeers) {
   t->add_peer(0, kHost, 9001);
   t->add_peer(1, kHost, 9002);
   t->add_peer(2, kHost, 9003);
-  t->start_manual([](std::span<const std::uint8_t>) {});
+  t->start([](std::span<const std::uint8_t>) {});
 
   // Blocked socket: every send lands in its peer's backlog ring.
   ops.block_sends = true;
@@ -545,7 +559,7 @@ TEST(UdpTransport, RetirePeerReleasesBacklogAndRotation) {
   t->add_peer(0, kHost, 9001);
   t->add_peer(1, kHost, 9002);
   t->add_peer(2, kHost, 9003);
-  t->start_manual([](std::span<const std::uint8_t>) {});
+  t->start([](std::span<const std::uint8_t>) {});
 
   // Blocked socket: every send lands in its peer's backlog ring.
   ops.block_sends = true;
@@ -608,7 +622,7 @@ TEST(UdpTransport, PollErrIsConsumedAndServingContinues) {
   auto t = try_bind_opts(opts);
   REQUIRE_SOCKETS(t);
   std::uint64_t delivered = 0;
-  t->start_manual(
+  t->start(
       [&](std::span<const std::uint8_t>) { ++delivered; });
 
   ops.inbox.push_back({0x42});
@@ -624,15 +638,15 @@ TEST(UdpTransport, PollErrIsConsumedAndServingContinues) {
 }
 
 /// Regression (revents): POLLNVAL means the fd is gone — the loop must
-/// stop cleanly (run_once returns false; the threaded loop exits) instead
-/// of spinning on a dead descriptor.
+/// stop cleanly (run_once returns false, and driftsyncd leaves its loop)
+/// instead of spinning on a dead descriptor.
 TEST(UdpTransport, PollNvalStopsTheShardCleanly) {
   ScriptedOps ops;
   UdpTransport::Options opts;
   opts.ops = &ops;
   auto t = try_bind_opts(opts);
   REQUIRE_SOCKETS(t);
-  t->start_manual([](std::span<const std::uint8_t>) {});
+  t->start([](std::span<const std::uint8_t>) {});
   ops.poll_script.push_back(POLLNVAL);
   EXPECT_FALSE(t->run_once(0));
   EXPECT_EQ(t->socket_errors(), 1u);
@@ -652,6 +666,9 @@ TEST(UdpNode, ThreeNodeLoopbackConverges) {
   t1->add_peer(0, kHost, t0->local_port());
   t1->add_peer(2, kHost, t2->local_port());
   t2->add_peer(1, kHost, t1->local_port());
+  UdpTransport* const net0 = t0.get();
+  UdpTransport* const net1 = t1.get();
+  UdpTransport* const net2 = t2.get();
 
   const SystemSpec spec =
       driftsync::testing::line_spec(3, 5e-4, 0.0, 0.05);
@@ -666,7 +683,7 @@ TEST(UdpNode, ThreeNodeLoopbackConverges) {
   n0.start();
   n1.start();
   n2.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+  pump_for({net0, net1, net2}, 1.5);
 
   EXPECT_TRUE(brackets_truth(n0, kTruth));
   EXPECT_TRUE(brackets_truth(n1, kTruth));

@@ -16,8 +16,10 @@
 //   anywhere:
 //     driftsync_probe --target=127.0.0.1:7701
 //
-// SIGUSR1 dumps one JSON stats line to stdout; --stats-interval dumps
-// periodically; SIGINT/SIGTERM shut down cleanly.  --checkpoint makes the
+// A daemon is one thread: main pumps the UDP transport, which runs the
+// node's timer work and handlers, and checks signals and deadlines between
+// pumps.  SIGUSR1 dumps one JSON stats line to stdout; --stats-interval
+// dumps periodically; SIGINT/SIGTERM shut down cleanly.  --checkpoint makes the
 // node persist its state (write-ahead, see runtime/node.h) and restore it
 // on restart.  --dynamic-join lets the daemon admit spec neighbors that
 // ask in at runtime (kJoinReq/kJoinAck) and honor kLeave; the default is a
@@ -35,7 +37,6 @@
 // --trace.  --trace-out=PATH writes the final trace snapshot as
 // Perfetto-loadable JSON on shutdown (and always, for --selftest).
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -43,7 +44,6 @@
 #include <iostream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "baselines/cristian_csa.h"
@@ -428,6 +428,7 @@ int main(int argc, char** argv) try {
       parse_endpoint(flags.get_string("bind", ""));
   auto transport =
       std::make_unique<runtime::UdpTransport>(bind_host, bind_port);
+  runtime::UdpTransport* const net = transport.get();  // The node owns it.
   // The tracer outlives the Node (declared first) and is shared with the
   // transport; its presence also turns on wire trace ids (runtime/node.h).
   std::unique_ptr<Tracer> tracer;
@@ -502,8 +503,15 @@ int main(int argc, char** argv) try {
   const double started = wall.now();
   double next_stats =
       stats_interval > 0.0 ? started + stats_interval : 0.0;
+  int status = 0;
   while (g_terminate == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    // At most 200 ms per pump, so a deadline below is checked at least that
+    // often; a signal cuts the pump's poll short.
+    if (!net->run_once(200)) {
+      std::fprintf(stderr, "driftsyncd: the socket can no longer serve\n");
+      status = 1;
+      break;
+    }
     if (g_dump_stats != 0) {
       g_dump_stats = 0;
       std::printf("%s\n", node.stats_json().c_str());
@@ -522,7 +530,7 @@ int main(int argc, char** argv) try {
   if (tracer != nullptr && !trace_out.empty()) {
     if (!write_trace_json(*tracer, trace_out)) return 1;
   }
-  return 0;
+  return status;
 } catch (const driftsync::FlagError& e) {
   std::fprintf(stderr, "%s\n%s\n", e.what(), kUsage);
   return 2;

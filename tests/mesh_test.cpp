@@ -200,7 +200,7 @@ std::string amnesiac_restart_with_links_up() {
 }
 
 // A refusal that escaped as an exception would unwind out of a handler
-// (in a daemon, out of the transport's loop thread, ending the process),
+// (in a daemon, out of its one loop, ending the process),
 // so the scenario runs in a child process and must exit cleanly.
 TEST(MeshDeathTest, AmnesiacRestartWithLinksUpIsRefusedNotFatal) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";

@@ -847,9 +847,10 @@ TEST(NodeCheckpoint, StatsJsonKeepsFullPrecisionAtLargeClockReadings) {
   EXPECT_EQ(hi - lo, width);
 }
 
-// A probe reply is one reading of the node: the stats it carries are taken
-// at the reply's own local_time, so their lt/lo/hi equal the reply's
-// exactly even though the clock moves on every read.
+// A probe reply is one reading of the node: the steer and the stats it
+// carries are taken at the reply's own local_time, so their lt/lo/hi and
+// the disciplined reading match the reply's exactly even though the clock
+// moves on every read.
 TEST(NodeProbe, ReplyStatsShareTheReplyReading) {
   const SystemSpec spec = driftsync::testing::two_node_spec();
   const auto clock = std::make_shared<double>(0.0);
@@ -892,6 +893,12 @@ TEST(NodeProbe, ReplyStatsShareTheReplyReading) {
   EXPECT_EQ(stats.at("lt").as_number(), resp.local_time);
   EXPECT_EQ(stats.at("lo").as_number(), resp.lo);
   EXPECT_EQ(stats.at("hi").as_number(), resp.hi);
+  // The probe is the node's first externalization: it initializes the
+  // disciplined clock at the estimate's midpoint.  A snapshot taken at that
+  // same reading reads the midpoint exactly; one taken a read later would
+  // read it advanced by the clock's step.
+  EXPECT_EQ(stats.at("disciplined").as_number(),
+            Interval(resp.lo, resp.hi).midpoint());
 }
 
 // A client reply steers before it reads, like a probe reply: the first

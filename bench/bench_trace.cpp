@@ -1,8 +1,9 @@
 // Micro-benchmark: the observability hot paths (DESIGN.md §8).  The numbers
 // that matter are the two costs every datagram pays when tracing is wired
-// in: the disabled-tracer fast path (one relaxed load) and the enabled
-// record (slot claim + seqlock publish).  Export and histogram costs are
-// off the datagram path but bound the metrics-query stall.
+// in: the disabled-tracer fast path (one bool test) and the enabled record
+// (a clock read and a store into the single-writer ring).  Export and
+// histogram costs are off the datagram path but bound the metrics-query
+// stall.
 #include "bench/harness.h"
 #include "common/histogram.h"
 #include "common/trace.h"

@@ -5,8 +5,6 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <type_traits>
 
 #include "common/json.h"
 
@@ -62,66 +60,31 @@ const char* trace_event_kind_name(TraceEventKind kind) {
 
 Tracer::Tracer(std::size_t capacity, std::function<double()> clock)
     : capacity_(round_up_pow2(capacity)),
-      slots_(new Slot[capacity_]),
+      slots_(new TraceEvent[capacity_]),
       clock_(clock ? std::move(clock) : steady_seconds) {}
 
 void Tracer::record(TraceEventKind kind, std::uint64_t trace_id, ProcId node,
                     ProcId peer, double value) {
-  if (!enabled_.load(std::memory_order_relaxed)) return;
-  TraceEvent ev;
+  if (!enabled_) return;
+  TraceEvent& ev = slots_[head_++ & (capacity_ - 1)];
   ev.t = clock_();
   ev.trace_id = trace_id;
   ev.node = node;
   ev.peer = peer;
   ev.kind = kind;
   ev.value = value;
-
-  const std::uint64_t i = head_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[i & (capacity_ - 1)];
-  // Seqlock publish: odd stamp marks the write in flight for generation i,
-  // even stamp (2i+2) marks it complete.  A reader that sees differing or
-  // odd stamps around its copy discards the slot.  The odd stamp is an
-  // acquire read-modify-write, so no payload store moves above it, and a
-  // reader whose closing read-modify-write it reads from synchronizes with
-  // it (Boehm, "Can seqlocks get along with programming language memory
-  // models?", 2012).  Fences would do the same, but TSan cannot model them.
-  static_assert(std::is_trivially_copyable_v<TraceEvent>);
-  std::uint64_t raw[Slot::kWords] = {};
-  std::memcpy(raw, &ev, sizeof(ev));
-  slot.stamp.exchange(2 * i + 1, std::memory_order_acquire);
-  for (std::size_t w = 0; w < Slot::kWords; ++w) {
-    slot.words[w].store(raw[w], std::memory_order_relaxed);
-  }
-  slot.stamp.store(2 * i + 2, std::memory_order_release);
 }
 
 std::uint64_t Tracer::dropped() const {
-  const std::uint64_t n = head_.load(std::memory_order_relaxed);
-  return n > capacity_ ? n - capacity_ : 0;
+  return head_ > capacity_ ? head_ - capacity_ : 0;
 }
 
 std::vector<TraceEvent> Tracer::snapshot() const {
-  const std::uint64_t head = head_.load(std::memory_order_acquire);
-  const std::uint64_t live = std::min<std::uint64_t>(head, capacity_);
+  const std::uint64_t live = std::min<std::uint64_t>(head_, capacity_);
   std::vector<TraceEvent> out;
   out.reserve(static_cast<std::size_t>(live));
-  for (std::uint64_t i = head - live; i < head; ++i) {
-    Slot& slot = slots_[i & (capacity_ - 1)];
-    const std::uint64_t before = slot.stamp.load(std::memory_order_acquire);
-    if (before != 2 * i + 2) continue;  // Overwritten or mid-write.
-    std::uint64_t raw[Slot::kWords];
-    for (std::size_t w = 0; w < Slot::kWords; ++w) {
-      raw[w] = slot.words[w].load(std::memory_order_relaxed);
-    }
-    // A release read-don't-modify-write: the payload loads cannot sink
-    // below it, and it reads the latest stamp, so if a writer's odd stamp
-    // follows it, that writer's payload stores cannot have been read.
-    const std::uint64_t after =
-        slot.stamp.fetch_add(0, std::memory_order_release);
-    if (after != before) continue;  // Torn by a concurrent writer.
-    TraceEvent ev;
-    std::memcpy(&ev, raw, sizeof(ev));
-    out.push_back(ev);
+  for (std::uint64_t i = head_ - live; i < head_; ++i) {
+    out.push_back(slots_[i & (capacity_ - 1)]);
   }
   return out;
 }

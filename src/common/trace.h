@@ -7,25 +7,18 @@
 // wire format, so the same logical message can be followed across every
 // node and transport hop that touched it.
 //
-// Concurrency model: the runtime records from one thread (a daemon is one
-// thread, a Mesh runs on its Hub's), but a Tracer is a public utility that
-// several threads may share — say, one tracer across nodes a program runs
-// on threads of its own — so record() is callable from many threads at
-// once, without a lock (a mutex in record() would serialize exactly the
-// hot paths we want to observe).  Each record() claims a slot with one atomic
-// fetch_add and publishes it seqlock-style: the slot's stamp goes odd
-// (write in progress) → even (generation complete).  snapshot() double-reads
-// the stamp around copying the slot and discards torn reads.  Readers are
-// rare (metrics queries, violation dumps), writers are cheap (two RMWs, a
-// struct store, one release store), and a full buffer silently overwrites
-// the oldest events — tracing must never apply backpressure to the
-// protocol it observes.
+// The ring has one writer: the runtime records from one thread (a daemon
+// is one thread, a Mesh runs on its Hub's), so record() writes the next
+// slot with plain stores and snapshot() copies plain slots.  Sharing one
+// Tracer across threads needs a lock around every call.  Readers are rare
+// (metrics queries, violation dumps), a record is a clock read and a
+// struct store, and a full buffer silently overwrites the oldest events —
+// tracing must never apply backpressure to the protocol it observes.
 //
-// The disabled path is a single relaxed atomic load; NodeConfig carries a
-// nullable Tracer* so an untraced node pays one pointer test per hook.
+// The disabled path is one bool test; NodeConfig carries a nullable
+// Tracer* so an untraced node pays one pointer test per hook.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -89,29 +82,22 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Appends one event; wait-free apart from the slot claim, safe from any
-  /// thread.  No-op while disabled.
+  /// Appends one event, overwriting the oldest once the ring is full.
+  /// No-op while disabled.
   void record(TraceEventKind kind, std::uint64_t trace_id, ProcId node,
               ProcId peer, double value = 0.0);
 
-  void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool enabled() const {
-    return enabled_.load(std::memory_order_relaxed);
-  }
+  void set_enabled(bool enabled) { enabled_ = enabled; }
+  [[nodiscard]] bool enabled() const { return enabled_; }
 
   /// Events recorded since construction (including overwritten ones).
-  [[nodiscard]] std::uint64_t recorded() const {
-    return head_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t recorded() const { return head_; }
   /// Events lost to ring wraparound so far.
   [[nodiscard]] std::uint64_t dropped() const;
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
-  /// Copies the currently-live events, oldest first.  Events being written
-  /// concurrently are skipped, not torn.
+  /// Copies the currently-live events, oldest first.
   [[nodiscard]] std::vector<TraceEvent> snapshot() const;
 
   /// The last up-to-k events recorded at `node`, oldest first (for
@@ -120,26 +106,12 @@ class Tracer {
                                                  std::size_t k) const;
 
  private:
-  struct Slot {
-    /// Seqlock stamp: 0 = never written; odd = write in progress for
-    /// generation (stamp-1)/2; even = generation stamp/2 - 1 complete.
-    std::atomic<std::uint64_t> stamp{0};
-    /// The TraceEvent payload, stored as relaxed word-sized atomics: the
-    /// stamp protocol already rejects torn reads, but the payload accesses
-    /// themselves must be atomic for the data race to be benign by the
-    /// letter of the memory model (and for TSan to agree).  record() and
-    /// snapshot() memcpy through a word buffer.
-    static constexpr std::size_t kWords =
-        (sizeof(TraceEvent) + sizeof(std::uint64_t) - 1) /
-        sizeof(std::uint64_t);
-    std::atomic<std::uint64_t> words[kWords];
-  };
-
   std::size_t capacity_;  ///< Power of two.
-  std::unique_ptr<Slot[]> slots_;
+  std::unique_ptr<TraceEvent[]> slots_;
   std::function<double()> clock_;
-  std::atomic<std::uint64_t> head_{0};
-  std::atomic<bool> enabled_{true};
+  /// Events recorded so far; the next one goes to slot head_ % capacity_.
+  std::uint64_t head_ = 0;
+  bool enabled_ = true;
 };
 
 /// Renders events as a Chrome trace-event / Perfetto-loadable JSON document

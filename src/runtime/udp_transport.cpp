@@ -1,7 +1,6 @@
 #include "runtime/udp_transport.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
@@ -44,7 +43,8 @@ sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
 
 /// Real syscalls.  recvmmsg/sendmmsg are Linux-specific; a runtime ENOSYS
 /// (e.g. a seccomp filter) flips the process to the single-message
-/// recvmsg/sendmsg path permanently.
+/// recvmsg/sendmsg path permanently.  Every transport of a process runs on
+/// the one thread that pumps it, so the flag needs no synchronization.
 class RealUdpIoOps final : public UdpIoOps {
  public:
   int poll_io(pollfd* fds, std::size_t nfds, int timeout_ms) override {
@@ -54,7 +54,7 @@ class RealUdpIoOps final : public UdpIoOps {
   std::size_t recv_batch(int fd, UdpRecvSlot* slots, std::size_t n) override {
     n = std::min(n, kMaxBatch);
     if (n == 0) return 0;
-    if (!have_mmsg_.load(std::memory_order_relaxed)) {
+    if (!have_mmsg_) {
       return recv_singles(fd, slots, n);
     }
     mmsghdr msgs[kMaxBatch];
@@ -71,7 +71,7 @@ class RealUdpIoOps final : public UdpIoOps {
         ::recvmmsg(fd, msgs, static_cast<unsigned>(n), MSG_DONTWAIT, nullptr);
     if (got < 0) {
       if (errno == ENOSYS) {
-        have_mmsg_.store(false, std::memory_order_relaxed);
+        have_mmsg_ = false;
         return recv_singles(fd, slots, n);
       }
       return 0;  // EWOULDBLOCK or transient error: poll again.
@@ -88,7 +88,7 @@ class RealUdpIoOps final : public UdpIoOps {
     UdpSendResult res;
     n = std::min(n, kMaxBatch);
     if (n == 0) return res;
-    if (n == 1 || !have_mmsg_.load(std::memory_order_relaxed)) {
+    if (n == 1 || !have_mmsg_) {
       return send_singles(fd, items, n);
     }
     mmsghdr msgs[kMaxBatch];
@@ -107,7 +107,7 @@ class RealUdpIoOps final : public UdpIoOps {
         ::sendmmsg(fd, msgs, static_cast<unsigned>(n), MSG_DONTWAIT);
     if (sent < 0) {
       if (errno == ENOSYS) {
-        have_mmsg_.store(false, std::memory_order_relaxed);
+        have_mmsg_ = false;
         return send_singles(fd, items, n);
       }
       if (errno_means_blocked(errno)) {
@@ -166,7 +166,7 @@ class RealUdpIoOps final : public UdpIoOps {
     return res;
   }
 
-  std::atomic<bool> have_mmsg_{true};
+  bool have_mmsg_ = true;
 };
 
 /// Batch-size histogram bounds: powers of two up to kMaxBatch.

@@ -28,9 +28,11 @@
 // reach the port can inject bytes, and the Node above survives arbitrary
 // garbage by construction (WireError => counted drop).
 //
-// The raw syscall layer sits behind UdpIoOps so tests can script socket
-// readiness/errors deterministically and benches can measure the engine
-// with the kernel stubbed out; production uses the real-syscall singleton.
+// The raw syscall layer sits behind UdpIoOps; production uses the
+// real-syscall singleton.  Tests run this transport's own code on a seeded
+// datagram net in virtual time behind the same seam
+// (tests/virtual_udp_net.h), with scripted poll results and blocked sends,
+// and benches measure the engine with the kernel stubbed out.
 #pragma once
 
 #include <cstdint>
@@ -78,8 +80,8 @@ struct UdpSendResult {
 
 /// Syscall seam for the transport event loop.  The real implementation
 /// issues poll/recvmmsg/sendmmsg (falling back to recvmsg/sendmsg loops
-/// where the batched calls are unavailable); tests and benches substitute
-/// scripted readiness and in-memory queues.
+/// where the batched calls are unavailable); tests substitute a virtual-time
+/// datagram net and benches an in-memory stub kernel.
 class UdpIoOps {
  public:
   virtual ~UdpIoOps() = default;

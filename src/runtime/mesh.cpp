@@ -34,8 +34,9 @@ Mesh::~Mesh() {
   for (Seat& s : seats_) {
     s.node.reset();
     if (s.scratch_checkpoint.empty()) continue;
-    std::remove(s.scratch_checkpoint.c_str());
-    std::remove((s.scratch_checkpoint + ".tmp").c_str());
+    for (const char* suffix : {"", ".tmp", ".log"}) {
+      std::remove((s.scratch_checkpoint + suffix).c_str());
+    }
   }
 }
 

@@ -127,9 +127,11 @@ TEST(MeshTest, RestartKeepsTheOracleBaselineAndRemovesTheCheckpoint) {
     EXPECT_LT(mesh.node(1).estimate().width(), 0.5);
     ckpt = mesh.checkpoint_path(1);
     EXPECT_TRUE(std::filesystem::exists(ckpt));
+    EXPECT_TRUE(std::filesystem::exists(ckpt + ".log"));
   }
-  // The mesh owns its scratch checkpoint: gone with the mesh.
+  // The mesh owns its scratch checkpoint and its log: gone with the mesh.
   EXPECT_FALSE(std::filesystem::exists(ckpt));
+  EXPECT_FALSE(std::filesystem::exists(ckpt + ".log"));
 }
 
 TEST(MeshTest, RestartThatLostItsCheckpointFailsTheOracle) {
@@ -229,9 +231,10 @@ TEST(MeshTest, ScratchCheckpointIsRemovedWhenARestartThrows) {
     FAIL() << "restart accepted a corrupt checkpoint";
   } catch (const CheckpointError&) {
   }
-  // The error unwound through ~Mesh, which owns the scratch file.
+  // The error unwound through ~Mesh, which owns the scratch files.
   ASSERT_FALSE(ckpt.empty());
   EXPECT_FALSE(std::filesystem::exists(ckpt));
+  EXPECT_FALSE(std::filesystem::exists(ckpt + ".log"));
 }
 
 TEST(MeshTest, PartitionThroughTheChaosHandleDropsTraffic) {

@@ -20,8 +20,9 @@
 // node's timer work and handlers, and checks signals and deadlines between
 // pumps.  SIGUSR1 dumps one JSON stats line to stdout; --stats-interval
 // dumps periodically; SIGINT/SIGTERM shut down cleanly.  --checkpoint makes the
-// node persist its state (write-ahead, see runtime/node.h) and restore it
-// on restart.  --dynamic-join lets the daemon admit spec neighbors that
+// node persist its state (write-ahead, see runtime/node.h) to PATH, a
+// snapshot, and PATH.log, the log of changes since it, and restore both on
+// restart.  --dynamic-join lets the daemon admit spec neighbors that
 // ask in at runtime (kJoinReq/kJoinAck) and honor kLeave; the default is a
 // fixed roster.  --selftest runs a self-contained 3-node in-process
 // network in virtual time (runtime::Mesh over a Hub) and exits 0 iff
@@ -86,7 +87,10 @@ constexpr const char* kUsage =
     "  honors kLeave; without it the roster is fixed at startup.\n"
     "  --clock-slew caps the disciplined output clock's |rate - 1| (0 =\n"
     "  derive from this node's drift spec); --clock-horizon is the seconds\n"
-    "  over which steering would correct the full observed error.";
+    "  over which steering would correct the full observed error.\n"
+    "  --checkpoint persists the node's state before every ack or send: a\n"
+    "  snapshot at PATH and a log of changes since it at PATH.log (PATH.tmp\n"
+    "  while a snapshot is written).  Keep or remove them together.";
 
 volatile std::sig_atomic_t g_terminate = 0;
 volatile std::sig_atomic_t g_dump_stats = 0;

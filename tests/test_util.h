@@ -2,7 +2,7 @@
 // specifications and hand-crafted event sequences, plus the runtime-layer
 // fixtures (specs, NodeConfigs, the 3-node path mesh, and the ground-truth
 // containment assertion) shared by runtime_test, udp_test and the
-// observability suites.
+// observability suites.  checkpoint_files.h adds the durable Node's files.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "checkpoint_files.h"
 #include "common/interval.h"
 #include "core/event.h"
 #include "core/optimal_csa.h"

@@ -29,23 +29,28 @@ constexpr std::uint8_t kKnownFlags =
 // set, internal kind).  Used to bound count-prefix-driven allocations.
 constexpr std::size_t kMinRecordBytes = 9;
 
+/// Throws WireError("<what><why>").  Out of line, so the string building
+/// stays out of the readers below and they inline into the record loop.
+[[noreturn, gnu::noinline, gnu::cold]] void reject(const char* what,
+                                                   const char* why) {
+  throw WireError(std::string(what) + why);
+}
+
 /// Reads a varint that must fit a 32-bit field (proc ids, seq numbers).
-std::uint32_t get_varint32(std::span<const std::uint8_t> bytes,
-                           std::size_t& offset, const char* what) {
+inline std::uint32_t get_varint32(std::span<const std::uint8_t> bytes,
+                                  std::size_t& offset, const char* what) {
   const std::uint64_t v = get_varint(bytes, offset);
   if (v > std::numeric_limits<std::uint32_t>::max()) {
-    throw WireError(std::string(what) + " does not fit 32 bits");
+    reject(what, " does not fit 32 bits");
   }
   return static_cast<std::uint32_t>(v);
 }
 
 /// Reads a processor id: 32-bit and not the invalid sentinel.
-ProcId get_proc(std::span<const std::uint8_t> bytes, std::size_t& offset,
-                const char* what) {
+inline ProcId get_proc(std::span<const std::uint8_t> bytes,
+                       std::size_t& offset, const char* what) {
   const ProcId p = get_varint32(bytes, offset, what);
-  if (p == kInvalidProc) {
-    throw WireError(std::string(what) + " is the invalid-processor sentinel");
-  }
+  if (p == kInvalidProc) reject(what, " is the invalid-processor sentinel");
   return p;
 }
 
@@ -57,6 +62,10 @@ SeqTracker& seq_scratch() {
 }
 
 }  // namespace
+
+std::uint32_t& SeqTracker::append(ProcId p) {
+  return entries_.emplace_back(p, 0).second;
+}
 
 void put_varint(std::vector<std::uint8_t>& out, std::uint64_t value) {
   while (value >= 0x80) {
@@ -79,22 +88,12 @@ void prefix_length(std::vector<std::uint8_t>& out, std::size_t at) {
   std::rotate(first, first + static_cast<std::ptrdiff_t>(length), out.end());
 }
 
-double get_double(std::span<const std::uint8_t> bytes, std::size_t& offset) {
-  if (offset > bytes.size() || bytes.size() - offset < 8) {
-    throw WireError("truncated double");
-  }
-  std::uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) {
-    bits |= static_cast<std::uint64_t>(
-                bytes[offset + static_cast<std::size_t>(i)])
-            << (8 * i);
-  }
-  offset += 8;
-  return std::bit_cast<double>(bits);
-}
+namespace detail {
 
-std::uint64_t get_varint(std::span<const std::uint8_t> bytes,
-                         std::size_t& offset) {
+void throw_truncated_double() { throw WireError("truncated double"); }
+
+std::uint64_t get_varint_slow(std::span<const std::uint8_t> bytes,
+                              std::size_t& offset) {
   std::uint64_t value = 0;
   for (int shift = 0; shift < 64; shift += 7) {
     if (offset >= bytes.size()) throw WireError("truncated varint");
@@ -115,11 +114,14 @@ std::uint64_t get_varint(std::span<const std::uint8_t> bytes,
   throw WireError("varint longer than 10 bytes");
 }
 
+}  // namespace detail
+
 void RecordEncoder::put(std::vector<std::uint8_t>& out, const EventRecord& r) {
   std::uint8_t flags = static_cast<std::uint8_t>(r.kind) & kKindMask;
   const bool same_proc = r.id.proc == prev_proc_;
-  const std::uint32_t* expected = next_seq_.find(r.id.proc);
-  const bool next = expected != nullptr && *expected == r.id.seq;
+  bool found = false;
+  std::uint32_t& expected = next_seq_.slot(r.id.proc, found);
+  const bool next = found && expected == r.id.seq;
   if (same_proc) flags |= kSameProc;
   if (next) flags |= kNextSeq;
   const bool has_slack = r.kind == EventKind::kReceive && r.slack != 0.0;
@@ -138,16 +140,16 @@ void RecordEncoder::put(std::vector<std::uint8_t>& out, const EventRecord& r) {
   }
   if (has_slack) put_double(out, r.slack);
   prev_proc_ = r.id.proc;
-  next_seq_.set(r.id.proc, r.id.seq + 1);
+  expected = r.id.seq + 1;
 }
 
 std::size_t RecordEncoder::measure(const EventRecord& r) {
-  const std::uint32_t* expected = next_seq_.find(r.id.proc);
-  const std::size_t size =
-      record_size(r, r.id.proc == prev_proc_,
-                  expected != nullptr && *expected == r.id.seq);
+  bool found = false;
+  std::uint32_t& expected = next_seq_.slot(r.id.proc, found);
+  const std::size_t size = record_size(r, r.id.proc == prev_proc_,
+                                       found && expected == r.id.seq);
   prev_proc_ = r.id.proc;
-  next_seq_.set(r.id.proc, r.id.seq + 1);
+  expected = r.id.seq + 1;
   return size;
 }
 
@@ -230,12 +232,17 @@ void decode_batch_into(EventBatch& batch,
   batch.reserve(count);
   ProcId prev_proc = kInvalidProc;
   SeqTracker& next_seq = seq_scratch();
+  // The previous record's entry in next_seq: a record of the same
+  // processor (the common case: the history protocol sends per-processor
+  // runs) needs no lookup.  Valid until the next slot() call.
+  std::uint32_t* expected = nullptr;
   for (std::uint64_t i = 0; i < count; ++i) {
     if (offset >= bytes.size()) throw WireError("truncated record");
     const std::uint8_t flags = bytes[offset++];
     if ((flags & ~kKnownFlags) != 0) throw WireError("unknown flag bits");
-    EventRecord r;
+    EventRecord& r = batch.emplace_back();
     r.kind = static_cast<EventKind>(flags & kKindMask);
+    bool found = true;
     if (flags & kSameProc) {
       if (prev_proc == kInvalidProc) throw WireError("dangling proc delta");
       r.id.proc = prev_proc;
@@ -247,14 +254,14 @@ void decode_batch_into(EventBatch& batch,
       if (r.id.proc == prev_proc) {
         throw WireError("redundant explicit processor id");
       }
+      expected = &next_seq.slot(r.id.proc, found);
     }
-    const std::uint32_t* expected = next_seq.find(r.id.proc);
     if (flags & kNextSeq) {
-      if (expected == nullptr) throw WireError("dangling seq delta");
+      if (!found) throw WireError("dangling seq delta");
       r.id.seq = *expected;
     } else {
       r.id.seq = get_varint32(bytes, offset, "record sequence number");
-      if (expected != nullptr && *expected == r.id.seq) {
+      if (found && *expected == r.id.seq) {
         throw WireError("redundant explicit sequence number");
       }
     }
@@ -281,8 +288,7 @@ void decode_batch_into(EventBatch& batch,
       }
     }
     prev_proc = r.id.proc;
-    next_seq.set(r.id.proc, r.id.seq + 1);
-    batch.push_back(r);
+    *expected = r.id.seq + 1;
   }
   if (offset != bytes.size()) throw WireError("trailing bytes");
 }
@@ -311,27 +317,32 @@ std::vector<std::uint8_t> encode_payload(const CsaPayload& payload) {
   return out;
 }
 
-CsaPayload decode_payload(std::span<const std::uint8_t> bytes,
-                          std::size_t& offset) {
-  CsaPayload payload;
+void decode_payload_into(CsaPayload& payload,
+                         std::span<const std::uint8_t> bytes,
+                         std::size_t& offset) {
   const std::uint64_t reports_len = get_varint(bytes, offset);
   if (reports_len > bytes.size() - offset) {
     throw WireError("payload report batch overruns buffer");
   }
-  payload.reports = decode_batch(
-      bytes.subspan(offset, static_cast<std::size_t>(reports_len)));
-  payload.report_bytes = static_cast<std::size_t>(reports_len);
-  offset += static_cast<std::size_t>(reports_len);
+  const auto len = static_cast<std::size_t>(reports_len);
+  decode_batch_into(payload.reports, bytes.subspan(offset, len));
+  payload.report_bytes = len;
+  offset += len;
   const std::uint64_t scalar_count = get_varint(bytes, offset);
   if (scalar_count > (bytes.size() - offset) / 8) {
     throw WireError("implausible payload scalar count");
   }
-  payload.scalars.reserve(static_cast<std::size_t>(scalar_count));
-  for (std::uint64_t i = 0; i < scalar_count; ++i) {
-    const double s = get_double(bytes, offset);
+  payload.scalars.resize(static_cast<std::size_t>(scalar_count));
+  for (double& s : payload.scalars) {
+    s = get_double(bytes, offset);
     if (std::isnan(s)) throw WireError("NaN payload scalar");
-    payload.scalars.push_back(s);
   }
+}
+
+CsaPayload decode_payload(std::span<const std::uint8_t> bytes,
+                          std::size_t& offset) {
+  CsaPayload payload;
+  decode_payload_into(payload, bytes, offset);
   return payload;
 }
 

@@ -30,6 +30,15 @@
 //   * count prefixes implying more records than the buffer could hold
 //     (which also caps the decoder's up-front allocation at the buffer
 //     size).
+//
+// There is one parser per image, and it writes into caller-owned storage:
+// decode_batch_into and decode_payload_into overwrite every field of their
+// target and keep its buffers' capacity, so a caller that reuses one
+// target across messages decodes without a heap allocation once that
+// capacity covers its largest message.  decode_batch and decode_payload
+// are thin wrappers that decode into a fresh value.  The hot reads are
+// inline: a byte below 0x80 is a whole varint, and a time-stamp is one
+// bounds check plus an 8-byte little-endian load.
 #pragma once
 
 #include <bit>
@@ -54,6 +63,19 @@ namespace driftsync::wire {
 class SeqTracker {
  public:
   void clear() { entries_.clear(); }
+
+  /// p's entry, appended holding 0 when p has none; `found` says which.
+  /// One scan where find() and then set() would make two.
+  std::uint32_t& slot(ProcId p, bool& found) {
+    for (auto& [proc, next] : entries_) {
+      if (proc == p) {
+        found = true;
+        return next;
+      }
+    }
+    found = false;
+    return append(p);
+  }
 
   [[nodiscard]] const std::uint32_t* find(ProcId p) const {
     for (const auto& [proc, next] : entries_) {
@@ -87,6 +109,9 @@ class SeqTracker {
   }
 
  private:
+  /// slot()'s miss, out of line so the scan inlines.
+  std::uint32_t& append(ProcId p);
+
   std::vector<std::pair<ProcId, std::uint32_t>> entries_;
 };
 
@@ -232,13 +257,13 @@ std::vector<std::uint8_t> encode_batch(const EventBatch& batch);
 void encode_batch_into(std::vector<std::uint8_t>& out,
                        const EventBatch& batch);
 
-/// Parses a batch; throws driftsync::WireError on malformed input.
-EventBatch decode_batch(std::span<const std::uint8_t> bytes);
-
-/// decode_batch into a caller-owned batch (cleared first, capacity
-/// reused).  On WireError the batch holds the records decoded so far and
-/// must not be interpreted.
+/// Parses a batch into a caller-owned batch (cleared first, capacity
+/// reused); throws driftsync::WireError on malformed input.  On WireError
+/// the batch holds the records decoded so far and must not be interpreted.
 void decode_batch_into(EventBatch& out, std::span<const std::uint8_t> bytes);
+
+/// decode_batch_into a fresh batch.
+EventBatch decode_batch(std::span<const std::uint8_t> bytes);
 
 /// Encoded size without materializing the buffer.
 std::size_t encoded_size(const EventBatch& batch);
@@ -252,10 +277,16 @@ std::size_t encoded_size(const EventBatch& batch);
 std::vector<std::uint8_t> encode_payload(const CsaPayload& payload);
 void append_payload(std::vector<std::uint8_t>& out, const CsaPayload& payload);
 
-/// Parses a payload starting at `offset`, advancing it past the payload
-/// (the caller owns trailing data); throws driftsync::WireError on
-/// malformed input.  The single-argument overload requires the payload to
-/// consume the whole buffer.
+/// Parses a payload starting at `offset` into a caller-owned payload,
+/// advancing `offset` past it (the caller owns trailing data).  Every field
+/// of `out` is rewritten and its buffers keep their capacity.  Throws
+/// driftsync::WireError on malformed input, after which `out` must not be
+/// interpreted.
+void decode_payload_into(CsaPayload& out, std::span<const std::uint8_t> bytes,
+                         std::size_t& offset);
+
+/// decode_payload_into a fresh payload.  The single-argument overload
+/// requires the payload to consume the whole buffer.
 CsaPayload decode_payload(std::span<const std::uint8_t> bytes,
                           std::size_t& offset);
 CsaPayload decode_payload(std::span<const std::uint8_t> bytes);
@@ -266,8 +297,23 @@ CsaPayload decode_payload(std::span<const std::uint8_t> bytes);
 // 64-bit-overflowing encodings, so every accepted varint re-encodes to the
 // exact bytes consumed.
 void put_varint(std::vector<std::uint8_t>& out, std::uint64_t value);
-std::uint64_t get_varint(std::span<const std::uint8_t> bytes,
-                         std::size_t& offset);
+
+namespace detail {
+/// get_varint past its one-byte fast path: the multi-byte and the
+/// rejection cases.
+std::uint64_t get_varint_slow(std::span<const std::uint8_t> bytes,
+                              std::size_t& offset);
+[[noreturn]] void throw_truncated_double();
+}  // namespace detail
+
+inline std::uint64_t get_varint(std::span<const std::uint8_t> bytes,
+                                std::size_t& offset) {
+  // A byte below 0x80 is a whole varint, and a one-byte encoding is
+  // always the minimal one.
+  if (offset < bytes.size() && bytes[offset] < 0x80) return bytes[offset++];
+  return detail::get_varint_slow(bytes, offset);
+}
+
 void put_double(std::vector<std::uint8_t>& out, double v);
 /// Puts the byte length of out[at, end) in front of it as a varint, for an
 /// image whose length is known once it is written: no sizing pass.
@@ -285,6 +331,23 @@ inline void store_double(std::uint8_t* dst, double v) {
     }
   }
 }
-double get_double(std::span<const std::uint8_t> bytes, std::size_t& offset);
+/// Reads the 8 bytes put_double appended.
+inline double get_double(std::span<const std::uint8_t> bytes,
+                         std::size_t& offset) {
+  if (offset > bytes.size() || bytes.size() - offset < 8) {
+    detail::throw_truncated_double();
+  }
+  const std::uint8_t* src = bytes.data() + offset;
+  std::uint64_t bits = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&bits, src, 8);
+  } else {
+    for (int i = 0; i < 8; ++i) {
+      bits |= static_cast<std::uint64_t>(src[i]) << (8 * i);
+    }
+  }
+  offset += 8;
+  return std::bit_cast<double>(bits);
+}
 
 }  // namespace driftsync::wire

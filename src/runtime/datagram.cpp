@@ -44,6 +44,21 @@ constexpr std::uint8_t kExtKnownMask = kExtTraceId;
 constexpr std::uint8_t kExtDisciplined = 0x01;
 constexpr std::uint8_t kClientRespExtKnownMask = kExtDisciplined;
 
+constexpr std::size_t kHeaderBytes = 4;
+
+/// Checks the magic and version; returns the type byte.
+Type get_header(std::span<const std::uint8_t> bytes) {
+  if (bytes.size() < kHeaderBytes) {
+    throw WireError("truncated datagram header");
+  }
+  if (bytes[0] != kMagic0 || bytes[1] != kMagic1) {
+    throw WireError("bad datagram magic");
+  }
+  if (bytes[2] != kVersion) throw WireError("unknown datagram version");
+  if (bytes[3] > kMaxType) throw WireError("unknown datagram type");
+  return static_cast<Type>(bytes[3]);
+}
+
 void put_header(std::vector<std::uint8_t>& out, Type type) {
   out.push_back(kMagic0);
   out.push_back(kMagic1);
@@ -196,23 +211,30 @@ void encode_body(std::vector<std::uint8_t>& out, const LeaveMsg& m) {
   wire::put_varint(out, m.from);
 }
 
-DataMsg decode_data(std::span<const std::uint8_t> bytes, std::size_t& offset) {
-  DataMsg m;
+/// Decodes a data datagram's body into `m`, rewriting every field, and
+/// returns its observation bytes (see decode_data_into).
+std::span<const std::uint8_t> decode_data(DataMsg& m,
+                                          std::span<const std::uint8_t> bytes,
+                                          std::size_t& offset) {
   m.from = get_proc(bytes, offset, "data sender");
   m.dgram_seq = wire::get_varint(bytes, offset);
   if (m.dgram_seq == 0) throw WireError("zero data datagram sequence");
   get_hw_pair(bytes, offset, m.processed_hw, m.seen_hw);
+  const std::size_t observation = offset;
   m.app_tag = get_u32(bytes, offset, "application tag");
   m.send_seq = get_u32(bytes, offset, "send-event sequence");
   m.send_lt = wire::get_double(bytes, offset);
   if (!std::isfinite(m.send_lt)) throw WireError("non-finite send local time");
-  m.payload = wire::decode_payload(bytes, offset);
+  wire::decode_payload_into(m.payload, bytes, offset);
+  const std::span<const std::uint8_t> observed =
+      bytes.subspan(observation, offset - observation);
+  m.trace_id = 0;
   if (offset < bytes.size()) {
     // Optional extension block.  Canonical rules: a zero flag byte encodes
     // nothing (the canonical form is omission), unknown bits are rejected
     // (we cannot skip fields we cannot size), and a zero trace id must be
     // encoded by omission.  A duplicated block trips the trailing-bytes
-    // check in decode_datagram.
+    // check.
     const std::uint8_t flags = bytes[offset++];
     if (flags == 0) throw WireError("empty datagram extension flags");
     if ((flags & ~kExtKnownMask) != 0) {
@@ -223,7 +245,7 @@ DataMsg decode_data(std::span<const std::uint8_t> bytes, std::size_t& offset) {
       if (m.trace_id == 0) throw WireError("redundant zero trace id");
     }
   }
-  return m;
+  return observed;
 }
 
 AckMsg decode_ack(std::span<const std::uint8_t> bytes, std::size_t& offset) {
@@ -388,18 +410,12 @@ void encode_datagram_into(std::vector<std::uint8_t>& out,
 }
 
 Datagram decode_datagram(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < 4) throw WireError("truncated datagram header");
-  if (bytes[0] != kMagic0 || bytes[1] != kMagic1) {
-    throw WireError("bad datagram magic");
-  }
-  if (bytes[2] != kVersion) throw WireError("unknown datagram version");
-  if (bytes[3] > kMaxType) throw WireError("unknown datagram type");
-  const auto type = static_cast<Type>(bytes[3]);
-  std::size_t offset = 4;
+  const Type type = get_header(bytes);
+  std::size_t offset = kHeaderBytes;
   Datagram dgram;
   switch (type) {
     case Type::kData:
-      dgram = decode_data(bytes, offset);
+      (void)decode_data(std::get<DataMsg>(dgram), bytes, offset);
       break;
     case Type::kAck:
       dgram = decode_ack(bytes, offset);
@@ -437,6 +453,16 @@ Datagram decode_datagram(std::span<const std::uint8_t> bytes) {
   }
   if (offset != bytes.size()) throw WireError("trailing bytes after datagram");
   return dgram;
+}
+
+std::span<const std::uint8_t> decode_data_into(
+    DataMsg& out, std::span<const std::uint8_t> bytes) {
+  if (get_header(bytes) != Type::kData) return {};
+  std::size_t offset = kHeaderBytes;
+  const std::span<const std::uint8_t> observed =
+      decode_data(out, bytes, offset);
+  if (offset != bytes.size()) throw WireError("trailing bytes after datagram");
+  return observed;
 }
 
 std::uint64_t peek_trace_id(std::span<const std::uint8_t> bytes) noexcept {

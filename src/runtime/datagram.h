@@ -40,7 +40,10 @@
 namespace driftsync::runtime {
 
 /// One application/CSA message with the link-layer header the Node driver
-/// needs to reconstruct the matching send event at the receiver.
+/// needs to reconstruct the matching send event at the receiver.  A Node
+/// decodes every data datagram into one DataMsg it keeps
+/// (decode_data_into), so the payload's buffers are reused across
+/// datagrams.
 struct DataMsg {
   ProcId from = kInvalidProc;
   std::uint64_t dgram_seq = 0;     ///< Per-direction counter, starts at 1.
@@ -211,6 +214,19 @@ void encode_datagram_into(std::vector<std::uint8_t>& out,
 /// (bad magic/version/type, truncation, trailing bytes, non-canonical
 /// varints, seen_hw < processed_hw, zero sequence numbers, NaN times, ...).
 Datagram decode_datagram(std::span<const std::uint8_t> bytes);
+
+/// decode_datagram for a data datagram, into caller-owned storage: when
+/// `bytes` is a kData datagram, rewrites every field of `out` (an absent
+/// trace extension resets trace_id to 0; the payload's buffers keep their
+/// capacity) and returns its observation bytes: app_tag, send_seq, send_lt
+/// and the payload, the span from the byte after seen_hw to the payload's
+/// end.  The piggybacked ack and the trace extension lie outside it.  For
+/// a valid header of any other type it returns an empty span, reading no
+/// further and leaving `out` alone.  Throws WireError on a bad header, and
+/// on a data datagram exactly where decode_datagram would; `out` must not
+/// be interpreted then.
+std::span<const std::uint8_t> decode_data_into(
+    DataMsg& out, std::span<const std::uint8_t> bytes);
 
 /// Best-effort trace id of an encoded datagram: the DataMsg trace id when
 /// `bytes` decodes to a traced DataMsg, otherwise 0.  Never throws — fault

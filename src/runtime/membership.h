@@ -58,9 +58,11 @@ struct PeerState {
   PeerFate fate = PeerFate::kNone;
   std::uint64_t pending_seq = 0;       ///< Outstanding dgram_seq.
   std::uint32_t pending_send_seq = 0;  ///< Its send event's seq.
-  /// Replay hardening: digest of the newest data datagram seen from this
-  /// peer.  A redelivery of the same dgram_seq with a DIFFERENT digest is
-  /// a mutated replay — counted and treated as a lie, never reprocessed.
+  /// Replay hardening: digest of the observation bytes (app_tag through
+  /// the payload's end, decode_data_into) of the newest data datagram seen
+  /// from this peer.  A redelivery of the same dgram_seq with a DIFFERENT
+  /// digest is a mutated replay — counted and treated as a lie, never
+  /// reprocessed.
   std::uint64_t digest_seq = 0;
   std::uint64_t digest = 0;
 

@@ -183,28 +183,26 @@ std::uint64_t double_bits(double d) {
   return u;
 }
 
-/// Replay-hardening digest over every semantic field of a data datagram.
-/// An honest transport may redeliver a datagram, but only byte-identically;
-/// the same dgram_seq with a different digest is a mutated replay.
-std::uint64_t data_msg_digest(const DataMsg& msg) {
-  std::uint64_t h = 1469598103934665603ULL;
-  h = fnv1a_word(h, msg.dgram_seq);
-  h = fnv1a_word(h, msg.send_seq);
-  h = fnv1a_word(h, msg.app_tag);
-  h = fnv1a_word(h, double_bits(msg.send_lt));
-  for (const EventRecord& r : msg.payload.reports) {
-    h = fnv1a_word(h, (static_cast<std::uint64_t>(r.id.proc) << 32) |
-                          r.id.seq);
-    h = fnv1a_word(h, double_bits(r.lt));
-    h = fnv1a_word(h, static_cast<std::uint64_t>(r.kind));
-    h = fnv1a_word(h, (static_cast<std::uint64_t>(r.peer) << 32) |
-                          r.match.seq);
-    h = fnv1a_word(h, r.match.proc);
+/// Replay-hardening digest of a data datagram's observation bytes
+/// (decode_data_into): app_tag, send_seq, send_lt and the payload, every
+/// field of every report included.  The encoding is canonical, so equal
+/// bytes mean equal fields: an honest transport may redeliver a datagram,
+/// but only byte-identically, so its duplicate digests alike; the same
+/// dgram_seq with different bytes is a mutated replay.  The piggybacked
+/// ack and the trace extension lie outside the span: they are not part of
+/// the observation.  Word-at-a-time, host byte order: the digest never
+/// leaves this process.
+std::uint64_t replay_digest(std::span<const std::uint8_t> observed) {
+  std::uint64_t h = fnv1a_word(1469598103934665603ULL, observed.size());
+  std::size_t i = 0;
+  for (; observed.size() - i >= 8; i += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, observed.data() + i, 8);
+    h = fnv1a_word(h, word);
   }
-  for (const double s : msg.payload.scalars) {
-    h = fnv1a_word(h, double_bits(s));
-  }
-  return h;
+  std::uint64_t tail = 0;
+  std::memcpy(&tail, observed.data() + i, observed.size() - i);
+  return fnv1a_word(h, tail);
 }
 
 void put_le(std::uint8_t* dst, std::uint64_t v, std::size_t n) {
@@ -440,6 +438,7 @@ void replay_calls(Csa& csa, const SystemSpec& spec, ProcId self,
                   LocalTime now, std::span<const std::uint8_t> body,
                   std::size_t offset, NodeHeader& state) {
   const std::size_t num_procs = spec.num_procs();
+  DataMsg msg;  // Each logged datagram decodes into this one.
   while (offset < body.size()) {
     const std::uint8_t op = body[offset++];
     if (op == kLogDelivered || op == kLogJoin || op == kLogLeave) {
@@ -513,17 +512,17 @@ void replay_calls(Csa& csa, const SystemSpec& spec, ProcId self,
       if (len > body.size() - offset) {
         throw CheckpointError("log datagram overruns its record");
       }
-      const Datagram d = decode_datagram(body.subspan(offset, len));
+      if (decode_data_into(msg, body.subspan(offset, len)).empty()) {
+        throw CheckpointError("logged datagram is not data");
+      }
       offset += len;
-      const auto* msg = std::get_if<DataMsg>(&d);
-      if (msg == nullptr) throw CheckpointError("logged datagram is not data");
-      (void)active_entry(state, spec, self, msg->from);
-      if (e.kind != EventKind::kReceive || e.peer != msg->from ||
-          e.match != EventId{msg->from, msg->send_seq}) {
+      (void)active_entry(state, spec, self, msg.from);
+      if (e.kind != EventKind::kReceive || e.peer != msg.from ||
+          e.match != EventId{msg.from, msg.send_seq}) {
         throw CheckpointError("logged receive does not match its datagram");
       }
-      if (!csa.on_receive_validated(receive_context(self, *msg, e),
-                                    msg->payload)) {
+      if (!csa.on_receive_validated(receive_context(self, msg, e),
+                                    msg.payload)) {
         throw CheckpointError("a logged receive was refused on replay");
       }
     }
@@ -889,24 +888,38 @@ void Node::send_ack(ProcId peer, const PeerState& state) {
 }
 
 void Node::on_datagram(std::span<const std::uint8_t> bytes) {
+  // handle_data reads rx_data_ by reference: a nested call would decode
+  // over the datagram being handled.
+  DS_CHECK_MSG(!in_datagram_, "re-entrant Node::on_datagram");
+  in_datagram_ = true;
+  struct Reset {
+    bool& flag;
+    ~Reset() { flag = false; }
+  } reset{in_datagram_};
   // Arrival stamp BEFORE decode: the time this datagram spends in the
   // node before its receive event is minted is not the wire's, and the
   // receive event's transit constraint discounts it (EventRecord::slack).
   const LocalTime arrival_lt = time_source_->now();
+  // The allocation window opens before the decode, so it counts whatever
+  // the decode allocates too.
+  const std::uint64_t allocs_before = alloc_stats::allocations();
+  const std::uint64_t alloc_bytes_before = alloc_stats::allocated_bytes();
+  // A data datagram decodes into rx_data_, whose buffers outlive it; any
+  // other type into `dgram`.
+  std::span<const std::uint8_t> observed;
   Datagram dgram;
   try {
-    dgram = decode_datagram(bytes);
+    observed = decode_data_into(rx_data_, bytes);
+    if (observed.empty()) dgram = decode_datagram(bytes);
   } catch (const WireError&) {
     ++stats_.decode_drops;
     return;
   }
-  const std::uint64_t allocs_before = alloc_stats::allocations();
-  const std::uint64_t alloc_bytes_before = alloc_stats::allocated_bytes();
   const double handle_start = time_source_->now();
   ++stats_.dgrams_in;
   stats_.bytes_in += bytes.size();
-  if (const auto* data = std::get_if<DataMsg>(&dgram)) {
-    handle_data(*data, arrival_lt, bytes);
+  if (!observed.empty()) {
+    handle_data(rx_data_, arrival_lt, bytes, observed);
   } else if (const auto* ack = std::get_if<AckMsg>(&dgram)) {
     if (membership_.find(ack->from) == nullptr) {
       ++stats_.ignored_dgrams;
@@ -937,7 +950,8 @@ void Node::on_datagram(std::span<const std::uint8_t> bytes) {
 }
 
 void Node::handle_data(const DataMsg& msg, LocalTime arrival_lt,
-                       std::span<const std::uint8_t> bytes) {
+                       std::span<const std::uint8_t> bytes,
+                       std::span<const std::uint8_t> observed) {
   PeerState* sp = membership_.find(msg.from);
   if (sp == nullptr) {
     ++stats_.ignored_dgrams;
@@ -950,7 +964,7 @@ void Node::handle_data(const DataMsg& msg, LocalTime arrival_lt,
     // Already processed, or renounced via a skip commit.  Never process it
     // now — but re-ack, since our previous ack may have been lost.
     if (msg.dgram_seq == state.digest_seq &&
-        data_msg_digest(msg) != state.digest) {
+        replay_digest(observed) != state.digest) {
       // Same sequence number, different content: a mutated replay of an
       // observation already resolved.  An honest transport can duplicate a
       // datagram but never alter it — the retelling is a lie.
@@ -968,7 +982,7 @@ void Node::handle_data(const DataMsg& msg, LocalTime arrival_lt,
   // redelivery that arrives mutated is distinguishable from an honest
   // duplicate.
   state.digest_seq = msg.dgram_seq;
-  state.digest = data_msg_digest(msg);
+  state.digest = replay_digest(observed);
   // Spec-violation screen (see NodeConfig).  A renounced observation never
   // reaches ingestion, so the view is never poisoned and the sender soundly
   // resolves the datagram as a loss; verdicts drive the decaying suspicion

@@ -329,9 +329,11 @@ class Node {
   /// before decode; the gap to the receive event's mint becomes the
   /// record's slack.
   /// `bytes` is the datagram as it arrived: an accepted receive is logged
-  /// as those bytes.
+  /// as those bytes.  `observed` is its observation span
+  /// (decode_data_into), the bytes the replay digest covers.
   void handle_data(const DataMsg& msg, LocalTime arrival_lt,
-                   std::span<const std::uint8_t> bytes);
+                   std::span<const std::uint8_t> bytes,
+                   std::span<const std::uint8_t> observed);
   void handle_ack(ProcId from, std::uint64_t processed_hw,
                   std::uint64_t seen_hw);
   void handle_skip(const SkipMsg& msg);
@@ -452,6 +454,11 @@ class Node {
   mutable Histogram clock_error_hist_;
   /// Inbound-datagram handling latency (seconds), decode excluded.
   Histogram handle_hist_;
+  /// Every data datagram decodes into this one message, so its payload's
+  /// buffers keep their capacity across datagrams of any type.  Valid only
+  /// while on_datagram runs; in_datagram_ refuses a nested call.
+  DataMsg rx_data_;
+  bool in_datagram_ = false;
   /// Per-neighbor gradient (Kuhn–Lenzen–Locher–Oshman sense): each poll
   /// samples the CSA's bounds on that neighbor's clock at the poll's local
   /// time — skew is the bound midpoint's offset from our own reading, width

@@ -7,6 +7,7 @@
 // inequalities) rather than one run's exact counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -14,6 +15,7 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -461,16 +463,21 @@ class ManualTimeSource final : public TimeSource {
 };
 
 /// Keeps the Node's datagram handler so the test can call it directly;
-/// the last datagram the Node sends lands in `sent` (dropped if null).
+/// the last datagram the Node sends lands in `sent` (dropped if null), and
+/// its timer in `timer` (never run if null).
 class DirectTransport final : public Transport {
  public:
   explicit DirectTransport(DatagramHandler* handler,
-                           std::vector<std::uint8_t>* sent = nullptr)
-      : handler_(handler), sent_(sent) {}
+                           std::vector<std::uint8_t>* sent = nullptr,
+                           TimerHandler* timer = nullptr)
+      : handler_(handler), sent_(sent), timer_(timer) {}
   void start(DatagramHandler handler) override {
     *handler_ = std::move(handler);
   }
   void stop() override {}
+  void set_timer(TimerHandler timer) override {
+    if (timer_ != nullptr) *timer_ = std::move(timer);
+  }
   void send(ProcId /*to*/, std::vector<std::uint8_t> bytes) override {
     if (sent_ != nullptr) *sent_ = std::move(bytes);
   }
@@ -478,7 +485,122 @@ class DirectTransport final : public Transport {
  private:
   DatagramHandler* handler_;
   std::vector<std::uint8_t>* sent_;
+  TimerHandler* timer_;
 };
+
+// The handler reads the node's decode buffer by reference, so a transport
+// that delivers from inside send() must not re-enter it: the probe's reply
+// comes straight back into the handler that is still sending it.
+TEST(NodeDatagram, ReentrantDeliveryIsRefused) {
+  class Echo final : public Transport {
+   public:
+    void start(DatagramHandler handler) override {
+      handler_ = std::move(handler);
+    }
+    void stop() override {}
+    void send(ProcId /*to*/, std::vector<std::uint8_t> bytes) override {
+      handler_(bytes);
+    }
+    DatagramHandler handler_;
+  };
+  auto echo = std::make_unique<Echo>();
+  Echo* transport = echo.get();
+  Node node(node_config(1, driftsync::testing::two_node_spec()),
+            driftsync::testing::loss_tolerant_csa(),
+            std::make_unique<ManualTimeSource>(std::make_shared<double>(5.0)),
+            std::move(echo));
+  node.start();
+  const std::vector<std::uint8_t> probe =
+      encode_datagram(Datagram{ProbeReq{7}});
+  EXPECT_THROW(transport->handler_(probe), std::logic_error);
+}
+
+// The replay digest covers every field of every report.  Node 1 polls the
+// source, the source answers with a payload that carries its receive of
+// that poll, slack included; a redelivery of the answer that changes only
+// that slack is a mutated replay, while a byte-identical one, or one whose
+// piggybacked ack moved on, is an honest duplicate.
+TEST(NodeReplay, SlackOnlyMutationIsRejected) {
+  const SystemSpec spec = driftsync::testing::two_node_spec();
+  const auto clock = std::make_shared<double>(50.0);
+  DatagramHandler handler;
+  TimerHandler timer;
+  std::vector<std::uint8_t> sent;
+  Node node(node_config(1, spec, 0.04, 1e9, 1e9),
+            driftsync::testing::loss_tolerant_csa(),
+            std::make_unique<ManualTimeSource>(clock),
+            std::make_unique<DirectTransport>(&handler, &sent, &timer));
+  node.start();
+  ASSERT_TRUE(timer);
+  *clock += 0.05;  // Past the first poll's stagger.
+  (void)timer();
+  const Datagram poll_dgram = decode_datagram(sent);
+  ASSERT_TRUE(std::holds_alternative<DataMsg>(poll_dgram));
+  const DataMsg& poll = std::get<DataMsg>(poll_dgram);
+
+  // The source reads real time; node 1's clock runs ~40 s ahead of it.
+  // The poll reaches the source at 10.0 and is handled 2 ms later.
+  OptimalCsa source(loss_tolerant());
+  source.init(spec, 0);
+  EventRecord recv;
+  recv.id = EventId{0, 0};
+  recv.lt = 10.0;
+  recv.kind = EventKind::kReceive;
+  recv.peer = 1;
+  recv.match = EventId{1, poll.send_seq};
+  recv.slack = 0.002;
+  EventRecord poll_send;
+  poll_send.id = recv.match;
+  poll_send.lt = poll.send_lt;
+  poll_send.kind = EventKind::kSend;
+  poll_send.peer = 0;
+  source.on_receive(RecvContext{0, 1, recv, poll_send, poll.app_tag},
+                    poll.payload);
+  EventRecord answer_send;
+  answer_send.id = EventId{0, 1};
+  answer_send.lt = 10.01;
+  answer_send.kind = EventKind::kSend;
+  answer_send.peer = 1;
+  DataMsg answer;
+  answer.from = 0;
+  answer.dgram_seq = 1;
+  answer.processed_hw = poll.dgram_seq;
+  answer.seen_hw = poll.dgram_seq;
+  answer.send_seq = 1;
+  answer.send_lt = answer_send.lt;
+  answer.payload = source.on_send(SendContext{0, 1, answer_send, 0});
+  const auto slacked = std::find_if(
+      answer.payload.reports.begin(), answer.payload.reports.end(),
+      [](const EventRecord& r) { return r.slack != 0.0; });
+  ASSERT_NE(slacked, answer.payload.reports.end());
+
+  *clock = poll.send_lt + 0.015;  // Transit 5 ms.
+  const std::vector<std::uint8_t> honest = encode_datagram(Datagram{answer});
+  handler(honest);
+  NodeStats s = node.stats();
+  ASSERT_EQ(s.events, 2u) << "the answer was not ingested";
+  EXPECT_EQ(s.cross_check_failures + s.infeasible_rejected +
+                s.suspect_rejected,
+            0u);
+
+  handler(honest);
+  DataMsg moved_ack = answer;
+  moved_ack.processed_hw = moved_ack.seen_hw = poll.dgram_seq + 1;
+  handler(encode_datagram(Datagram{moved_ack}));
+  s = node.stats();
+  EXPECT_EQ(s.duplicate_dgrams, 2u);
+  EXPECT_EQ(s.replay_rejected, 0u);
+
+  DataMsg mutated = answer;
+  mutated.payload.reports[static_cast<std::size_t>(
+                              slacked - answer.payload.reports.begin())]
+      .slack *= 2.0;
+  handler(encode_datagram(Datagram{mutated}));
+  s = node.stats();
+  EXPECT_EQ(s.replay_rejected, 1u);
+  EXPECT_EQ(s.duplicate_dgrams, 2u);
+  EXPECT_EQ(s.events, 2u);  // Never reprocessed.
+}
 
 // A local clock that reads below zero mints its events at its own
 // readings: the first receive lands at -5 with no processing slack, so the
@@ -853,7 +975,7 @@ TEST(NodeProbe, ReplyStatsShareTheReplyReading) {
   const auto clock = std::make_shared<double>(0.0);
   DatagramHandler handler;
   std::vector<std::uint8_t> sent;
-  Node node(node_config(1, spec, 1e9, 1e9, 1e9),
+  Node node(node_config(1, spec, 0.04, 1e9, 1e9),
             driftsync::testing::loss_tolerant_csa(),
             std::make_unique<ManualTimeSource>(clock, 1e-6),
             std::make_unique<DirectTransport>(&handler, &sent));

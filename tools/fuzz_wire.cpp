@@ -13,7 +13,10 @@
 // (core-layer framing) and a structurally valid datagram drawn from all
 // twelve wire types — including the serving tier's ClientReq/ClientResp
 // and the membership handshake JoinReq/JoinAck/Leave — each mutated and
-// fed back through its decoder.
+// fed back through its decoder.  The datagram stage also decodes every
+// input into one long-lived DataMsg, as a Node does (decode_data_into):
+// the reused target must reject exactly what decode_datagram rejects and
+// otherwise hold exactly its DataMsg, whatever an earlier input left in it.
 //
 //   $ ./fuzz_wire [--iterations=N] [--seconds=S] [--seed0=K]
 //
@@ -24,6 +27,7 @@
 #include <cstdlib>
 #include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/errors.h"
@@ -176,7 +180,45 @@ runtime::Datagram random_datagram(Rng& rng) {
   std::abort();
 }
 
-std::size_t fuzz_once(std::uint64_t seed) {
+/// decode_data_into `bytes` into the long-lived `reused` must agree with
+/// decode_datagram: a data datagram decodes to exactly its DataMsg,
+/// another type leaves the target alone, and whatever decode_datagram
+/// rejects is rejected (or, for another type's body, never read).
+/// Returns whether decode_data_into threw.
+bool check_reused(std::uint64_t seed, runtime::DataMsg& reused,
+                  std::span<const std::uint8_t> bytes) {
+  bool value_threw = false;
+  runtime::Datagram by_value;
+  try {
+    by_value = runtime::decode_datagram(bytes);
+  } catch (const WireError&) {
+    value_threw = true;
+  }
+  bool into_threw = false;
+  std::span<const std::uint8_t> observed;
+  try {
+    observed = runtime::decode_data_into(reused, bytes);
+  } catch (const WireError&) {
+    into_threw = true;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "wrong exception type: %s\n", e.what());
+    die(seed, "decode_data_into threw something other than WireError");
+  }
+  if (value_threw) {
+    if (!into_threw && !observed.empty()) {
+      die(seed, "decode_data_into accepted what decode_datagram rejects");
+    }
+  } else if (const auto* data = std::get_if<runtime::DataMsg>(&by_value)) {
+    if (into_threw || observed.empty() || !(reused == *data)) {
+      die(seed, "reused DataMsg differs from decode_datagram's");
+    }
+  } else if (into_threw || !observed.empty()) {
+    die(seed, "decode_data_into read a datagram of another type");
+  }
+  return into_threw;
+}
+
+std::size_t fuzz_once(std::uint64_t seed, runtime::DataMsg& reused) {
   Rng rng(seed);
   const EventBatch batch = random_batch(rng);
   const std::vector<std::uint8_t> bytes = wire::encode_batch(batch);
@@ -208,7 +250,8 @@ std::size_t fuzz_once(std::uint64_t seed) {
   const runtime::Datagram dgram = random_datagram(rng);
   const std::vector<std::uint8_t> dgram_bytes =
       runtime::encode_datagram(dgram);
-  if (!(runtime::decode_datagram(dgram_bytes) == dgram)) {
+  if (!(runtime::decode_datagram(dgram_bytes) == dgram) ||
+      check_reused(seed, reused, dgram_bytes)) {
     die(seed, "valid datagram rejected");
   }
   for (std::size_t m = 0; m < kMutationsPerDatagram; ++m, ++iterations) {
@@ -223,6 +266,11 @@ std::size_t fuzz_once(std::uint64_t seed) {
     } catch (const std::exception& e) {
       std::fprintf(stderr, "wrong exception type: %s\n", e.what());
       die(seed, "decode_datagram threw something other than WireError");
+    }
+    // A rejection leaves the target dirty: the valid datagram must still
+    // decode into it exactly.
+    if (check_reused(seed, reused, mut)) {
+      (void)check_reused(seed, reused, dgram_bytes);
     }
   }
 
@@ -265,6 +313,7 @@ int main(int argc, char** argv) try {
   const auto start = std::chrono::steady_clock::now();
   std::uint64_t done = 0;
   std::uint64_t scenario = 0;
+  runtime::DataMsg reused;  // Dirty across every scenario, as in a Node.
   while (true) {
     if (seconds > 0.0) {
       const double elapsed =
@@ -275,7 +324,7 @@ int main(int argc, char** argv) try {
     } else if (done >= iterations) {
       break;
     }
-    done += fuzz_once(seed0 + scenario++);
+    done += fuzz_once(seed0 + scenario++, reused);
   }
   std::printf(
       "fuzz_wire: %llu mutations over %llu batches, 0 contract violations\n",

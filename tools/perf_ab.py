@@ -17,7 +17,12 @@ per workload, it runs --pairs pairs of `perfbench/run.py --workload W
 --seed S --seconds T --trace 0`, one run per side, alternating which side
 goes first; pair i uses the i-th seed of --seeds, cycling.  --base HEAD
 --head HEAD is an A/A run: it measures the spread of the box, not of the
-code.
+code.  A --trace 0 result holds only the end-to-end metrics, so when
+--metrics names a per-layer metric of BENCHMARK.json, each side of each
+pair also makes one `--trace 1` run (after its untraced one, which is
+skipped when no end-to-end metric is asked for), and the per-layer
+metrics are read from those runs; a metric the workload does not report
+is printed as absent.
 
 For each workload and metric it prints the per-pair ratios (working tree
 over base), the pairs the working tree won (in the direction
@@ -40,6 +45,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ABSENT = object()  # A metric the run's result does not hold.
 
 
 def sh(cmd, cwd, capture=False):
@@ -81,12 +87,12 @@ def snapshot_worktree(scratch):
     return tree
 
 
-def run(tree, workload, seed, seconds):
+def run(tree, workload, seed, seconds, trace=0):
     """One benchmark run in `tree`; returns its metrics, name -> value, or
     None when the run failed its correctness gates."""
     out = sh(['python3', 'perfbench/run.py', '--workload', workload,
               '--seed', str(seed), '--seconds', str(seconds),
-              '--trace', '0'], tree, capture=True)
+              '--trace', str(trace)], tree, capture=True)
     result = json.loads(out.strip().splitlines()[-1])
     if not result.get('correct', False):
         sys.stderr.write('perf_ab.py: %s seed %d in %s failed its gates\n'
@@ -162,10 +168,13 @@ def main():
         declared = json.load(f)
     better = {m['name']: m['better']
               for m in declared['end_to_end'] + declared['per_layer']}
+    per_layer = {m['name'] for m in declared['per_layer']}
     metrics = args.metrics.split(',')
     for m in metrics:
         if m not in better:
             sys.exit('perf_ab.py: %s is not a metric of BENCHMARK.json' % m)
+    traced = any(m in per_layer for m in metrics)
+    plain = any(m not in per_layer for m in metrics)
     seeds = [int(s) for s in args.seeds.split(',')]
     scratch = args.scratch or tempfile.mkdtemp(prefix='perf_ab.')
     sides = {'base': export(args.base, scratch),
@@ -177,12 +186,18 @@ def main():
 
     summary = []
     for w in workloads:
-        runs = {'base': [], 'head': []}
+        # Per side, its untraced and its traced runs, one entry per pair.
+        runs = {'base': ([], []), 'head': ([], [])}
         for i in range(args.pairs):
             seed = seeds[i % len(seeds)]
             order = ['base', 'head'] if i % 2 == 0 else ['head', 'base']
             for side in order:
-                runs[side].append(run(sides[side], w, seed, args.seconds))
+                untraced, traced_runs = runs[side]
+                if plain:
+                    untraced.append(run(sides[side], w, seed, args.seconds))
+                if traced:
+                    traced_runs.append(run(sides[side], w, seed,
+                                           args.seconds, trace=1))
             sys.stderr.write('%s pair %d/%d done\n' % (w, i + 1, args.pairs))
         print('== %s: %d pairs, %g s, base %s vs %s' %
               (w, args.pairs, args.seconds, args.base,
@@ -191,9 +206,16 @@ def main():
               ('metric', 'wins', 'fail', 'base q1/med/q3', 'head q1/med/q3',
                'ratio', 'IQR', 'n5%'))
         for m in metrics:
+            source = 1 if m in per_layer else 0
+            base, head = ([None if r is None else r.get(m, ABSENT)
+                           for r in runs[side][source]]
+                          for side in ('base', 'head'))
+            if all(v is ABSENT for v in base + head):
+                print('%-16s absent: %s does not report it' % (m, w))
+                continue
             s = summarize(m, better[m],
-                          [None if r is None else r[m] for r in runs['base']],
-                          [None if r is None else r[m] for r in runs['head']])
+                          [None if v is ABSENT else v for v in base],
+                          [None if v is ABSENT else v for v in head])
             s['workload'] = w
             summary.append(s)
             fmt = lambda q: '/'.join('%.4g' % x for x in q)
